@@ -5,6 +5,7 @@ import pytest
 
 from sekg.datasets import canonical_graph, load_canonical
 from sekg.graph import KnowledgeGraph, Node
+from sekg.inference import AtomKind
 
 
 @pytest.fixture(scope="session")
@@ -152,3 +153,116 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
     if query.distinct:
         rows = [r for i, r in enumerate(rows) if i == 0 or r != rows[i - 1]]
     return rows
+
+
+def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
+    """Naive fixpoint of axiom closure plus ``rules``, as edge keys.
+
+    Shares no code with the inference or query engines. Each round
+    completes inverse and subproperty edges from the schema, then re-runs
+    every rule over the whole edge set as a nested-loop join in written
+    body order (a hash lookup stands in for the scan once an endpoint is
+    bound), until a round adds nothing. ``graph`` is not modified.
+    """
+    schema = graph.schema
+    nodes = {n.id: n for n in graph.nodes()}
+    edges = {e.key() for e in graph.edges()}
+
+    def is_var(term):
+        return term.startswith("?")
+
+    def value(env, term):
+        return env.get(term) if is_var(term) else term
+
+    def bind(env, pairs):
+        env = dict(env)
+        for term, v in pairs:
+            if value(env, term) not in (None, v):
+                return None
+            if is_var(term):
+                env[term] = v
+        return env
+
+    def oriented(atom):
+        relation, swapped = schema.normalize_relation(atom.relation)
+        a, b = atom.terms
+        return (b, relation, a) if swapped else (a, relation, b)
+
+    buckets: dict[str, dict[str, list[str]]] = {}
+
+    def bucket(key):
+        """Node ids carrying property ``key``, grouped by its value."""
+        if key not in buckets:
+            groups = buckets[key] = {}
+            for node_id, node in nodes.items():
+                p = node.property(key)
+                if p is not None:
+                    groups.setdefault(p, []).append(node_id)
+        return buckets[key]
+
+    def solve(body, env):
+        if not body:
+            yield env
+            return
+        atom, rest = body[0], body[1:]
+        a, b = atom.terms
+        if atom.kind is AtomKind.DIFFERENT_FROM:
+            va, vb = value(env, a), value(env, b)
+            if va is None or vb is None:
+                raise AssertionError("inequality over an unbound variable")
+            if va != vb:
+                yield from solve(rest, env)
+            return
+        if atom.kind is AtomKind.PROPERTY_EQUALS:
+            for members in bucket(atom.property_key).values():
+                for x in members:
+                    for y in members:
+                        env2 = bind(env, ((a, x), (b, y)))
+                        if env2 is not None:
+                            yield from solve(rest, env2)
+            return
+        a, relation, b = oriented(atom)
+        va, vb = value(env, a), value(env, b)
+        if va is not None:
+            pairs = [(va, d) for d in out.get((relation, va), ())]
+        elif vb is not None:
+            pairs = [(s, vb) for s in inc.get((relation, vb), ())]
+        else:
+            pairs = [(s, d) for s, r, d in edges if r == relation]
+        for s, d in pairs:
+            env2 = bind(env, ((a, s), (b, d)))
+            if env2 is not None:
+                yield from solve(rest, env2)
+
+    while True:
+        before = len(edges)
+        pending = list(edges)
+        while pending:
+            s, r, d = pending.pop()
+            rel = schema.relation(r)
+            for key in ((d, rel.inverse_of, s), (s, rel.subproperty_of, d)):
+                if key[1] is not None and key not in edges:
+                    edges.add(key)
+                    pending.append(key)
+        out, inc = {}, {}
+        for s, r, d in edges:
+            out.setdefault((r, s), []).append(d)
+            inc.setdefault((r, d), []).append(s)
+        heads = set()
+        for rule in rules:
+            a, relation, b = oriented(rule.head)
+            rel = schema.relation(relation)
+            for env in solve(rule.body, {}):
+                s, d = value(env, a), value(env, b)
+                if s not in nodes or d not in nodes:
+                    continue
+                if rel.irreflexive and s == d:
+                    continue
+                if schema.check_edge_conformance(
+                    nodes[s].concept, relation, nodes[d].concept
+                ):
+                    heads.add((s, relation, d))
+        edges |= heads
+        if len(edges) == before:
+            return edges
+

@@ -1,5 +1,5 @@
 import pytest
-from conftest import random_conformant_graph
+from conftest import random_conformant_graph, reference_fixpoint
 
 from sekg.errors import RuleError, SchemaError
 from sekg.graph import KnowledgeGraph, Node
@@ -271,3 +271,13 @@ def test_random_graphs_properties():
                     g.node(e.src).concept, e.relation, g.node(e.dst).concept
                 ), f"seed {seed}: {e}"
         assert first.iterations < 1000
+
+
+def test_matches_naive_fixpoint_reference(load_result):
+    rules = builtin_ruleset()
+    graphs = [load_result.graph] + [random_conformant_graph(s) for s in range(100)]
+    for i, source in enumerate(graphs):
+        expected = reference_fixpoint(source, rules)
+        g = source.copy()
+        run_inference(g, rules)
+        assert {e.key() for e in g.edges()} == expected, f"graph {i}"
