@@ -208,27 +208,16 @@ class KnowledgeGraph:
     # -- traversal ---------------------------------------------------------
 
     def neighbors(
-        self,
-        node_id: str,
-        relation: str,
-        direction: Direction = Direction.OUT,
-        lifted: bool = False,
+        self, node_id: str, relation: str, direction: Direction = Direction.OUT
     ) -> tuple[str, ...]:
-        """Adjacent node ids over one relation.
-
-        With ``lifted`` the declared subproperties of ``relation`` are
-        traversed as well (e.g. motivate edges plus incent and drive edges).
-        """
+        """Adjacent node ids over one relation."""
         self.node(node_id)
-        names = [self.schema.relation(relation).name]
-        if lifted:
-            names.extend(self.schema.sub_relations(relation))
+        name = self.schema.relation(relation).name
         found: set[str] = set()
-        for name in names:
-            if direction in (Direction.OUT, Direction.UNDIRECTED):
-                found.update(self._out.get(name, {}).get(node_id, ()))
-            if direction in (Direction.IN, Direction.UNDIRECTED):
-                found.update(self._in.get(name, {}).get(node_id, ()))
+        if direction in (Direction.OUT, Direction.UNDIRECTED):
+            found.update(self._out.get(name, {}).get(node_id, ()))
+        if direction in (Direction.IN, Direction.UNDIRECTED):
+            found.update(self._in.get(name, {}).get(node_id, ()))
         return tuple(sorted(found))
 
     def red_neighbors(self, node_id: str) -> tuple[tuple[str, str, bool], ...]:
@@ -240,10 +229,6 @@ class KnowledgeGraph:
             for other in self._in.get(rel, {}).get(node_id, ()):
                 out.append((other, rel, False))
         return tuple(out)
-
-    @property
-    def red_relations(self) -> frozenset[str]:
-        return RED_RELATIONS
 
     # -- scenario views ------------------------------------------------------
 

@@ -3,9 +3,11 @@
 Axiom closure completes inverse and subproperty edges declared by the
 schema (a symmetric relation is its own inverse, so asserting one direction
 yields the other). Derivation rules are small conjunctive bodies over
-relation atoms, inequality constraints and property-equality constraints;
-they run semi-naive until fixpoint with set semantics, so inference is
-idempotent and terminates on any finite graph.
+relation atoms, inequality constraints and property-equality constraints,
+compiled into the conjunctive join that MATCH queries use, with relation
+names resolved through the schema. They run semi-naive until fixpoint with
+set semantics, so inference is idempotent and terminates on any finite
+graph.
 
 Every inferred edge records the name of the rule that produced it; closure
 edges use ``R2`` (inverse completion) and ``R3`` (subproperty completion).
@@ -18,7 +20,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import GraphError, RuleError
-from .graph import Direction, Edge, KnowledgeGraph
+from .graph import Edge, KnowledgeGraph
+from .query import Condition, Conjunction, Operand, match
+from .schema import OntologySchema
 
 INVERSE_RULE = "R2"
 SUBPROPERTY_RULE = "R3"
@@ -68,9 +72,14 @@ class Rule:
     def validate(self) -> None:
         if self.head.kind is not AtomKind.RELATION:
             raise RuleError(f"rule {self.name}: head must be a relation atom")
-        bound: frozenset[str] = frozenset()
-        for atom in self.body:
-            bound |= atom.variables()
+        bound = frozenset().union(
+            *(a.variables() for a in self.body if a.kind is not AtomKind.DIFFERENT_FROM)
+        )
+        loose = frozenset().union(*(a.variables() for a in self.body)) - bound
+        if loose:
+            raise RuleError(
+                f"rule {self.name}: variables only in inequality atoms: {sorted(loose)}"
+            )
         unbound = self.head.variables() - bound
         if unbound:
             raise RuleError(
@@ -116,8 +125,8 @@ def builtin_ruleset() -> tuple[Rule, ...]:
             body=(
                 Atom.rel("motivate", "?m", "?a"),
                 Atom.rel("attack", "?a", "?v"),
-                Atom.rel("motivate", "?m", "?b"),
                 Atom.rel("attack", "?b", "?v"),
+                Atom.rel("motivate", "?m", "?b"),
                 Atom.different("?a", "?b"),
             ),
             head=Atom.rel("same_attack_organization", "?a", "?b"),
@@ -174,7 +183,13 @@ def axiom_closure(
 ) -> InferenceResult:
     """Complete inverse and subproperty edges until nothing new appears."""
     result = result if result is not None else InferenceResult()
-    pending = list(graph.edges())
+    return _close(graph, list(graph.edges()), result)
+
+
+def _close(
+    graph: KnowledgeGraph, pending: list[Edge], result: InferenceResult
+) -> InferenceResult:
+    """Closure consequences of ``pending``, popped from the end, and theirs."""
     while pending:
         edge = pending.pop()
         for src, relation, dst, rule in _closure_of_edge(graph, edge):
@@ -186,144 +201,72 @@ def axiom_closure(
     return result
 
 
-def _pick_atom(atoms: list[Atom], env: dict[str, str]) -> int:
-    """Next atom to solve: bound filters first, then best-bound relation,
-    property-equality generation last."""
-    best_i, best_rank = -1, (-1, -1)
-    for i, atom in enumerate(atoms):
-        n = sum(1 for t in atom.terms if not _is_var(t) or t in env)
-        if atom.kind is AtomKind.DIFFERENT_FROM:
-            if n < 2:
-                continue
-            rank = (3, n)
-        elif atom.kind is AtomKind.PROPERTY_EQUALS:
-            rank = (2, n) if n == 2 else (0, n)
-        else:
-            rank = (1, n)
-        if rank > best_rank:
-            best_i, best_rank = i, rank
-    if best_i < 0:
-        raise RuleError("body cannot be solved: only unbound inequality atoms remain")
-    return best_i
+def _compile(
+    rule: Rule, schema: OntologySchema
+) -> tuple[Conjunction, tuple[str, str, str]]:
+    """The rule body as a join over stored relation names, and its head.
 
-
-def _match(
-    graph: KnowledgeGraph,
-    atoms: list[Atom],
-    env: dict[str, str],
-    seeded: bool,
-    delta: set[tuple[str, str, str]] | None,
-) -> list[dict[str, str]]:
-    """Backtracking join of body atoms against the graph.
-
-    ``delta`` holds recently added edge keys; unless ``seeded`` is already
-    true, a produced match must use at least one delta edge (semi-naive).
+    A constant in a relation or property atom becomes a variable pinned by
+    id; a constant in an inequality stays a literal.
     """
-    if not atoms:
-        return [env] if seeded else []
-
-    idx = _pick_atom(atoms, env)
-    atom = atoms[idx]
-    rest = atoms[:idx] + atoms[idx + 1 :]
-
-    def value(term: str) -> str | None:
-        return env.get(term) if _is_var(term) else term
-
-    a, b = atom.terms
-    va, vb = value(a), value(b)
-    out: list[dict[str, str]] = []
-
-    if atom.kind is AtomKind.DIFFERENT_FROM:
-        if va != vb:
-            out.extend(_match(graph, rest, env, seeded, delta))
-        return out
-
-    if atom.kind is AtomKind.PROPERTY_EQUALS:
-        key = atom.property_key or ""
-
-        def prop(node_id: str | None) -> str | None:
-            if node_id is None or not graph.has_node(node_id):
-                return None
-            return graph.node(node_id).property(key)
-
-        if va is not None and vb is not None:
-            pa = prop(va)
-            if pa is not None and pa == prop(vb):
-                out.extend(_match(graph, rest, env, seeded, delta))
-            return out
-        if va is not None or vb is not None:
-            anchor = va if va is not None else vb
-            v = prop(anchor)
-            if v is None:
-                return out
-            members = [n.id for n in graph.nodes() if n.property(key) == v]
-            buckets = [members]
+    atoms: list[tuple[str, str, str]] = []
+    tests: list[Condition] = []
+    pins: dict[str, str] = {}
+    for atom in rule.body:
+        if atom.kind is AtomKind.DIFFERENT_FROM:
+            left, right = (
+                Operand(t, None, None) if _is_var(t) else Operand(None, None, t)
+                for t in atom.terms
+            )
+            tests.append(Condition(left, "<>", right))
+            continue
+        a, b = (
+            t if _is_var(t) else pins.setdefault(t, f" c{len(pins)}") for t in atom.terms
+        )
+        if atom.kind is AtomKind.RELATION:
+            atoms.append(_oriented(schema, atom.relation or "", a, b))
         else:
-            groups: dict[str, list[str]] = {}
-            for node in graph.nodes():
-                v = node.property(key)
-                if v is not None:
-                    groups.setdefault(v, []).append(node.id)
-            buckets = [groups[v] for v in sorted(groups)]
-        for members in buckets:
-            for na in [va] if va is not None else members:
-                for nb in [vb] if vb is not None else members:
-                    env2 = dict(env)
-                    if _is_var(a):
-                        env2[a] = na
-                    if _is_var(b):
-                        env2[b] = nb
-                    out.extend(_match(graph, rest, env2, seeded, delta))
-        return out
+            key = atom.property_key
+            left, right = Operand(a, key, None), Operand(b, key, None)
+            tests.append(Condition(left, "=", right, strict=True))
+    for constant, pinned in pins.items():
+        left, right = Operand(pinned, None, None), Operand(None, None, constant)
+        tests.append(Condition(left, "=", right))
+    names = [v for src, _, dst in atoms for v in (src, dst)]
+    names += [o.variable for t in tests for o in (t.left, t.right) if o.variable]
+    body = Conjunction(tuple(atoms), tuple(tests), tuple(dict.fromkeys(names)))
+    return body, _oriented(schema, rule.head.relation or "", *rule.head.terms)
 
-    rel = atom.relation or ""
-    if va is not None and vb is not None:
-        candidates = [(va, vb)] if graph.has_edge(va, rel, vb) else []
-    elif va is not None:
-        candidates = (
-            [(va, d) for d in graph.neighbors(va, rel)] if graph.has_node(va) else []
-        )
-    elif vb is not None:
-        candidates = (
-            [(s, vb) for s in graph.neighbors(vb, rel, Direction.IN)]
-            if graph.has_node(vb)
-            else []
-        )
-    else:
-        candidates = [(e.src, e.dst) for e in graph.edges(rel)]
-    for s, d in candidates:
-        env2 = dict(env)
-        if _is_var(a):
-            env2[a] = s
-        if _is_var(b):
-            env2[b] = d
-        hit = seeded or (delta is not None and (s, rel, d) in delta)
-        out.extend(_match(graph, rest, env2, hit, delta))
-    return out
+
+def _oriented(
+    schema: OntologySchema, relation: str, a: str, b: str
+) -> tuple[str, str, str]:
+    name, swapped = schema.normalize_relation(relation)
+    return (b, name, a) if swapped else (a, name, b)
 
 
 def _emit(
-    graph: KnowledgeGraph, rule: Rule, env: dict[str, str], result: InferenceResult
-) -> Edge | None:
-    head = rule.head
-    src = env.get(head.terms[0], head.terms[0])
-    dst = env.get(head.terms[1], head.terms[1])
-    relation = head.relation or ""
+    graph: KnowledgeGraph,
+    name: str,
+    head: tuple[str, str, str],
+    env: dict[str, str],
+    result: InferenceResult,
+) -> None:
+    a, relation, b = head
+    src, dst = env.get(a, a), env.get(b, b)
     if not graph.has_node(src) or not graph.has_node(dst):
-        return None
+        return
     rel = graph.schema.relation(relation)
     if rel.irreflexive and src == dst:
-        return None
+        return
     verdict = graph.schema.check_edge_conformance(
         graph.node(src).concept, relation, graph.node(dst).concept
     )
     if not verdict:
-        return None
+        return
     if graph.has_edge(src, relation, dst):
-        return None
-    edge = graph.add_edge(src, relation, dst, rule=rule.name)
-    result._record(edge)
-    return edge
+        return
+    result._record(graph.add_edge(src, relation, dst, rule=name))
 
 
 def run_rules(
@@ -334,37 +277,45 @@ def run_rules(
 ) -> InferenceResult:
     """Apply rules semi-naive to fixpoint, interleaving axiom closure.
 
-    Each round joins rule bodies against the graph, requiring at least one
-    edge added in the previous round (the first round is unrestricted);
-    closure then completes whatever the round produced. Stops when a full
-    round adds nothing.
+    The first round joins every rule body against the whole graph. Each
+    later round runs, per relation atom of a body, a join seeded from the
+    previous round's new edges of that relation, with the other atoms
+    joined against the current graph; bodies without relation atoms run
+    only once. Closure then completes whatever the round produced. Stops
+    when a full round adds nothing.
     """
-    rules = tuple(rules)
+    compiled = []
     for rule in rules:
         rule.validate()
-        graph.schema.relation(rule.head.relation or "")
+        body, head = _compile(rule, graph.schema)
+        seeded = [body.plan(seed=i) for i in range(len(body.atoms))]
+        compiled.append((rule.name, body, head, body.plan(), seeded))
     result = result if result is not None else InferenceResult()
-    delta: set[tuple[str, str, str]] | None = None
+    delta: dict[str, list[tuple[str, str]]] | None = None
     while True:
         result.iterations += 1
         if result.iterations > max_rounds:
             raise GraphError(f"no fixpoint after {max_rounds} rounds")
         before = len(result.added)
-        round_added: list[Edge] = []
-        for rule in rules:
-            relational = any(a.kind is AtomKind.RELATION for a in rule.body)
-            if delta is not None and not relational:
-                continue  # node-only bodies cannot match anything new later
-            for env in _match(graph, list(rule.body), {}, delta is None, delta):
-                edge = _emit(graph, rule, env, result)
-                if edge is not None:
-                    round_added.append(edge)
-        closure_start = len(result.added)
-        axiom_closure(graph, result)
-        round_added.extend(result.added[closure_start:])
+        for name, body, head, plan, seeded in compiled:
+            if delta is None:
+                envs = match(graph, plan)
+            else:
+                envs = []
+                for (_, relation, _), steps in zip(body.atoms, seeded):
+                    if relation in delta:
+                        envs += match(graph, steps, delta[relation])
+            for env in envs:
+                _emit(graph, name, head, env, result)
+        if delta is None:
+            axiom_closure(graph, result)
+        else:
+            _close(graph, sorted(result.added[before:], key=Edge.key), result)
         if len(result.added) == before:
             return result
-        delta = {e.key() for e in round_added}
+        delta = {}
+        for edge in result.added[before:]:
+            delta.setdefault(edge.relation, []).append((edge.src, edge.dst))
 
 
 def run_inference(

@@ -120,7 +120,6 @@ class Finding:
 class LoadResult:
     graph: KnowledgeGraph
     warnings: list[str] = field(default_factory=list)
-    document: DatasetDocument | None = None
 
 
 def _split_fields(line: str, lineno: int) -> list[str]:
@@ -325,18 +324,7 @@ def load_dataset(
                 graph.add_edge(rec.src, rec.relation, rec.dst, rule=rec.rule)
             except (GraphError, SchemaError) as exc:
                 raise DatasetError(str(exc), rec.line) from None
-    return LoadResult(graph, warnings, document)
-
-
-def parse_dataset(
-    text: str,
-    source: str = "<string>",
-    strict_vocab: bool = False,
-    schema: OntologySchema | None = None,
-    catalog: Catalog | None = None,
-) -> KnowledgeGraph:
-    """Convenience wrapper around :func:`load_dataset` returning the graph."""
-    return load_dataset(text, source, strict_vocab, schema, catalog).graph
+    return LoadResult(graph, warnings)
 
 
 def _format_value(value: str) -> str:

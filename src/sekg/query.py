@@ -144,12 +144,37 @@ class Operand:
     def is_literal(self) -> bool:
         return self.literal is not None
 
+    def value(self, graph: KnowledgeGraph, env: dict[str, str]) -> str | None:
+        if self.variable is None:
+            return self.literal
+        node_id = env[self.variable]
+        return node_id if self.key is None else graph.node(node_id).property(self.key)
+
 
 @dataclass(frozen=True)
 class Condition:
+    """``left op right``; also a test in a join plan.
+
+    ``strict`` is off for MATCH conditions, where two absent properties
+    compare equal, and on for rule property equality, where an absent
+    property never matches.
+    """
+
     left: Operand
     op: str
     right: Operand
+    strict: bool = False
+
+    def variables(self) -> frozenset[str]:
+        return frozenset(
+            o.variable for o in (self.left, self.right) if o.variable is not None
+        )
+
+    def holds(self, graph: KnowledgeGraph, env: dict[str, str]) -> bool:
+        left, right = self.left.value(graph, env), self.right.value(graph, env)
+        if self.op == "<>":
+            return left != right
+        return left == right and not (self.strict and left is None)
 
 
 @dataclass(frozen=True)
@@ -414,83 +439,197 @@ def _quote(value: str) -> str:
 
 
 @dataclass(frozen=True)
-class _NodeAtom:
-    variable: str
-    concept: str | None
-    constraints: tuple[tuple[str, str], ...]
+class Step:
+    """One step of a join plan; ``kind`` says which fields it reads.
+
+    ``test``: check ``test``. ``has_edge``: check ``(var, relation, other)``.
+    ``seed`` / ``edges``: bind ``var`` and ``other`` to the endpoints of the
+    seed pairs / of every ``relation`` edge. ``out`` / ``in``: bind ``var``
+    to the ``relation`` neighbors of ``other``. ``lookup``: bind ``var``,
+    the left side of ``test``, to the nodes satisfying ``test``, whose right
+    side is bound. ``nodes``: bind ``var`` to every node.
+    """
+
+    kind: str
+    var: str = ""
+    other: str = ""
+    relation: str = ""
+    test: Condition | None = None
 
 
 @dataclass(frozen=True)
-class _EdgeAtom:
-    src: str
-    relation: str
-    dst: str
+class Conjunction:
+    """Relation atoms ``(src, relation, dst)`` and tests over variables.
+
+    Relations are stored names (see ``OntologySchema.normalize_relation``).
+    """
+
+    atoms: tuple[tuple[str, str, str], ...]
+    tests: tuple[Condition, ...]
+    variables: tuple[str, ...]
+
+    def plan(self, seed: int | None = None) -> tuple[Step, ...]:
+        """Fix the step order once. Checks run as soon as their variables
+        are bound; otherwise the next step is the first of, in this order:
+        an id lookup, a property lookup against a bound variable, a bound
+        endpoint's neighbors, a property lookup against a literal, a
+        relation scan, a node scan. With ``seed``, that atom is bound first
+        from pairs supplied at run time."""
+        atoms, tests = list(self.atoms), list(self.tests)
+        bound: set[str] = set()
+        steps: list[Step] = []
+        if seed is not None:
+            src, rel, dst = atoms.pop(seed)
+            steps.append(Step("seed", src, dst, rel))
+            bound |= {src, dst}
+        while True:
+            for src, rel, dst in [a for a in atoms if {a[0], a[2]} <= bound]:
+                atoms.remove((src, rel, dst))
+                steps.append(Step("has_edge", src, dst, rel))
+            for test in [t for t in tests if t.variables() <= bound]:
+                tests.remove(test)
+                steps.append(Step("test", test=test))
+            free = [v for v in self.variables if v not in bound]
+            if not free:
+                return tuple(steps)
+            options: list[tuple[int, Step, list, object]] = [
+                (5, Step("nodes", free[0]), [], None)
+            ]
+            for test in tests:
+                if oriented := _as_lookup(test, bound):
+                    if oriented.left.key in (None, "id"):
+                        rank = 0
+                    else:
+                        rank = 1 if oriented.right.variable is not None else 3
+                    step = Step("lookup", oriented.left.variable or "", test=oriented)
+                    options.append((rank, step, tests, test))
+            for src, rel, dst in atoms:
+                if src in bound:
+                    step, rank = Step("out", dst, src, rel), 2
+                elif dst in bound:
+                    step, rank = Step("in", src, dst, rel), 2
+                else:
+                    step, rank = Step("edges", src, dst, rel), 4
+                options.append((rank, step, atoms, (src, rel, dst)))
+            _, step, pool, item = min(options, key=lambda o: o[0])
+            if item is not None:
+                pool.remove(item)
+            steps.append(step)
+            bound.update(v for v in (step.var, step.other) if v)
 
 
-def _compile(query: PatternQuery) -> tuple[list[_NodeAtom], list[_EdgeAtom]]:
-    node_atoms: list[_NodeAtom] = []
-    edge_atoms: list[_EdgeAtom] = []
-    anon = 0
+def _as_lookup(test: Condition, bound: set[str]) -> Condition | None:
+    """``test`` oriented as ``unbound-var(.key) = bound side``, if it is one."""
+    if test.op != "=":
+        return None
+    for mine, other in ((test.left, test.right), (test.right, test.left)):
+        if mine.variable is not None and mine.variable not in bound:
+            if other.variable is None or other.variable in bound:
+                return Condition(mine, "=", other, test.strict)
+    return None
+
+
+class _Join:
+    """One run of a plan: the current binding and the rows found so far."""
+
+    def __init__(self, graph: KnowledgeGraph, steps: tuple[Step, ...], seed):
+        self.graph = graph
+        self.steps = steps
+        self.seed = seed
+        self.env: dict[str, str] = {}
+        self.rows: list[dict[str, str]] = []
+        self.by_property: dict[str, dict[str | None, list[str]]] = {}
+
+    def run(self, i: int) -> None:
+        graph, env, steps = self.graph, self.env, self.steps
+        while i < len(steps) and steps[i].kind in ("test", "has_edge"):
+            step = steps[i]
+            if step.kind == "test":
+                if not step.test.holds(graph, env):
+                    return
+            elif not graph.has_edge(env[step.var], step.relation, env[step.other]):
+                return
+            i += 1
+        if i == len(steps):
+            self.rows.append(dict(env))
+            return
+        step = steps[i]
+        if step.kind in ("seed", "edges"):
+            pairs = (
+                self.seed
+                if step.kind == "seed"
+                else [(e.src, e.dst) for e in graph.edges(step.relation)]
+            )
+            for src, dst in pairs:
+                if step.var == step.other and src != dst:
+                    continue
+                env[step.var] = src
+                env[step.other] = dst
+                self.run(i + 1)
+            return
+        if step.kind == "out":
+            values = graph.neighbors(env[step.other], step.relation)
+        elif step.kind == "in":
+            values = graph.neighbors(env[step.other], step.relation, Direction.IN)
+        elif step.kind == "nodes":
+            values = graph.node_ids()
+        else:
+            values = self._lookup(step.test)
+        for value in values:
+            env[step.var] = value
+            self.run(i + 1)
+
+    def _lookup(self, test: Condition) -> list[str] | tuple[str, ...]:
+        value = test.right.value(self.graph, self.env)
+        key = test.left.key
+        if key is None or key == "id":
+            return [value] if value is not None and self.graph.has_node(value) else []
+        if value is None and test.strict:
+            return []
+        if key not in self.by_property:
+            groups = self.by_property[key] = {}
+            for node in self.graph.nodes():
+                groups.setdefault(node.property(key), []).append(node.id)
+        return self.by_property[key].get(value, ())
+
+
+def match(
+    graph: KnowledgeGraph,
+    steps: tuple[Step, ...],
+    seed: list[tuple[str, str]] | None = None,
+) -> list[dict[str, str]]:
+    """Every binding of a plan's variables that satisfies it on ``graph``.
+
+    A plan made with ``seed`` binds its seeded atom from ``seed`` only.
+    """
+    join = _Join(graph, steps, seed or [])
+    join.run(0)
+    return join.rows
+
+
+def _compile(query: PatternQuery) -> Conjunction:
+    atoms: list[tuple[str, str, str]] = []
+    tests: list[Condition] = []
+    variables: dict[str, None] = {}
     for path in query.patterns:
-        names: list[str] = []
+        names = []
         for node in path.nodes:
-            name = node.variable
-            if name is None:
-                name = f" anon{anon}"
-                anon += 1
+            name = node.variable or f" anon{len(variables)}"
             names.append(name)
-            node_atoms.append(_NodeAtom(name, node.concept, node.constraints))
+            variables[name] = None
+            constraints = list(node.constraints)
+            if node.concept is not None:
+                constraints.insert(0, ("concept", node.concept))
+            for key, value in constraints:
+                left, right = Operand(name, key, None), Operand(None, None, value)
+                tests.append(Condition(left, "=", right))
         for i, edge in enumerate(path.edges):
             src, dst = names[i], names[i + 1]
             if edge.reversed:
                 src, dst = dst, src
-            edge_atoms.append(_EdgeAtom(src, edge.relation, dst))
-    return node_atoms, edge_atoms
-
-
-def _node_ok(graph: KnowledgeGraph, node_id: str, atom: _NodeAtom) -> bool:
-    node = graph.node(node_id)
-    if atom.concept is not None and node.concept != atom.concept:
-        return False
-    return all(node.property(k) == v for k, v in atom.constraints)
-
-
-def _candidates(graph: KnowledgeGraph, atom: _NodeAtom) -> list[str]:
-    pool = (
-        graph.nodes_by_concept(atom.concept)
-        if atom.concept is not None
-        else graph.nodes()
-    )
-    return sorted(
-        n.id for n in pool if all(n.property(k) == v for k, v in atom.constraints)
-    )
-
-
-def _operand_value(
-    graph: KnowledgeGraph, operand: Operand, env: dict[str, str]
-) -> str | None:
-    if operand.is_literal:
-        return operand.literal
-    node_id = env[operand.variable or ""]
-    if operand.key is None:
-        return node_id
-    return graph.node(node_id).property(operand.key)
-
-
-def _condition_holds(
-    graph: KnowledgeGraph, cond: Condition, env: dict[str, str]
-) -> bool:
-    left = _operand_value(graph, cond.left, env)
-    right = _operand_value(graph, cond.right, env)
-    return left == right if cond.op == "=" else left != right
-
-
-def _cond_vars(cond: Condition) -> frozenset[str]:
-    out = set()
-    for operand in (cond.left, cond.right):
-        if not operand.is_literal and operand.variable is not None:
-            out.add(operand.variable)
-    return frozenset(out)
+            atoms.append((src, edge.relation, dst))
+    tests.extend(query.where)
+    return Conjunction(tuple(atoms), tuple(tests), tuple(variables))
 
 
 def evaluate_query(
@@ -498,109 +637,13 @@ def evaluate_query(
 ) -> list[BindingRow]:
     """Evaluate ``query`` against ``graph`` and return sorted projection rows.
 
-    Backtracking join over the pattern atoms, most selective candidate set
-    first; conditions are applied as soon as their variables are bound. The
-    reordering never changes the result set, only the search order.
+    Node concepts, ``{key="value"}`` constraints and WHERE conditions become
+    tests of one conjunctive join (see :meth:`Conjunction.plan`). The step
+    order never changes the result set, only the search order.
     """
-    node_atoms, edge_atoms = _compile(query)
-    filters: dict[str, list[_NodeAtom]] = {}
-    for atom in node_atoms:
-        filters.setdefault(atom.variable, []).append(atom)
-
-    rows: list[tuple[str, ...]] = []
-    pending_conditions = list(query.where)
-
-    def conditions_ready(env: dict[str, str], done: set[int]) -> bool:
-        for idx, cond in enumerate(pending_conditions):
-            if idx in done:
-                continue
-            if _cond_vars(cond) <= env.keys():
-                if not _condition_holds(graph, cond, env):
-                    return False
-                done.add(idx)
-        return True
-
-    def extend(env: dict[str, str], remaining: list[_EdgeAtom], done: set[int]) -> None:
-        if not remaining:
-            unbound = [v for v in filters if v not in env]
-            if unbound:
-                var = min(unbound, key=lambda v: len(_var_candidates(v)))
-                for node_id in _var_candidates(var):
-                    child_done = set(done)
-                    child = dict(env)
-                    child[var] = node_id
-                    if conditions_ready(child, child_done):
-                        extend(child, remaining, child_done)
-                return
-            if all(
-                _condition_holds(graph, c, env)
-                for i, c in enumerate(pending_conditions)
-                if i not in done
-            ):
-                rows.append(_project(graph, query, env))
-            return
-        atom = min(remaining, key=lambda a: _edge_cost(a, env))
-        rest = [a for a in remaining if a is not atom]
-        for src, dst in _edge_bindings(atom, env):
-            if atom.src == atom.dst and src != dst:
-                continue
-            child = dict(env)
-            child[atom.src] = src
-            child[atom.dst] = dst
-            if not all(_node_ok(graph, child[v], f) for v in (atom.src, atom.dst)
-                       for f in filters.get(v, ())):
-                continue
-            child_done = set(done)
-            if conditions_ready(child, child_done):
-                extend(child, rest, child_done)
-
-    def _var_candidates(var: str) -> list[str]:
-        out: list[str] | None = None
-        for atom in filters[var]:
-            cand = _candidates(graph, atom)
-            out = cand if out is None else [c for c in out if c in set(cand)]
-        return out or []
-
-    def _edge_cost(atom: _EdgeAtom, env: dict[str, str]) -> tuple[int, int]:
-        src_bound = atom.src in env
-        dst_bound = atom.dst in env
-        if src_bound and dst_bound:
-            return (0, 0)
-        if src_bound or dst_bound:
-            anchor = env[atom.src] if src_bound else env[atom.dst]
-            direction = Direction.OUT if src_bound else Direction.IN
-            return (1, len(graph.neighbors(anchor, atom.relation, direction)))
-        return (2, len(graph.edges(atom.relation)))
-
-    def _edge_bindings(atom: _EdgeAtom, env: dict[str, str]):
-        src_bound = atom.src in env
-        dst_bound = atom.dst in env
-        if src_bound and dst_bound:
-            if graph.has_edge(env[atom.src], atom.relation, env[atom.dst]):
-                yield env[atom.src], env[atom.dst]
-            return
-        if src_bound:
-            src = env[atom.src]
-            for dst in graph.neighbors(src, atom.relation, Direction.OUT):
-                yield src, dst
-            return
-        if dst_bound:
-            dst = env[atom.dst]
-            for src in graph.neighbors(dst, atom.relation, Direction.IN):
-                yield src, dst
-            return
-        for edge in sorted(graph.edges(atom.relation), key=lambda e: e.key()):
-            yield edge.src, edge.dst
-
-    extend({}, list(edge_atoms), set())
-
-    rows.sort()
-    if query.distinct:
-        deduped: list[tuple[str, ...]] = []
-        for row in rows:
-            if not deduped or deduped[-1] != row:
-                deduped.append(row)
-        rows = deduped
+    envs = match(graph, _compile(query).plan())
+    rows = [_project(graph, query, env) for env in envs]
+    rows = sorted(set(rows) if query.distinct else rows)
     labels = tuple(item.label for item in query.returns)
     return [BindingRow(tuple(zip(labels, row))) for row in rows]
 
@@ -608,15 +651,10 @@ def evaluate_query(
 def _project(
     graph: KnowledgeGraph, query: PatternQuery, env: dict[str, str]
 ) -> tuple[str, ...]:
-    out = []
-    for item in query.returns:
-        node_id = env[item.variable]
-        if item.key is None:
-            out.append(node_id)
-        else:
-            value = graph.node(node_id).property(item.key)
-            out.append("" if value is None else value)
-    return tuple(out)
+    return tuple(
+        Operand(item.variable, item.key, None).value(graph, env) or ""
+        for item in query.returns
+    )
 
 
 def run_query(

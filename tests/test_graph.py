@@ -158,21 +158,6 @@ def test_neighbors_directions():
         g.neighbors("ghost", "apply_to")
 
 
-def test_neighbors_lifted_subproperties():
-    g = KnowledgeGraph()
-    g.add_node(Node("a", "Attacker"))
-    g.add_node(Node("greed_m", "AttackMotivation"))
-    g.add_node(Node("fame_m", "AttackMotivation"))
-    g.add_edge("greed_m", "incent", "a")
-    g.add_edge("fame_m", "motivate", "a")
-    assert g.neighbors("greed_m", "motivate") == ()
-    assert g.neighbors("greed_m", "motivate", lifted=True) == ("a",)
-    assert g.neighbors("a", "motivate", Direction.IN, lifted=True) == (
-        "fame_m",
-        "greed_m",
-    )
-
-
 def test_red_neighbors():
     g = small_graph()
     assert g.red_neighbors("pretexting1") == (

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -306,6 +307,26 @@ def test_exploited_by_equivalence_canonical(graph):
     )
     assert forward == swapped
     assert len(forward) == 89
+
+
+def test_joins_leave_no_reference_cycles(load_result):
+    g = load_result.graph.copy()
+    query = parse_query(
+        "MATCH (a:Attacker)-[:craft_and_perform]->(m)-[:to_exploit]->(h)"
+        '<-[:have_vul]-(v:AttackTarget {affiliation="Company A"}) '
+        "WHERE a.scenario_id <> v.scenario_id RETURN DISTINCT a, v"
+    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run_inference(g)
+        assert gc.collect() == 0
+        assert evaluate_query(query, g)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- brute-force equivalence ----------------------------------------------------
