@@ -532,7 +532,12 @@ def _as_lookup(test: Condition, bound: set[str]) -> Condition | None:
 class _Join:
     """One run of a plan: the current binding and the rows found so far."""
 
-    def __init__(self, graph: KnowledgeGraph, steps: tuple[Step, ...], seed):
+    def __init__(
+        self,
+        graph: KnowledgeGraph,
+        steps: tuple[Step, ...],
+        seed: list[tuple[str, str]],
+    ):
         self.graph = graph
         self.steps = steps
         self.seed = seed

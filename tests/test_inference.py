@@ -124,17 +124,17 @@ def test_r6_r7_same_origin_chain():
 
 
 def test_r6_needs_all_three_signals():
-    # same domain, but different affiliations or different motivations:
-    # no firing
-    for affiliations, motivations in (
-        (("Acme", "Initech"), ("gain", "gain")),
-        (("Acme", "Acme"), ("gain", "fame")),
-    ):
-        g = same_origin_fixture(affiliations, motivations)
-        run_inference(g)
-        assert g.has_edge("v1", "same_affiliation", "v2") == (affiliations[1] == "Acme")
-        assert g.edges("same_origin_attack") == ()
-        assert g.edges("in_the_same_organization") == ()
+    # same domain and motivation, different affiliations: no firing
+    g = same_origin_fixture(affiliations=("Acme", "Initech"))
+    run_inference(g)
+    assert g.edges("same_origin_attack") == ()
+    assert g.edges("in_the_same_organization") == ()
+    # same domain and affiliation, different motivations: no firing
+    g = same_origin_fixture(motivations=("gain", "fame"))
+    run_inference(g)
+    assert g.has_edge("v1", "same_affiliation", "v2")
+    assert g.edges("same_origin_attack") == ()
+    assert g.edges("in_the_same_organization") == ()
 
 
 def test_nonconformant_head_dropped():
