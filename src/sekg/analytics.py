@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import GraphError
 from .graph import Direction, KnowledgeGraph
 
 ORACLE_MAX_EDGES = 8
@@ -92,20 +93,49 @@ def ranked_usage(
         counts[key] = counts.get(key, 0) + 1
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     out: list[RankedCount] = []
-    for node_id, count in ordered:
-        rank = 1 + sum(1 for _, c in ordered if c > count)
+    rank, previous = 0, None
+    for position, (node_id, count) in enumerate(ordered):
+        if count != previous:
+            rank, previous = position + 1, count
         if rank > k:
             break
         out.append(RankedCount(node_id, count, rank))
     return out
 
 
-def _exploits(graph: KnowledgeGraph, method: str) -> frozenset[str]:
-    return frozenset(graph.neighbors(method, "to_exploit"))
+def vulnerability_chains(
+    graph: KnowledgeGraph,
+    attacker_id: str | None = None,
+    victim_id: str | None = None,
+) -> list[tuple[str, str, str, str]]:
+    """Sorted (attacker, method, vulnerability, victim) walks attacker
+    -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul- victim.
 
-
-def _vulnerabilities(graph: KnowledgeGraph, victim: str) -> frozenset[str]:
-    return frozenset(graph.neighbors(victim, "have_vul"))
+    Walks from the pinned victim, else the pinned attacker, else every
+    Attacker. A pinned id of the wrong concept raises GraphError.
+    """
+    for node_id, concept in ((attacker_id, "Attacker"), (victim_id, "AttackTarget")):
+        if node_id is not None and graph.node(node_id).concept != concept:
+            actual = graph.node(node_id).concept
+            raise GraphError(f"expected an {concept}, got {node_id!r} ({actual})")
+    chains = []
+    if victim_id is not None:
+        for hv in graph.neighbors(victim_id, "have_vul"):
+            for method in graph.neighbors(hv, "to_exploit", Direction.IN):
+                for attacker in graph.neighbors(method, "craft_and_perform", Direction.IN):
+                    if attacker_id in (None, attacker):
+                        chains.append((attacker, method, hv, victim_id))
+    else:
+        attackers = (
+            [attacker_id] if attacker_id is not None
+            else [n.id for n in graph.nodes_by_concept("Attacker")]
+        )
+        for attacker in attackers:
+            for method in graph.neighbors(attacker, "craft_and_perform"):
+                for hv in graph.neighbors(method, "to_exploit"):
+                    for victim in graph.neighbors(hv, "have_vul", Direction.IN):
+                        chains.append((attacker, method, hv, victim))
+    return sorted(chains)
 
 
 def potential_threats_for_victim(
@@ -114,33 +144,21 @@ def potential_threats_for_victim(
     """Out-of-scenario (attacker, method) pairs exploiting the victim's flaws.
 
     One ThreatPair per distinct pair, carrying every vulnerability of the
-    victim that the method exploits. The victim's own scenario is excluded.
+    victim that the method exploits. Methods of the victim's own scenario
+    are excluded.
     """
     victim = graph.node(victim_id)
-    vuls = _vulnerabilities(graph, victim_id)
-    pairs: dict[tuple[str, str], frozenset[str]] = {}
-    scenarios: dict[tuple[str, str], int | None] = {}
-    for edge in graph.edges("craft_and_perform"):
-        method_node = graph.node(edge.dst)
-        if method_node.scenario_id == victim.scenario_id:
-            continue
-        shared = _exploits(graph, edge.dst) & vuls
-        if not shared:
-            continue
-        pairs[(edge.src, edge.dst)] = shared
-        scenarios[(edge.src, edge.dst)] = graph.node(edge.src).scenario_id
-    out = []
-    for attacker, method in sorted(pairs):
-        out.append(
-            ThreatPair(
-                attacker,
-                method,
-                victim_id,
-                pairs[(attacker, method)],
-                (scenarios[(attacker, method)] or 0, victim.scenario_id or 0),
-            )
+    pairs: dict[tuple[str, str], set[str]] = {}
+    for attacker, method, hv, _ in vulnerability_chains(graph, victim_id=victim_id):
+        if graph.node(method).scenario_id != victim.scenario_id:
+            pairs.setdefault((attacker, method), set()).add(hv)
+    return [
+        ThreatPair(
+            attacker, method, victim_id, frozenset(shared),
+            (graph.node(attacker).scenario_id or 0, victim.scenario_id or 0),
         )
-    return out
+        for (attacker, method), shared in pairs.items()
+    ]
 
 
 def potential_targets_for_attacker(
@@ -154,31 +172,20 @@ def potential_targets_for_attacker(
     separately by :func:`alternate_methods_for_target`.
     """
     attacker = graph.node(attacker_id)
-    methods = graph.neighbors(attacker_id, "craft_and_perform")
-    exploit_sets = {m: _exploits(graph, m) for m in methods}
+    shared: dict[str, dict[str, set[str]]] = {}
+    for _, method, hv, victim in vulnerability_chains(graph, attacker_id=attacker_id):
+        if graph.node(victim).scenario_id != attacker.scenario_id:
+            shared.setdefault(victim, {}).setdefault(method, set()).add(hv)
     out = []
-    for victim in graph.nodes_by_concept("AttackTarget"):
-        if victim.scenario_id == attacker.scenario_id:
-            continue
-        vuls = _vulnerabilities(graph, victim.id)
-        best: tuple[int, str] | None = None
-        for method in methods:
-            shared = exploit_sets[method] & vuls
-            if shared and (best is None or (-len(shared), method) < best):
-                best = (-len(shared), method)
-        if best is None:
-            continue
-        method = best[1]
+    for victim in sorted(shared):
+        by_method = shared[victim]
+        method = min(by_method, key=lambda m: (-len(by_method[m]), m))
         out.append(
             ThreatPair(
-                attacker_id,
-                method,
-                victim.id,
-                exploit_sets[method] & vuls,
-                (attacker.scenario_id or 0, victim.scenario_id or 0),
+                attacker_id, method, victim, frozenset(by_method[method]),
+                (attacker.scenario_id or 0, graph.node(victim).scenario_id or 0),
             )
         )
-    out.sort(key=lambda pair: pair.victim)
     return out
 
 
@@ -186,20 +193,15 @@ def alternate_methods_for_target(
     graph: KnowledgeGraph, attacker_id: str, victim_id: str
 ) -> tuple[str, ...]:
     """Victim-scenario methods exploiting flaws the attacker can also reach."""
-    victim = graph.node(victim_id)
-    reachable = frozenset(
-        hv
-        for method in graph.neighbors(attacker_id, "craft_and_perform")
-        for hv in _exploits(graph, method)
-    )
-    shared = _vulnerabilities(graph, victim_id) & reachable
-    out = []
-    for method in graph.nodes_by_concept("AttackMethod"):
-        if method.scenario_id != victim.scenario_id:
-            continue
-        if _exploits(graph, method.id) & shared:
-            out.append(method.id)
-    return tuple(sorted(out))
+    scenario = graph.node(victim_id).scenario_id
+    shared = {hv for _, _, hv, _ in vulnerability_chains(graph, attacker_id, victim_id)}
+    methods = {
+        method
+        for hv in shared
+        for method in graph.neighbors(hv, "to_exploit", Direction.IN)
+        if graph.node(method).scenario_id == scenario
+    }
+    return tuple(sorted(methods))
 
 
 def attack_paths_between(
@@ -212,31 +214,17 @@ def attack_paths_between(
     from other scenarios than the victim's that exploit the victim's
     vulnerabilities but sit on none of the returned paths.
     """
-    graph.node(attacker_id)
-    victim = graph.node(victim_id)
-    vuls = _vulnerabilities(graph, victim_id)
-    paths = []
-    for method in graph.neighbors(attacker_id, "craft_and_perform"):
-        for hv in sorted(_exploits(graph, method) & vuls):
-            paths.append(
-                AttackPath(
-                    (attacker_id, method, hv, victim_id),
-                    (
-                        ("craft_and_perform", True),
-                        ("to_exploit", True),
-                        ("have_vul", False),
-                    ),
-                )
-            )
-    paths.sort(key=lambda p: p.nodes)
-    on_path = {p.nodes[1] for p in paths}
-    auxiliary = []
-    for method in graph.nodes_by_concept("AttackMethod"):
-        if method.scenario_id == victim.scenario_id or method.id in on_path:
-            continue
-        if _exploits(graph, method.id) & vuls:
-            auxiliary.append(method.id)
-    return paths, sorted(auxiliary)
+    chains = vulnerability_chains(graph, attacker_id, victim_id)
+    scenario = graph.node(victim_id).scenario_id
+    on_path = {method for _, method, _, _ in chains}
+    auxiliary = {
+        method
+        for hv in graph.neighbors(victim_id, "have_vul")
+        for method in graph.neighbors(hv, "to_exploit", Direction.IN)
+        if method not in on_path and graph.node(method).scenario_id != scenario
+    }
+    steps = (("craft_and_perform", True), ("to_exploit", True), ("have_vul", False))
+    return [AttackPath(chain, steps) for chain in chains], sorted(auxiliary)
 
 
 def enumerate_oracle_paths(graph: KnowledgeGraph) -> list[AttackPath]:

@@ -15,7 +15,7 @@ import sys
 from . import analytics
 from .datasets import canonical_text
 from .errors import SekgError
-from .graph import RED_RELATIONS, KnowledgeGraph
+from .graph import RED_RELATIONS, Direction, KnowledgeGraph
 from .inference import run_inference
 from .loader import load_dataset, serialize_dataset, validate_scenario_completeness
 from .query import parse_query, evaluate_query
@@ -434,29 +434,19 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     pair_labels = analytics.oracle_victim_pairs(oracle)
     quads = analytics.oracle_quads(oracle)
 
-    threat_out: set[tuple] = set()
-    for victim in graph.nodes_by_concept("AttackTarget"):
-        for p in analytics.potential_threats_for_victim(graph, victim.id):
-            threat_out.add((p.attacker, p.method, p.victim))
+    chains = analytics.vulnerability_chains(graph)
+
+    def scenario(node_id: str) -> int | None:
+        return graph.node(node_id).scenario_id
+
+    threat_out = {(a, m, v) for a, m, _, v in chains if scenario(m) != scenario(v)}
     # in-scenario triples come from the asserted apply_to chain
     for edge in graph.edges("apply_to"):
-        for attacker in graph.nodes_by_concept("Attacker"):
-            if graph.has_edge(attacker.id, "craft_and_perform", edge.src):
-                threat_out.add((attacker.id, edge.src, edge.dst))
-
-    target_out: set[tuple] = set()
-    for attacker in graph.nodes_by_concept("Attacker"):
-        for p in analytics.potential_targets_for_attacker(graph, attacker.id):
-            target_out.add((p.attacker, p.victim))
-    for edge in graph.edges("attack"):
-        target_out.add((edge.src, edge.dst))
-
-    quad_out: set[tuple] = set()
-    for attacker in graph.nodes_by_concept("Attacker"):
-        for victim in graph.nodes_by_concept("AttackTarget"):
-            paths, _ = analytics.attack_paths_between(graph, attacker.id, victim.id)
-            for p in paths:
-                quad_out.add(tuple(p.nodes))
+        for attacker in graph.neighbors(edge.src, "craft_and_perform", Direction.IN):
+            threat_out.add((attacker, edge.src, edge.dst))
+    target_out = {(a, v) for a, _, _, v in chains if scenario(a) != scenario(v)}
+    target_out |= {(edge.src, edge.dst) for edge in graph.edges("attack")}
+    quad_out = set(chains)
 
     report = {
         "oracle": analytics.summarize_oracle(oracle),

@@ -202,9 +202,6 @@ class KnowledgeGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def relations_in_use(self) -> tuple[str, ...]:
-        return tuple(sorted({e.relation for e in self._edges.values()}))
-
     # -- traversal ---------------------------------------------------------
 
     def neighbors(
@@ -298,18 +295,3 @@ class KnowledgeGraph:
         dup._out = {r: {s: list(v) for s, v in m.items()} for r, m in self._out.items()}
         dup._in = {r: {s: list(v) for s, v in m.items()} for r, m in self._in.items()}
         return dup
-
-    def rebuilt_indexes(self) -> tuple[dict, dict]:
-        """Adjacency maps recomputed from scratch (for consistency checks)."""
-        out: dict[str, dict[str, list[str]]] = {}
-        inc: dict[str, dict[str, list[str]]] = {}
-        for edge in sorted(self._edges.values(), key=Edge.key):
-            out.setdefault(edge.relation, {}).setdefault(edge.src, []).append(edge.dst)
-            inc.setdefault(edge.relation, {}).setdefault(edge.dst, []).append(edge.src)
-        for m in (*out.values(), *inc.values()):
-            for v in m.values():
-                v.sort()
-        return out, inc
-
-    def index_state(self) -> tuple[dict, dict]:
-        return self._out, self._in

@@ -280,7 +280,6 @@ class OntologySchema:
     relations: dict[str, RelationDef]
     derived_relations: tuple[RelationDef, ...]
     _concept_index: dict[str, str] = field(repr=False, default_factory=dict)
-    _sub_index: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
 
     def concept(self, name: str) -> ConceptDef:
         """Resolve a concept by canonical name or synonym."""
@@ -321,11 +320,6 @@ class OntologySchema:
             rel = self.relation(rel.subproperty_of)
             chain.append(rel.name)
         return tuple(chain)
-
-    def sub_relations(self, name: str) -> tuple[str, ...]:
-        """All relations whose subproperty chain passes through ``name``."""
-        self.relation(name)
-        return self._sub_index.get(name, ())
 
     def normalize_relation(self, name: str) -> tuple[str, bool]:
         """Map an input relation name to its stored form.
@@ -376,20 +370,11 @@ def build_default_schema() -> OntologySchema:
     relations = {r.name: r for r in _relations()}
     derived = _derived_relations()
 
-    sub_index: dict[str, list[str]] = {}
-    for r in relations.values():
-        parent = r.subproperty_of
-        while parent is not None:
-            sub_index.setdefault(parent, []).append(r.name)
-            parent = relations[parent].subproperty_of
-    frozen_sub = {k: tuple(sorted(v)) for k, v in sub_index.items()}
-
     return OntologySchema(
         concepts=concepts,
         relations=relations,
         derived_relations=derived,
         _concept_index=concept_index,
-        _sub_index=frozen_sub,
     )
 
 

@@ -88,6 +88,26 @@ def random_conformant_graph(seed: int) -> KnowledgeGraph:
     return g
 
 
+def reference_chains(graph) -> list[tuple[str, str, str, str]]:
+    """Every (attacker, method, vulnerability, victim) chain
+    attacker -craft_and_perform-> method -to_exploit-> vulnerability
+    <-have_vul- victim, by a nested loop over the three relations' edges.
+
+    Uses no adjacency index and no analytics code.
+    """
+    performs = graph.edges("craft_and_perform")
+    exploits = graph.edges("to_exploit")
+    flaws = graph.edges("have_vul")
+    return sorted(
+        (p.src, p.dst, x.dst, f.src)
+        for p in performs
+        for x in exploits
+        if x.src == p.dst
+        for f in flaws
+        if f.dst == x.dst
+    )
+
+
 def reference_eval(query, graph) -> list[tuple[str, ...]]:
     """Exhaustive query evaluation: every variable assignment is tried.
 

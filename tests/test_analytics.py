@@ -1,9 +1,13 @@
+import re
+
 import pytest
 
+from conftest import random_conformant_graph, reference_chains
 from sekg.analytics import (
     End,
     EvalMetrics,
     RankedCount,
+    ThreatPair,
     alternate_methods_for_target,
     attack_paths_between,
     enumerate_oracle_paths,
@@ -17,7 +21,9 @@ from sekg.analytics import (
     same_origin_report,
     scenario_report,
     summarize_oracle,
+    vulnerability_chains,
 )
+from sekg.errors import GraphError
 from sekg.graph import KnowledgeGraph, Node
 
 
@@ -239,6 +245,95 @@ def test_attack_paths_canonical(graph):
         "trailing7",
         "whaling15",
     ]
+
+
+@pytest.mark.parametrize("seed", [None, *range(100)])
+def test_chain_ops_match_reference(graph, seed):
+    """The four chain ops equal their definitions over ``reference_chains``,
+    for every attacker, every victim and every (attacker, victim) pair, on
+    the bundled graph (seed None) and on random graphs."""
+    if seed is not None:
+        graph = random_conformant_graph(seed)
+    chains = reference_chains(graph)
+    assert vulnerability_chains(graph) == chains
+    scenario = {n.id: n.scenario_id for n in graph.nodes()}
+    attackers = [n.id for n in graph.nodes() if n.concept == "Attacker"]
+    victims = [n.id for n in graph.nodes() if n.concept == "AttackTarget"]
+    exploiters: dict[str, set[str]] = {}
+    for e in graph.edges("to_exploit"):
+        exploiters.setdefault(e.dst, set()).add(e.src)
+    flaws: dict[str, set[str]] = {}
+    for e in graph.edges("have_vul"):
+        flaws.setdefault(e.src, set()).add(e.dst)
+
+    def origins(a, v):
+        return (scenario[a] or 0, scenario[v] or 0)
+
+    for v in victims:
+        shared: dict[tuple[str, str], set[str]] = {}
+        for a, m, h, w in chains:
+            if w == v and scenario[m] != scenario[v]:
+                shared.setdefault((a, m), set()).add(h)
+        assert potential_threats_for_victim(graph, v) == [
+            ThreatPair(a, m, v, frozenset(hs), origins(a, v))
+            for (a, m), hs in sorted(shared.items())
+        ]
+    for a in attackers:
+        by_victim: dict[str, dict[str, set[str]]] = {}
+        for b, m, h, v in chains:
+            if b == a and scenario[v] != scenario[a]:
+                by_victim.setdefault(v, {}).setdefault(m, set()).add(h)
+        expected = []
+        for v, methods in sorted(by_victim.items()):
+            best = sorted(methods, key=lambda m: (-len(methods[m]), m))[0]
+            expected.append(
+                ThreatPair(a, best, v, frozenset(methods[best]), origins(a, v))
+            )
+        assert potential_targets_for_attacker(graph, a) == expected
+        for v in victims:
+            pair = [c for c in chains if c[0] == a and c[3] == v]
+            paths, auxiliary = attack_paths_between(graph, a, v)
+            assert [p.nodes for p in paths] == pair
+            on_path = {m for _, m, _, _ in pair}
+            assert auxiliary == sorted(
+                {
+                    m
+                    for h in flaws.get(v, ())
+                    for m in exploiters.get(h, ())
+                    if m not in on_path and scenario[m] != scenario[v]
+                }
+            )
+            assert alternate_methods_for_target(graph, a, v) == tuple(
+                sorted(
+                    {
+                        m
+                        for _, _, h, _ in pair
+                        for m in exploiters[h]
+                        if scenario[m] == scenario[v]
+                    }
+                )
+            )
+
+
+@pytest.mark.parametrize(
+    "op, args, wrong",
+    [
+        (potential_threats_for_victim, ("attacker10",), "'attacker10' (Attacker)"),
+        (potential_targets_for_attacker, ("victim7",), "'victim7' (AttackTarget)"),
+        (attack_paths_between, ("victim7", "victim13"), "'victim7' (AttackTarget)"),
+        (alternate_methods_for_target, ("attacker10", "phishing10"), "'phishing10'"),
+    ],
+)
+def test_chain_ops_reject_wrong_concept(graph, op, args, wrong):
+    with pytest.raises(GraphError, match=re.escape(wrong)):
+        op(graph, *args)
+
+
+def test_chain_ops_unknown_id_raises(graph):
+    with pytest.raises(GraphError, match="unknown node"):
+        vulnerability_chains(graph, victim_id="ghost")
+    with pytest.raises(GraphError, match="unknown node"):
+        potential_targets_for_attacker(graph, "ghost")
 
 
 # -- oracle -----------------------------------------------------------------------

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from sekg import cli
 from sekg.cli import main
+from sekg.graph import KnowledgeGraph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -125,6 +128,21 @@ def test_query_parse_error_exit_one(capsys):
     assert "at offset 9" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threats", "--victim", "attacker10"],
+        ["targets", "--attacker", "victim7"],
+        ["paths", "--from", "victim7", "--to", "attacker10"],
+    ],
+)
+def test_wrong_concept_id_exit_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: expected an ")
+
+
 def test_query_stdin(capsys, monkeypatch):
     monkeypatch.setattr(
         sys, "stdin", io.StringIO("MATCH (a)-[:attack]->(v) RETURN a, v")
@@ -145,6 +163,26 @@ def test_query_json_format(capsys):
     )
     assert code == 0
     assert json.loads(out) == [{"v": "victim10"}, {"v": "victim15"}]
+
+
+def test_eval_graph_reads(graph, monkeypatch, capsys):
+    # Counted, not timed, on a graph built before counting starts. eval
+    # walks the attacker chains once: 146 neighbors and 2 nodes_by_concept
+    # calls. One analytics call per attacker x victim pair made 5577 + 280.
+    calls: Counter = Counter()
+    for name in ("neighbors", "nodes_by_concept"):
+
+        def counted(self, *args, _name=name, _fn=getattr(KnowledgeGraph, name), **kw):
+            calls[_name] += 1
+            return _fn(self, *args, **kw)
+
+        monkeypatch.setattr(KnowledgeGraph, name, counted)
+    monkeypatch.setattr(cli, "_load_graph", lambda args: (graph, []))
+    code, out, _ = run_cli(capsys, "eval")
+    monkeypatch.undo()
+    assert code == 0
+    assert out == (GOLDEN / "eval.json").read_text(encoding="utf-8")
+    assert sum(calls.values()) < 600
 
 
 def test_threats_empty_json(capsys):

@@ -94,7 +94,6 @@ def test_asserted_relation_count():
 )
 def test_subproperty_axioms(name, parent):
     assert DEFAULT_SCHEMA.effective_relations(name) == (name, parent)
-    assert name in DEFAULT_SCHEMA.sub_relations(parent)
 
 
 @pytest.mark.parametrize(
