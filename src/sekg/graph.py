@@ -193,10 +193,18 @@ class KnowledgeGraph:
             raise GraphError(f"unknown edge: ({src}, {relation}, {dst})") from None
 
     def edges(self, relation: str | None = None) -> tuple[Edge, ...]:
-        items = self._edges.values()
-        if relation is not None:
-            items = (e for e in items if e.relation == relation)
-        return tuple(sorted(items, key=Edge.key))
+        """All edges by (src, relation, dst), or one stored relation's edges.
+
+        Aliases are never stored, so an alias or unknown name gives ``()``.
+        """
+        if relation is None:
+            return tuple(sorted(self._edges.values(), key=Edge.key))
+        adjacency = self._out.get(relation, {})
+        return tuple(
+            self._edges[(src, relation, dst)]
+            for src in sorted(adjacency)
+            for dst in adjacency[src]
+        )
 
     @property
     def edge_count(self) -> int:
@@ -207,15 +215,20 @@ class KnowledgeGraph:
     def neighbors(
         self, node_id: str, relation: str, direction: Direction = Direction.OUT
     ) -> tuple[str, ...]:
-        """Adjacent node ids over one relation."""
+        """Adjacent node ids over one relation, sorted.
+
+        Each directed list is already sorted and unique (``add_edge`` keeps
+        it so); only the undirected view merges and sorts.
+        """
         self.node(node_id)
         name = self.schema.relation(relation).name
-        found: set[str] = set()
-        if direction in (Direction.OUT, Direction.UNDIRECTED):
-            found.update(self._out.get(name, {}).get(node_id, ()))
-        if direction in (Direction.IN, Direction.UNDIRECTED):
-            found.update(self._in.get(name, {}).get(node_id, ()))
-        return tuple(sorted(found))
+        out = self._out.get(name, {}).get(node_id, ())
+        if direction is Direction.OUT:
+            return tuple(out)
+        inc = self._in.get(name, {}).get(node_id, ())
+        if direction is Direction.IN:
+            return tuple(inc)
+        return tuple(sorted({*out, *inc}))
 
     def red_neighbors(self, node_id: str) -> tuple[tuple[str, str, bool], ...]:
         """Undirected red-relation adjacency: (other, relation, forward)."""
@@ -258,7 +271,7 @@ class KnowledgeGraph:
         sub._scenarios = {scenario_id: self._scenarios[scenario_id]}
         for node_id in sorted(keep):
             sub._nodes[node_id] = self._nodes[node_id]
-        for key, edge in sorted(self._edges.items()):
+        for key, edge in self._edges.items():
             if edge.src in keep and edge.dst in keep:
                 sub._edges[key] = edge
                 bisect.insort(

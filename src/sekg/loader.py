@@ -123,7 +123,13 @@ class LoadResult:
 
 
 def _split_fields(line: str, lineno: int) -> list[str]:
-    """Split a record line into whitespace-separated fields, honoring quotes."""
+    """Split a record line into whitespace-separated fields, honoring quotes.
+
+    Only quoted lines need the character loop: ``str.split()`` breaks on the
+    same characters as ``str.isspace()``.
+    """
+    if '"' not in line:
+        return line.split()
     fields: list[str] = []
     buf: list[str] = []
     i = 0

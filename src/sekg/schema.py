@@ -280,6 +280,7 @@ class OntologySchema:
     relations: dict[str, RelationDef]
     derived_relations: tuple[RelationDef, ...]
     _concept_index: dict[str, str] = field(repr=False, default_factory=dict)
+    _relation_index: dict[str, RelationDef] = field(repr=False, default_factory=dict)
 
     def concept(self, name: str) -> ConceptDef:
         """Resolve a concept by canonical name or synonym."""
@@ -293,19 +294,10 @@ class OntologySchema:
 
     def relation(self, name: str) -> RelationDef:
         """Resolve any known relation, derived ones included."""
-        rel = self.relations.get(name)
-        if rel is None:
-            rel = next((d for d in self.derived_relations if d.name == name), None)
+        rel = self._relation_index.get(name)
         if rel is None:
             raise SchemaError(f"unknown relation: {name!r}")
         return rel
-
-    def is_relation(self, name: str) -> bool:
-        try:
-            self.relation(name)
-        except SchemaError:
-            return False
-        return True
 
     def asserted_relations(self) -> tuple[RelationDef, ...]:
         return tuple(
@@ -369,12 +361,16 @@ def build_default_schema() -> OntologySchema:
 
     relations = {r.name: r for r in _relations()}
     derived = _derived_relations()
+    # Asserted names go in last, so they win a clash with a derived name.
+    relation_index = {r.name: r for r in derived}
+    relation_index.update(relations)
 
     return OntologySchema(
         concepts=concepts,
         relations=relations,
         derived_relations=derived,
         _concept_index=concept_index,
+        _relation_index=relation_index,
     )
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sekg.datasets import canonical_graph, load_canonical
+from sekg.errors import DatasetError
 from sekg.graph import KnowledgeGraph, Node
 from sekg.inference import AtomKind
 
@@ -86,6 +87,51 @@ def random_conformant_graph(seed: int) -> KnowledgeGraph:
     sprinkle("to_achieve", "AttackMethod", "AttackGoal", rng.randint(0, 10))
     sprinkle("bring_out", "AttackTarget", "AttackConsequence", rng.randint(0, 10))
     return g
+
+
+def reference_split(line: str, lineno: int) -> list[str]:
+    """Split a record line into fields one character at a time, honoring
+    quotes. ``loader._split_fields`` must return the same fields or raise
+    the same ``DatasetError``.
+
+    A quoted field starts with a NUL character so that an empty value
+    survives.
+    """
+    fields: list[str] = []
+    buf: list[str] = []
+    i = 0
+    in_quotes = False
+    while i < len(line):
+        ch = line[i]
+        if in_quotes:
+            if ch == "\\":
+                if i + 1 >= len(line) or line[i + 1] not in '"\\':
+                    raise DatasetError("bad escape in quoted value", lineno)
+                buf.append(line[i + 1])
+                i += 2
+                continue
+            if ch == '"':
+                in_quotes = False
+                i += 1
+                continue
+            buf.append(ch)
+        elif ch == '"':
+            in_quotes = True
+            buf.append("\x00")
+            i += 1
+            continue
+        elif ch.isspace():
+            if buf:
+                fields.append("".join(buf))
+                buf = []
+        else:
+            buf.append(ch)
+        i += 1
+    if in_quotes:
+        raise DatasetError("unterminated quoted value", lineno)
+    if buf:
+        fields.append("".join(buf))
+    return fields
 
 
 def reference_chains(graph) -> list[tuple[str, str, str, str]]:

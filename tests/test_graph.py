@@ -1,7 +1,11 @@
+import functools
+
 import pytest
 
+from conftest import random_conformant_graph
 from sekg.errors import GraphError, SchemaError
 from sekg.graph import Direction, Edge, KnowledgeGraph, Node
+from sekg.inference import run_inference
 
 
 def small_graph() -> KnowledgeGraph:
@@ -185,25 +189,65 @@ def test_freeze_blocks_mutation():
     assert not g.has_node("x")
 
 
+def assert_reads_match_edges(g: KnowledgeGraph) -> None:
+    """``edges(r)`` and ``neighbors`` in every direction equal what a filter
+    of ``edges()`` gives, for every node and every schema relation."""
+    every = g.edges()
+    relations = [*g.schema.relations, *(r.name for r in g.schema.derived_relations)]
+    out: dict[tuple[str, str], set[str]] = {}
+    inc: dict[tuple[str, str], set[str]] = {}
+    for e in every:
+        out.setdefault((e.src, e.relation), set()).add(e.dst)
+        inc.setdefault((e.dst, e.relation), set()).add(e.src)
+    for relation in relations:
+        assert g.edges(relation) == tuple(
+            sorted((e for e in every if e.relation == relation), key=Edge.key)
+        ), relation
+    for name in ("conduct", "exploited_by", "bogus_rel"):
+        assert g.edges(name) == ()
+    for node_id in g.node_ids():
+        for relation in relations:
+            o = out.get((node_id, relation), set())
+            i = inc.get((node_id, relation), set())
+            assert g.neighbors(node_id, relation) == tuple(sorted(o))
+            assert g.neighbors(node_id, relation, Direction.IN) == tuple(sorted(i))
+            assert g.neighbors(node_id, relation, Direction.UNDIRECTED) == tuple(
+                sorted(o | i)
+            )
+
+
 def test_index_consistency_after_mutations():
     g = small_graph()
     g.add_node(Node("victim2", "AttackTarget", 1))
     g.add_edge("pretexting1", "apply_to", "victim2")
     g.add_edge("victim2", "have_vul", "greed")
-    out: dict[tuple[str, str], list[str]] = {}
-    inc: dict[tuple[str, str], list[str]] = {}
-    for e in g.edges():
-        out.setdefault((e.src, e.relation), []).append(e.dst)
-        inc.setdefault((e.dst, e.relation), []).append(e.src)
-    relations = [*g.schema.relations, *(r.name for r in g.schema.derived_relations)]
-    for node_id in g.node_ids():
-        for relation in relations:
-            assert g.neighbors(node_id, relation) == tuple(
-                sorted(out.get((node_id, relation), ()))
-            )
-            assert g.neighbors(node_id, relation, Direction.IN) == tuple(
-                sorted(inc.get((node_id, relation), ()))
-            )
+    assert_reads_match_edges(g)
+
+
+@functools.cache
+def inferred_random_graph(seed: int) -> KnowledgeGraph:
+    g = random_conformant_graph(seed)
+    run_inference(g)
+    return g.freeze()
+
+
+@pytest.mark.parametrize("seed", [None, *range(100)])
+def test_reads_match_edges(graph, seed):
+    """On the bundled graph (seed None) and on inferred random graphs."""
+    assert_reads_match_edges(graph if seed is None else inferred_random_graph(seed))
+
+
+def test_neighbors_result_is_a_snapshot():
+    g = small_graph()
+    g.add_node(Node("victim2", "AttackTarget", 1))
+    out = g.neighbors("pretexting1", "apply_to")
+    inc = g.neighbors("greed", "have_vul", Direction.IN)
+    both = g.neighbors("greed", "have_vul", Direction.UNDIRECTED)
+    g.add_edge("pretexting1", "apply_to", "victim2")
+    g.add_edge("victim2", "have_vul", "greed")
+    assert (out, inc, both) == (("victim1",),) * 3
+    assert g.neighbors("pretexting1", "apply_to") == ("victim1", "victim2")
+    assert g.neighbors("greed", "have_vul", Direction.IN) == ("victim1", "victim2")
 
 
 def test_scenario_subgraph_membership(graph):

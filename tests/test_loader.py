@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_split
 from sekg.catalog import DEFAULT_CATALOG
-from sekg.errors import DatasetError
+from sekg.datasets import canonical_text
+from sekg.errors import DatasetError, SekgError
 from sekg.loader import (
+    _split_fields,
     load_dataset,
     parse_document,
     serialize_dataset,
@@ -220,3 +225,83 @@ def test_canonical_roundtrip_fixpoint(load_result):
     once = serialize_dataset(load_result.graph)
     again = serialize_dataset(load_dataset(once).graph)
     assert once == again
+
+
+# -- fuzzing --------------------------------------------------------------------
+
+# Characters the splitter treats specially; whitespace that ``str.split`` and
+# ``str.isspace`` both break on (ASCII, C1 and Unicode, some of which also end
+# a line for ``str.splitlines``); and non-ASCII characters that are not
+# whitespace, the zero-width space among them.
+TRICKY_CHARS = list(
+    '"\\\x00 =ab_,.\t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2003\u2028\u3000'
+    "\u200b\u00e9"
+)
+FUZZ_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=40
+)
+FUZZ_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+@settings(FUZZ_SETTINGS, max_examples=300)
+@given(FUZZ_TEXT)
+def test_split_fields_matches_reference(line):
+    try:
+        expected = reference_split(line, 7)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as err:
+            _split_fields(line, 7)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+    else:
+        assert _split_fields(line, 7) == expected
+
+
+CANONICAL_LINES = canonical_text().splitlines()
+RECORD_LINES = [
+    i for i, line in enumerate(CANONICAL_LINES) if line and not line.startswith("#")
+]
+
+
+@st.composite
+def mutated_canonical(draw) -> str:
+    """The bundled dataset with one or two record lines mutated.
+
+    Lines, positions and operations come from a seeded ``Random`` so they
+    spread evenly over the file; inserted text comes from ``FUZZ_TEXT``.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    lines = list(CANONICAL_LINES)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.choice(RECORD_LINES)
+        line = lines[i]
+        op = rng.choice(("drop", "move", "insert", "cut", "field", "value"))
+        if op == "drop":
+            lines[i] = ""
+        elif op == "move":
+            del lines[i]
+            lines.insert(rng.randint(0, len(lines)), line)
+        elif op == "insert":
+            col = rng.randint(0, len(line))
+            lines[i] = line[:col] + draw(FUZZ_TEXT) + line[col:]
+        elif op == "cut":
+            a = rng.randint(0, len(line))
+            lines[i] = line[:a] + line[rng.randint(a, len(line)):]
+        else:
+            fields = line.split(" ")
+            j = rng.randrange(len(fields))
+            if op == "value":
+                j = rng.choice([k for k, f in enumerate(fields) if "=" in f] or [j])
+                fields[j] = fields[j].partition("=")[0] + "=" + draw(FUZZ_TEXT)
+            else:
+                fields[j] = draw(FUZZ_TEXT)
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(FUZZ_SETTINGS, max_examples=100)
+@given(mutated_canonical(), st.booleans())
+def test_mutated_dataset_raises_only_package_errors(text, strict):
+    try:
+        load_dataset(text, strict_vocab=strict)
+    except SekgError:
+        pass

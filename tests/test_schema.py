@@ -1,8 +1,10 @@
 import pytest
 
+from sekg import schema as schema_module
 from sekg.errors import SchemaError
 from sekg.schema import (
     DEFAULT_SCHEMA,
+    RelationDef,
     RelationKind,
     build_default_schema,
 )
@@ -170,7 +172,30 @@ def test_unknown_names_raise():
         DEFAULT_SCHEMA.concept("Bogus")
     with pytest.raises(SchemaError):
         DEFAULT_SCHEMA.relation("bogus_rel")
-    assert not DEFAULT_SCHEMA.is_relation("bogus_rel")
+
+
+def linear_relation_scan(schema, name):
+    """First relation named ``name``: asserted table first, then derived."""
+    for rel in (*schema.relations.values(), *schema.derived_relations):
+        if rel.name == name:
+            return rel
+    return None
+
+
+def test_relation_lookup_matches_linear_scan():
+    schema = DEFAULT_SCHEMA
+    for name in [*schema.relations, *(r.name for r in schema.derived_relations)]:
+        assert schema.relation(name) is linear_relation_scan(schema, name)
+
+
+def test_asserted_relation_wins_name_clash(monkeypatch):
+    derived = schema_module._derived_relations()
+    clash = RelationDef("apply_to", "Attacker", "Attacker", RelationKind.DERIVED)
+    monkeypatch.setattr(schema_module, "_derived_relations", lambda: (*derived, clash))
+    schema = build_default_schema()
+    assert schema.relation("apply_to") is linear_relation_scan(schema, "apply_to")
+    assert schema.relation("apply_to").kind is RelationKind.ASSERTED
+    assert schema.relation("attack").kind is RelationKind.DERIVED
 
 
 def test_taxonomy_labels():
