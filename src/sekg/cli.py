@@ -436,15 +436,13 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
     chains = analytics.vulnerability_chains(graph)
 
-    def scenario(node_id: str) -> int | None:
-        return graph.node(node_id).scenario_id
-
-    threat_out = {(a, m, v) for a, m, _, v in chains if scenario(m) != scenario(v)}
+    scenario = {node.id: node.scenario_id for node in graph.nodes()}
+    threat_out = {(a, m, v) for a, m, _, v in chains if scenario[m] != scenario[v]}
     # in-scenario triples come from the asserted apply_to chain
     for edge in graph.edges("apply_to"):
         for attacker in graph.neighbors(edge.src, "craft_and_perform", Direction.IN):
             threat_out.add((attacker, edge.src, edge.dst))
-    target_out = {(a, v) for a, _, _, v in chains if scenario(a) != scenario(v)}
+    target_out = {(a, v) for a, _, _, v in chains if scenario[a] != scenario[v]}
     target_out |= {(edge.src, edge.dst) for edge in graph.edges("attack")}
     quad_out = set(chains)
 

@@ -5,9 +5,9 @@ schema (a symmetric relation is its own inverse, so asserting one direction
 yields the other). Derivation rules are small conjunctive bodies over
 relation atoms, inequality constraints and property-equality constraints,
 compiled into the conjunctive join that MATCH queries use, with relation
-names resolved through the schema. They run semi-naive until fixpoint with
-set semantics, so inference is idempotent and terminates on any finite
-graph.
+names resolved through the schema. They run semi-naive, each rule joining
+only the edges added since it last ran, until fixpoint with set semantics,
+so inference is idempotent and terminates on any finite graph.
 
 Every inferred edge records the name of the rule that produced it; closure
 edges use ``R2`` (inverse completion) and ``R3`` (subproperty completion).
@@ -275,14 +275,19 @@ def run_rules(
     max_rounds: int = 1000,
     result: InferenceResult | None = None,
 ) -> InferenceResult:
-    """Apply rules semi-naive to fixpoint, interleaving axiom closure.
+    """Close the graph under the axioms, then apply rules to fixpoint.
 
-    The first round joins every rule body against the whole graph. Each
-    later round runs, per relation atom of a body, a join seeded from the
-    previous round's new edges of that relation, with the other atoms
-    joined against the current graph; bodies without relation atoms run
-    only once. Closure then completes whatever the round produced. Stops
-    when a full round adds nothing.
+    The graph is closed once, up front, so a direct call on a graph that
+    was never closed still starts from the closed graph (its closure edges
+    count in ``result``). Each rule then keeps its own delta: the edges of
+    ``result.added`` from where its previous join began. Its first join
+    runs the body against the whole graph; later ones run, per relation
+    atom, a join seeded from the delta's edges of that relation, with the
+    other atoms joined against the current graph. A rule thus sees its own
+    emissions and everything added since it last ran, and is never seeded
+    with the same edge twice. Bodies without relation atoms run only once.
+    After every rule has run, closure completes that round's emissions.
+    ``iterations`` counts these rounds, the last one adding nothing.
     """
     compiled = []
     for rule in rules:
@@ -290,32 +295,30 @@ def run_rules(
         body, head = _compile(rule, graph.schema)
         seeded = [body.plan(seed=i) for i in range(len(body.atoms))]
         compiled.append((rule.name, body, head, body.plan(), seeded))
-    result = result if result is not None else InferenceResult()
-    delta: dict[str, list[tuple[str, str]]] | None = None
+    result = axiom_closure(graph, result)
+    marks: list[int | None] = [None] * len(compiled)
     while True:
         result.iterations += 1
         if result.iterations > max_rounds:
             raise GraphError(f"no fixpoint after {max_rounds} rounds")
         before = len(result.added)
-        for name, body, head, plan, seeded in compiled:
-            if delta is None:
+        for i, (name, body, head, plan, seeded) in enumerate(compiled):
+            mark, marks[i] = marks[i], len(result.added)
+            if mark is None:
                 envs = match(graph, plan)
             else:
+                delta: dict[str, list[tuple[str, str]]] = {}
+                for edge in result.added[mark:]:
+                    delta.setdefault(edge.relation, []).append((edge.src, edge.dst))
                 envs = []
                 for (_, relation, _), steps in zip(body.atoms, seeded):
                     if relation in delta:
                         envs += match(graph, steps, delta[relation])
             for env in envs:
                 _emit(graph, name, head, env, result)
-        if delta is None:
-            axiom_closure(graph, result)
-        else:
-            _close(graph, sorted(result.added[before:], key=Edge.key), result)
+        _close(graph, sorted(result.added[before:], key=Edge.key), result)
         if len(result.added) == before:
             return result
-        delta = {}
-        for edge in result.added[before:]:
-            delta.setdefault(edge.relation, []).append((edge.src, edge.dst))
 
 
 def run_inference(
@@ -323,8 +326,5 @@ def run_inference(
     rules: tuple[Rule, ...] | list[Rule] | None = None,
     max_rounds: int = 1000,
 ) -> InferenceResult:
-    """Axiom closure followed by the (given or builtin) rule set."""
-    result = axiom_closure(graph)
-    return run_rules(
-        graph, builtin_ruleset() if rules is None else rules, max_rounds, result
-    )
+    """Axiom closure and the (given or builtin) rule set, to fixpoint."""
+    return run_rules(graph, builtin_ruleset() if rules is None else rules, max_rounds)

@@ -371,6 +371,36 @@ def serialize_dataset(graph: KnowledgeGraph, include_inferred: bool = False) -> 
     return "\n".join(lines) + "\n"
 
 
+def _scenario_roles(graph: KnowledgeGraph) -> dict[int, set[str]]:
+    """Concepts of each scenario's ``scenario_subgraph`` nodes, in one pass.
+
+    A scenario holds its tagged nodes, the untagged nodes one hop from
+    them, and the take_effected_by targets of the vulnerabilities among them.
+    """
+    nodes = {n.id: n for n in graph.nodes()}
+    roles: dict[int, set[str]] = {sid: set() for sid in graph.scenario_ids()}
+    hops: dict[int, set[str]] = {sid: set() for sid in roles}
+    effects: dict[str, set[str]] = {}
+    for node in nodes.values():
+        if node.scenario_id is not None:
+            roles[node.scenario_id].add(node.concept)
+    for edge in graph.edges():
+        src, dst = nodes[edge.src], nodes[edge.dst]
+        if src.scenario_id is not None and dst.scenario_id is None:
+            hops[src.scenario_id].add(dst.id)
+        elif dst.scenario_id is not None and src.scenario_id is None:
+            hops[dst.scenario_id].add(src.id)
+        if edge.relation == "take_effected_by":
+            effects.setdefault(src.id, set()).add(dst.concept)
+    for sid, hop in hops.items():
+        for node_id in hop:
+            concept = nodes[node_id].concept
+            roles[sid].add(concept)
+            if concept == "HumanVulnerability":
+                roles[sid] |= effects.get(node_id, set())
+    return roles
+
+
 def validate_scenario_completeness(graph: KnowledgeGraph) -> list[Finding]:
     """Check each declared scenario for required participant roles.
 
@@ -378,8 +408,7 @@ def validate_scenario_completeness(graph: KnowledgeGraph) -> list[Finding]:
     findings; missing strategy or gathered-information nodes are advisory.
     """
     findings: list[Finding] = []
-    for sid in graph.scenario_ids():
-        present = {n.concept for n in graph.scenario_subgraph(sid).nodes()}
+    for sid, present in _scenario_roles(graph).items():
         for role in MANDATORY_ROLES:
             if role not in present:
                 findings.append(

@@ -154,6 +154,38 @@ def reference_chains(graph) -> list[tuple[str, str, str, str]]:
     )
 
 
+def reference_scenario_roles(graph) -> dict[int, set[str]]:
+    """Node concepts of every declared scenario's ``scenario_subgraph``."""
+    return {
+        sid: {n.concept for n in graph.scenario_subgraph(sid).nodes()}
+        for sid in graph.scenario_ids()
+    }
+
+
+def replicated_graph(graph, k: int) -> KnowledgeGraph:
+    """``k`` copies of ``graph``'s scenarios sharing its vocabulary nodes.
+
+    Copy ``c`` suffixes scenario-tagged node ids with ``_<c>`` and adds
+    ``1000 * c`` to their scenario ids, as the benchmark's k-times corpora do.
+    """
+    g = KnowledgeGraph(graph.schema)
+    for c in range(k):
+        for sid, attack_type in graph.scenarios.items():
+            g.register_scenario(sid + 1000 * c, attack_type)
+
+    def copy_id(node_id, c):
+        return node_id if graph.node(node_id).scenario_id is None else f"{node_id}_{c}"
+
+    for c in range(k):
+        for n in graph.nodes():
+            sid = None if n.scenario_id is None else n.scenario_id + 1000 * c
+            labels, props = n.taxonomy_labels, n.properties
+            g.add_node(Node(copy_id(n.id, c), n.concept, sid, labels, props, n.comment))
+        for e in graph.edges():
+            g.add_edge(copy_id(e.src, c), e.relation, copy_id(e.dst, c), e.rule)
+    return g
+
+
 def reference_eval(query, graph) -> list[tuple[str, ...]]:
     """Exhaustive query evaluation: every variable assignment is tried.
 

@@ -1,12 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_split
+from conftest import (
+    random_conformant_graph,
+    reference_scenario_roles,
+    reference_split,
+    replicated_graph,
+)
 from sekg.catalog import DEFAULT_CATALOG
 from sekg.datasets import canonical_text
 from sekg.errors import DatasetError, SekgError
+from sekg.graph import Node
 from sekg.loader import (
+    _scenario_roles,
     _split_fields,
     load_dataset,
     parse_document,
@@ -219,6 +228,27 @@ def test_canonical_completeness(load_result):
     findings = validate_scenario_completeness(load_result.graph)
     assert [f for f in findings if f.severity == "mandatory"] == []
     assert len(findings) == 8
+
+
+def with_mechanisms(g, seed: int):
+    """``g`` plus a few EffectMechanism nodes, some scenario-tagged, that
+    random vulnerabilities take_effected_by."""
+    rng = random.Random(seed)
+    vulnerabilities = [n.id for n in g.nodes_by_concept("HumanVulnerability")]
+    for i in range(rng.randint(0, 5)):
+        sid = rng.choice((None, *g.scenario_ids()))
+        mechanism = g.add_node(Node(f"mechanism{i}", "EffectMechanism", sid)).id
+        count = rng.randint(1, min(len(vulnerabilities), 3))
+        for vul in rng.sample(vulnerabilities, count):
+            g.add_edge(vul, "take_effected_by", mechanism)
+    return g
+
+
+def test_scenario_roles_match_reference(load_result, graph):
+    graphs = [load_result.graph, graph, replicated_graph(load_result.graph, 4)]
+    graphs += [with_mechanisms(random_conformant_graph(s), s) for s in range(100)]
+    for i, g in enumerate(graphs):
+        assert _scenario_roles(g) == reference_scenario_roles(g), f"graph {i}"
 
 
 def test_canonical_roundtrip_fixpoint(load_result):
