@@ -3,9 +3,10 @@ import functools
 import pytest
 
 from conftest import random_conformant_graph
-from sekg.errors import GraphError, SchemaError
+from sekg.errors import DatasetError, GraphError, SchemaError
 from sekg.graph import Direction, Edge, KnowledgeGraph, Node
 from sekg.inference import run_inference
+from sekg.loader import load_dataset
 
 
 def small_graph() -> KnowledgeGraph:
@@ -127,6 +128,102 @@ def test_irreflexive_self_loop_rejected():
     g.add_edge("a", "in_the_same_organization", "b", rule="R7")
     with pytest.raises(GraphError, match="irreflexive"):
         g.add_edge("a", "in_the_same_organization", "a", rule="R7")
+
+
+def refusal_graph() -> KnowledgeGraph:
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t")
+    g.add_node(Node("a", "Attacker", 1))
+    g.add_node(Node("m", "AttackMethod", 1))
+    g.add_node(Node("v", "AttackTarget", 1))
+    g.add_node(Node("h", "HumanVulnerability"))
+    return g
+
+
+# Every refusal ``add_edge`` can give, with its exact text. ``conduct`` is a
+# plain alias of craft_and_perform; ``exploited_by`` is stored as to_exploit
+# with its endpoints swapped, so its messages name the stored direction.
+REFUSALS = [
+    ("ghost", "craft_and_perform", "m", GraphError, "unknown node: 'ghost'"),
+    ("a", "craft_and_perform", "ghost", GraphError, "unknown node: 'ghost'"),
+    ("ghost1", "craft_and_perform", "ghost2", GraphError, "unknown node: 'ghost1'"),
+    ("a", "bogus_rel", "m", SchemaError, "unknown relation: 'bogus_rel'"),
+    ("ghost1", "bogus_rel", "ghost2", SchemaError, "unknown relation: 'bogus_rel'"),
+    ("a", "craft_and_perform", "a", GraphError,
+     "craft_and_perform is irreflexive; got self-loop on 'a'"),
+    ("m", "craft_and_perform", "m", GraphError,
+     "craft_and_perform is irreflexive; got self-loop on 'm'"),
+    ("v", "craft_and_perform", "m", GraphError,
+     "edge (v, craft_and_perform, m): domain mismatch: "
+     "craft_and_perform expects Attacker, got AttackTarget"),
+    ("m", "craft_and_perform", "v", GraphError,
+     "edge (m, craft_and_perform, v): domain mismatch: "
+     "craft_and_perform expects Attacker, got AttackMethod"),
+    ("a", "craft_and_perform", "v", GraphError,
+     "edge (a, craft_and_perform, v): range mismatch: "
+     "craft_and_perform expects AttackMethod, got AttackTarget"),
+    ("ghost", "conduct", "m", GraphError, "unknown node: 'ghost'"),
+    ("a", "conduct", "ghost", GraphError, "unknown node: 'ghost'"),
+    ("a", "conduct", "a", GraphError,
+     "craft_and_perform is irreflexive; got self-loop on 'a'"),
+    ("v", "conduct", "m", GraphError,
+     "edge (v, craft_and_perform, m): domain mismatch: "
+     "craft_and_perform expects Attacker, got AttackTarget"),
+    ("a", "conduct", "v", GraphError,
+     "edge (a, craft_and_perform, v): range mismatch: "
+     "craft_and_perform expects AttackMethod, got AttackTarget"),
+    ("ghost", "exploited_by", "m", GraphError, "unknown node: 'ghost'"),
+    ("h", "exploited_by", "ghost", GraphError, "unknown node: 'ghost'"),
+    ("ghost1", "exploited_by", "ghost2", GraphError, "unknown node: 'ghost2'"),
+    ("h", "exploited_by", "h", GraphError,
+     "to_exploit is irreflexive; got self-loop on 'h'"),
+    ("h", "exploited_by", "v", GraphError,
+     "edge (v, to_exploit, h): domain mismatch: "
+     "to_exploit expects AttackMethod, got AttackTarget"),
+    ("v", "exploited_by", "m", GraphError,
+     "edge (m, to_exploit, v): range mismatch: "
+     "to_exploit expects HumanVulnerability, got AttackTarget"),
+    ("a", "same_attack_organization", "a", GraphError,
+     "same_attack_organization is irreflexive; got self-loop on 'a'"),
+    ("a", "same_attack_organization", "m", GraphError,
+     "edge (a, same_attack_organization, m): range mismatch: "
+     "same_attack_organization expects Attacker, got AttackMethod"),
+]
+
+
+@pytest.mark.parametrize("src, relation, dst, error, message", REFUSALS)
+def test_refusal_messages(src, relation, dst, error, message):
+    g = refusal_graph()
+    with pytest.raises(error) as err:
+        g.add_edge(src, relation, dst)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert g.edge_count == 0
+
+
+@pytest.mark.parametrize("src, relation, dst, error, message", REFUSALS)
+def test_refusal_messages_through_loader(src, relation, dst, error, message):
+    lines = [
+        "SCENARIO 1 type=t",
+        "NODE a Attacker scenario=1",
+        "NODE m AttackMethod scenario=1",
+        "NODE v Victim scenario=1",
+        "NODE h HumanVulnerability",
+        "EDGE a craft_and_perform m",
+        f"EDGE {src} {relation} {dst}",
+    ]
+    with pytest.raises(DatasetError) as err:
+        load_dataset("\n".join(lines))
+    assert err.value.line == 7
+    assert str(err.value) == f"line 7: {message}"
+
+
+def test_frozen_refusal_comes_first():
+    g = refusal_graph().freeze()
+    for src, relation, dst, _, _ in [*REFUSALS, ("a", "craft_and_perform", "m", None, None)]:
+        with pytest.raises(GraphError) as err:
+            g.add_edge(src, relation, dst)
+        assert str(err.value) == "graph is frozen"
 
 
 def test_edge_provenance():
