@@ -4,6 +4,13 @@ Nodes carry a concept, optional scenario membership, taxonomy labels and
 string properties. Edges are unique per (src, relation, dst) and record
 whether they were asserted by a dataset or produced by an inference rule.
 All iteration orders are sorted so downstream output is reproducible.
+
+``KnowledgeGraph.add_edge`` is the only checked way in for an edge: the
+loader, axiom closure and the rules all write through it. It raises
+``SchemaError`` for an unknown relation and ``GraphError`` for a frozen
+graph, an unknown endpoint, an irreflexive self-loop or a domain or range
+mismatch. The loader reports a refusal as a ``DatasetError``; inference
+drops a refused rule head silently.
 """
 
 import bisect
@@ -157,26 +164,44 @@ class KnowledgeGraph:
     ) -> Edge:
         """Insert an edge after normalizing aliases and checking conformance.
 
+        This is the graph's only checked insertion path. It raises
+        ``GraphError`` on a frozen graph, ``SchemaError`` on an unknown
+        relation, then ``GraphError`` on an unknown endpoint, a self-loop on
+        an irreflexive relation, or a domain or range mismatch, in that
+        order. Node concepts are canonical (``add_node`` resolves synonyms),
+        so they compare directly with the relation's domain and range.
         Duplicate insertion is a no-op returning the existing edge (first
         insertion wins, including its provenance).
         """
         self._check_mutable()
-        relation, swapped = self.schema.normalize_relation(relation)
+        entry = self.schema.write_table.get(relation)
+        if entry is None:
+            raise SchemaError(f"unknown relation: {relation!r}")
+        relation, swapped, rel = entry
         if swapped:
             src, dst = dst, src
-        src_node = self.node(src)
-        dst_node = self.node(dst)
-        rel = self.schema.relation(relation)
+        src_node = self._nodes.get(src)
+        if src_node is None:
+            raise GraphError(f"unknown node: {src!r}")
+        dst_node = self._nodes.get(dst)
+        if dst_node is None:
+            raise GraphError(f"unknown node: {dst!r}")
         if rel.irreflexive and src == dst:
             raise GraphError(f"{relation} is irreflexive; got self-loop on {src!r}")
-        verdict = self.schema.check_edge_conformance(
-            src_node.concept, relation, dst_node.concept
-        )
-        if not verdict:
-            raise GraphError(f"edge ({src}, {relation}, {dst}): {verdict.reason}")
+        if src_node.concept != rel.domain:
+            raise GraphError(
+                f"edge ({src}, {relation}, {dst}): domain mismatch: "
+                f"{relation} expects {rel.domain}, got {src_node.concept}"
+            )
+        if dst_node.concept != rel.range:
+            raise GraphError(
+                f"edge ({src}, {relation}, {dst}): range mismatch: "
+                f"{relation} expects {rel.range}, got {dst_node.concept}"
+            )
         key = (src, relation, dst)
-        if key in self._edges:
-            return self._edges[key]
+        edge = self._edges.get(key)
+        if edge is not None:
+            return edge
         edge = Edge(src, relation, dst, rule)
         self._edges[key] = edge
         bisect.insort(self._out.setdefault(relation, {}).setdefault(src, []), dst)

@@ -11,9 +11,11 @@ so inference is idempotent and terminates on any finite graph.
 
 Every inferred edge records the name of the rule that produced it; closure
 edges use ``R2`` (inverse completion) and ``R3`` (subproperty completion).
-Rule emissions that would violate the schema (wrong endpoint concepts, or a
-self-loop on an irreflexive relation) are dropped rather than raised: the
-body of a rule constrains structure, the schema constrains the head.
+Heads are written through ``KnowledgeGraph.add_edge``, which checks them
+against the schema; a head it refuses (an unknown endpoint, wrong endpoint
+concepts, or a self-loop on an irreflexive relation) is dropped rather than
+raised: the body of a rule constrains structure, the schema constrains the
+head.
 """
 
 from dataclasses import dataclass, field
@@ -170,7 +172,7 @@ def builtin_ruleset() -> tuple[Rule, ...]:
 def _closure_of_edge(graph: KnowledgeGraph, edge: Edge) -> list[tuple[str, str, str, str]]:
     """Inverse and subproperty consequences of one edge: (src, rel, dst, rule)."""
     out = []
-    rel = graph.schema.relation(edge.relation)
+    rel = graph.schema.write_table[edge.relation][2]
     if rel.inverse_of is not None:
         out.append((edge.dst, rel.inverse_of, edge.src, INVERSE_RULE))
     if rel.subproperty_of is not None:
@@ -181,9 +183,19 @@ def _closure_of_edge(graph: KnowledgeGraph, edge: Edge) -> list[tuple[str, str, 
 def axiom_closure(
     graph: KnowledgeGraph, result: InferenceResult | None = None
 ) -> InferenceResult:
-    """Complete inverse and subproperty edges until nothing new appears."""
+    """Complete inverse and subproperty edges until nothing new appears.
+
+    Only edges of relations with an axiom have consequences, so only they
+    seed the closure, in ``Edge.key`` order as the whole edge list would.
+    """
     result = result if result is not None else InferenceResult()
-    return _close(graph, list(graph.edges()), result)
+    seeds = [
+        edge
+        for name, (stored, _, rel) in graph.schema.write_table.items()
+        if name == stored and (rel.inverse_of or rel.subproperty_of)
+        for edge in graph.edges(name)
+    ]
+    return _close(graph, sorted(seeds, key=Edge.key), result)
 
 
 def _close(
@@ -254,19 +266,13 @@ def _emit(
 ) -> None:
     a, relation, b = head
     src, dst = env.get(a, a), env.get(b, b)
-    if not graph.has_node(src) or not graph.has_node(dst):
-        return
-    rel = graph.schema.relation(relation)
-    if rel.irreflexive and src == dst:
-        return
-    verdict = graph.schema.check_edge_conformance(
-        graph.node(src).concept, relation, graph.node(dst).concept
-    )
-    if not verdict:
-        return
     if graph.has_edge(src, relation, dst):
         return
-    result._record(graph.add_edge(src, relation, dst, rule=name))
+    try:
+        edge = graph.add_edge(src, relation, dst, rule=name)
+    except GraphError:
+        return  # a head the schema refuses is dropped
+    result._record(edge)
 
 
 def run_rules(

@@ -22,6 +22,7 @@ errors in strict mode.
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import DEFAULT_CATALOG, Catalog
 from .errors import DatasetError, GraphError, SchemaError
@@ -72,15 +73,13 @@ MANDATORY_ROLES = (
 ADVISORY_ROLES = ("AttackStrategy", "SocialEngineeringInformation")
 
 
-@dataclass(frozen=True)
-class ScenarioRecord:
+class ScenarioRecord(NamedTuple):
     line: int
     scenario_id: int
     attack_type: str
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     line: int
     node_id: str
     concept: str
@@ -90,8 +89,7 @@ class NodeRecord:
     comment: str
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     line: int
     src: str
     relation: str

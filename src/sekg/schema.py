@@ -281,6 +281,11 @@ class OntologySchema:
     derived_relations: tuple[RelationDef, ...]
     _concept_index: dict[str, str] = field(repr=False, default_factory=dict)
     _relation_index: dict[str, RelationDef] = field(repr=False, default_factory=dict)
+    #: Every relation name an edge may be written with, aliases included,
+    #: resolved once: (stored name, endpoints swapped, stored relation).
+    write_table: dict[str, tuple[str, bool, RelationDef]] = field(
+        repr=False, default_factory=dict
+    )
 
     def concept(self, name: str) -> ConceptDef:
         """Resolve a concept by canonical name or synonym."""
@@ -288,9 +293,6 @@ class OntologySchema:
         if canonical is None:
             raise SchemaError(f"unknown concept: {name!r}")
         return self.concepts[canonical]
-
-    def is_concept(self, name: str) -> bool:
-        return name in self._concept_index
 
     def relation(self, name: str) -> RelationDef:
         """Resolve any known relation, derived ones included."""
@@ -365,13 +367,19 @@ def build_default_schema() -> OntologySchema:
     relation_index = {r.name: r for r in derived}
     relation_index.update(relations)
 
-    return OntologySchema(
+    write_table: dict[str, tuple[str, bool, RelationDef]] = {}
+    schema = OntologySchema(
         concepts=concepts,
         relations=relations,
         derived_relations=derived,
         _concept_index=concept_index,
         _relation_index=relation_index,
+        write_table=write_table,
     )
+    for name in (*relation_index, *RELATION_ALIASES, *SWAPPED_ALIASES):
+        stored, swapped = schema.normalize_relation(name)
+        write_table[name] = (stored, swapped, relation_index[stored])
+    return schema
 
 
 DEFAULT_SCHEMA = build_default_schema()

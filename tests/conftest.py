@@ -253,6 +253,30 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
     return rows
 
 
+def reference_closure(graph) -> list:
+    """Axiom closure seeded from every edge of ``graph``; the edges it adds.
+
+    Pops the whole edge list, sorted by key, from the end; each inverse
+    (``R2``) or subproperty (``R3``) consequence that is new is added and
+    pushed in turn. ``axiom_closure`` must add the same edges, with the same
+    rule labels, in the same order. ``graph`` is modified.
+    """
+    added = []
+    pending = sorted(graph.edges(), key=lambda e: e.key())
+    while pending:
+        edge = pending.pop()
+        rel = graph.schema.relation(edge.relation)
+        for src, relation, dst, rule in (
+            (edge.dst, rel.inverse_of, edge.src, "R2"),
+            (edge.src, rel.subproperty_of, edge.dst, "R3"),
+        ):
+            if relation is not None and not graph.has_edge(src, relation, dst):
+                new = graph.add_edge(src, relation, dst, rule=rule)
+                added.append(new)
+                pending.append(new)
+    return added
+
+
 def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
     """Naive fixpoint of axiom closure plus ``rules``, as edge keys.
 

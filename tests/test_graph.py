@@ -7,6 +7,7 @@ from sekg.errors import DatasetError, GraphError, SchemaError
 from sekg.graph import Direction, Edge, KnowledgeGraph, Node
 from sekg.inference import run_inference
 from sekg.loader import load_dataset
+from sekg.schema import DEFAULT_SCHEMA, RELATION_ALIASES, SWAPPED_ALIASES
 
 
 def small_graph() -> KnowledgeGraph:
@@ -224,6 +225,52 @@ def test_frozen_refusal_comes_first():
         with pytest.raises(GraphError) as err:
             g.add_edge(src, relation, dst)
         assert str(err.value) == "graph is frozen"
+
+
+def written_names(schema) -> list[str]:
+    """Every relation name the schema accepts on input, plus an unknown one."""
+    names = [*schema.relations, *(r.name for r in schema.derived_relations)]
+    return sorted({*names, *RELATION_ALIASES, *SWAPPED_ALIASES, "bogus_rel"})
+
+
+def expected_write(schema, concepts, src, relation, dst):
+    """What ``add_edge(src, relation, dst)`` must do, by the reference lookups:
+    ``("ok", key)``, or ``(error type, message)``."""
+    try:
+        stored, swapped = schema.normalize_relation(relation)
+    except SchemaError as exc:
+        return SchemaError, str(exc)
+    if swapped:
+        src, dst = dst, src
+    if schema.relation(stored).irreflexive and src == dst:
+        return GraphError, f"{stored} is irreflexive; got self-loop on {src!r}"
+    verdict = schema.check_edge_conformance(concepts[src], stored, concepts[dst])
+    if not verdict:
+        return GraphError, f"edge ({src}, {stored}, {dst}): {verdict.reason}"
+    return "ok", (src, stored, dst)
+
+
+def test_write_table_matches_reference_lookups():
+    schema = DEFAULT_SCHEMA
+    names = written_names(schema)
+    assert sorted(schema.write_table) == [n for n in names if n != "bogus_rel"]
+    for c1 in sorted(schema.concepts):
+        for c2 in sorted(schema.concepts):
+            g = KnowledgeGraph()
+            g.add_node(Node("x", c1))
+            g.add_node(Node("y", c2))
+            concepts = {"x": c1, "y": c2}
+            for relation in names:
+                for dst in ("y", "x"):
+                    want = expected_write(schema, concepts, "x", relation, dst)
+                    if want[0] == "ok":
+                        edge = g.add_edge("x", relation, dst, rule="T")
+                        assert edge.key() == want[1] and g.has_edge(*want[1])
+                        continue
+                    with pytest.raises(want[0]) as err:
+                        g.add_edge("x", relation, dst)
+                    assert type(err.value) is want[0]
+                    assert str(err.value) == want[1]
 
 
 def test_edge_provenance():

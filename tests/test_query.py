@@ -1,10 +1,13 @@
 import gc
 import random
+import re
 
 import pytest
 from conftest import reference_eval
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sekg.errors import QueryParseError
+from sekg.errors import QueryParseError, SekgError
 from sekg.graph import KnowledgeGraph, Node
 from sekg.inference import run_inference
 from sekg.query import (
@@ -433,3 +436,56 @@ def test_fuzzed_character_soup():
             parse_query(text)
         except QueryParseError:
             pass
+
+
+FUZZ_GRAPH = fixture_graph()
+IDENT_RE = re.compile(r"\b(?!MATCH\b|WHERE\b|AND\b|RETURN\b|DISTINCT\b)[A-Za-z_]\w*")
+IDENTS = [
+    "a", "m", "v", "x", "Attacker", "Victim", "Bogus", "apply_to",
+    "exploited_by", "attack", "bogus_rel", "kind", "scenario_id", "id", "concept",
+]
+
+
+@st.composite
+def mutated_query(draw) -> str:
+    """One of ``BRUTE_QUERIES`` with one or two mutations.
+
+    Positions and operations come from a seeded ``Random``. Inserted text is
+    a query fragment or a short string drawn by Hypothesis; an ``ident``
+    mutation swaps a name that is not a keyword for another, which often
+    still parses, so evaluation runs too.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    text = rng.choice(BRUTE_QUERIES)
+    for _ in range(rng.choice((1, 1, 2))):
+        op = rng.choice(("ident",) * 5 + ("insert", "cut", "word", "drop", "swap"))
+        piece = rng.choice(FRAGMENTS) if rng.random() < 0.7 else draw(st.text(max_size=8))
+        if op == "ident":
+            found = rng.choice(list(IDENT_RE.finditer(text)))
+            text = text[: found.start()] + rng.choice(IDENTS) + text[found.end():]
+        elif op == "insert":
+            col = rng.randint(0, len(text))
+            text = text[:col] + piece + text[col:]
+        elif op == "cut":
+            a = rng.randint(0, len(text))
+            text = text[:a] + text[rng.randint(a, len(text)):]
+        else:
+            words = text.split(" ")
+            j, k = rng.randrange(len(words)), rng.randrange(len(words))
+            if op == "word":
+                words[j] = piece
+            elif op == "drop":
+                del words[j]
+            else:
+                words[j], words[k] = words[k], words[j]
+            text = " ".join(words)
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(mutated_query())
+def test_mutated_query_raises_only_package_errors(text):
+    try:
+        evaluate_query(parse_query(text), FUZZ_GRAPH)
+    except SekgError:
+        pass

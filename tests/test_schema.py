@@ -69,7 +69,6 @@ def test_core_concept_roster():
 )
 def test_concept_synonyms(synonym, canonical):
     assert DEFAULT_SCHEMA.concept(synonym).name == canonical
-    assert DEFAULT_SCHEMA.is_concept(synonym)
 
 
 @pytest.mark.parametrize("name, domain, range_, inverse", ASSERTED_TABLE)
@@ -212,3 +211,4 @@ def test_build_is_deterministic():
     assert a.concepts == b.concepts
     assert a.relations == b.relations
     assert a.derived_relations == b.derived_relations
+    assert a.write_table == b.write_table
