@@ -333,8 +333,6 @@ def scenario_report(graph: KnowledgeGraph, scenario_id: int) -> dict:
     groups: dict[str, list[str]] = {}
     for node in sub.nodes():
         groups.setdefault(node.concept, []).append(node.id)
-    for ids in groups.values():
-        ids.sort()
     edges = [
         {
             "src": e.src,
@@ -342,13 +340,11 @@ def scenario_report(graph: KnowledgeGraph, scenario_id: int) -> dict:
             "dst": e.dst,
             "provenance": e.provenance,
         }
-        for e in sorted(sub.edges(), key=lambda e: e.key())
+        for e in sub.edges()
     ]
 
     def subtree(goal_id: str) -> dict:
-        children = sorted(
-            e.src for e in sub.edges("subgoal_of") if e.dst == goal_id
-        )
+        children = [e.src for e in sub.edges("subgoal_of") if e.dst == goal_id]
         return {"goal": goal_id, "subgoals": [subtree(c) for c in children]}
 
     goal_tree = [subtree(n.id) for n in sub.nodes_by_concept("AttackGoal")]

@@ -59,22 +59,14 @@ def export_dot(graph: KnowledgeGraph) -> str:
     lines.append("digraph sekg {")
     lines.append('  node [shape=box, style=filled, fontname="Helvetica"];')
 
+    nodes = graph.nodes()
+    goal_trees: dict[int, list[str]] = {}
+    for node in nodes:
+        if node.concept in ("AttackGoal", "SubGoal") and node.scenario_id is not None:
+            goal_trees.setdefault(node.scenario_id, []).append(node.id)
     clustered: set[str] = set()
-    goal_scenarios = sorted(
-        {
-            n.scenario_id
-            for concept in ("AttackGoal", "SubGoal")
-            for n in graph.nodes_by_concept(concept)
-            if n.scenario_id is not None
-        }
-    )
-    for sid in goal_scenarios:
-        members = sorted(
-            n.id
-            for concept in ("AttackGoal", "SubGoal")
-            for n in graph.nodes_by_concept(concept)
-            if n.scenario_id == sid
-        )
+    for sid in sorted(goal_trees):
+        members = goal_trees[sid]
         lines.append(f"  subgraph cluster_goal_tree_{sid} {{")
         lines.append(f'    label="goal tree S{sid}";')
         lines.append(f'    style=filled; fillcolor="{GOAL_CLUSTER_FILL}";')
@@ -84,7 +76,7 @@ def export_dot(graph: KnowledgeGraph) -> str:
             clustered.add(node_id)
         lines.append("  }")
 
-    for node in sorted(graph.nodes(), key=lambda n: n.id):
+    for node in nodes:
         if node.id in clustered:
             continue
         lines.append(
@@ -92,7 +84,7 @@ def export_dot(graph: KnowledgeGraph) -> str:
         )
 
     red = RED_RELATIONS | {"attack"}
-    for edge in sorted(graph.edges(), key=lambda e: e.key()):
+    for edge in graph.edges():
         color = RED_EDGE_COLOR if edge.relation in red else PLAIN_EDGE_COLOR
         attrs = [f'label="{edge.relation}"', f'color="{color}"']
         if edge.is_inferred:
@@ -158,12 +150,6 @@ def export_report(result: object, fmt: str) -> str:
 
 
 def _jsonable(value: object) -> object:
-    if isinstance(value, analytics.EvalMetrics):
-        return metrics_dict(value)
-    if isinstance(value, analytics.ThreatPair):
-        return threat_pair_dict(value)
-    if isinstance(value, analytics.AttackPath):
-        return attack_path_dict(value)
     if isinstance(value, analytics.RankedCount):
         return {"id": value.id, "count": value.count, "rank": value.rank}
     if isinstance(value, dict):
@@ -181,16 +167,13 @@ def _read_dataset(path: str | None) -> str:
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[KnowledgeGraph, list[str]]:
-    result = load_dataset(
-        _read_dataset(args.dataset),
-        source=args.dataset or "<bundled>",
-        strict_vocab=args.strict_vocab,
-    )
-    graph = result.graph
-    if not getattr(args, "no_infer", False):
-        run_inference(graph)
-    graph.freeze()
-    return graph, result.warnings
+    """The dataset's graph and load warnings; inferred and frozen unless
+    ``no_infer`` is set (``load``, ``validate`` and ``infer`` always set it)."""
+    result = load_dataset(_read_dataset(args.dataset), strict_vocab=args.strict_vocab)
+    if not args.no_infer:
+        run_inference(result.graph)
+        result.graph.freeze()
+    return result.graph, result.warnings
 
 
 def _add_common(parser: argparse.ArgumentParser, infer_flag: bool = True) -> None:
@@ -216,6 +199,8 @@ def _add_common(parser: argparse.ArgumentParser, infer_flag: bool = True) -> Non
             action="store_true",
             help="skip the inference phase, exposing only asserted data",
         )
+    else:
+        parser.set_defaults(no_infer=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,30 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_load(args: argparse.Namespace) -> str:
-    result = load_dataset(
-        _read_dataset(args.dataset),
-        source=args.dataset or "<bundled>",
-        strict_vocab=args.strict_vocab,
-    )
-    graph = result.graph
+    graph, warnings = _load_graph(args)
     lines = [
         f"scenarios: {len(graph.scenarios)}",
         f"attack types: {len(graph.attack_types())}",
         f"nodes: {graph.node_count}",
         f"edges: {graph.edge_count}",
-        f"warnings: {len(result.warnings)}",
+        f"warnings: {len(warnings)}",
     ]
-    lines.extend(f"warning: {w}" for w in result.warnings)
+    lines.extend(f"warning: {w}" for w in warnings)
     return "\n".join(lines) + "\n"
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
-    result = load_dataset(
-        _read_dataset(args.dataset),
-        source=args.dataset or "<bundled>",
-        strict_vocab=args.strict_vocab,
-    )
-    findings = validate_scenario_completeness(result.graph)
+    graph, _ = _load_graph(args)
+    findings = validate_scenario_completeness(graph)
     lines = [
         f"{f.severity} scenario={f.scenario_id} {f.role}: {f.message}"
         for f in findings
@@ -312,12 +288,8 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_infer(args: argparse.Namespace) -> str:
-    result = load_dataset(
-        _read_dataset(args.dataset),
-        source=args.dataset or "<bundled>",
-        strict_vocab=args.strict_vocab,
-    )
-    outcome = run_inference(result.graph)
+    graph, _ = _load_graph(args)
+    outcome = run_inference(graph)
     lines = []
     if args.trace:
         for rule in sorted(outcome.fired, key=str):
@@ -408,7 +380,7 @@ def _cmd_same_origin(args: argparse.Namespace) -> str:
 def _cmd_query(args: argparse.Namespace) -> str:
     text = args.text if args.text is not None else sys.stdin.read()
     graph, _ = _load_graph(args)
-    query = parse_query(text, graph.schema)
+    query = parse_query(text)
     rows = evaluate_query(query, graph)
     if args.format == "json":
         return export_report([row.as_dict() for row in rows], "json")

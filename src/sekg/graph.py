@@ -11,14 +11,18 @@ loader, axiom closure and the rules all write through it. It raises
 graph, an unknown endpoint, an irreflexive self-loop or a domain or range
 mismatch. The loader reports a refusal as a ``DatasetError``; inference
 drops a refused rule head silently.
+
+Writes and reads resolve a relation name by indexing the schema's
+``write_table``: an alias reads like its stored relation, a swapped alias
+with its direction flipped, and an unknown name raises ``SchemaError``.
 """
 
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import GraphError, SchemaError
-from .schema import DEFAULT_SCHEMA, OntologySchema
+from .errors import GraphError
+from .schema import DEFAULT_SCHEMA
 
 #: Relations rendered red in exports and traversed by the attack-path oracle.
 RED_RELATIONS = frozenset(
@@ -76,8 +80,9 @@ class Edge:
 class KnowledgeGraph:
     """Mutable-until-frozen store of nodes, edges and scenario declarations."""
 
-    def __init__(self, schema: OntologySchema | None = None):
-        self.schema = schema or DEFAULT_SCHEMA
+    schema = DEFAULT_SCHEMA
+
+    def __init__(self):
         self._nodes: dict[str, Node] = {}
         self._edges: dict[tuple[str, str, str], Edge] = {}
         self._out: dict[str, dict[str, list[str]]] = {}
@@ -174,10 +179,7 @@ class KnowledgeGraph:
         insertion wins, including its provenance).
         """
         self._check_mutable()
-        entry = self.schema.write_table.get(relation)
-        if entry is None:
-            raise SchemaError(f"unknown relation: {relation!r}")
-        relation, swapped, rel = entry
+        relation, swapped, rel = DEFAULT_SCHEMA.write_table[relation]
         if swapped:
             src, dst = dst, src
         src_node = self._nodes.get(src)
@@ -218,15 +220,17 @@ class KnowledgeGraph:
             raise GraphError(f"unknown edge: ({src}, {relation}, {dst})") from None
 
     def edges(self, relation: str | None = None) -> tuple[Edge, ...]:
-        """All edges by (src, relation, dst), or one stored relation's edges.
+        """All edges by (src, relation, dst), or one relation's edges.
 
-        Aliases are never stored, so an alias or unknown name gives ``()``.
+        An alias gives its stored relation's edges, as stored; an unknown
+        name raises ``SchemaError``.
         """
         if relation is None:
             return tuple(sorted(self._edges.values(), key=Edge.key))
-        adjacency = self._out.get(relation, {})
+        name = DEFAULT_SCHEMA.write_table[relation][0]
+        adjacency = self._out.get(name, {})
         return tuple(
-            self._edges[(src, relation, dst)]
+            self._edges[(src, name, dst)]
             for src in sorted(adjacency)
             for dst in adjacency[src]
         )
@@ -242,15 +246,17 @@ class KnowledgeGraph:
     ) -> tuple[str, ...]:
         """Adjacent node ids over one relation, sorted.
 
-        Each directed list is already sorted and unique (``add_edge`` keeps
-        it so); only the undirected view merges and sorts.
+        A swapped alias reads its stored relation with ``OUT`` and ``IN``
+        exchanged. Each directed list is already sorted and unique
+        (``add_edge`` keeps it so); only the undirected view merges and sorts.
         """
         self.node(node_id)
-        name = self.schema.relation(relation).name
-        out = self._out.get(name, {}).get(node_id, ())
+        name, swapped, _ = DEFAULT_SCHEMA.write_table[relation]
+        forward, backward = (self._in, self._out) if swapped else (self._out, self._in)
+        out = forward.get(name, {}).get(node_id, ())
         if direction is Direction.OUT:
             return tuple(out)
-        inc = self._in.get(name, {}).get(node_id, ())
+        inc = backward.get(name, {}).get(node_id, ())
         if direction is Direction.IN:
             return tuple(inc)
         return tuple(sorted({*out, *inc}))
@@ -273,26 +279,11 @@ class KnowledgeGraph:
         )
 
     def scenario_subgraph(self, scenario_id: int) -> "KnowledgeGraph":
-        """Frozen induced subgraph for one scenario.
-
-        Includes the scenario-tagged nodes, vocabulary nodes one hop away,
-        and the mechanisms reachable from those vulnerabilities through
-        take_effected_by (mechanisms sit two hops from any tagged node).
-        """
+        """Frozen induced subgraph over ``scenario_members(self)[scenario_id]``."""
         if scenario_id not in self._scenarios:
             raise GraphError(f"scenario {scenario_id} not declared")
-        keep: set[str] = {n.id for n in self.scenario_nodes(scenario_id)}
-        hop: set[str] = set()
-        for edge in self._edges.values():
-            if edge.src in keep and self._nodes[edge.dst].scenario_id is None:
-                hop.add(edge.dst)
-            if edge.dst in keep and self._nodes[edge.src].scenario_id is None:
-                hop.add(edge.src)
-        keep |= hop
-        for vul in sorted(hop):
-            if self._nodes[vul].concept == "HumanVulnerability":
-                keep.update(self.neighbors(vul, "take_effected_by"))
-        sub = KnowledgeGraph(self.schema)
+        keep = scenario_members(self)[scenario_id]
+        sub = KnowledgeGraph()
         sub._scenarios = {scenario_id: self._scenarios[scenario_id]}
         for node_id in sorted(keep):
             sub._nodes[node_id] = self._nodes[node_id]
@@ -326,10 +317,40 @@ class KnowledgeGraph:
 
     def copy(self) -> "KnowledgeGraph":
         """Unfrozen deep-enough copy (nodes and edges are immutable values)."""
-        dup = KnowledgeGraph(self.schema)
+        dup = KnowledgeGraph()
         dup._scenarios = dict(self._scenarios)
         dup._nodes = dict(self._nodes)
         dup._edges = dict(self._edges)
         dup._out = {r: {s: list(v) for s, v in m.items()} for r, m in self._out.items()}
         dup._in = {r: {s: list(v) for s, v in m.items()} for r, m in self._in.items()}
         return dup
+
+
+def scenario_members(graph: KnowledgeGraph) -> dict[int, set[str]]:
+    """Node ids of every declared scenario, by id, in one pass over the edges.
+
+    A scenario holds its tagged nodes, the untagged (vocabulary) nodes one
+    hop from them, and the take_effected_by targets of those vulnerabilities
+    (mechanisms sit two hops from any tagged node). ``scenario_subgraph``
+    and scenario validation both take membership from here.
+    """
+    nodes = graph._nodes
+    members: dict[int, set[str]] = {sid: set() for sid in graph.scenario_ids()}
+    for node in nodes.values():
+        if node.scenario_id is not None:
+            members[node.scenario_id].add(node.id)
+    hops: dict[int, set[str]] = {sid: set() for sid in members}
+    for src, _, dst in graph._edges:
+        src_sid, dst_sid = nodes[src].scenario_id, nodes[dst].scenario_id
+        if src_sid is not None and dst_sid is None:
+            hops[src_sid].add(dst)
+        elif dst_sid is not None and src_sid is None:
+            hops[dst_sid].add(src)
+    # take_effected_by's domain is HumanVulnerability, so only
+    # vulnerabilities among the hops have an entry here.
+    effects = graph._out.get("take_effected_by", {})
+    for sid, hop in hops.items():
+        members[sid] |= hop
+        for node_id in hop:
+            members[sid].update(effects.get(node_id, ()))
+    return members

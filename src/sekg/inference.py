@@ -24,10 +24,13 @@ from enum import Enum
 from .errors import GraphError, RuleError
 from .graph import Edge, KnowledgeGraph
 from .query import Condition, Conjunction, Operand, match
-from .schema import OntologySchema
+from .schema import DEFAULT_SCHEMA
 
 INVERSE_RULE = "R2"
 SUBPROPERTY_RULE = "R3"
+
+#: Rounds after which ``run_rules`` gives up on reaching a fixpoint.
+MAX_ROUNDS = 1000
 
 
 class AtomKind(Enum):
@@ -169,10 +172,10 @@ def builtin_ruleset() -> tuple[Rule, ...]:
     )
 
 
-def _closure_of_edge(graph: KnowledgeGraph, edge: Edge) -> list[tuple[str, str, str, str]]:
+def _closure_of_edge(edge: Edge) -> list[tuple[str, str, str, str]]:
     """Inverse and subproperty consequences of one edge: (src, rel, dst, rule)."""
     out = []
-    rel = graph.schema.write_table[edge.relation][2]
+    rel = DEFAULT_SCHEMA.write_table[edge.relation][2]
     if rel.inverse_of is not None:
         out.append((edge.dst, rel.inverse_of, edge.src, INVERSE_RULE))
     if rel.subproperty_of is not None:
@@ -180,22 +183,19 @@ def _closure_of_edge(graph: KnowledgeGraph, edge: Edge) -> list[tuple[str, str, 
     return out
 
 
-def axiom_closure(
-    graph: KnowledgeGraph, result: InferenceResult | None = None
-) -> InferenceResult:
+def axiom_closure(graph: KnowledgeGraph) -> InferenceResult:
     """Complete inverse and subproperty edges until nothing new appears.
 
     Only edges of relations with an axiom have consequences, so only they
     seed the closure, in ``Edge.key`` order as the whole edge list would.
     """
-    result = result if result is not None else InferenceResult()
     seeds = [
         edge
-        for name, (stored, _, rel) in graph.schema.write_table.items()
+        for name, (stored, _, rel) in DEFAULT_SCHEMA.write_table.items()
         if name == stored and (rel.inverse_of or rel.subproperty_of)
         for edge in graph.edges(name)
     ]
-    return _close(graph, sorted(seeds, key=Edge.key), result)
+    return _close(graph, sorted(seeds, key=Edge.key), InferenceResult())
 
 
 def _close(
@@ -204,7 +204,7 @@ def _close(
     """Closure consequences of ``pending``, popped from the end, and theirs."""
     while pending:
         edge = pending.pop()
-        for src, relation, dst, rule in _closure_of_edge(graph, edge):
+        for src, relation, dst, rule in _closure_of_edge(edge):
             if graph.has_edge(src, relation, dst):
                 continue
             added = graph.add_edge(src, relation, dst, rule=rule)
@@ -213,9 +213,7 @@ def _close(
     return result
 
 
-def _compile(
-    rule: Rule, schema: OntologySchema
-) -> tuple[Conjunction, tuple[str, str, str]]:
+def _compile(rule: Rule) -> tuple[Conjunction, tuple[str, str, str]]:
     """The rule body as a join over stored relation names, and its head.
 
     A constant in a relation or property atom becomes a variable pinned by
@@ -236,7 +234,7 @@ def _compile(
             t if _is_var(t) else pins.setdefault(t, f" c{len(pins)}") for t in atom.terms
         )
         if atom.kind is AtomKind.RELATION:
-            atoms.append(_oriented(schema, atom.relation or "", a, b))
+            atoms.append(_oriented(atom.relation or "", a, b))
         else:
             key = atom.property_key
             left, right = Operand(a, key, None), Operand(b, key, None)
@@ -247,13 +245,11 @@ def _compile(
     names = [v for src, _, dst in atoms for v in (src, dst)]
     names += [o.variable for t in tests for o in (t.left, t.right) if o.variable]
     body = Conjunction(tuple(atoms), tuple(tests), tuple(dict.fromkeys(names)))
-    return body, _oriented(schema, rule.head.relation or "", *rule.head.terms)
+    return body, _oriented(rule.head.relation or "", *rule.head.terms)
 
 
-def _oriented(
-    schema: OntologySchema, relation: str, a: str, b: str
-) -> tuple[str, str, str]:
-    name, swapped = schema.normalize_relation(relation)
+def _oriented(relation: str, a: str, b: str) -> tuple[str, str, str]:
+    name, swapped = DEFAULT_SCHEMA.normalize_relation(relation)
     return (b, name, a) if swapped else (a, name, b)
 
 
@@ -278,8 +274,6 @@ def _emit(
 def run_rules(
     graph: KnowledgeGraph,
     rules: tuple[Rule, ...] | list[Rule],
-    max_rounds: int = 1000,
-    result: InferenceResult | None = None,
 ) -> InferenceResult:
     """Close the graph under the axioms, then apply rules to fixpoint.
 
@@ -293,20 +287,21 @@ def run_rules(
     emissions and everything added since it last ran, and is never seeded
     with the same edge twice. Bodies without relation atoms run only once.
     After every rule has run, closure completes that round's emissions.
-    ``iterations`` counts these rounds, the last one adding nothing.
+    ``iterations`` counts these rounds, the last one adding nothing; more
+    than ``MAX_ROUNDS`` of them raise ``GraphError``.
     """
     compiled = []
     for rule in rules:
         rule.validate()
-        body, head = _compile(rule, graph.schema)
+        body, head = _compile(rule)
         seeded = [body.plan(seed=i) for i in range(len(body.atoms))]
         compiled.append((rule.name, body, head, body.plan(), seeded))
-    result = axiom_closure(graph, result)
+    result = axiom_closure(graph)
     marks: list[int | None] = [None] * len(compiled)
     while True:
         result.iterations += 1
-        if result.iterations > max_rounds:
-            raise GraphError(f"no fixpoint after {max_rounds} rounds")
+        if result.iterations > MAX_ROUNDS:
+            raise GraphError(f"no fixpoint after {MAX_ROUNDS} rounds")
         before = len(result.added)
         for i, (name, body, head, plan, seeded) in enumerate(compiled):
             mark, marks[i] = marks[i], len(result.added)
@@ -330,7 +325,6 @@ def run_rules(
 def run_inference(
     graph: KnowledgeGraph,
     rules: tuple[Rule, ...] | list[Rule] | None = None,
-    max_rounds: int = 1000,
 ) -> InferenceResult:
     """Axiom closure and the (given or builtin) rule set, to fixpoint."""
-    return run_rules(graph, builtin_ruleset() if rules is None else rules, max_rounds)
+    return run_rules(graph, builtin_ruleset() if rules is None else rules)

@@ -24,10 +24,10 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .catalog import DEFAULT_CATALOG, Catalog
+from .catalog import DEFAULT_CATALOG
 from .errors import DatasetError, GraphError, SchemaError
-from .graph import KnowledgeGraph, Node
-from .schema import DEFAULT_SCHEMA, OntologySchema
+from .graph import KnowledgeGraph, Node, scenario_members
+from .schema import DEFAULT_SCHEMA
 
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+$")
@@ -98,12 +98,6 @@ class EdgeRecord(NamedTuple):
 
 
 Record = ScenarioRecord | NodeRecord | EdgeRecord
-
-
-@dataclass(frozen=True)
-class DatasetDocument:
-    source: str
-    records: tuple[Record, ...]
 
 
 @dataclass(frozen=True)
@@ -178,7 +172,7 @@ def _parse_kv(fields: list[str], lineno: int) -> dict[str, str]:
     return out
 
 
-def parse_document(text: str, source: str = "<string>") -> DatasetDocument:
+def parse_document(text: str) -> tuple[Record, ...]:
     """Parse dataset text into records without building a graph."""
     records: list[Record] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -230,13 +224,12 @@ def parse_document(text: str, source: str = "<string>") -> DatasetDocument:
             records.append(EdgeRecord(lineno, src, relation, dst, rule))
         else:
             raise DatasetError(f"unknown record tag {tag!r}", lineno)
-    return DatasetDocument(source, tuple(records))
+    return tuple(records)
 
 
 def _enrich_node(
     rec: NodeRecord,
     concept: str,
-    catalog: Catalog,
     strict: bool,
     warnings: list[str],
 ) -> tuple[tuple[str, ...], dict[str, str]]:
@@ -250,22 +243,18 @@ def _enrich_node(
             raise DatasetError(what, rec.line)
         warnings.append(msg)
 
-    entry = None
-    vocab = catalog.vocabulary_for_concept(concept)
-    if vocab is not None:
-        entry = catalog.lookup(vocab, rec.node_id)
-        if entry is None:
-            kind = props.get("kind")
-            if kind is not None and catalog.lookup(vocab, kind) is not None:
-                entry = catalog.lookup(vocab, kind)
-            else:
-                unresolved(
-                    f"{concept} node {rec.node_id!r} is not a catalog term"
-                )
-    kind_vocab = catalog.kind_vocabulary_for_concept(concept)
     kind = props.get("kind")
+    entry = None
+    vocab = DEFAULT_CATALOG.vocabulary_for_concept(concept)
+    if vocab is not None:
+        entry = DEFAULT_CATALOG.lookup(vocab, rec.node_id)
+        if entry is None and kind is not None:
+            entry = DEFAULT_CATALOG.lookup(vocab, kind)
+        if entry is None:
+            unresolved(f"{concept} node {rec.node_id!r} is not a catalog term")
+    kind_vocab = DEFAULT_CATALOG.kind_vocabulary_for_concept(concept)
     if kind_vocab is not None and kind is not None:
-        kind_entry = catalog.lookup(kind_vocab, kind)
+        kind_entry = DEFAULT_CATALOG.lookup(kind_vocab, kind)
         if kind_entry is None:
             unresolved(f"kind {kind!r} on {rec.node_id!r} is not a catalog term")
         elif concept == "AttackMethod":
@@ -279,22 +268,13 @@ def _enrich_node(
     return tuple(sorted(labels)), props
 
 
-def load_dataset(
-    text: str,
-    source: str = "<string>",
-    strict_vocab: bool = False,
-    schema: OntologySchema | None = None,
-    catalog: Catalog | None = None,
-) -> LoadResult:
+def load_dataset(text: str, strict_vocab: bool = False) -> LoadResult:
     """Parse dataset text and build a validated knowledge graph."""
-    schema = schema or DEFAULT_SCHEMA
-    catalog = catalog or DEFAULT_CATALOG
-    document = parse_document(text, source)
-    graph = KnowledgeGraph(schema)
+    graph = KnowledgeGraph()
     warnings: list[str] = []
 
     seen_scenarios: set[int] = set()
-    for rec in document.records:
+    for rec in parse_document(text):
         if isinstance(rec, ScenarioRecord):
             if rec.scenario_id in seen_scenarios:
                 raise DatasetError(
@@ -304,7 +284,7 @@ def load_dataset(
             graph.register_scenario(rec.scenario_id, rec.attack_type)
         elif isinstance(rec, NodeRecord):
             try:
-                concept = schema.concept(rec.concept).name
+                concept = DEFAULT_SCHEMA.concept(rec.concept).name
             except SchemaError as exc:
                 raise DatasetError(str(exc), rec.line) from None
             if concept in VOCABULARY_CONCEPTS and rec.scenario is not None:
@@ -316,7 +296,7 @@ def load_dataset(
                 raise DatasetError(
                     f"{concept} node {rec.node_id!r} needs scenario=", rec.line
                 )
-            labels, props = _enrich_node(rec, concept, catalog, strict_vocab, warnings)
+            labels, props = _enrich_node(rec, concept, strict_vocab, warnings)
             try:
                 graph.add_node(
                     Node(rec.node_id, concept, rec.scenario, labels, props, rec.comment)
@@ -369,44 +349,17 @@ def serialize_dataset(graph: KnowledgeGraph, include_inferred: bool = False) -> 
     return "\n".join(lines) + "\n"
 
 
-def _scenario_roles(graph: KnowledgeGraph) -> dict[int, set[str]]:
-    """Concepts of each scenario's ``scenario_subgraph`` nodes, in one pass.
-
-    A scenario holds its tagged nodes, the untagged nodes one hop from
-    them, and the take_effected_by targets of the vulnerabilities among them.
-    """
-    nodes = {n.id: n for n in graph.nodes()}
-    roles: dict[int, set[str]] = {sid: set() for sid in graph.scenario_ids()}
-    hops: dict[int, set[str]] = {sid: set() for sid in roles}
-    effects: dict[str, set[str]] = {}
-    for node in nodes.values():
-        if node.scenario_id is not None:
-            roles[node.scenario_id].add(node.concept)
-    for edge in graph.edges():
-        src, dst = nodes[edge.src], nodes[edge.dst]
-        if src.scenario_id is not None and dst.scenario_id is None:
-            hops[src.scenario_id].add(dst.id)
-        elif dst.scenario_id is not None and src.scenario_id is None:
-            hops[dst.scenario_id].add(src.id)
-        if edge.relation == "take_effected_by":
-            effects.setdefault(src.id, set()).add(dst.concept)
-    for sid, hop in hops.items():
-        for node_id in hop:
-            concept = nodes[node_id].concept
-            roles[sid].add(concept)
-            if concept == "HumanVulnerability":
-                roles[sid] |= effects.get(node_id, set())
-    return roles
-
-
 def validate_scenario_completeness(graph: KnowledgeGraph) -> list[Finding]:
     """Check each declared scenario for required participant roles.
 
-    Mandatory roles missing from a scenario's subgraph produce mandatory
-    findings; missing strategy or gathered-information nodes are advisory.
+    A scenario's roles are the concepts of its ``scenario_members`` (the
+    nodes of its ``scenario_subgraph``). Mandatory roles missing from them
+    produce mandatory findings; missing strategy or gathered-information
+    nodes are advisory.
     """
     findings: list[Finding] = []
-    for sid, present in _scenario_roles(graph).items():
+    for sid, members in scenario_members(graph).items():
+        present = {graph.node(node_id).concept for node_id in members}
         for role in MANDATORY_ROLES:
             if role not in present:
                 findings.append(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import QueryParseError, SchemaError
 from .graph import Direction, KnowledgeGraph
-from .schema import DEFAULT_SCHEMA, OntologySchema
+from .schema import DEFAULT_SCHEMA
 
 KEYWORDS = ("MATCH", "WHERE", "AND", "RETURN", "DISTINCT")
 
@@ -211,9 +211,8 @@ class BindingRow:
 
 
 class _Parser:
-    def __init__(self, text: str, schema: OntologySchema):
+    def __init__(self, text: str):
         self.text = text
-        self.schema = schema
         self.tokens = tokenize(text)
         self.pos = 0
 
@@ -291,7 +290,7 @@ class _Parser:
             self.advance()
             tok = self.expect("IDENT")
             try:
-                concept = self.schema.concept(tok.text).name
+                concept = DEFAULT_SCHEMA.concept(tok.text).name
             except SchemaError:
                 raise QueryParseError(
                     f"unknown concept: {tok.text!r}", tok.offset, frozenset()
@@ -321,7 +320,7 @@ class _Parser:
         self.expect(":")
         tok = self.expect("IDENT")
         try:
-            relation, swapped = self.schema.normalize_relation(tok.text)
+            relation, swapped = DEFAULT_SCHEMA.normalize_relation(tok.text)
         except SchemaError:
             raise QueryParseError(
                 f"unknown relation: {tok.text!r}", tok.offset, frozenset()
@@ -384,9 +383,9 @@ def _found(tok: Token) -> str:
     return "end of input" if tok.kind == "EOF" else repr(tok.text)
 
 
-def parse_query(text: str, schema: OntologySchema | None = None) -> PatternQuery:
+def parse_query(text: str) -> PatternQuery:
     """Parse ``text`` into a schema-checked query AST."""
-    return _Parser(text, schema or DEFAULT_SCHEMA).parse()
+    return _Parser(text).parse()
 
 
 def format_query(query: PatternQuery) -> str:
@@ -662,8 +661,6 @@ def _project(
     )
 
 
-def run_query(
-    text: str, graph: KnowledgeGraph, schema: OntologySchema | None = None
-) -> list[BindingRow]:
+def run_query(text: str, graph: KnowledgeGraph) -> list[BindingRow]:
     """Parse and evaluate in one step."""
-    return evaluate_query(parse_query(text, schema), graph)
+    return evaluate_query(parse_query(text), graph)

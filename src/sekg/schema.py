@@ -2,9 +2,9 @@
 
 The schema is a fixed, code-defined vocabulary: eleven core concepts plus
 three auxiliary ones, the asserted relations between them, property-style
-axioms (inverses, subproperties, one equivalence), and the relations that
-only inference may produce. Everything here is immutable; graphs hold a
-reference to a schema and validate their edges against it.
+axioms (inverses and subproperties), the relations that only inference may
+produce, and the alias spellings accepted for stored relations. Everything
+here is immutable; every module reads the one ``DEFAULT_SCHEMA``.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,6 @@ from .errors import SchemaError
 class RelationKind(Enum):
     ASSERTED = "asserted"
     SUBPROPERTY = "subproperty"
-    VERBOSE_ALIAS = "verbose_alias"
     DERIVED = "derived"
 
 
@@ -35,8 +34,8 @@ class ConceptDef:
 class RelationDef:
     """One relation: exactly one domain and one range concept.
 
-    ``inverse_of`` / ``subproperty_of`` / ``equivalent_to`` encode the axioms.
-    A symmetric relation is modeled as its own inverse.
+    ``inverse_of`` and ``subproperty_of`` encode the axioms. A symmetric
+    relation is modeled as its own inverse.
     """
 
     name: str
@@ -45,7 +44,6 @@ class RelationDef:
     kind: RelationKind = RelationKind.ASSERTED
     inverse_of: str | None = None
     subproperty_of: str | None = None
-    equivalent_to: str | None = None
     irreflexive: bool = True
 
 
@@ -203,10 +201,10 @@ _ASSERTED_ROWS: tuple[tuple[str, str, str, str | None], ...] = (
     ("with_trick", "AttackMethod", "AuxiliaryTrick", None),
 )
 
-# Edge names accepted on input and rewritten to a canonical stored form.
-# ``bring_about`` is a plain spelling variant; ``conduct`` is declared
-# equivalent to craft_and_perform; ``exploited_by`` is the verbose inverse
-# of to_exploit, so its endpoints swap when normalized.
+# Relation names accepted on input and read as a stored relation. Each
+# alias is declared here and nowhere else. ``bring_about`` and ``conduct``
+# are other spellings of bring_out and craft_and_perform; ``exploited_by``
+# is the verbose inverse of to_exploit, so its endpoints swap.
 RELATION_ALIASES: dict[str, str] = {
     "bring_about": "bring_out",
     "conduct": "craft_and_perform",
@@ -238,14 +236,6 @@ def _relations() -> tuple[RelationDef, ...]:
             "driven_by", "Attacker", "AttackMotivation", RelationKind.SUBPROPERTY,
             inverse_of="drive", subproperty_of="motivated_by",
         ),
-        RelationDef(
-            "conduct", "Attacker", "AttackMethod", RelationKind.VERBOSE_ALIAS,
-            equivalent_to="craft_and_perform",
-        ),
-        RelationDef(
-            "exploited_by", "HumanVulnerability", "AttackMethod", RelationKind.VERBOSE_ALIAS,
-            inverse_of="to_exploit",
-        ),
     ]
     return tuple(rels)
 
@@ -272,6 +262,16 @@ def _derived_relations() -> tuple[RelationDef, ...]:
     )
 
 
+class RelationTable(dict[str, tuple[str, bool, RelationDef]]):
+    """Relation name -> (stored name, endpoints swapped, stored relation).
+
+    Indexing it with a name it does not hold raises ``SchemaError``.
+    """
+
+    def __missing__(self, name: str):
+        raise SchemaError(f"unknown relation: {name!r}")
+
+
 @dataclass(frozen=True)
 class OntologySchema:
     """Immutable lookup structure over concepts and relations."""
@@ -280,12 +280,10 @@ class OntologySchema:
     relations: dict[str, RelationDef]
     derived_relations: tuple[RelationDef, ...]
     _concept_index: dict[str, str] = field(repr=False, default_factory=dict)
-    _relation_index: dict[str, RelationDef] = field(repr=False, default_factory=dict)
-    #: Every relation name an edge may be written with, aliases included,
-    #: resolved once: (stored name, endpoints swapped, stored relation).
-    write_table: dict[str, tuple[str, bool, RelationDef]] = field(
-        repr=False, default_factory=dict
-    )
+    #: Every relation name the graph accepts, aliases included, resolved
+    #: once: (stored name, endpoints swapped, stored relation). Writes,
+    #: reads, queries and rule bodies all resolve names through it.
+    write_table: RelationTable = field(repr=False, default_factory=RelationTable)
 
     def concept(self, name: str) -> ConceptDef:
         """Resolve a concept by canonical name or synonym."""
@@ -295,9 +293,9 @@ class OntologySchema:
         return self.concepts[canonical]
 
     def relation(self, name: str) -> RelationDef:
-        """Resolve any known relation, derived ones included."""
-        rel = self._relation_index.get(name)
-        if rel is None:
+        """Look up a stored relation, derived ones included; not an alias."""
+        stored, _, rel = self.write_table[name]
+        if stored != name:
             raise SchemaError(f"unknown relation: {name!r}")
         return rel
 
@@ -318,18 +316,11 @@ class OntologySchema:
     def normalize_relation(self, name: str) -> tuple[str, bool]:
         """Map an input relation name to its stored form.
 
-        Returns ``(canonical_name, endpoints_swapped)``. Plain aliases and
-        declared-equivalent relations keep their direction; verbose inverse
-        spellings flip src and dst.
+        Returns ``(stored_name, endpoints_swapped)``; only a swapped alias
+        such as ``exploited_by`` flips src and dst.
         """
-        if name in RELATION_ALIASES:
-            return RELATION_ALIASES[name], False
-        if name in SWAPPED_ALIASES:
-            return SWAPPED_ALIASES[name], True
-        rel = self.relation(name)
-        if rel.equivalent_to is not None:
-            return rel.equivalent_to, False
-        return rel.name, False
+        stored, swapped, _ = self.write_table[name]
+        return stored, swapped
 
     def check_edge_conformance(
         self, src_concept: str, relation: str, dst_concept: str
@@ -364,22 +355,18 @@ def build_default_schema() -> OntologySchema:
     relations = {r.name: r for r in _relations()}
     derived = _derived_relations()
     # Asserted names go in last, so they win a clash with a derived name.
-    relation_index = {r.name: r for r in derived}
-    relation_index.update(relations)
-
-    write_table: dict[str, tuple[str, bool, RelationDef]] = {}
-    schema = OntologySchema(
+    write_table = RelationTable((r.name, (r.name, False, r)) for r in derived)
+    write_table.update((name, (name, False, r)) for name, r in relations.items())
+    for aliases, swapped in ((RELATION_ALIASES, False), (SWAPPED_ALIASES, True)):
+        for alias, stored in aliases.items():
+            write_table[alias] = (stored, swapped, write_table[stored][2])
+    return OntologySchema(
         concepts=concepts,
         relations=relations,
         derived_relations=derived,
         _concept_index=concept_index,
-        _relation_index=relation_index,
         write_table=write_table,
     )
-    for name in (*relation_index, *RELATION_ALIASES, *SWAPPED_ALIASES):
-        stored, swapped = schema.normalize_relation(name)
-        write_table[name] = (stored, swapped, relation_index[stored])
-    return schema
 
 
 DEFAULT_SCHEMA = build_default_schema()

@@ -154,12 +154,30 @@ def reference_chains(graph) -> list[tuple[str, str, str, str]]:
     )
 
 
-def reference_scenario_roles(graph) -> dict[int, set[str]]:
-    """Node concepts of every declared scenario's ``scenario_subgraph``."""
-    return {
-        sid: {n.concept for n in graph.scenario_subgraph(sid).nodes()}
-        for sid in graph.scenario_ids()
-    }
+def reference_scenario_members(graph) -> dict[int, set[str]]:
+    """Node ids of every declared scenario, by brute force over ``edges()``.
+
+    A scenario holds its tagged nodes, the untagged nodes one edge away from
+    them, and what those vulnerabilities take_effected_by. Rescans every
+    edge per scenario and uses no adjacency index.
+    """
+    nodes = {n.id: n for n in graph.nodes()}
+    edges = graph.edges()
+    members = {}
+    for sid in graph.scenario_ids():
+        tagged = {i for i, n in nodes.items() if n.scenario_id == sid}
+        untagged = {i for i, n in nodes.items() if n.scenario_id is None}
+        hop = {e.dst for e in edges if e.src in tagged and e.dst in untagged}
+        hop |= {e.src for e in edges if e.dst in tagged and e.src in untagged}
+        effects = {
+            e.dst
+            for e in edges
+            if e.relation == "take_effected_by"
+            and e.src in hop
+            and nodes[e.src].concept == "HumanVulnerability"
+        }
+        members[sid] = tagged | hop | effects
+    return members
 
 
 def replicated_graph(graph, k: int) -> KnowledgeGraph:
@@ -168,7 +186,7 @@ def replicated_graph(graph, k: int) -> KnowledgeGraph:
     Copy ``c`` suffixes scenario-tagged node ids with ``_<c>`` and adds
     ``1000 * c`` to their scenario ids, as the benchmark's k-times corpora do.
     """
-    g = KnowledgeGraph(graph.schema)
+    g = KnowledgeGraph()
     for c in range(k):
         for sid, attack_type in graph.scenarios.items():
             g.register_scenario(sid + 1000 * c, attack_type)

@@ -234,10 +234,13 @@ def written_names(schema) -> list[str]:
 
 
 def expected_write(schema, concepts, src, relation, dst):
-    """What ``add_edge(src, relation, dst)`` must do, by the reference lookups:
+    """What ``add_edge(src, relation, dst)`` must do, by the reference lookups
+    (the alias dicts, then ``relation``, not the write table):
     ``("ok", key)``, or ``(error type, message)``."""
+    stored = RELATION_ALIASES.get(relation) or SWAPPED_ALIASES.get(relation) or relation
+    swapped = relation in SWAPPED_ALIASES
     try:
-        stored, swapped = schema.normalize_relation(relation)
+        schema.relation(stored)
     except SchemaError as exc:
         return SchemaError, str(exc)
     if swapped:
@@ -333,9 +336,22 @@ def test_freeze_blocks_mutation():
     assert not g.has_node("x")
 
 
+ALIASES = [
+    *((alias, stored, False) for alias, stored in RELATION_ALIASES.items()),
+    *((alias, stored, True) for alias, stored in SWAPPED_ALIASES.items()),
+]
+FLIPPED = {
+    Direction.OUT: Direction.IN,
+    Direction.IN: Direction.OUT,
+    Direction.UNDIRECTED: Direction.UNDIRECTED,
+}
+
+
 def assert_reads_match_edges(g: KnowledgeGraph) -> None:
     """``edges(r)`` and ``neighbors`` in every direction equal what a filter
-    of ``edges()`` gives, for every node and every schema relation."""
+    of ``edges()`` gives, for every node and every schema relation. An alias
+    reads like its stored relation, a swapped alias with ``OUT`` and ``IN``
+    exchanged, and an unknown name raises."""
     every = g.edges()
     relations = [*g.schema.relations, *(r.name for r in g.schema.derived_relations)]
     out: dict[tuple[str, str], set[str]] = {}
@@ -347,8 +363,10 @@ def assert_reads_match_edges(g: KnowledgeGraph) -> None:
         assert g.edges(relation) == tuple(
             sorted((e for e in every if e.relation == relation), key=Edge.key)
         ), relation
-    for name in ("conduct", "exploited_by", "bogus_rel"):
-        assert g.edges(name) == ()
+    for alias, stored, _ in ALIASES:
+        assert g.edges(alias) == g.edges(stored), alias
+    with pytest.raises(SchemaError, match="unknown relation: 'bogus_rel'"):
+        g.edges("bogus_rel")
     for node_id in g.node_ids():
         for relation in relations:
             o = out.get((node_id, relation), set())
@@ -358,6 +376,30 @@ def assert_reads_match_edges(g: KnowledgeGraph) -> None:
             assert g.neighbors(node_id, relation, Direction.UNDIRECTED) == tuple(
                 sorted(o | i)
             )
+        for alias, stored, swapped in ALIASES:
+            for direction in Direction:
+                read = FLIPPED[direction] if swapped else direction
+                assert g.neighbors(node_id, alias, direction) == g.neighbors(
+                    node_id, stored, read
+                ), (node_id, alias, direction)
+        with pytest.raises(SchemaError, match="unknown relation: 'bogus_rel'"):
+            g.neighbors(node_id, "bogus_rel")
+
+
+def test_alias_reads_on_bundled_graph(graph):
+    assert graph.neighbors("attacker1", "conduct") == ("pretexting1",)
+    assert graph.neighbors("attacker1", "conduct") == graph.neighbors(
+        "attacker1", "craft_and_perform"
+    )
+    methods = graph.neighbors("greed", "exploited_by")
+    assert methods and methods == graph.neighbors("greed", "to_exploit", Direction.IN)
+    assert graph.neighbors("pretexting1", "exploited_by", Direction.IN) == (
+        graph.neighbors("pretexting1", "to_exploit")
+    )
+    consequences = graph.neighbors("victim1", "bring_about")
+    assert consequences and consequences == graph.neighbors("victim1", "bring_out")
+    assert graph.edges("conduct") == graph.edges("craft_and_perform")
+    assert graph.edges("exploited_by") == graph.edges("to_exploit")
 
 
 def test_index_consistency_after_mutations():

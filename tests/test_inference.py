@@ -9,7 +9,8 @@ from conftest import (
 )
 
 from sekg.datasets import canonical_text
-from sekg.errors import RuleError, SchemaError
+from sekg import inference
+from sekg.errors import GraphError, RuleError, SchemaError
 from sekg.graph import KnowledgeGraph, Node
 from sekg.inference import (
     Atom,
@@ -235,7 +236,7 @@ def r1_with(relation: str, *extra: Atom) -> Rule:
 
 
 def test_rule_body_synonyms(load_result):
-    # conduct is declared equivalent to craft_and_perform
+    # conduct is an alias of craft_and_perform
     for relation in ("craft_and_perform", "conduct"):
         g = load_result.graph.copy()
         axiom_closure(g)
@@ -431,17 +432,9 @@ def graph_reads(monkeypatch, fn) -> int:
     return method_calls(monkeypatch, KnowledgeGraph, ("neighbors", "has_edge"), fn)
 
 
-def test_semi_naive_graph_read_counts(load_result, monkeypatch):
-    # Counted, not timed. On the bundled corpus the engine makes 220 reads:
-    # its second round joins only each rule's own delta. Seeding that round
-    # from all of the first round's edges made 454, re-running every join
-    # makes 344, and the earlier engine, which re-enumerated every body each
-    # round, made 975.
-    g = load_result.graph.copy()
-    assert graph_reads(monkeypatch, lambda: run_inference(g)) < 240
-    # A transitive rule over a chain of 24 attackers takes 6 rounds: seeding
-    # each join from the edges added since that rule last ran makes 16218
-    # reads, re-running every join over the whole graph would make 29608.
+def transitive_chain() -> tuple[KnowledgeGraph, Rule]:
+    """24 attackers in a same_attack_organization chain, and a rule closing
+    it transitively (6 rounds to fixpoint)."""
     chain = KnowledgeGraph()
     chain.register_scenario(1, "t")
     for i in range(24):
@@ -457,8 +450,34 @@ def test_semi_naive_graph_read_counts(load_result, monkeypatch):
         ),
         head=Atom.rel("same_attack_organization", "?a", "?c"),
     )
+    return chain, transitive
+
+
+def test_semi_naive_graph_read_counts(load_result, monkeypatch):
+    # Counted, not timed. On the bundled corpus the engine makes 220 reads:
+    # its second round joins only each rule's own delta. Seeding that round
+    # from all of the first round's edges made 454, re-running every join
+    # makes 344, and the earlier engine, which re-enumerated every body each
+    # round, made 975.
+    g = load_result.graph.copy()
+    assert graph_reads(monkeypatch, lambda: run_inference(g)) < 240
+    # A transitive rule over a chain of 24 attackers takes 6 rounds: seeding
+    # each join from the edges added since that rule last ran makes 16218
+    # reads, re-running every join over the whole graph would make 29608.
+    chain, transitive = transitive_chain()
     assert graph_reads(monkeypatch, lambda: run_rules(chain, [transitive])) < 22000
     assert chain.edge_count == 24 * 23
+
+
+def test_round_limit_raises(monkeypatch):
+    chain, transitive = transitive_chain()
+    monkeypatch.setattr(inference, "MAX_ROUNDS", 6)
+    assert run_rules(chain, [transitive]).iterations == 6
+    for limit in (1, 5):
+        chain, transitive = transitive_chain()
+        monkeypatch.setattr(inference, "MAX_ROUNDS", limit)
+        with pytest.raises(GraphError, match=f"^no fixpoint after {limit} rounds$"):
+            run_rules(chain, [transitive])
 
 
 def schema_lookups(monkeypatch, fn) -> int:
@@ -468,11 +487,12 @@ def schema_lookups(monkeypatch, fn) -> int:
 
 
 def test_write_path_schema_lookups(monkeypatch):
-    # Counted, not timed. Loading and inferring the bundled corpus makes 115
-    # lookups: 21 normalizations when the rules compile, their relation
-    # lookups, and one per neighbors read. When every edge write normalized,
-    # looked up and checked its relation again, and inference checked each
-    # head before writing it, the same run made 4204 (689 normalize_relation,
-    # 2820 relation, 695 check_edge_conformance).
+    # Counted, not timed. Loading and inferring the bundled corpus makes 21
+    # lookups, the normalizations when the rules compile; edge writes and
+    # neighbors reads index the schema's write_table directly. When reads
+    # looked their relation up by name the run made 115, and when every edge
+    # write normalized, looked up and checked its relation again, and
+    # inference checked each head before writing it, it made 4204 (689
+    # normalize_relation, 2820 relation, 695 check_edge_conformance).
     text = canonical_text()
-    assert schema_lookups(monkeypatch, lambda: run_inference(load_dataset(text).graph)) < 130
+    assert schema_lookups(monkeypatch, lambda: run_inference(load_dataset(text).graph)) < 30

@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     random_conformant_graph,
-    reference_scenario_roles,
+    reference_scenario_members,
     reference_split,
     replicated_graph,
 )
 from sekg.catalog import DEFAULT_CATALOG
 from sekg.datasets import canonical_text
 from sekg.errors import DatasetError, SekgError
-from sekg.graph import Node
+from sekg.graph import Node, scenario_members
 from sekg.loader import (
-    _scenario_roles,
     _split_fields,
     load_dataset,
     parse_document,
@@ -48,8 +47,8 @@ def test_minimal_dataset_loads():
 
 
 def test_blank_lines_and_comments_skipped():
-    doc = parse_document("\n# note\n\nSCENARIO 1 type=t\n")
-    assert len(doc.records) == 1
+    records = parse_document("\n# note\n\nSCENARIO 1 type=t\n")
+    assert len(records) == 1
 
 
 @pytest.mark.parametrize(
@@ -248,7 +247,22 @@ def test_scenario_roles_match_reference(load_result, graph):
     graphs = [load_result.graph, graph, replicated_graph(load_result.graph, 4)]
     graphs += [with_mechanisms(random_conformant_graph(s), s) for s in range(100)]
     for i, g in enumerate(graphs):
-        assert _scenario_roles(g) == reference_scenario_roles(g), f"graph {i}"
+        members = scenario_members(g)
+        assert members == reference_scenario_members(g), f"graph {i}"
+        assert list(members) == list(g.scenario_ids()), f"graph {i}"
+        for sid in g.scenario_ids():
+            assert set(g.scenario_subgraph(sid).node_ids()) == members[sid], f"graph {i}"
+
+
+def test_findings_follow_scenario_ids_not_declaration_order(load_result):
+    lines = canonical_text().splitlines()
+    declared = [line for line in lines if line.startswith("SCENARIO")]
+    rest = [line for line in lines if not line.startswith("SCENARIO")]
+    reordered = load_dataset("\n".join([*reversed(declared), *rest])).graph
+    findings = validate_scenario_completeness(reordered)
+    assert len(findings) == 8
+    assert findings == validate_scenario_completeness(load_result.graph)
+    assert list(scenario_members(reordered)) == list(reordered.scenario_ids())
 
 
 def test_canonical_roundtrip_fixpoint(load_result):

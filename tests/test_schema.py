@@ -124,6 +124,24 @@ def test_relation_normalization(alias, canonical, swapped):
     assert DEFAULT_SCHEMA.normalize_relation(alias) == (canonical, swapped)
 
 
+def test_relation_resolves_stored_names_only():
+    for alias in ("conduct", "exploited_by", "bring_about"):
+        with pytest.raises(SchemaError, match=f"unknown relation: '{alias}'"):
+            DEFAULT_SCHEMA.relation(alias)
+
+
+def test_write_table_maps_stored_names_to_themselves():
+    stored = [*DEFAULT_SCHEMA.relations, *(r.name for r in DEFAULT_SCHEMA.derived_relations)]
+    for name in stored:
+        assert DEFAULT_SCHEMA.write_table[name] == (
+            name, False, linear_relation_scan(DEFAULT_SCHEMA, name)
+        ), name
+    aliases = {*schema_module.RELATION_ALIASES, *schema_module.SWAPPED_ALIASES}
+    assert set(DEFAULT_SCHEMA.write_table) == {*stored, *aliases}
+    with pytest.raises(SchemaError, match="unknown relation: 'bogus_rel'"):
+        DEFAULT_SCHEMA.write_table["bogus_rel"]
+
+
 def test_derived_relation_roster():
     derived = {r.name: r for r in DEFAULT_SCHEMA.derived_relations}
     assert sorted(derived) == [
