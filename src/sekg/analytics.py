@@ -11,8 +11,14 @@ from enum import Enum
 
 from .errors import GraphError
 from .graph import Direction, KnowledgeGraph
+from .query import Condition, Conjunction, Operand, match
 
 ORACLE_MAX_EDGES = 8
+_CHAIN_ATOMS = (
+    ("a", "craft_and_perform", "m"),
+    ("m", "to_exploit", "h"),
+    ("v", "have_vul", "h"),
+)
 
 
 class End(Enum):
@@ -108,34 +114,23 @@ def vulnerability_chains(
     attacker_id: str | None = None,
     victim_id: str | None = None,
 ) -> list[tuple[str, str, str, str]]:
-    """Sorted (attacker, method, vulnerability, victim) walks attacker
+    """Sorted (attacker, method, vulnerability, victim) chains attacker
     -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul- victim.
 
-    Walks from the pinned victim, else the pinned attacker, else every
-    Attacker. A pinned id of the wrong concept raises GraphError.
+    One join (see :meth:`Conjunction.plan`), with each given id pinned; the
+    join orders the steps. A pinned id of the wrong concept raises GraphError.
     """
     for node_id, concept in ((attacker_id, "Attacker"), (victim_id, "AttackTarget")):
         if node_id is not None and graph.node(node_id).concept != concept:
             actual = graph.node(node_id).concept
             raise GraphError(f"expected an {concept}, got {node_id!r} ({actual})")
-    chains = []
-    if victim_id is not None:
-        for hv in graph.neighbors(victim_id, "have_vul"):
-            for method in graph.neighbors(hv, "to_exploit", Direction.IN):
-                for attacker in graph.neighbors(method, "craft_and_perform", Direction.IN):
-                    if attacker_id in (None, attacker):
-                        chains.append((attacker, method, hv, victim_id))
-    else:
-        attackers = (
-            [attacker_id] if attacker_id is not None
-            else [n.id for n in graph.nodes_by_concept("Attacker")]
-        )
-        for attacker in attackers:
-            for method in graph.neighbors(attacker, "craft_and_perform"):
-                for hv in graph.neighbors(method, "to_exploit"):
-                    for victim in graph.neighbors(hv, "have_vul", Direction.IN):
-                        chains.append((attacker, method, hv, victim))
-    return sorted(chains)
+    pins = tuple(
+        Condition(Operand(var, None, None), "=", Operand(None, None, node_id))
+        for var, node_id in (("a", attacker_id), ("v", victim_id))
+        if node_id is not None
+    )
+    chain = Conjunction(_CHAIN_ATOMS, pins, ("a", "m", "h", "v"))
+    return sorted((r["a"], r["m"], r["h"], r["v"]) for r in match(graph, chain.plan()))
 
 
 def potential_threats_for_victim(

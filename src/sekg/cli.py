@@ -456,6 +456,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "stats" and args.top < 1:
+        parser.error(f"--top must be at least 1, got {args.top}")
     try:
         outcome = _HANDLERS[args.command](args)
     except FileNotFoundError as exc:

@@ -273,11 +273,6 @@ class KnowledgeGraph:
 
     # -- scenario views ------------------------------------------------------
 
-    def scenario_nodes(self, scenario_id: int) -> tuple[Node, ...]:
-        return tuple(
-            n for n in self.nodes() if n.scenario_id == scenario_id
-        )
-
     def scenario_subgraph(self, scenario_id: int) -> "KnowledgeGraph":
         """Frozen induced subgraph over ``scenario_members(self)[scenario_id]``."""
         if scenario_id not in self._scenarios:

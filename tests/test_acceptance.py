@@ -290,7 +290,7 @@ def _rows(text: str, graph) -> list[tuple[str, ...]]:
 def test_criterion_8_query_language_matches_analytics(graph):
     # 1. scenario membership
     assert _rows('MATCH (n {scenario_id="9"}) RETURN n', graph) == [
-        (n.id,) for n in graph.scenario_nodes(9)
+        (n.id,) for n in graph.nodes() if n.scenario_id == 9
     ]
 
     # 2. plain edge scan

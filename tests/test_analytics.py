@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from conftest import random_conformant_graph, reference_chains
+from conftest import random_conformant_graph, reference_chains, replicated_graph
 from sekg.analytics import (
     End,
     EvalMetrics,
@@ -247,18 +247,34 @@ def test_attack_paths_canonical(graph):
     ]
 
 
-@pytest.mark.parametrize("seed", [None, *range(100)])
+@pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
 def test_chain_ops_match_reference(graph, seed):
-    """The four chain ops equal their definitions over ``reference_chains``,
-    for every attacker, every victim and every (attacker, victim) pair, on
-    the bundled graph (seed None) and on random graphs."""
-    if seed is not None:
+    """``vulnerability_chains`` under every pinning, and the four chain ops,
+    equal their definitions over ``reference_chains``, for every attacker,
+    every victim and every (attacker, victim) pair. Runs on the bundled
+    graph (seed None), on four copies of it sharing their vulnerabilities,
+    and on random graphs."""
+    if seed == "replicated":
+        graph = replicated_graph(graph, 4)
+    elif seed is not None:
         graph = random_conformant_graph(seed)
     chains = reference_chains(graph)
     assert vulnerability_chains(graph) == chains
     scenario = {n.id: n.scenario_id for n in graph.nodes()}
     attackers = [n.id for n in graph.nodes() if n.concept == "Attacker"]
     victims = [n.id for n in graph.nodes() if n.concept == "AttackTarget"]
+    for a in attackers:
+        assert vulnerability_chains(graph, attacker_id=a) == [
+            c for c in chains if c[0] == a
+        ]
+        for v in victims:
+            assert vulnerability_chains(graph, a, v) == [
+                c for c in chains if c[0] == a and c[3] == v
+            ]
+    for v in victims:
+        assert vulnerability_chains(graph, victim_id=v) == [
+            c for c in chains if c[3] == v
+        ]
     exploiters: dict[str, set[str]] = {}
     for e in graph.edges("to_exploit"):
         exploiters.setdefault(e.dst, set()).add(e.src)

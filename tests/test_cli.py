@@ -120,6 +120,13 @@ def test_usage_errors_exit_two(capsys):
         main(["no-such-command"])
     assert err.value.code == 2
     capsys.readouterr()
+    for top in ("0", "-2"):
+        with pytest.raises(SystemExit) as err:
+            main(["stats", "--relation", "attack", "--top", top])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--top must be at least 1, got {top}" in captured.err
 
 
 def test_query_parse_error_exit_one(capsys):
@@ -167,8 +174,9 @@ def test_query_json_format(capsys):
 
 def test_eval_graph_reads(graph, monkeypatch, capsys):
     # Counted, not timed, on a graph built before counting starts. eval
-    # walks the attacker chains once: 146 neighbors and 2 nodes_by_concept
-    # calls. One analytics call per attacker x victim pair made 5577 + 280.
+    # joins the attacker chains once: 131 neighbors and 1 nodes_by_concept
+    # calls (the oracle's). One analytics call per attacker x victim pair
+    # made 5577 + 280.
     calls: Counter = Counter()
     for name in ("neighbors", "nodes_by_concept"):
 
