@@ -13,7 +13,6 @@ from .errors import GraphError
 from .graph import Direction, KnowledgeGraph
 from .query import Condition, Conjunction, Operand, match
 
-ORACLE_MAX_EDGES = 8
 _CHAIN_ATOMS = (
     ("a", "craft_and_perform", "m"),
     ("m", "to_exploit", "h"),
@@ -225,48 +224,37 @@ def attack_paths_between(
 def enumerate_oracle_paths(graph: KnowledgeGraph) -> list[AttackPath]:
     """Ground-truth enumeration of red-relation paths attacker -> victim.
 
-    Simple undirected paths over the red relation set, visiting at most one
-    node per concept and at most ORACLE_MAX_EDGES edges. The concept
-    restriction keeps every path a single attack account (one attacker, one
-    method, at most one vulnerability, one victim) instead of letting walks
-    weave through unrelated scenarios.
+    Undirected paths over the red relation set that visit at most one node
+    per concept and stop at the first AttackTarget. A node has one concept,
+    so the concept rule makes every path simple and bounds its length. Each
+    path is a single attack account: attacker -> method -> victim over
+    apply_to, or attacker -> method -> vulnerability -> victim.
     """
     paths: list[AttackPath] = []
+    nodes: list[str] = []
+    steps: list[tuple[str, bool]] = []
+    seen = {"Attacker"}
 
-    def walk(
-        node_id: str,
-        seen_nodes: frozenset[str],
-        seen_concepts: frozenset[str],
-        nodes: tuple[str, ...],
-        steps: tuple[tuple[str, bool], ...],
-    ) -> None:
-        if graph.node(node_id).concept == "AttackTarget":
-            paths.append(AttackPath(nodes, steps))
-            return
-        if len(steps) >= ORACLE_MAX_EDGES:
-            return
+    def walk(node_id: str) -> None:
         for other, relation, forward in graph.red_neighbors(node_id):
-            if other in seen_nodes:
-                continue
             concept = graph.node(other).concept
-            if concept in seen_concepts:
+            if concept in seen:
                 continue
-            walk(
-                other,
-                seen_nodes | {other},
-                seen_concepts | {concept},
-                nodes + (other,),
-                steps + ((relation, forward),),
-            )
+            nodes.append(other)
+            steps.append((relation, forward))
+            if concept == "AttackTarget":
+                paths.append(AttackPath(tuple(nodes), tuple(steps)))
+            else:
+                seen.add(concept)
+                walk(other)
+                seen.remove(concept)
+            nodes.pop()
+            steps.pop()
 
     for attacker in graph.nodes_by_concept("Attacker"):
-        walk(
-            attacker.id,
-            frozenset({attacker.id}),
-            frozenset({"Attacker"}),
-            (attacker.id,),
-            (),
-        )
+        nodes.append(attacker.id)
+        walk(attacker.id)
+        nodes.pop()
     paths.sort(key=lambda p: p.nodes)
     return paths
 

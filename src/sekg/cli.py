@@ -331,22 +331,20 @@ def _cmd_threats(args: argparse.Namespace) -> str:
 def _cmd_targets(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
     pairs = analytics.potential_targets_for_attacker(graph, args.attacker)
+    alternates = [
+        analytics.alternate_methods_for_target(graph, args.attacker, p.victim)
+        for p in pairs
+    ]
     if args.format == "json":
-        payload = []
-        for p in pairs:
-            entry = threat_pair_dict(p)
-            entry["alternate_methods"] = list(
-                analytics.alternate_methods_for_target(graph, args.attacker, p.victim)
-            )
-            payload.append(entry)
+        payload = [
+            {**threat_pair_dict(p), "alternate_methods": list(methods)}
+            for p, methods in zip(pairs, alternates)
+        ]
         return export_report(payload, "json")
     lines = [f"targets for {args.attacker}: {len(pairs)}"]
-    for p in pairs:
+    for p, methods in zip(pairs, alternates):
         shared = ", ".join(sorted(p.shared_vulnerabilities))
-        alternates = analytics.alternate_methods_for_target(
-            graph, args.attacker, p.victim
-        )
-        suffix = f" (alternates: {', '.join(alternates)})" if alternates else ""
+        suffix = f" (alternates: {', '.join(methods)})" if methods else ""
         lines.append(f"  {p.victim} via {p.method} shares: {shared}{suffix}")
     return "\n".join(lines) + "\n"
 

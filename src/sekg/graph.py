@@ -35,7 +35,6 @@ ASSERTED = None
 class Direction(Enum):
     OUT = "out"
     IN = "in"
-    UNDIRECTED = "undirected"
 
 
 @dataclass(frozen=True)
@@ -247,19 +246,14 @@ class KnowledgeGraph:
         """Adjacent node ids over one relation, sorted.
 
         A swapped alias reads its stored relation with ``OUT`` and ``IN``
-        exchanged. Each directed list is already sorted and unique
-        (``add_edge`` keeps it so); only the undirected view merges and sorts.
+        exchanged. Each list is already sorted and unique (``add_edge``
+        keeps it so).
         """
         self.node(node_id)
         name, swapped, _ = DEFAULT_SCHEMA.write_table[relation]
         forward, backward = (self._in, self._out) if swapped else (self._out, self._in)
-        out = forward.get(name, {}).get(node_id, ())
-        if direction is Direction.OUT:
-            return tuple(out)
-        inc = backward.get(name, {}).get(node_id, ())
-        if direction is Direction.IN:
-            return tuple(inc)
-        return tuple(sorted({*out, *inc}))
+        index = forward if direction is Direction.OUT else backward
+        return tuple(index.get(name, {}).get(node_id, ()))
 
     def red_neighbors(self, node_id: str) -> tuple[tuple[str, str, bool], ...]:
         """Undirected red-relation adjacency: (other, relation, forward)."""

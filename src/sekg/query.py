@@ -646,19 +646,11 @@ def evaluate_query(
     order never changes the result set, only the search order.
     """
     envs = match(graph, _compile(query).plan())
-    rows = [_project(graph, query, env) for env in envs]
+    operands = [Operand(item.variable, item.key, None) for item in query.returns]
+    rows = [tuple(o.value(graph, env) or "" for o in operands) for env in envs]
     rows = sorted(set(rows) if query.distinct else rows)
     labels = tuple(item.label for item in query.returns)
     return [BindingRow(tuple(zip(labels, row))) for row in rows]
-
-
-def _project(
-    graph: KnowledgeGraph, query: PatternQuery, env: dict[str, str]
-) -> tuple[str, ...]:
-    return tuple(
-        Operand(item.variable, item.key, None).value(graph, env) or ""
-        for item in query.returns
-    )
 
 
 def run_query(text: str, graph: KnowledgeGraph) -> list[BindingRow]:

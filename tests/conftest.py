@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sekg.analytics import AttackPath
 from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError
 from sekg.graph import KnowledgeGraph, Node
@@ -152,6 +153,48 @@ def reference_chains(graph) -> list[tuple[str, str, str, str]]:
         for f in flaws
         if f.dst == x.dst
     )
+
+
+def reference_oracle_paths(graph) -> list[AttackPath]:
+    """Red-relation paths attacker -> victim with at most one node per
+    concept and at most 8 edges, by a recursive walk that copies its seen
+    sets and path tuples at every step and checks node ids and concepts
+    separately.
+
+    ``enumerate_oracle_paths`` must equal it, order included.
+    """
+    paths = []
+
+    def walk(node_id, seen_nodes, seen_concepts, nodes, steps):
+        if graph.node(node_id).concept == "AttackTarget":
+            paths.append(AttackPath(nodes, steps))
+            return
+        if len(steps) >= 8:
+            return
+        for other, relation, forward in graph.red_neighbors(node_id):
+            if other in seen_nodes:
+                continue
+            concept = graph.node(other).concept
+            if concept in seen_concepts:
+                continue
+            walk(
+                other,
+                seen_nodes | {other},
+                seen_concepts | {concept},
+                nodes + (other,),
+                steps + ((relation, forward),),
+            )
+
+    for attacker in graph.nodes_by_concept("Attacker"):
+        walk(
+            attacker.id,
+            frozenset({attacker.id}),
+            frozenset({"Attacker"}),
+            (attacker.id,),
+            (),
+        )
+    paths.sort(key=lambda p: p.nodes)
+    return paths
 
 
 def reference_scenario_members(graph) -> dict[int, set[str]]:

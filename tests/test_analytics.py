@@ -2,7 +2,13 @@ import re
 
 import pytest
 
-from conftest import random_conformant_graph, reference_chains, replicated_graph
+from conftest import (
+    random_conformant_graph,
+    reference_chains,
+    reference_oracle_paths,
+    replicated_graph,
+)
+from sekg import analytics
 from sekg.analytics import (
     End,
     EvalMetrics,
@@ -409,6 +415,32 @@ def test_oracle_canonical_counts(graph):
     assert len(oracle_triples(paths)) == 174
     assert len(oracle_victim_pairs(paths)) == 145
     assert len(oracle_quads(paths)) == 309
+
+
+@pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
+def test_oracle_matches_reference(graph, seed):
+    """The oracle equals ``reference_oracle_paths``, order included, on the
+    bundled graph (seed None), on four copies of it and on random graphs.
+    Every path has 2 or 3 edges, so the walk needs no length bound."""
+    if seed == "replicated":
+        graph = replicated_graph(graph, 4)
+    elif seed is not None:
+        graph = random_conformant_graph(seed)
+    paths = enumerate_oracle_paths(graph)
+    assert paths == reference_oracle_paths(graph)
+    assert {p.length for p in paths} <= {2, 3}
+
+
+def test_oracle_calls_no_pattern_code(graph, monkeypatch):
+    """The oracle is ground truth for the chain patterns, so it must not
+    reach them through ``vulnerability_chains`` or the MATCH join."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called pattern code")
+
+    monkeypatch.setattr(analytics, "vulnerability_chains", refuse)
+    monkeypatch.setattr(analytics, "match", refuse)
+    assert len(enumerate_oracle_paths(graph)) == 330
 
 
 def test_oracle_union_matches_analytics(graph):

@@ -303,7 +303,6 @@ def test_neighbors_directions():
     g = small_graph()
     assert g.neighbors("pretexting1", "apply_to") == ("victim1",)
     assert g.neighbors("victim1", "apply_to", Direction.IN) == ("pretexting1",)
-    assert g.neighbors("victim1", "apply_to", Direction.UNDIRECTED) == ("pretexting1",)
     assert g.neighbors("victim1", "apply_to") == ()
     with pytest.raises(GraphError):
         g.neighbors("ghost", "apply_to")
@@ -340,11 +339,7 @@ ALIASES = [
     *((alias, stored, False) for alias, stored in RELATION_ALIASES.items()),
     *((alias, stored, True) for alias, stored in SWAPPED_ALIASES.items()),
 ]
-FLIPPED = {
-    Direction.OUT: Direction.IN,
-    Direction.IN: Direction.OUT,
-    Direction.UNDIRECTED: Direction.UNDIRECTED,
-}
+FLIPPED = {Direction.OUT: Direction.IN, Direction.IN: Direction.OUT}
 
 
 def assert_reads_match_edges(g: KnowledgeGraph) -> None:
@@ -373,9 +368,6 @@ def assert_reads_match_edges(g: KnowledgeGraph) -> None:
             i = inc.get((node_id, relation), set())
             assert g.neighbors(node_id, relation) == tuple(sorted(o))
             assert g.neighbors(node_id, relation, Direction.IN) == tuple(sorted(i))
-            assert g.neighbors(node_id, relation, Direction.UNDIRECTED) == tuple(
-                sorted(o | i)
-            )
         for alias, stored, swapped in ALIASES:
             for direction in Direction:
                 read = FLIPPED[direction] if swapped else direction
@@ -428,10 +420,9 @@ def test_neighbors_result_is_a_snapshot():
     g.add_node(Node("victim2", "AttackTarget", 1))
     out = g.neighbors("pretexting1", "apply_to")
     inc = g.neighbors("greed", "have_vul", Direction.IN)
-    both = g.neighbors("greed", "have_vul", Direction.UNDIRECTED)
     g.add_edge("pretexting1", "apply_to", "victim2")
     g.add_edge("victim2", "have_vul", "greed")
-    assert (out, inc, both) == (("victim1",),) * 3
+    assert (out, inc) == (("victim1",),) * 2
     assert g.neighbors("pretexting1", "apply_to") == ("victim1", "victim2")
     assert g.neighbors("greed", "have_vul", Direction.IN) == ("victim1", "victim2")
 
