@@ -65,10 +65,6 @@ class AttackPath:
             out.append(node)
         return " ".join(out)
 
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
 
 @dataclass(frozen=True)
 class EvalMetrics:
@@ -259,31 +255,6 @@ def enumerate_oracle_paths(graph: KnowledgeGraph) -> list[AttackPath]:
     return paths
 
 
-def oracle_triples(paths: list[AttackPath]) -> set[tuple[str, str, str]]:
-    """(attacker, method, victim) labels projected from oracle paths."""
-    return {(p.nodes[0], p.nodes[1], p.nodes[-1]) for p in paths}
-
-
-def oracle_victim_pairs(paths: list[AttackPath]) -> set[tuple[str, str]]:
-    """(attacker, victim) labels projected from oracle paths."""
-    return {(p.nodes[0], p.nodes[-1]) for p in paths}
-
-
-def oracle_quads(paths: list[AttackPath]) -> set[tuple[str, str, str, str]]:
-    """(attacker, method, vulnerability, victim) labels from 3-hop paths."""
-    return {tuple(p.nodes) for p in paths if p.length == 3}
-
-
-def summarize_oracle(paths: list[AttackPath]) -> dict[str, int]:
-    """Path totals, split by whether the path takes the vulnerability hop."""
-    with_hop = sum(1 for p in paths if p.length == 3)
-    return {
-        "total": len(paths),
-        "with_vulnerability_hop": with_hop,
-        "direct_apply_to": len(paths) - with_hop,
-    }
-
-
 def evaluate_pattern(
     outputs: set[tuple], labels: set[tuple]
 ) -> EvalMetrics:
@@ -303,6 +274,57 @@ def evaluate_pattern(
     recall = 1.0 if tp + omitted == 0 else tp / (tp + omitted)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return EvalMetrics(tp, fp, omitted, precision, recall, f1)
+
+
+def evaluation_report(graph: KnowledgeGraph) -> dict:
+    """Score the chain patterns against the path oracle.
+
+    One pass over :func:`enumerate_oracle_paths` projects its labels:
+    (attacker, method, victim) triples, (attacker, victim) pairs and the
+    node tuples of 3-edge paths. One :func:`vulnerability_chains` join
+    gives the outputs: cross-scenario triples plus the asserted apply_to
+    ones, cross-scenario pairs plus the attack edges, and the chains.
+    Returns the oracle's path counts, the label counts and one
+    EvalMetrics per pattern.
+    """
+    oracle = enumerate_oracle_paths(graph)
+    triples, pairs, quads = set(), set(), set()
+    with_hop = 0
+    for path in oracle:
+        attacker, method, victim = path.nodes[0], path.nodes[1], path.nodes[-1]
+        triples.add((attacker, method, victim))
+        pairs.add((attacker, victim))
+        if len(path.steps) == 3:
+            quads.add(path.nodes)
+            with_hop += 1
+
+    chains = vulnerability_chains(graph)
+    scenario = {node.id: node.scenario_id for node in graph.nodes()}
+    threat_out = {(a, m, v) for a, m, _, v in chains if scenario[m] != scenario[v]}
+    # in-scenario triples come from the asserted apply_to chain
+    for edge in graph.edges("apply_to"):
+        for attacker in graph.neighbors(edge.src, "craft_and_perform", Direction.IN):
+            threat_out.add((attacker, edge.src, edge.dst))
+    target_out = {(a, v) for a, _, _, v in chains if scenario[a] != scenario[v]}
+    target_out |= {(edge.src, edge.dst) for edge in graph.edges("attack")}
+
+    return {
+        "oracle": {
+            "total": len(oracle),
+            "with_vulnerability_hop": with_hop,
+            "direct_apply_to": len(oracle) - with_hop,
+        },
+        "labels": {
+            "threat_triples": len(triples),
+            "victim_pairs": len(pairs),
+            "path_quads": len(quads),
+        },
+        "patterns": {
+            "threat_triples": evaluate_pattern(threat_out, triples),
+            "victim_pairs": evaluate_pattern(target_out, pairs),
+            "path_quads": evaluate_pattern(set(chains), quads),
+        },
+    }
 
 
 def scenario_report(graph: KnowledgeGraph, scenario_id: int) -> dict:

@@ -14,8 +14,8 @@ import sys
 
 from . import analytics
 from .datasets import canonical_text
-from .errors import SekgError
-from .graph import RED_RELATIONS, Direction, KnowledgeGraph
+from .errors import DatasetError, SekgError
+from .graph import RED_RELATIONS, KnowledgeGraph
 from .inference import run_inference
 from .loader import load_dataset, serialize_dataset, validate_scenario_completeness
 from .query import parse_query, evaluate_query
@@ -163,7 +163,10 @@ def _read_dataset(path: str | None) -> str:
     if path is None:
         return canonical_text()
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"not UTF-8 text: {path} (byte {exc.start})") from None
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[KnowledgeGraph, list[str]]:
@@ -362,7 +365,7 @@ def _cmd_paths(args: argparse.Namespace) -> str:
         )
     lines = [f"attack paths {args.src} -> {args.dst}: {len(paths)}"]
     lines.extend(f"  {p.describe()}" for p in paths)
-    shared = sorted({p.nodes[2] for p in paths if p.length == 3})
+    shared = sorted({p.nodes[2] for p in paths})
     if shared:
         lines.append(f"shared vulnerabilities: {', '.join(shared)}")
     lines.append(f"auxiliary methods: {len(auxiliary)}")
@@ -399,41 +402,9 @@ def _cmd_export(args: argparse.Namespace) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
-    oracle = analytics.enumerate_oracle_paths(graph)
-    triples = analytics.oracle_triples(oracle)
-    pair_labels = analytics.oracle_victim_pairs(oracle)
-    quads = analytics.oracle_quads(oracle)
-
-    chains = analytics.vulnerability_chains(graph)
-
-    scenario = {node.id: node.scenario_id for node in graph.nodes()}
-    threat_out = {(a, m, v) for a, m, _, v in chains if scenario[m] != scenario[v]}
-    # in-scenario triples come from the asserted apply_to chain
-    for edge in graph.edges("apply_to"):
-        for attacker in graph.neighbors(edge.src, "craft_and_perform", Direction.IN):
-            threat_out.add((attacker, edge.src, edge.dst))
-    target_out = {(a, v) for a, _, _, v in chains if scenario[a] != scenario[v]}
-    target_out |= {(edge.src, edge.dst) for edge in graph.edges("attack")}
-    quad_out = set(chains)
-
-    report = {
-        "oracle": analytics.summarize_oracle(oracle),
-        "labels": {
-            "threat_triples": len(triples),
-            "victim_pairs": len(pair_labels),
-            "path_quads": len(quads),
-        },
-        "patterns": {
-            "threat_triples": metrics_dict(
-                analytics.evaluate_pattern(threat_out, triples)
-            ),
-            "victim_pairs": metrics_dict(
-                analytics.evaluate_pattern(target_out, pair_labels)
-            ),
-            "path_quads": metrics_dict(analytics.evaluate_pattern(quad_out, quads)),
-        },
-    }
-    return export_report(report, "json")
+    report = analytics.evaluation_report(graph)
+    patterns = {name: metrics_dict(m) for name, m in report["patterns"].items()}
+    return export_report({**report, "patterns": patterns}, "json")
 
 
 _HANDLERS = {
@@ -458,17 +429,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--top must be at least 1, got {args.top}")
     try:
         outcome = _HANDLERS[args.command](args)
+        text, status = outcome if isinstance(outcome, tuple) else (outcome, 0)
+        if args.output is not None:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc.strerror.lower()}: {exc.filename}", file=sys.stderr)
         return 1
     except SekgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text, status = outcome if isinstance(outcome, tuple) else (outcome, 0)
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
     return status
 

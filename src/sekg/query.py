@@ -115,14 +115,12 @@ class NodePattern:
     variable: str | None
     concept: str | None
     constraints: tuple[tuple[str, str], ...] = ()
-    offset: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class EdgePattern:
     relation: str
     reversed: bool
-    offset: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -279,7 +277,7 @@ class _Parser:
         return PathPattern(tuple(nodes), tuple(edges))
 
     def parse_node(self) -> NodePattern:
-        opening = self.expect("(")
+        self.expect("(")
         allowed = {"IDENT", ":", "{", ")"}
         variable = None
         if self.peek().kind == "IDENT":
@@ -307,7 +305,7 @@ class _Parser:
             allowed = {")"}
         self._require(")", *(allowed - {")"}))
         self.advance()
-        return NodePattern(variable, concept, tuple(constraints), opening.offset)
+        return NodePattern(variable, concept, tuple(constraints))
 
     def parse_constraint(self) -> tuple[str, str]:
         key = self.expect("IDENT")
@@ -331,7 +329,7 @@ class _Parser:
         else:
             self.expect("]-")
             reverse = True
-        return EdgePattern(relation, reverse ^ swapped, head.offset)
+        return EdgePattern(relation, reverse ^ swapped)
 
     def parse_condition(self) -> Condition:
         left = self.parse_operand()

@@ -22,12 +22,10 @@ from sekg import (
     canonical_text,
     enumerate_oracle_paths,
     evaluate_pattern,
+    evaluation_report,
     evaluate_query,
     load_canonical,
     load_dataset,
-    oracle_quads,
-    oracle_triples,
-    oracle_victim_pairs,
     parse_query,
     potential_targets_for_attacker,
     potential_threats_for_victim,
@@ -206,13 +204,12 @@ def test_criterion_5_same_origin_chain_provenance(graph):
 
 def test_criterion_6_patterns_score_against_oracle(graph):
     started = time.perf_counter()
-    oracle = enumerate_oracle_paths(graph)
-    triples = oracle_triples(oracle)
-    pair_labels = oracle_victim_pairs(oracle)
-    quads = oracle_quads(oracle)
+    report = evaluation_report(graph)
+    path_count = report["oracle"]["total"]
+    triple_count = report["labels"]["threat_triples"]
 
-    assert abs(len(oracle) - 345) <= 345 * 0.15
-    assert abs(len(triples) - 177) <= 177 * 0.15
+    assert abs(path_count - 345) <= 345 * 0.15
+    assert abs(triple_count - 177) <= 177 * 0.15
 
     threat_out: set[tuple] = set()
     for victim in graph.nodes_by_concept("AttackTarget"):
@@ -236,10 +233,18 @@ def test_criterion_6_patterns_score_against_oracle(graph):
             paths, _ = attack_paths_between(graph, attacker.id, victim.id)
             quad_out.update(tuple(p.nodes) for p in paths)
 
+    oracle = enumerate_oracle_paths(graph)
+    triples = {(p.nodes[0], p.nodes[1], p.nodes[-1]) for p in oracle}
+    pair_labels = {(p.nodes[0], p.nodes[-1]) for p in oracle}
+    quads = {p.nodes for p in oracle if len(p.steps) == 3}
+    reference = {
+        "threat_triples": evaluate_pattern(threat_out, triples),
+        "victim_pairs": evaluate_pattern(target_out, pair_labels),
+        "path_quads": evaluate_pattern(quad_out, quads),
+    }
+    assert report["patterns"] == reference
     scores = {
-        "threat triples": evaluate_pattern(threat_out, triples),
-        "victim pairs": evaluate_pattern(target_out, pair_labels),
-        "path quads": evaluate_pattern(quad_out, quads),
+        name.replace("_", " "): m for name, m in report["patterns"].items()
     }
     for name, m in scores.items():
         assert m.precision == 1.0, name
@@ -252,7 +257,7 @@ def test_criterion_6_patterns_score_against_oracle(graph):
         for name, m in scores.items()
     )
     print(
-        f"criterion 6 PASS: oracle {len(oracle)} paths / {len(triples)} "
+        f"criterion 6 PASS: oracle {path_count} paths / {triple_count} "
         f"triples (within 15% of 345 / 177); {summary} ({elapsed:.2f}s)"
     )
 

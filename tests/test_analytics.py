@@ -8,6 +8,7 @@ from conftest import (
     reference_oracle_paths,
     replicated_graph,
 )
+import sekg
 from sekg import analytics
 from sekg.analytics import (
     End,
@@ -18,15 +19,12 @@ from sekg.analytics import (
     attack_paths_between,
     enumerate_oracle_paths,
     evaluate_pattern,
-    oracle_quads,
-    oracle_triples,
-    oracle_victim_pairs,
+    evaluation_report,
     potential_targets_for_attacker,
     potential_threats_for_victim,
     ranked_usage,
     same_origin_report,
     scenario_report,
-    summarize_oracle,
     vulnerability_chains,
 )
 from sekg.errors import GraphError
@@ -227,7 +225,7 @@ def test_attack_paths_hand():
         ("attacker1", "method1", "greed", "victim2"),
     ]
     assert auxiliary == []
-    assert paths[0].length == 3
+    assert len(paths[0].steps) == 3
     assert paths[0].describe() == (
         "attacker1 -craft_and_perform-> method1 -to_exploit-> fear "
         "<-have_vul- victim2"
@@ -363,35 +361,27 @@ def test_chain_ops_unknown_id_raises(graph):
 
 def test_oracle_hand_counts():
     g = hand_graph()
-    paths = enumerate_oracle_paths(g)
-    assert summarize_oracle(paths) == {
-        "total": 9,
-        "with_vulnerability_hop": 6,
-        "direct_apply_to": 3,
-    }
-    assert oracle_triples(paths) == {
+    assert {p.nodes for p in enumerate_oracle_paths(g)} == {
         ("attacker1", "method1", "victim1"),
-        ("attacker1", "method1", "victim2"),
-        ("attacker1", "method1", "victim3"),
-        ("attacker2", "method2", "victim1"),
         ("attacker2", "method2", "victim2"),
         ("attacker3", "method3", "victim3"),
-    }
-    assert oracle_victim_pairs(paths) == {
-        ("attacker1", "victim1"),
-        ("attacker1", "victim2"),
-        ("attacker1", "victim3"),
-        ("attacker2", "victim1"),
-        ("attacker2", "victim2"),
-        ("attacker3", "victim3"),
-    }
-    assert oracle_quads(paths) == {
         ("attacker1", "method1", "greed", "victim1"),
         ("attacker1", "method1", "greed", "victim2"),
         ("attacker1", "method1", "fear", "victim2"),
         ("attacker1", "method1", "fear", "victim3"),
         ("attacker2", "method2", "greed", "victim1"),
         ("attacker2", "method2", "greed", "victim2"),
+    }
+    report = evaluation_report(g)
+    assert report["oracle"] == {
+        "total": 9,
+        "with_vulnerability_hop": 6,
+        "direct_apply_to": 3,
+    }
+    assert report["labels"] == {
+        "threat_triples": 6,
+        "victim_pairs": 6,
+        "path_quads": 6,
     }
 
 
@@ -406,15 +396,17 @@ def test_oracle_paths_are_simple_and_concept_distinct():
 
 
 def test_oracle_canonical_counts(graph):
-    paths = enumerate_oracle_paths(graph)
-    assert summarize_oracle(paths) == {
+    report = evaluation_report(graph)
+    assert report["oracle"] == {
         "total": 330,
         "with_vulnerability_hop": 309,
         "direct_apply_to": 21,
     }
-    assert len(oracle_triples(paths)) == 174
-    assert len(oracle_victim_pairs(paths)) == 145
-    assert len(oracle_quads(paths)) == 309
+    assert report["labels"] == {
+        "threat_triples": 174,
+        "victim_pairs": 145,
+        "path_quads": 309,
+    }
 
 
 @pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
@@ -428,7 +420,7 @@ def test_oracle_matches_reference(graph, seed):
         graph = random_conformant_graph(seed)
     paths = enumerate_oracle_paths(graph)
     assert paths == reference_oracle_paths(graph)
-    assert {p.length for p in paths} <= {2, 3}
+    assert {len(p.steps) for p in paths} <= {2, 3}
 
 
 def test_oracle_calls_no_pattern_code(graph, monkeypatch):
@@ -454,7 +446,66 @@ def test_oracle_union_matches_analytics(graph):
         for attacker in graph.nodes_by_concept("Attacker"):
             if graph.has_edge(attacker.id, "craft_and_perform", edge.src):
                 produced.add((attacker.id, edge.src, edge.dst))
-    assert produced == oracle_triples(enumerate_oracle_paths(graph))
+    oracle = enumerate_oracle_paths(graph)
+    assert produced == {(p.nodes[0], p.nodes[1], p.nodes[-1]) for p in oracle}
+
+
+@pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
+def test_evaluation_report_matches_reference(graph, seed):
+    """``evaluation_report`` equals a report built from the per-entity ops,
+    ``reference_oracle_paths`` and ``reference_chains`` on the bundled graph
+    (seed None), on four copies of it and on random graphs."""
+    if seed == "replicated":
+        graph = replicated_graph(graph, 4)
+    elif seed is not None:
+        graph = random_conformant_graph(seed)
+    oracle = reference_oracle_paths(graph)
+    triples = {(p.nodes[0], p.nodes[1], p.nodes[-1]) for p in oracle}
+    pairs = {(p.nodes[0], p.nodes[-1]) for p in oracle}
+    quads = {p.nodes for p in oracle if len(p.steps) == 3}
+    with_hop = sum(1 for p in oracle if len(p.steps) == 3)
+
+    threats = {
+        (p.attacker, p.method, p.victim)
+        for victim in graph.nodes_by_concept("AttackTarget")
+        for p in potential_threats_for_victim(graph, victim.id)
+    }
+    threats |= {
+        (perform.src, apply.src, apply.dst)
+        for apply in graph.edges("apply_to")
+        for perform in graph.edges("craft_and_perform")
+        if perform.dst == apply.src
+    }
+    targets = {
+        (p.attacker, p.victim)
+        for attacker in graph.nodes_by_concept("Attacker")
+        for p in potential_targets_for_attacker(graph, attacker.id)
+    }
+    targets |= {(e.src, e.dst) for e in graph.edges("attack")}
+
+    assert evaluation_report(graph) == {
+        "oracle": {
+            "total": len(oracle),
+            "with_vulnerability_hop": with_hop,
+            "direct_apply_to": len(oracle) - with_hop,
+        },
+        "labels": {
+            "threat_triples": len(triples),
+            "victim_pairs": len(pairs),
+            "path_quads": len(quads),
+        },
+        "patterns": {
+            "threat_triples": evaluate_pattern(threats, triples),
+            "victim_pairs": evaluate_pattern(targets, pairs),
+            "path_quads": evaluate_pattern(set(reference_chains(graph)), quads),
+        },
+    }
+
+
+def test_public_exports_resolve():
+    assert len(set(sekg.__all__)) == len(sekg.__all__)
+    for name in sekg.__all__:
+        assert hasattr(sekg, name), name
 
 
 # -- evaluation metrics -------------------------------------------------------------

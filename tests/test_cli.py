@@ -85,6 +85,24 @@ def test_missing_file_exit_code(capsys):
     assert "no_such_file.sekg" in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["load", "{tmp}/no_such_file.sekg"], "file not found: {tmp}/no_such_file.sekg"),
+        (["load", "{tmp}"], "is a directory: {tmp}"),
+        (["load", "{tmp}/latin1.sekg"], "not UTF-8 text: {tmp}/latin1.sekg (byte 8)"),
+        (["load", "--output", "{tmp}/absent/out.txt"], "file not found: {tmp}/absent/out.txt"),
+        (["load", "--output", "{tmp}"], "is a directory: {tmp}"),
+    ],
+)
+def test_io_errors_print_one_error_line(tmp_path, capsys, argv, expected):
+    (tmp_path / "latin1.sekg").write_bytes("NODE caf\xe9 Attacker\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {expected.format(tmp=tmp_path)}\n"
+
+
 def test_dataset_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.sekg"
     bad.write_text("NODE a Attacker\n", encoding="utf-8")
