@@ -11,13 +11,20 @@ from enum import Enum
 
 from .errors import GraphError
 from .graph import Direction, KnowledgeGraph
-from .query import Condition, Conjunction, Operand, match
+from .query import Conjunction, match
 
-_CHAIN_ATOMS = (
-    ("a", "craft_and_perform", "m"),
-    ("m", "to_exploit", "h"),
-    ("v", "have_vul", "h"),
+_CHAIN = Conjunction(
+    (("a", "craft_and_perform", "m"), ("m", "to_exploit", "h"), ("v", "have_vul", "h")),
+    (),
+    ("a", "m", "h", "v"),
 )
+#: The chain join planned once per pin shape: (attacker given, victim given).
+_CHAIN_PLANS = {
+    (False, False): _CHAIN.plan(),
+    (True, False): _CHAIN.plan(inputs=("a",)),
+    (False, True): _CHAIN.plan(inputs=("v",)),
+    (True, True): _CHAIN.plan(inputs=("a", "v")),
+}
 
 
 class End(Enum):
@@ -85,14 +92,12 @@ def ranked_usage(
     result keeps every item whose rank is <= ``k``, so a tie straddling the
     boundary is returned whole rather than cut arbitrarily.
     """
-    canonical, swapped = graph.schema.normalize_relation(relation)
-    if swapped:
-        count_end = End.DST if count_end is End.SRC else End.SRC
-    counts: dict[str, int] = {}
-    for edge in graph.edges(canonical):
-        key = edge.src if count_end is End.SRC else edge.dst
-        counts[key] = counts.get(key, 0) + 1
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    direction = Direction.OUT if count_end is End.SRC else Direction.IN
+    adjacency = graph.adjacency(relation, direction)
+    ordered = sorted(
+        ((node_id, len(ids)) for node_id, ids in adjacency.items()),
+        key=lambda item: (-item[1], item[0]),
+    )
     out: list[RankedCount] = []
     rank, previous = 0, None
     for position, (node_id, count) in enumerate(ordered):
@@ -112,20 +117,19 @@ def vulnerability_chains(
     """Sorted (attacker, method, vulnerability, victim) chains attacker
     -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul- victim.
 
-    One join (see :meth:`Conjunction.plan`), with each given id pinned; the
-    join orders the steps. A pinned id of the wrong concept raises GraphError.
+    One join (see :meth:`Conjunction.plan`): each given id is an input of
+    the plan made once for its pin shape. A pinned id that is unknown or of
+    the wrong concept raises GraphError.
     """
+    inputs = []
     for node_id, concept in ((attacker_id, "Attacker"), (victim_id, "AttackTarget")):
-        if node_id is not None and graph.node(node_id).concept != concept:
+        if node_id is not None:
             actual = graph.node(node_id).concept
-            raise GraphError(f"expected an {concept}, got {node_id!r} ({actual})")
-    pins = tuple(
-        Condition(Operand(var, None, None), "=", Operand(None, None, node_id))
-        for var, node_id in (("a", attacker_id), ("v", victim_id))
-        if node_id is not None
-    )
-    chain = Conjunction(_CHAIN_ATOMS, pins, ("a", "m", "h", "v"))
-    return sorted((r["a"], r["m"], r["h"], r["v"]) for r in match(graph, chain.plan()))
+            if actual != concept:
+                raise GraphError(f"expected an {concept}, got {node_id!r} ({actual})")
+            inputs.append(node_id)
+    plan = _CHAIN_PLANS[attacker_id is not None, victim_id is not None]
+    return sorted(match(graph, plan, inputs=tuple(inputs)))
 
 
 def potential_threats_for_victim(

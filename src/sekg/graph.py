@@ -18,6 +18,7 @@ with its direction flipped, and an unknown name raises ``SchemaError``.
 """
 
 import bisect
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,6 +88,7 @@ class KnowledgeGraph:
         self._out: dict[str, dict[str, list[str]]] = {}
         self._in: dict[str, dict[str, list[str]]] = {}
         self._scenarios: dict[int, str] = {}
+        self._by_property: dict[str, dict[str | None, tuple[str, ...]]] = {}
         self._frozen = False
 
     # -- scenario registry ------------------------------------------------
@@ -136,6 +138,7 @@ class KnowledgeGraph:
                 return existing
             raise GraphError(f"node {node.id!r} already exists with different content")
         self._nodes[node.id] = node
+        self._by_property.clear()
         return node
 
     def node(self, node_id: str) -> Node:
@@ -155,7 +158,21 @@ class KnowledgeGraph:
 
     def nodes_by_concept(self, concept: str) -> tuple[Node, ...]:
         name = self.schema.concept(concept).name
-        return tuple(n for n in self.nodes() if n.concept == name)
+        return tuple(self._nodes[i] for i in self.nodes_with("concept", name))
+
+    def nodes_with(self, key: str, value: str | None) -> tuple[str, ...]:
+        """Sorted ids of the nodes whose ``Node.property(key)`` is ``value``.
+
+        ``None`` selects the nodes without the property. The groups of a key
+        are built on its first lookup and dropped when a node is added.
+        """
+        groups = self._by_property.get(key)
+        if groups is None:
+            lists: dict[str | None, list[str]] = {}
+            for node_id in sorted(self._nodes):
+                lists.setdefault(self._nodes[node_id].property(key), []).append(node_id)
+            groups = self._by_property[key] = {v: tuple(ids) for v, ids in lists.items()}
+        return groups.get(value, ())
 
     @property
     def node_count(self) -> int:
@@ -250,10 +267,20 @@ class KnowledgeGraph:
         keeps it so).
         """
         self.node(node_id)
+        return tuple(self.adjacency(relation, direction).get(node_id, ()))
+
+    def adjacency(
+        self, relation: str, direction: Direction = Direction.OUT
+    ) -> Mapping[str, Sequence[str]]:
+        """One relation's adjacency lists, keyed by node id, as stored.
+
+        Names resolve as in ``neighbors``. Only nodes with at least one such
+        edge have a list; each is sorted and unique. The mapping and its
+        lists are the graph's own: read them, never change them.
+        """
         name, swapped, _ = DEFAULT_SCHEMA.write_table[relation]
-        forward, backward = (self._in, self._out) if swapped else (self._out, self._in)
-        index = forward if direction is Direction.OUT else backward
-        return tuple(index.get(name, {}).get(node_id, ()))
+        index = self._out if (direction is Direction.OUT) != swapped else self._in
+        return index.get(name, {})
 
     def red_neighbors(self, node_id: str) -> tuple[tuple[str, str, bool], ...]:
         """Undirected red-relation adjacency: (other, relation, forward)."""

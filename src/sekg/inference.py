@@ -213,11 +213,12 @@ def _close(
     return result
 
 
-def _compile(rule: Rule) -> tuple[Conjunction, tuple[str, str, str]]:
+def _compile(rule: Rule) -> tuple[Conjunction, tuple[int | str, str, int | str]]:
     """The rule body as a join over stored relation names, and its head.
 
     A constant in a relation or property atom becomes a variable pinned by
-    id; a constant in an inequality stays a literal.
+    id; a constant in an inequality stays a literal. A head term is the
+    slot of its variable in the body's rows, or a constant node id.
     """
     atoms: list[tuple[str, str, str]] = []
     tests: list[Condition] = []
@@ -245,7 +246,9 @@ def _compile(rule: Rule) -> tuple[Conjunction, tuple[str, str, str]]:
     names = [v for src, _, dst in atoms for v in (src, dst)]
     names += [o.variable for t in tests for o in (t.left, t.right) if o.variable]
     body = Conjunction(tuple(atoms), tuple(tests), tuple(dict.fromkeys(names)))
-    return body, _oriented(rule.head.relation or "", *rule.head.terms)
+    a, relation, b = _oriented(rule.head.relation or "", *rule.head.terms)
+    slot = {v: i for i, v in enumerate(body.variables)}
+    return body, (slot.get(a, a), relation, slot.get(b, b))
 
 
 def _oriented(relation: str, a: str, b: str) -> tuple[str, str, str]:
@@ -256,12 +259,13 @@ def _oriented(relation: str, a: str, b: str) -> tuple[str, str, str]:
 def _emit(
     graph: KnowledgeGraph,
     name: str,
-    head: tuple[str, str, str],
-    env: dict[str, str],
+    head: tuple[int | str, str, int | str],
+    row: tuple[str, ...],
     result: InferenceResult,
 ) -> None:
     a, relation, b = head
-    src, dst = env.get(a, a), env.get(b, b)
+    src = a if isinstance(a, str) else row[a]
+    dst = b if isinstance(b, str) else row[b]
     if graph.has_edge(src, relation, dst):
         return
     try:
@@ -306,17 +310,17 @@ def run_rules(
         for i, (name, body, head, plan, seeded) in enumerate(compiled):
             mark, marks[i] = marks[i], len(result.added)
             if mark is None:
-                envs = match(graph, plan)
+                rows = match(graph, plan)
             else:
                 delta: dict[str, list[tuple[str, str]]] = {}
                 for edge in result.added[mark:]:
                     delta.setdefault(edge.relation, []).append((edge.src, edge.dst))
-                envs = []
-                for (_, relation, _), steps in zip(body.atoms, seeded):
+                rows = []
+                for (_, relation, _), seeded_plan in zip(body.atoms, seeded):
                     if relation in delta:
-                        envs += match(graph, steps, delta[relation])
-            for env in envs:
-                _emit(graph, name, head, env, result)
+                        rows += match(graph, seeded_plan, delta[relation])
+            for row in rows:
+                _emit(graph, name, head, row, result)
         _close(graph, sorted(result.added[before:], key=Edge.key), result)
         if len(result.added) == before:
             return result

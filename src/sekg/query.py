@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import QueryParseError, SchemaError
 from .graph import Direction, KnowledgeGraph
@@ -32,8 +33,7 @@ KEYWORDS = ("MATCH", "WHERE", "AND", "RETURN", "DISTINCT")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     offset: int
@@ -142,12 +142,6 @@ class Operand:
     def is_literal(self) -> bool:
         return self.literal is not None
 
-    def value(self, graph: KnowledgeGraph, env: dict[str, str]) -> str | None:
-        if self.variable is None:
-            return self.literal
-        node_id = env[self.variable]
-        return node_id if self.key is None else graph.node(node_id).property(self.key)
-
 
 @dataclass(frozen=True)
 class Condition:
@@ -167,12 +161,6 @@ class Condition:
         return frozenset(
             o.variable for o in (self.left, self.right) if o.variable is not None
         )
-
-    def holds(self, graph: KnowledgeGraph, env: dict[str, str]) -> bool:
-        left, right = self.left.value(graph, env), self.right.value(graph, env)
-        if self.op == "<>":
-            return left != right
-        return left == right and not (self.strict and left is None)
 
 
 @dataclass(frozen=True)
@@ -435,23 +423,31 @@ def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass(frozen=True)
-class Step:
-    """One step of a join plan; ``kind`` says which fields it reads.
+class Plan(NamedTuple):
+    """A join plan over slots: ``Conjunction.variables[i]`` binds slot ``i``.
 
-    ``test``: check ``test``. ``has_edge``: check ``(var, relation, other)``.
-    ``seed`` / ``edges``: bind ``var`` and ``other`` to the endpoints of the
-    seed pairs / of every ``relation`` edge. ``out`` / ``in``: bind ``var``
-    to the ``relation`` neighbors of ``other``. ``lookup``: bind ``var``,
-    the left side of ``test``, to the nodes satisfying ``test``, whose right
-    side is bound. ``nodes``: bind ``var`` to every node.
+    Each step is a plain tuple whose first field names its kind:
+
+    * ``("test", left, right, negate, strict)`` checks a condition whose
+      operands are ``(slot or None, key or None, literal or None)``;
+    * ``("has_edge", src, relation, dst)`` checks an edge between two slots;
+    * ``("seed", src, dst)`` binds two slots to each pair of the run's seed;
+    * ``("edges", src, relation, dst)`` binds them to each ``relation`` edge;
+    * ``("adjacent", var, relation, direction, other)`` binds ``var`` to the
+      ``relation`` neighbors of slot ``other`` in ``direction``;
+    * ``("lookup", var, key, operand, strict)`` binds ``var`` to the nodes
+      whose property ``key`` (their id when ``None``) equals ``operand``;
+    * ``("nodes", var)`` binds ``var`` to every node.
+
+    ``inputs`` are the slots bound before the first step, from the values
+    given to :func:`match`, in order. ``seeded`` says the plan starts with a
+    ``seed`` step.
     """
 
-    kind: str
-    var: str = ""
-    other: str = ""
-    relation: str = ""
-    test: Condition | None = None
+    steps: tuple[tuple, ...]
+    width: int
+    inputs: tuple[int, ...]
+    seeded: bool
 
 
 @dataclass(frozen=True)
@@ -465,146 +461,204 @@ class Conjunction:
     tests: tuple[Condition, ...]
     variables: tuple[str, ...]
 
-    def plan(self, seed: int | None = None) -> tuple[Step, ...]:
-        """Fix the step order once. Checks run as soon as their variables
-        are bound; otherwise the next step is the first of, in this order:
-        an id lookup, a property lookup against a bound variable, a bound
-        endpoint's neighbors, a property lookup against a literal, a
-        relation scan, a node scan. With ``seed``, that atom is bound first
-        from pairs supplied at run time."""
+    def plan(self, seed: int | None = None, inputs: tuple[str, ...] = ()) -> Plan:
+        """Fix the step order once. ``inputs`` are variables bound before the
+        join starts, from values supplied at run time. Checks run as soon as
+        their variables are bound; otherwise the next step is the first of,
+        in this order: an id lookup, a property lookup against a bound
+        variable, a bound endpoint's neighbors, a property lookup against a
+        literal, a relation scan, a node scan. With ``seed``, that atom is
+        bound first from pairs supplied at run time."""
+        slot = {v: i for i, v in enumerate(self.variables)}
+        if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
+            raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
         atoms, tests = list(self.atoms), list(self.tests)
-        bound: set[str] = set()
-        steps: list[Step] = []
+        bound = set(inputs)
+        steps: list[tuple] = []
         if seed is not None:
-            src, rel, dst = atoms.pop(seed)
-            steps.append(Step("seed", src, dst, rel))
+            src, _, dst = atoms.pop(seed)
+            steps.append(("seed", slot[src], slot[dst]))
             bound |= {src, dst}
         while True:
             for src, rel, dst in [a for a in atoms if {a[0], a[2]} <= bound]:
                 atoms.remove((src, rel, dst))
-                steps.append(Step("has_edge", src, dst, rel))
+                steps.append(("has_edge", slot[src], rel, slot[dst]))
             for test in [t for t in tests if t.variables() <= bound]:
                 tests.remove(test)
-                steps.append(Step("test", test=test))
+                left, right = _operand(slot, test.left), _operand(slot, test.right)
+                steps.append(("test", left, right, test.op == "<>", test.strict))
             free = [v for v in self.variables if v not in bound]
             if not free:
-                return tuple(steps)
-            options: list[tuple[int, Step, list, object]] = [
-                (5, Step("nodes", free[0]), [], None)
+                pinned = tuple(slot[v] for v in inputs)
+                return Plan(tuple(steps), len(slot), pinned, seed is not None)
+            # (rank, step, variables it binds, pool it comes from, item)
+            options: list[tuple[int, tuple, tuple[str, ...], list, object]] = [
+                (5, ("nodes", slot[free[0]]), (free[0],), [], None)
             ]
             for test in tests:
                 if oriented := _as_lookup(test, bound):
-                    if oriented.left.key in (None, "id"):
+                    mine, other = oriented
+                    if mine.key in (None, "id"):
                         rank = 0
                     else:
-                        rank = 1 if oriented.right.variable is not None else 3
-                    step = Step("lookup", oriented.left.variable or "", test=oriented)
-                    options.append((rank, step, tests, test))
+                        rank = 1 if other.variable is not None else 3
+                    var = mine.variable
+                    value = _operand(slot, other)
+                    step = ("lookup", slot[var], mine.key, value, test.strict)
+                    options.append((rank, step, (var,), tests, test))
             for src, rel, dst in atoms:
                 if src in bound:
-                    step, rank = Step("out", dst, src, rel), 2
+                    step = ("adjacent", slot[dst], rel, Direction.OUT, slot[src])
+                    rank, binds = 2, (dst,)
                 elif dst in bound:
-                    step, rank = Step("in", src, dst, rel), 2
+                    step = ("adjacent", slot[src], rel, Direction.IN, slot[dst])
+                    rank, binds = 2, (src,)
                 else:
-                    step, rank = Step("edges", src, dst, rel), 4
-                options.append((rank, step, atoms, (src, rel, dst)))
-            _, step, pool, item = min(options, key=lambda o: o[0])
+                    step = ("edges", slot[src], rel, slot[dst])
+                    rank, binds = 4, (src, dst)
+                options.append((rank, step, binds, atoms, (src, rel, dst)))
+            _, step, binds, pool, item = min(options, key=lambda o: o[0])
             if item is not None:
                 pool.remove(item)
             steps.append(step)
-            bound.update(v for v in (step.var, step.other) if v)
+            bound.update(binds)
 
 
-def _as_lookup(test: Condition, bound: set[str]) -> Condition | None:
-    """``test`` oriented as ``unbound-var(.key) = bound side``, if it is one."""
+def _operand(
+    slot: dict[str, int], operand: Operand
+) -> tuple[int | None, str | None, str | None]:
+    """``operand`` as a plan reads it: (slot or None, key, literal)."""
+    index = None if operand.variable is None else slot[operand.variable]
+    return (index, operand.key, operand.literal)
+
+
+def _as_lookup(test: Condition, bound: set[str]) -> tuple[Operand, Operand] | None:
+    """``test`` as (unbound-var(.key), bound side), if it is an equality
+    that can bind that variable."""
     if test.op != "=":
         return None
     for mine, other in ((test.left, test.right), (test.right, test.left)):
         if mine.variable is not None and mine.variable not in bound:
             if other.variable is None or other.variable in bound:
-                return Condition(mine, "=", other, test.strict)
+                return mine, other
     return None
 
 
+def _value(graph: KnowledgeGraph, slots: list[str], operand: tuple) -> str | None:
+    index, key, literal = operand
+    if index is None:
+        return literal
+    node_id = slots[index]
+    return node_id if key is None else graph.node(node_id).property(key)
+
+
 class _Join:
-    """One run of a plan: the current binding and the rows found so far."""
+    """One run of a plan: the slots bound so far and the rows found."""
 
     def __init__(
         self,
         graph: KnowledgeGraph,
-        steps: tuple[Step, ...],
+        steps: tuple[tuple, ...],
+        slots: list[str],
         seed: list[tuple[str, str]],
     ):
         self.graph = graph
         self.steps = steps
+        self.slots = slots
         self.seed = seed
-        self.env: dict[str, str] = {}
-        self.rows: list[dict[str, str]] = []
-        self.by_property: dict[str, dict[str | None, list[str]]] = {}
+        self.rows: list[tuple[str, ...]] = []
 
     def run(self, i: int) -> None:
-        graph, env, steps = self.graph, self.env, self.steps
-        while i < len(steps) and steps[i].kind in ("test", "has_edge"):
+        graph, slots, steps = self.graph, self.slots, self.steps
+        while i < len(steps):
             step = steps[i]
-            if step.kind == "test":
-                if not step.test.holds(graph, env):
+            kind = step[0]
+            if kind == "test":
+                _, left, right, negate, strict = step
+                a, b = _value(graph, slots, left), _value(graph, slots, right)
+                if negate:
+                    if a == b:
+                        return
+                elif a != b or (strict and a is None):
                     return
-            elif not graph.has_edge(env[step.var], step.relation, env[step.other]):
-                return
+            elif kind == "has_edge":
+                if not graph.has_edge(slots[step[1]], step[2], slots[step[3]]):
+                    return
+            else:
+                break
             i += 1
-        if i == len(steps):
-            self.rows.append(dict(env))
+        else:  # every step has passed: a row
+            self.rows.append(tuple(slots))
             return
-        step = steps[i]
-        if step.kind in ("seed", "edges"):
-            pairs = (
-                self.seed
-                if step.kind == "seed"
-                else [(e.src, e.dst) for e in graph.edges(step.relation)]
-            )
+        if kind == "adjacent":
+            _, var, relation, direction, other = step
+            values = graph.adjacency(relation, direction).get(slots[other], ())
+        elif kind == "lookup":
+            _, var, key, operand, strict = step
+            values = _lookup(graph, key, _value(graph, slots, operand), strict)
+        elif kind == "nodes":
+            var, values = step[1], graph.node_ids()
+        else:
+            if kind == "seed":
+                _, var, other = step
+                pairs = self.seed
+            else:
+                _, var, relation, other = step
+                adjacency = graph.adjacency(relation)
+                pairs = (
+                    (src, dst) for src in sorted(adjacency) for dst in adjacency[src]
+                )
             for src, dst in pairs:
-                if step.var == step.other and src != dst:
+                if var == other and src != dst:
                     continue
-                env[step.var] = src
-                env[step.other] = dst
+                slots[var] = src
+                slots[other] = dst
                 self.run(i + 1)
             return
-        if step.kind == "out":
-            values = graph.neighbors(env[step.other], step.relation)
-        elif step.kind == "in":
-            values = graph.neighbors(env[step.other], step.relation, Direction.IN)
-        elif step.kind == "nodes":
-            values = graph.node_ids()
-        else:
-            values = self._lookup(step.test)
+        if i + 1 == len(steps):
+            rows = self.rows
+            for value in values:
+                slots[var] = value
+                rows.append(tuple(slots))
+            return
         for value in values:
-            env[step.var] = value
+            slots[var] = value
             self.run(i + 1)
 
-    def _lookup(self, test: Condition) -> list[str] | tuple[str, ...]:
-        value = test.right.value(self.graph, self.env)
-        key = test.left.key
-        if key is None or key == "id":
-            return [value] if value is not None and self.graph.has_node(value) else []
-        if value is None and test.strict:
-            return []
-        if key not in self.by_property:
-            groups = self.by_property[key] = {}
-            for node in self.graph.nodes():
-                groups.setdefault(node.property(key), []).append(node.id)
-        return self.by_property[key].get(value, ())
+
+def _lookup(
+    graph: KnowledgeGraph, key: str | None, value: str | None, strict: bool
+) -> tuple[str, ...]:
+    """Ids of the nodes whose ``key`` equals ``value``; ``None`` is the id."""
+    if key is None or key == "id":
+        return (value,) if value is not None and graph.has_node(value) else ()
+    if value is None and strict:
+        return ()
+    return graph.nodes_with(key, value)
 
 
 def match(
     graph: KnowledgeGraph,
-    steps: tuple[Step, ...],
+    plan: Plan,
     seed: list[tuple[str, str]] | None = None,
-) -> list[dict[str, str]]:
-    """Every binding of a plan's variables that satisfies it on ``graph``.
+    inputs: tuple[str, ...] = (),
+) -> list[tuple[str, ...]]:
+    """Every binding of a plan's variables that satisfies it on ``graph``,
+    as one tuple of its slots per row.
 
-    A plan made with ``seed`` binds its seeded atom from ``seed`` only.
+    A plan made with ``seed`` binds its seeded atom from ``seed`` only (an
+    empty list gives no rows); one made with ``inputs`` binds them to
+    ``inputs``. Running a plan without the seed or inputs it was made for,
+    or with ones it was not made for, raises ``ValueError``.
     """
-    join = _Join(graph, steps, seed or [])
+    if plan.seeded != (seed is not None):
+        raise ValueError("a seed must be given exactly when the plan is seeded")
+    if len(inputs) != len(plan.inputs):
+        raise ValueError(f"the plan takes {len(plan.inputs)} inputs, got {len(inputs)}")
+    slots = [""] * plan.width
+    for index, value in zip(plan.inputs, inputs):
+        slots[index] = value
+    join = _Join(graph, plan.steps, slots, seed or [])
     join.run(0)
     return join.rows
 
@@ -643,9 +697,16 @@ def evaluate_query(
     tests of one conjunctive join (see :meth:`Conjunction.plan`). The step
     order never changes the result set, only the search order.
     """
-    envs = match(graph, _compile(query).plan())
-    operands = [Operand(item.variable, item.key, None) for item in query.returns]
-    rows = [tuple(o.value(graph, env) or "" for o in operands) for env in envs]
+    body = _compile(query)
+    items = [(body.variables.index(item.variable), item.key) for item in query.returns]
+    node = graph.node
+    rows = [
+        tuple(
+            row[i] if key is None else node(row[i]).property(key) or ""
+            for i, key in items
+        )
+        for row in match(graph, body.plan())
+    ]
     rows = sorted(set(rows) if query.distinct else rows)
     labels = tuple(item.label for item in query.returns)
     return [BindingRow(tuple(zip(labels, row))) for row in rows]

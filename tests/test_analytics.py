@@ -356,6 +356,26 @@ def test_chain_ops_unknown_id_raises(graph):
         potential_targets_for_attacker(graph, "ghost")
 
 
+
+def test_chain_ops_plan_once(graph, monkeypatch):
+    """The chain join is planned once per pin shape, at import: no chain op
+    plans a join when it is called."""
+    ops = [
+        (attack_paths_between, ("attacker10", "victim13")),
+        (potential_threats_for_victim, ("victim7",)),
+        (potential_targets_for_attacker, ("attacker10",)),
+        (alternate_methods_for_target, ("attacker10", "victim13")),
+        (vulnerability_chains, ()),
+    ]
+    before = [op(graph, *args) for op, args in ops]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain op planned a join")
+
+    monkeypatch.setattr(sekg.query.Conjunction, "plan", refuse)
+    assert all(before)
+    assert [op(graph, *args) for op, args in ops] == before
+
 # -- oracle -----------------------------------------------------------------------
 
 

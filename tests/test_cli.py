@@ -192,11 +192,12 @@ def test_query_json_format(capsys):
 
 def test_eval_graph_reads(graph, monkeypatch, capsys):
     # Counted, not timed, on a graph built before counting starts. eval
-    # joins the attacker chains once: 131 neighbors and 1 nodes_by_concept
-    # calls (the oracle's). One analytics call per attacker x victim pair
-    # made 5577 + 280.
+    # joins the attacker chains once: 132 adjacency reads (the join's and
+    # those under neighbors), no has_edge and 1 nodes_by_concept call (the
+    # oracle's). Counted as neighbors calls that was 131 + 1; one analytics
+    # call per attacker x victim pair made 5577 + 280.
     calls: Counter = Counter()
-    for name in ("neighbors", "nodes_by_concept"):
+    for name in ("adjacency", "has_edge", "nodes_by_concept"):
 
         def counted(self, *args, _name=name, _fn=getattr(KnowledgeGraph, name), **kw):
             calls[_name] += 1

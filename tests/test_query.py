@@ -11,8 +11,10 @@ from sekg.errors import QueryParseError, SekgError
 from sekg.graph import KnowledgeGraph, Node
 from sekg.inference import run_inference
 from sekg.query import (
+    Conjunction,
     evaluate_query,
     format_query,
+    match,
     parse_query,
     run_query,
     tokenize,
@@ -331,6 +333,49 @@ def test_joins_leave_no_reference_cycles(load_result):
         if was_enabled:
             gc.enable()
 
+
+
+def test_match_refuses_a_missing_seed_or_input():
+    g = fixture_graph()
+    body = Conjunction((("a", "craft_and_perform", "m"),), (), ("a", "m"))
+    seeded, pinned = body.plan(seed=0), body.plan(inputs=("a",))
+    with pytest.raises(ValueError, match="seed"):
+        match(g, seeded)
+    with pytest.raises(ValueError, match="seed"):
+        match(g, body.plan(), [("a1", "m1")])
+    assert match(g, seeded, []) == []
+    assert match(g, seeded, [("a2", "m2")]) == [("a2", "m2")]
+    with pytest.raises(ValueError, match="inputs"):
+        match(g, pinned)
+    with pytest.raises(ValueError, match="inputs"):
+        match(g, body.plan(), inputs=("a1",))
+    assert match(g, pinned, inputs=("a1",)) == [("a1", "m1")]
+    with pytest.raises(ValueError, match="variables"):
+        body.plan(inputs=("x",))
+
+
+def test_property_lookups_follow_node_writes():
+    """The graph's property index never serves a stale group: not after
+    ``add_node``, and not to a copy or a scenario subgraph."""
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t1")
+    g.register_scenario(2, "t2")
+    g.add_node(Node("v1", "AttackTarget", 1, properties={"affiliation": "Acme"}))
+    query = parse_query('MATCH (v {affiliation="Acme"}) RETURN v')
+
+    def rows(graph):
+        got = [r.values for r in evaluate_query(query, graph)]
+        assert got == reference_eval(query, graph)
+        return got
+
+    assert rows(g) == [("v1",)]
+    g.add_node(Node("v2", "AttackTarget", 2, properties={"affiliation": "Acme"}))
+    assert rows(g) == [("v1",), ("v2",)]
+    dup = g.copy()
+    dup.add_node(Node("v3", "AttackTarget", 1, properties={"affiliation": "Acme"}))
+    assert rows(dup) == [("v1",), ("v2",), ("v3",)]
+    assert rows(g) == [("v1",), ("v2",)]
+    assert rows(g.scenario_subgraph(2)) == [("v2",)]
 
 # -- brute-force equivalence ----------------------------------------------------
 
