@@ -117,19 +117,19 @@ def vulnerability_chains(
     """Sorted (attacker, method, vulnerability, victim) chains attacker
     -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul- victim.
 
-    One join (see :meth:`Conjunction.plan`): each given id is an input of
-    the plan made once for its pin shape. A pinned id that is unknown or of
-    the wrong concept raises GraphError.
+    One join (see :meth:`Conjunction.plan`), made once per pin shape: the
+    given ids are its one input row. A pinned id that is unknown or of the
+    wrong concept raises GraphError.
     """
-    inputs = []
+    row = []
     for node_id, concept in ((attacker_id, "Attacker"), (victim_id, "AttackTarget")):
         if node_id is not None:
             actual = graph.node(node_id).concept
             if actual != concept:
                 raise GraphError(f"expected an {concept}, got {node_id!r} ({actual})")
-            inputs.append(node_id)
+            row.append(node_id)
     plan = _CHAIN_PLANS[attacker_id is not None, victim_id is not None]
-    return sorted(match(graph, plan, inputs=tuple(inputs)))
+    return sorted(match(graph, plan, [row]))
 
 
 def potential_threats_for_victim(
@@ -144,14 +144,14 @@ def potential_threats_for_victim(
     victim = graph.node(victim_id)
     pairs: dict[tuple[str, str], set[str]] = {}
     for attacker, method, hv, _ in vulnerability_chains(graph, victim_id=victim_id):
-        if graph.node(method).scenario_id != victim.scenario_id:
-            pairs.setdefault((attacker, method), set()).add(hv)
+        pairs.setdefault((attacker, method), set()).add(hv)
     return [
         ThreatPair(
             attacker, method, victim_id, frozenset(shared),
             (graph.node(attacker).scenario_id or 0, victim.scenario_id or 0),
         )
         for (attacker, method), shared in pairs.items()
+        if graph.node(method).scenario_id != victim.scenario_id
     ]
 
 
@@ -168,16 +168,18 @@ def potential_targets_for_attacker(
     attacker = graph.node(attacker_id)
     shared: dict[str, dict[str, set[str]]] = {}
     for _, method, hv, victim in vulnerability_chains(graph, attacker_id=attacker_id):
-        if graph.node(victim).scenario_id != attacker.scenario_id:
-            shared.setdefault(victim, {}).setdefault(method, set()).add(hv)
+        shared.setdefault(victim, {}).setdefault(method, set()).add(hv)
     out = []
     for victim in sorted(shared):
+        scenario = graph.node(victim).scenario_id
+        if scenario == attacker.scenario_id:
+            continue
         by_method = shared[victim]
         method = min(by_method, key=lambda m: (-len(by_method[m]), m))
         out.append(
             ThreatPair(
                 attacker_id, method, victim, frozenset(by_method[method]),
-                (attacker.scenario_id or 0, graph.node(victim).scenario_id or 0),
+                (attacker.scenario_id or 0, scenario or 0),
             )
         )
     return out
@@ -328,42 +330,6 @@ def evaluation_report(graph: KnowledgeGraph) -> dict:
             "victim_pairs": evaluate_pattern(target_out, pairs),
             "path_quads": evaluate_pattern(set(chains), quads),
         },
-    }
-
-
-def scenario_report(graph: KnowledgeGraph, scenario_id: int) -> dict:
-    """Whole-to-part view of one scenario.
-
-    Groups the scenario subgraph's nodes by concept, lists its edges, and
-    nests sub-goals under their goals. Group sizes sum to the subgraph's
-    node count.
-    """
-    sub = graph.scenario_subgraph(scenario_id)
-    groups: dict[str, list[str]] = {}
-    for node in sub.nodes():
-        groups.setdefault(node.concept, []).append(node.id)
-    edges = [
-        {
-            "src": e.src,
-            "relation": e.relation,
-            "dst": e.dst,
-            "provenance": e.provenance,
-        }
-        for e in sub.edges()
-    ]
-
-    def subtree(goal_id: str) -> dict:
-        children = [e.src for e in sub.edges("subgoal_of") if e.dst == goal_id]
-        return {"goal": goal_id, "subgoals": [subtree(c) for c in children]}
-
-    goal_tree = [subtree(n.id) for n in sub.nodes_by_concept("AttackGoal")]
-    return {
-        "scenario": scenario_id,
-        "attack_type": graph.scenarios[scenario_id],
-        "node_count": sub.node_count,
-        "groups": {concept: groups[concept] for concept in sorted(groups)},
-        "edges": edges,
-        "goal_tree": goal_tree,
     }
 
 

@@ -9,6 +9,7 @@ error, 2 usage error. All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -100,28 +101,6 @@ def _node_fill(graph: KnowledgeGraph, node_id: str) -> str:
     return CONCEPT_FILL.get(graph.node(node_id).concept, AUXILIARY_FILL)
 
 
-def metrics_dict(metrics: analytics.EvalMetrics) -> dict:
-    """JSON form of EvalMetrics; ratios rounded to 4 decimal places."""
-    return {
-        "true_positives": metrics.true_positives,
-        "false_positives": metrics.false_positives,
-        "omitted": metrics.omitted,
-        "precision": round(metrics.precision, 4),
-        "recall": round(metrics.recall, 4),
-        "f1": round(metrics.f1, 4),
-    }
-
-
-def threat_pair_dict(pair: analytics.ThreatPair) -> dict:
-    return {
-        "attacker": pair.attacker,
-        "method": pair.method,
-        "victim": pair.victim,
-        "shared_vulnerabilities": sorted(pair.shared_vulnerabilities),
-        "origin_scenarios": list(pair.origin_scenarios),
-    }
-
-
 def attack_path_dict(path: analytics.AttackPath) -> dict:
     return {
         "nodes": list(path.nodes),
@@ -150,12 +129,18 @@ def export_report(result: object, fmt: str) -> str:
 
 
 def _jsonable(value: object) -> object:
-    if isinstance(value, analytics.RankedCount):
-        return {"id": value.id, "count": value.count, "rank": value.rank}
+    """JSON form of a result: a dataclass becomes an object of its fields, a
+    set a sorted list, and a float is rounded to 4 decimal places."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, float):
+        return round(value, 4)
     return value
 
 
@@ -308,10 +293,8 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
     end = analytics.End.SRC if args.end == "src" else analytics.End.DST
     ranked = analytics.ranked_usage(graph, args.relation, end, args.top)
-    if args.format == "json":
-        return export_report(ranked, "json")
-    if args.format == "csv":
-        return export_report(ranked, "csv")
+    if args.format != "table":
+        return export_report(ranked, args.format)
     lines = ["rank  count  id"]
     lines.extend(f"{r.rank:<5} {r.count:<6} {r.id}" for r in ranked)
     return "\n".join(lines) + "\n"
@@ -321,7 +304,7 @@ def _cmd_threats(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
     pairs = analytics.potential_threats_for_victim(graph, args.victim)
     if args.format == "json":
-        return export_report([threat_pair_dict(p) for p in pairs], "json")
+        return export_report(pairs, "json")
     lines = [f"threats against {args.victim}: {len(pairs)}"]
     for p in pairs:
         shared = ", ".join(sorted(p.shared_vulnerabilities))
@@ -340,7 +323,7 @@ def _cmd_targets(args: argparse.Namespace) -> str:
     ]
     if args.format == "json":
         payload = [
-            {**threat_pair_dict(p), "alternate_methods": list(methods)}
+            {**_jsonable(p), "alternate_methods": list(methods)}
             for p, methods in zip(pairs, alternates)
         ]
         return export_report(payload, "json")
@@ -402,9 +385,7 @@ def _cmd_export(args: argparse.Namespace) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
-    report = analytics.evaluation_report(graph)
-    patterns = {name: metrics_dict(m) for name, m in report["patterns"].items()}
-    return export_report({**report, "patterns": patterns}, "json")
+    return export_report(analytics.evaluation_report(graph), "json")
 
 
 _HANDLERS = {

@@ -221,10 +221,15 @@ class KnowledgeGraph:
         if edge is not None:
             return edge
         edge = Edge(src, relation, dst, rule)
+        self._insert(key, edge)
+        return edge
+
+    def _insert(self, key: tuple[str, str, str], edge: Edge) -> None:
+        """Store ``edge`` under ``key`` and index it; it has passed the checks."""
+        src, relation, dst = key
         self._edges[key] = edge
         bisect.insort(self._out.setdefault(relation, {}).setdefault(src, []), dst)
         bisect.insort(self._in.setdefault(relation, {}).setdefault(dst, []), src)
-        return edge
 
     def has_edge(self, src: str, relation: str, dst: str) -> bool:
         return (src, relation, dst) in self._edges
@@ -305,15 +310,7 @@ class KnowledgeGraph:
             sub._nodes[node_id] = self._nodes[node_id]
         for key, edge in self._edges.items():
             if edge.src in keep and edge.dst in keep:
-                sub._edges[key] = edge
-                bisect.insort(
-                    sub._out.setdefault(edge.relation, {}).setdefault(edge.src, []),
-                    edge.dst,
-                )
-                bisect.insort(
-                    sub._in.setdefault(edge.relation, {}).setdefault(edge.dst, []),
-                    edge.src,
-                )
+                sub._insert(key, edge)
         sub._frozen = True
         return sub
 

@@ -5,9 +5,10 @@ schema (a symmetric relation is its own inverse, so asserting one direction
 yields the other). Derivation rules are small conjunctive bodies over
 relation atoms, inequality constraints and property-equality constraints,
 compiled into the conjunctive join that MATCH queries use, with relation
-names resolved through the schema. They run semi-naive, each rule joining
-only the edges added since it last ran, until fixpoint with set semantics,
-so inference is idempotent and terminates on any finite graph.
+names resolved through the schema. They run semi-naive until fixpoint with
+set semantics: after its first join, a rule joins only the edges added
+since it last ran, given to the join as input rows. Inference is thus
+idempotent and terminates on any finite graph.
 
 Every inferred edge records the name of the rule that produced it; closure
 edges use ``R2`` (inverse completion) and ``R3`` (subproperty completion).
@@ -18,7 +19,7 @@ raised: the body of a rule constrains structure, the schema constrains the
 head.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import GraphError, RuleError
@@ -285,11 +286,14 @@ def run_rules(
     was never closed still starts from the closed graph (its closure edges
     count in ``result``). Each rule then keeps its own delta: the edges of
     ``result.added`` from where its previous join began. Its first join
-    runs the body against the whole graph; later ones run, per relation
-    atom, a join seeded from the delta's edges of that relation, with the
-    other atoms joined against the current graph. A rule thus sees its own
-    emissions and everything added since it last ran, and is never seeded
-    with the same edge twice. Bodies without relation atoms run only once.
+    runs the body against the whole graph. Later ones run, per relation
+    atom, the plan of the body without that atom, whose inputs are the
+    atom's endpoints, with the delta's ``(src, dst)`` pairs of that relation
+    as input rows; the other atoms are joined against the current graph.
+    A self-loop atom ``(?x, r, ?x)`` takes the one input ``?x`` and only the
+    pairs with ``src == dst``. A rule thus sees its own emissions and
+    everything added since it last ran, and never gets the same edge as an
+    input row twice. Bodies without relation atoms run only once.
     After every rule has run, closure completes that round's emissions.
     ``iterations`` counts these rounds, the last one adding nothing; more
     than ``MAX_ROUNDS`` of them raise ``GraphError``.
@@ -298,8 +302,12 @@ def run_rules(
     for rule in rules:
         rule.validate()
         body, head = _compile(rule)
-        seeded = [body.plan(seed=i) for i in range(len(body.atoms))]
-        compiled.append((rule.name, body, head, body.plan(), seeded))
+        per_atom = []
+        for i, (src, relation, dst) in enumerate(body.atoms):
+            rest = replace(body, atoms=body.atoms[:i] + body.atoms[i + 1 :])
+            inputs = tuple(dict.fromkeys((src, dst)))
+            per_atom.append((relation, rest.plan(inputs=inputs), src == dst))
+        compiled.append((rule.name, head, body.plan(), per_atom))
     result = axiom_closure(graph)
     marks: list[int | None] = [None] * len(compiled)
     while True:
@@ -307,18 +315,21 @@ def run_rules(
         if result.iterations > MAX_ROUNDS:
             raise GraphError(f"no fixpoint after {MAX_ROUNDS} rounds")
         before = len(result.added)
-        for i, (name, body, head, plan, seeded) in enumerate(compiled):
+        for i, (name, head, plan, per_atom) in enumerate(compiled):
             mark, marks[i] = marks[i], len(result.added)
             if mark is None:
                 rows = match(graph, plan)
             else:
-                delta: dict[str, list[tuple[str, str]]] = {}
+                delta: dict[str, list[tuple[str, ...]]] = {}
                 for edge in result.added[mark:]:
                     delta.setdefault(edge.relation, []).append((edge.src, edge.dst))
                 rows = []
-                for (_, relation, _), seeded_plan in zip(body.atoms, seeded):
+                for relation, rest, loop in per_atom:
                     if relation in delta:
-                        rows += match(graph, seeded_plan, delta[relation])
+                        pairs = delta[relation]
+                        if loop:
+                            pairs = [(src,) for src, dst in pairs if src == dst]
+                        rows += match(graph, rest, pairs)
             for row in rows:
                 _emit(graph, name, head, row, result)
         _close(graph, sorted(result.added[before:], key=Edge.key), result)

@@ -21,6 +21,7 @@ sorted by their values and, under DISTINCT, deduplicated.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -431,7 +432,6 @@ class Plan(NamedTuple):
     * ``("test", left, right, negate, strict)`` checks a condition whose
       operands are ``(slot or None, key or None, literal or None)``;
     * ``("has_edge", src, relation, dst)`` checks an edge between two slots;
-    * ``("seed", src, dst)`` binds two slots to each pair of the run's seed;
     * ``("edges", src, relation, dst)`` binds them to each ``relation`` edge;
     * ``("adjacent", var, relation, direction, other)`` binds ``var`` to the
       ``relation`` neighbors of slot ``other`` in ``direction``;
@@ -439,15 +439,13 @@ class Plan(NamedTuple):
       whose property ``key`` (their id when ``None``) equals ``operand``;
     * ``("nodes", var)`` binds ``var`` to every node.
 
-    ``inputs`` are the slots bound before the first step, from the values
-    given to :func:`match`, in order. ``seeded`` says the plan starts with a
-    ``seed`` step.
+    ``inputs`` are the slots bound before the first step, in order, from
+    each input row given to :func:`match`.
     """
 
     steps: tuple[tuple, ...]
     width: int
     inputs: tuple[int, ...]
-    seeded: bool
 
 
 @dataclass(frozen=True)
@@ -461,24 +459,19 @@ class Conjunction:
     tests: tuple[Condition, ...]
     variables: tuple[str, ...]
 
-    def plan(self, seed: int | None = None, inputs: tuple[str, ...] = ()) -> Plan:
+    def plan(self, inputs: tuple[str, ...] = ()) -> Plan:
         """Fix the step order once. ``inputs`` are variables bound before the
-        join starts, from values supplied at run time. Checks run as soon as
-        their variables are bound; otherwise the next step is the first of,
-        in this order: an id lookup, a property lookup against a bound
+        join starts, from the rows supplied at run time. Checks run as soon
+        as their variables are bound; otherwise the next step is the first
+        of, in this order: an id lookup, a property lookup against a bound
         variable, a bound endpoint's neighbors, a property lookup against a
-        literal, a relation scan, a node scan. With ``seed``, that atom is
-        bound first from pairs supplied at run time."""
+        literal, a relation scan, a node scan."""
         slot = {v: i for i, v in enumerate(self.variables)}
         if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
             raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
         atoms, tests = list(self.atoms), list(self.tests)
         bound = set(inputs)
         steps: list[tuple] = []
-        if seed is not None:
-            src, _, dst = atoms.pop(seed)
-            steps.append(("seed", slot[src], slot[dst]))
-            bound |= {src, dst}
         while True:
             for src, rel, dst in [a for a in atoms if {a[0], a[2]} <= bound]:
                 atoms.remove((src, rel, dst))
@@ -490,7 +483,7 @@ class Conjunction:
             free = [v for v in self.variables if v not in bound]
             if not free:
                 pinned = tuple(slot[v] for v in inputs)
-                return Plan(tuple(steps), len(slot), pinned, seed is not None)
+                return Plan(tuple(steps), len(slot), pinned)
             # (rank, step, variables it binds, pool it comes from, item)
             options: list[tuple[int, tuple, tuple[str, ...], list, object]] = [
                 (5, ("nodes", slot[free[0]]), (free[0],), [], None)
@@ -553,19 +546,13 @@ def _value(graph: KnowledgeGraph, slots: list[str], operand: tuple) -> str | Non
 
 
 class _Join:
-    """One run of a plan: the slots bound so far and the rows found."""
+    """The runs of a plan over its input rows: the slots bound so far and
+    the rows found."""
 
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        steps: tuple[tuple, ...],
-        slots: list[str],
-        seed: list[tuple[str, str]],
-    ):
+    def __init__(self, graph: KnowledgeGraph, steps: tuple[tuple, ...], width: int):
         self.graph = graph
         self.steps = steps
-        self.slots = slots
-        self.seed = seed
+        self.slots = [""] * width
         self.rows: list[tuple[str, ...]] = []
 
     def run(self, i: int) -> None:
@@ -599,15 +586,9 @@ class _Join:
         elif kind == "nodes":
             var, values = step[1], graph.node_ids()
         else:
-            if kind == "seed":
-                _, var, other = step
-                pairs = self.seed
-            else:
-                _, var, relation, other = step
-                adjacency = graph.adjacency(relation)
-                pairs = (
-                    (src, dst) for src in sorted(adjacency) for dst in adjacency[src]
-                )
+            _, var, relation, other = step
+            adjacency = graph.adjacency(relation)
+            pairs = ((src, dst) for src in sorted(adjacency) for dst in adjacency[src])
             for src, dst in pairs:
                 if var == other and src != dst:
                     continue
@@ -638,28 +619,24 @@ def _lookup(
 
 
 def match(
-    graph: KnowledgeGraph,
-    plan: Plan,
-    seed: list[tuple[str, str]] | None = None,
-    inputs: tuple[str, ...] = (),
+    graph: KnowledgeGraph, plan: Plan, rows: Iterable[Sequence[str]] = ((),)
 ) -> list[tuple[str, ...]]:
     """Every binding of a plan's variables that satisfies it on ``graph``,
-    as one tuple of its slots per row.
+    as one tuple of its slots per result row.
 
-    A plan made with ``seed`` binds its seeded atom from ``seed`` only (an
-    empty list gives no rows); one made with ``inputs`` binds them to
-    ``inputs``. Running a plan without the seed or inputs it was made for,
-    or with ones it was not made for, raises ``ValueError``.
+    The plan runs once per input row, which binds ``plan.inputs`` in order;
+    the default is one empty row, for a plan without inputs. No rows give no
+    results, and a row whose width is not ``len(plan.inputs)`` raises
+    ``ValueError``.
     """
-    if plan.seeded != (seed is not None):
-        raise ValueError("a seed must be given exactly when the plan is seeded")
-    if len(inputs) != len(plan.inputs):
-        raise ValueError(f"the plan takes {len(plan.inputs)} inputs, got {len(inputs)}")
-    slots = [""] * plan.width
-    for index, value in zip(plan.inputs, inputs):
-        slots[index] = value
-    join = _Join(graph, plan.steps, slots, seed or [])
-    join.run(0)
+    join = _Join(graph, plan.steps, plan.width)
+    slots, inputs = join.slots, plan.inputs
+    for row in rows:
+        if len(row) != len(inputs):
+            raise ValueError(f"the plan takes {len(inputs)} inputs, got {len(row)}")
+        for index, value in zip(inputs, row):
+            slots[index] = value
+        join.run(0)
     return join.rows
 
 

@@ -24,7 +24,6 @@ from sekg.analytics import (
     potential_threats_for_victim,
     ranked_usage,
     same_origin_report,
-    scenario_report,
     vulnerability_chains,
 )
 from sekg.errors import GraphError
@@ -571,38 +570,6 @@ def test_evaluate_pattern_arity_mismatch():
 
 
 # -- reports ----------------------------------------------------------------------
-
-
-def test_scenario_report_canonical(graph):
-    report = scenario_report(graph, 9)
-    assert report["scenario"] == 9
-    assert report["attack_type"] == "reverse_social_engineering"
-    assert report["node_count"] == 49
-    assert sum(len(v) for v in report["groups"].values()) == 49
-    assert report["groups"]["EffectMechanism"] and len(report["groups"]["EffectMechanism"]) == 24
-    assert report["groups"]["Attacker"] == ["attacker9"]
-    assert report["goal_tree"] == [
-        {
-            "goal": "remote_access_foothold9",
-            "subgoals": [
-                {"goal": "network_fault9", "subgoals": []},
-                {"goal": "trust_building9", "subgoals": []},
-            ],
-        }
-    ]
-    edge_keys = [(e["src"], e["relation"], e["dst"]) for e in report["edges"]]
-    assert edge_keys == sorted(edge_keys)
-
-
-def test_scenario_report_groups_cover_all_concepts(graph):
-    report = scenario_report(graph, 1)
-    assert set(report["groups"]) >= {
-        "Attacker",
-        "AttackMethod",
-        "AttackTarget",
-        "HumanVulnerability",
-        "EffectMechanism",
-    }
 
 
 def test_same_origin_report_canonical(graph):

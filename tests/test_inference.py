@@ -347,12 +347,23 @@ def test_closure_matches_reference_with_provenance(asserted_graph):
 def test_later_rule_feeds_earlier_rule(load_result):
     # Reversed, R7 reads R6's head and R6 reads R1's and R5's, so each rule
     # must pick up what later rules emitted in the round before.
-    rules = tuple(reversed(builtin_ruleset()))
+    # L has a self-loop body atom, whose per-atom plan takes one input. No
+    # relation admits a self-loop, so L never fires, but it must compile.
+    loop = Rule(
+        "L",
+        body=(
+            Atom.rel("same_attack_organization", "?a", "?a"),
+            Atom.rel("same_attack_organization", "?a", "?b"),
+        ),
+        head=Atom.rel("in_the_same_organization", "?a", "?b"),
+    )
+    rules = tuple(reversed(builtin_ruleset())) + (loop,)
     graphs = [load_result.graph] + [random_conformant_graph(s) for s in range(100)]
     for i, source in enumerate(graphs):
         expected = reference_fixpoint(source, rules)
         g = source.copy()
         result = run_inference(g, rules)
+        assert "L" not in result.fired, f"graph {i}"
         assert {e.key() for e in g.edges()} == expected, f"graph {i}"
         if i == 0:
             # R1 and R5 in round 1, R6 in round 2, R7 in round 3

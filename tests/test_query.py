@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from conftest import reference_eval
+from conftest import random_conformant_graph, reference_eval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,23 +335,48 @@ def test_joins_leave_no_reference_cycles(load_result):
 
 
 
-def test_match_refuses_a_missing_seed_or_input():
+def test_match_refuses_a_row_of_the_wrong_width():
     g = fixture_graph()
     body = Conjunction((("a", "craft_and_perform", "m"),), (), ("a", "m"))
-    seeded, pinned = body.plan(seed=0), body.plan(inputs=("a",))
-    with pytest.raises(ValueError, match="seed"):
-        match(g, seeded)
-    with pytest.raises(ValueError, match="seed"):
-        match(g, body.plan(), [("a1", "m1")])
-    assert match(g, seeded, []) == []
-    assert match(g, seeded, [("a2", "m2")]) == [("a2", "m2")]
+    pinned = body.plan(inputs=("a",))
     with pytest.raises(ValueError, match="inputs"):
         match(g, pinned)
     with pytest.raises(ValueError, match="inputs"):
-        match(g, body.plan(), inputs=("a1",))
-    assert match(g, pinned, inputs=("a1",)) == [("a1", "m1")]
+        match(g, pinned, [("a1", "m1")])
+    with pytest.raises(ValueError, match="inputs"):
+        match(g, body.plan(), [("a1",)])
+    assert match(g, pinned, []) == []
+    assert match(g, body.plan(), []) == []
+    assert match(g, pinned, [("a1",)]) == [("a1", "m1")]
+    both = body.plan(inputs=("a", "m"))
+    assert match(g, both, [("a2", "m2"), ("a1", "m2")]) == [("a2", "m2")]
     with pytest.raises(ValueError, match="variables"):
         body.plan(inputs=("x",))
+
+
+CHAIN = Conjunction(
+    (("a", "craft_and_perform", "m"), ("m", "to_exploit", "h"), ("v", "have_vul", "h")),
+    (),
+    ("a", "m", "h", "v"),
+)
+
+
+@pytest.mark.parametrize("seed", [None, *range(100)])
+def test_pinned_plan_runs_once_per_row(graph, seed):
+    """A plan pinned on the attacker, run over several rows, returns the
+    single-row runs one after another; run over every attacker, it returns
+    the unpinned plan's rows. Runs on the bundled graph (seed None) and on
+    random graphs."""
+    if seed is not None:
+        graph = random_conformant_graph(seed)
+    pinned = CHAIN.plan(inputs=("a",))
+    attackers = [n.id for n in graph.nodes_by_concept("Attacker")]
+    rows = [(a,) for a in reversed(attackers)] + [(a,) for a in attackers[:1]]
+    assert match(graph, pinned, rows) == [
+        chain for row in rows for chain in match(graph, pinned, [row])
+    ]
+    everyone = match(graph, pinned, [(a,) for a in attackers])
+    assert sorted(everyone) == sorted(match(graph, CHAIN.plan()))
 
 
 def test_property_lookups_follow_node_writes():
