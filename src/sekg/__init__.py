@@ -1,113 +1,73 @@
-"""Knowledge graph toolkit for social engineering attack scenarios."""
+"""Knowledge graph toolkit for social engineering attack scenarios.
 
-from .analytics import (
-    AttackPath,
-    End,
-    EvalMetrics,
-    RankedCount,
-    ThreatPair,
-    alternate_methods_for_target,
-    attack_paths_between,
-    enumerate_oracle_paths,
-    evaluate_pattern,
-    evaluation_report,
-    potential_targets_for_attacker,
-    potential_threats_for_victim,
-    ranked_usage,
-    same_origin_report,
-)
-from .catalog import DEFAULT_CATALOG, Catalog, default_catalog
-from .datasets import canonical_graph, canonical_text, load_canonical
-from .errors import (
-    DatasetError,
-    GraphError,
-    QueryParseError,
-    RuleError,
-    SchemaError,
-    SekgError,
-)
-from .graph import RED_RELATIONS, Direction, Edge, KnowledgeGraph, Node
-from .inference import (
-    Atom,
-    AtomKind,
-    InferenceResult,
-    Rule,
-    axiom_closure,
-    builtin_ruleset,
-    run_inference,
-    run_rules,
-)
-from .loader import (
-    Finding,
-    LoadResult,
-    load_dataset,
-    serialize_dataset,
-    validate_scenario_completeness,
-)
-from .query import (
-    BindingRow,
-    PatternQuery,
-    evaluate_query,
-    format_query,
-    parse_query,
-    run_query,
-)
-from .schema import DEFAULT_SCHEMA, OntologySchema
+Every public name is imported from its module on first use (PEP 562), so
+``import sekg`` loads no submodule and ``from sekg import KnowledgeGraph``
+loads only what the graph needs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "AtomKind",
-    "AttackPath",
-    "BindingRow",
-    "Catalog",
-    "DEFAULT_CATALOG",
-    "DEFAULT_SCHEMA",
-    "DatasetError",
-    "Direction",
-    "Edge",
-    "End",
-    "EvalMetrics",
-    "Finding",
-    "GraphError",
-    "InferenceResult",
-    "KnowledgeGraph",
-    "LoadResult",
-    "Node",
-    "OntologySchema",
-    "PatternQuery",
-    "QueryParseError",
-    "RED_RELATIONS",
-    "RankedCount",
-    "Rule",
-    "RuleError",
-    "SchemaError",
-    "SekgError",
-    "ThreatPair",
-    "alternate_methods_for_target",
-    "attack_paths_between",
-    "axiom_closure",
-    "builtin_ruleset",
-    "canonical_graph",
-    "canonical_text",
-    "default_catalog",
-    "enumerate_oracle_paths",
-    "evaluate_pattern",
-    "evaluation_report",
-    "evaluate_query",
-    "format_query",
-    "load_canonical",
-    "load_dataset",
-    "parse_query",
-    "potential_targets_for_attacker",
-    "potential_threats_for_victim",
-    "ranked_usage",
-    "run_inference",
-    "run_query",
-    "run_rules",
-    "same_origin_report",
-    "serialize_dataset",
-    "validate_scenario_completeness",
-    "__version__",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AttackPath": "analytics",
+    "End": "analytics",
+    "EvalMetrics": "analytics",
+    "RankedCount": "analytics",
+    "ThreatPair": "analytics",
+    "alternate_methods_for_target": "analytics",
+    "attack_paths_between": "analytics",
+    "enumerate_oracle_paths": "analytics",
+    "evaluate_pattern": "analytics",
+    "evaluation_report": "analytics",
+    "potential_targets_for_attacker": "analytics",
+    "potential_threats_for_victim": "analytics",
+    "ranked_usage": "analytics",
+    "same_origin_report": "analytics",
+    "canonical_graph": "datasets",
+    "canonical_text": "datasets",
+    "load_canonical": "datasets",
+    "DatasetError": "errors",
+    "GraphError": "errors",
+    "QueryParseError": "errors",
+    "RuleError": "errors",
+    "SchemaError": "errors",
+    "SekgError": "errors",
+    "RED_RELATIONS": "graph",
+    "Direction": "graph",
+    "Edge": "graph",
+    "KnowledgeGraph": "graph",
+    "Node": "graph",
+    "Atom": "inference",
+    "AtomKind": "inference",
+    "InferenceResult": "inference",
+    "Rule": "inference",
+    "axiom_closure": "inference",
+    "builtin_ruleset": "inference",
+    "run_inference": "inference",
+    "run_rules": "inference",
+    "Finding": "loader",
+    "LoadResult": "loader",
+    "load_dataset": "loader",
+    "serialize_dataset": "loader",
+    "validate_scenario_completeness": "loader",
+    "BindingRow": "query",
+    "PatternQuery": "query",
+    "evaluate_query": "query",
+    "parse_query": "query",
+    "run_query": "query",
+    "DEFAULT_SCHEMA": "schema",
+    "OntologySchema": "schema",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    # Not cached in the package globals: each read asks the module, so a
+    # name rebound there (a wrapper, then the original) is seen as it is now.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -8,7 +8,7 @@ engineering information kinds (36). Dataset loading resolves node ids and
 nodes with their category labels and synonyms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -326,71 +326,39 @@ _INFORMATION_KINDS = _entries(
 )
 
 
-def _index(entries: list[CatalogEntry]) -> dict[str, CatalogEntry]:
-    idx: dict[str, CatalogEntry] = {}
-    for e in entries:
-        idx[e.ident] = e
-        for syn in e.synonyms:
-            idx[syn] = e
-    return idx
+#: Vocabulary name -> its entries.
+VOCABULARIES: dict[str, tuple[CatalogEntry, ...]] = {
+    "vulnerabilities": tuple(_VULNERABILITIES),
+    "mechanisms": tuple(_MECHANISMS),
+    "motivations": tuple(_MOTIVATIONS),
+    "mediums": tuple(_MEDIUMS),
+    "method_kinds": tuple(_METHODS),
+    "target_kinds": tuple(_TARGET_KINDS),
+    "information_kinds": tuple(_INFORMATION_KINDS),
+}
+
+#: Concept -> the vocabulary that its node ids are drawn from.
+ID_VOCABULARY = {
+    "HumanVulnerability": "vulnerabilities",
+    "EffectMechanism": "mechanisms",
+    "AttackMotivation": "motivations",
+    "AttackMedium": "mediums",
+}
+
+#: Concept -> the vocabulary that its ``kind`` property is drawn from.
+KIND_VOCABULARY = {
+    "AttackMethod": "method_kinds",
+    "AttackTarget": "target_kinds",
+    "SocialEngineeringInformation": "information_kinds",
+    "AttackMedium": "mediums",
+}
+
+_INDEX = {
+    name: {term: e for e in entries for term in (e.ident, *e.synonyms)}
+    for name, entries in VOCABULARIES.items()
+}
 
 
-@dataclass(frozen=True)
-class Catalog:
-    """Bundle of all term lists plus lookup helpers."""
-
-    vulnerabilities: tuple[CatalogEntry, ...]
-    mechanisms: tuple[CatalogEntry, ...]
-    motivations: tuple[CatalogEntry, ...]
-    mediums: tuple[CatalogEntry, ...]
-    method_kinds: tuple[CatalogEntry, ...]
-    target_kinds: tuple[CatalogEntry, ...]
-    information_kinds: tuple[CatalogEntry, ...]
-    _indexes: dict[str, dict[str, CatalogEntry]] = field(repr=False, default_factory=dict)
-
-    def lookup(self, vocabulary: str, term: str) -> CatalogEntry | None:
-        """Find a term (by id or synonym) in the named vocabulary."""
-        return self._indexes[vocabulary].get(term)
-
-    def vocabulary_for_concept(self, concept: str) -> str | None:
-        """Which vocabulary constrains node ids of the given concept, if any."""
-        return {
-            "HumanVulnerability": "vulnerabilities",
-            "EffectMechanism": "mechanisms",
-            "AttackMotivation": "motivations",
-            "AttackMedium": "mediums",
-        }.get(concept)
-
-    def kind_vocabulary_for_concept(self, concept: str) -> str | None:
-        """Which vocabulary constrains the ``kind`` property, if any."""
-        return {
-            "AttackMethod": "method_kinds",
-            "AttackTarget": "target_kinds",
-            "SocialEngineeringInformation": "information_kinds",
-            "AttackMedium": "mediums",
-        }.get(concept)
-
-
-def default_catalog() -> Catalog:
-    groups = {
-        "vulnerabilities": list(_VULNERABILITIES),
-        "mechanisms": list(_MECHANISMS),
-        "motivations": list(_MOTIVATIONS),
-        "mediums": list(_MEDIUMS),
-        "method_kinds": list(_METHODS),
-        "target_kinds": list(_TARGET_KINDS),
-        "information_kinds": list(_INFORMATION_KINDS),
-    }
-    return Catalog(
-        vulnerabilities=tuple(groups["vulnerabilities"]),
-        mechanisms=tuple(groups["mechanisms"]),
-        motivations=tuple(groups["motivations"]),
-        mediums=tuple(groups["mediums"]),
-        method_kinds=tuple(groups["method_kinds"]),
-        target_kinds=tuple(groups["target_kinds"]),
-        information_kinds=tuple(groups["information_kinds"]),
-        _indexes={name: _index(entries) for name, entries in groups.items()},
-    )
-
-
-DEFAULT_CATALOG = default_catalog()
+def lookup(vocabulary: str, term: str) -> CatalogEntry | None:
+    """Find a term (by id or synonym) in the named vocabulary."""
+    return _INDEX[vocabulary].get(term)

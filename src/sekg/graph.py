@@ -128,6 +128,11 @@ class KnowledgeGraph:
                 raise GraphError(
                     f"node {node.id!r}: label {label!r} not allowed on {concept.name}"
                 )
+        for key in ("id", "concept", "scenario_id"):
+            if key in node.properties:
+                raise GraphError(
+                    f"node {node.id!r}: property {key!r} is a node field, not a property"
+                )
         if node.scenario_id is not None and node.scenario_id not in self._scenarios:
             raise GraphError(
                 f"node {node.id!r}: scenario {node.scenario_id} not declared"

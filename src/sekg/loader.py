@@ -10,7 +10,8 @@ A dataset is a sequence of records, one per line:
 Values containing whitespace are double-quoted; ``\\"`` and ``\\\\`` escape a
 quote and a backslash inside quoted values. Reserved node keys: ``scenario``
 (membership, integer), ``labels`` (comma-separated taxonomy labels) and
-``comment``; every other key lands in the node's property map. Every NODE
+``comment``; every other key lands in the node's property map, except
+``id``, ``concept`` and ``scenario_id``, which name node fields. Every NODE
 must precede the first EDGE that references it.
 
 Known vocabulary nodes are enriched on load: category labels and synonyms
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .catalog import DEFAULT_CATALOG
+from .catalog import ID_VOCABULARY, KIND_VOCABULARY, lookup
 from .errors import DatasetError, GraphError, SchemaError
 from .graph import KnowledgeGraph, Node, scenario_members
 from .schema import DEFAULT_SCHEMA
@@ -245,16 +246,16 @@ def _enrich_node(
 
     kind = props.get("kind")
     entry = None
-    vocab = DEFAULT_CATALOG.vocabulary_for_concept(concept)
+    vocab = ID_VOCABULARY.get(concept)
     if vocab is not None:
-        entry = DEFAULT_CATALOG.lookup(vocab, rec.node_id)
+        entry = lookup(vocab, rec.node_id)
         if entry is None and kind is not None:
-            entry = DEFAULT_CATALOG.lookup(vocab, kind)
+            entry = lookup(vocab, kind)
         if entry is None:
             unresolved(f"{concept} node {rec.node_id!r} is not a catalog term")
-    kind_vocab = DEFAULT_CATALOG.kind_vocabulary_for_concept(concept)
+    kind_vocab = KIND_VOCABULARY.get(concept)
     if kind_vocab is not None and kind is not None:
-        kind_entry = DEFAULT_CATALOG.lookup(kind_vocab, kind)
+        kind_entry = lookup(kind_vocab, kind)
         if kind_entry is None:
             unresolved(f"kind {kind!r} on {rec.node_id!r} is not a catalog term")
         elif concept == "AttackMethod":

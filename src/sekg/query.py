@@ -375,55 +375,6 @@ def parse_query(text: str) -> PatternQuery:
     return _Parser(text).parse()
 
 
-def format_query(query: PatternQuery) -> str:
-    """Render a query AST back to canonical source text."""
-    parts = ["MATCH "]
-    parts.append(", ".join(_format_path(p) for p in query.patterns))
-    if query.where:
-        parts.append(" WHERE ")
-        parts.append(" AND ".join(_format_condition(c) for c in query.where))
-    parts.append(" RETURN ")
-    if query.distinct:
-        parts.append("DISTINCT ")
-    parts.append(", ".join(item.label for item in query.returns))
-    return "".join(parts)
-
-
-def _format_path(path: PathPattern) -> str:
-    out = [_format_node(path.nodes[0])]
-    for edge, node in zip(path.edges, path.nodes[1:]):
-        if edge.reversed:
-            out.append(f"<-[:{edge.relation}]-")
-        else:
-            out.append(f"-[:{edge.relation}]->")
-        out.append(_format_node(node))
-    return "".join(out)
-
-
-def _format_node(node: NodePattern) -> str:
-    inner = node.variable or ""
-    if node.concept is not None:
-        inner += f":{node.concept}"
-    if node.constraints:
-        body = ", ".join(f'{k}={_quote(v)}' for k, v in node.constraints)
-        inner += " {" + body + "}" if inner else "{" + body + "}"
-    return f"({inner})"
-
-
-def _format_condition(cond: Condition) -> str:
-    return f"{_format_operand(cond.left)} {cond.op} {_format_operand(cond.right)}"
-
-
-def _format_operand(op: Operand) -> str:
-    if op.is_literal:
-        return _quote(op.literal or "")
-    return op.variable if op.key is None else f"{op.variable}.{op.key}"
-
-
-def _quote(value: str) -> str:
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 class Plan(NamedTuple):
     """A join plan over slots: ``Conjunction.variables[i]`` binds slot ``i``.
 

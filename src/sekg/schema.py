@@ -47,18 +47,6 @@ class RelationDef:
     irreflexive: bool = True
 
 
-@dataclass(frozen=True)
-class ConformanceVerdict:
-    conforms: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.conforms
-
-
-CONFORMS = ConformanceVerdict(True)
-
-
 _OBJECT_LABELS = frozenset(
     {"carrier", "resources", "subjects", "operations"}
 )
@@ -321,23 +309,6 @@ class OntologySchema:
         """
         stored, swapped, _ = self.write_table[name]
         return stored, swapped
-
-    def check_edge_conformance(
-        self, src_concept: str, relation: str, dst_concept: str
-    ) -> ConformanceVerdict:
-        """Check a (domain, relation, range) combination against the schema."""
-        rel = self.relation(relation)
-        src = self.concept(src_concept)
-        dst = self.concept(dst_concept)
-        if src.name != rel.domain:
-            return ConformanceVerdict(
-                False, f"domain mismatch: {relation} expects {rel.domain}, got {src.name}"
-            )
-        if dst.name != rel.range:
-            return ConformanceVerdict(
-                False, f"range mismatch: {relation} expects {rel.range}, got {dst.name}"
-            )
-        return CONFORMS
 
 
 def build_default_schema() -> OntologySchema:

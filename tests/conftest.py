@@ -338,6 +338,22 @@ def reference_closure(graph) -> list:
     return added
 
 
+def check_edge_conformance(schema, src_concept, relation, dst_concept) -> str | None:
+    """Why a (domain, relation, range) combination breaks ``schema``, or None.
+
+    Resolves concept synonyms; ``relation`` must be a stored name. The graph's
+    write table is diffed against this.
+    """
+    rel = schema.relation(relation)
+    src = schema.concept(src_concept).name
+    dst = schema.concept(dst_concept).name
+    if src != rel.domain:
+        return f"domain mismatch: {relation} expects {rel.domain}, got {src}"
+    if dst != rel.range:
+        return f"range mismatch: {relation} expects {rel.range}, got {dst}"
+    return None
+
+
 def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
     """Naive fixpoint of axiom closure plus ``rules``, as edge keys.
 
@@ -441,9 +457,9 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
                     continue
                 if rel.irreflexive and s == d:
                     continue
-                if schema.check_edge_conformance(
-                    nodes[s].concept, relation, nodes[d].concept
-                ):
+                if check_edge_conformance(
+                    schema, nodes[s].concept, relation, nodes[d].concept
+                ) is None:
                     heads.add((s, relation, d))
         edges |= heads
         if len(edges) == before:

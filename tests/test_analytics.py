@@ -108,6 +108,12 @@ def test_ranked_usage_swapped_alias_flips_end():
     )
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_ranked_usage_refuses_k_below_one(k):
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        ranked_usage(media_graph(), "performed_through", End.DST, k)
+
+
 def test_ranked_usage_canonical(graph):
     ranked = ranked_usage(graph, "performed_through", End.DST, 3)
     assert ranked == [
@@ -523,6 +529,57 @@ def test_evaluation_report_matches_reference(graph, seed):
 
 def test_public_exports_resolve():
     assert len(set(sekg.__all__)) == len(sekg.__all__)
+    assert sorted(sekg.__all__) == [
+        "Atom",
+        "AtomKind",
+        "AttackPath",
+        "BindingRow",
+        "DEFAULT_SCHEMA",
+        "DatasetError",
+        "Direction",
+        "Edge",
+        "End",
+        "EvalMetrics",
+        "Finding",
+        "GraphError",
+        "InferenceResult",
+        "KnowledgeGraph",
+        "LoadResult",
+        "Node",
+        "OntologySchema",
+        "PatternQuery",
+        "QueryParseError",
+        "RED_RELATIONS",
+        "RankedCount",
+        "Rule",
+        "RuleError",
+        "SchemaError",
+        "SekgError",
+        "ThreatPair",
+        "__version__",
+        "alternate_methods_for_target",
+        "attack_paths_between",
+        "axiom_closure",
+        "builtin_ruleset",
+        "canonical_graph",
+        "canonical_text",
+        "enumerate_oracle_paths",
+        "evaluate_pattern",
+        "evaluate_query",
+        "evaluation_report",
+        "load_canonical",
+        "load_dataset",
+        "parse_query",
+        "potential_targets_for_attacker",
+        "potential_threats_for_victim",
+        "ranked_usage",
+        "run_inference",
+        "run_query",
+        "run_rules",
+        "same_origin_report",
+        "serialize_dataset",
+        "validate_scenario_completeness",
+    ]
     for name in sekg.__all__:
         assert hasattr(sekg, name), name
 

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from conftest import random_conformant_graph
+from conftest import check_edge_conformance, random_conformant_graph
 from sekg.errors import DatasetError, GraphError, SchemaError
 from sekg.graph import Direction, Edge, KnowledgeGraph, Node
 from sekg.inference import run_inference
@@ -67,6 +67,17 @@ def test_undeclared_scenario_rejected():
     g = KnowledgeGraph()
     with pytest.raises(GraphError, match="scenario"):
         g.add_node(Node("a", "Attacker", scenario_id=3))
+
+
+@pytest.mark.parametrize("key", ["id", "concept", "scenario_id"])
+def test_property_named_like_a_node_field_rejected(key):
+    # Node.property answers these keys from the node's own fields, so a
+    # property of that name could never be matched or read back.
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t")
+    with pytest.raises(GraphError, match=f"property '{key}' is a node field"):
+        g.add_node(Node("a1", "Attacker", 1, properties={key: "Spy"}))
+    assert not g.has_node("a1")
 
 
 def test_scenario_registry():
@@ -247,9 +258,9 @@ def expected_write(schema, concepts, src, relation, dst):
         src, dst = dst, src
     if schema.relation(stored).irreflexive and src == dst:
         return GraphError, f"{stored} is irreflexive; got self-loop on {src!r}"
-    verdict = schema.check_edge_conformance(concepts[src], stored, concepts[dst])
-    if not verdict:
-        return GraphError, f"edge ({src}, {stored}, {dst}): {verdict.reason}"
+    reason = check_edge_conformance(schema, concepts[src], stored, concepts[dst])
+    if reason is not None:
+        return GraphError, f"edge ({src}, {stored}, {dst}): {reason}"
     return "ok", (src, stored, dst)
 
 

@@ -2,6 +2,7 @@ import pytest
 from collections import Counter
 
 from conftest import (
+    check_edge_conformance,
     random_conformant_graph,
     reference_closure,
     reference_fixpoint,
@@ -318,9 +319,9 @@ def test_random_graphs_properties():
         for e in g.edges():
             if e.is_inferred:
                 assert e.src != e.dst, f"seed {seed}: {e}"
-                assert g.schema.check_edge_conformance(
-                    g.node(e.src).concept, e.relation, g.node(e.dst).concept
-                ), f"seed {seed}: {e}"
+                assert check_edge_conformance(
+                    g.schema, g.node(e.src).concept, e.relation, g.node(e.dst).concept
+                ) is None, f"seed {seed}: {e}"
         assert first.iterations < 1000
 
 
@@ -495,8 +496,8 @@ def test_round_limit_raises(monkeypatch):
 
 
 def schema_lookups(monkeypatch, fn) -> int:
-    """Relation lookups and conformance checks on the schema made by ``fn()``."""
-    names = ("relation", "normalize_relation", "check_edge_conformance")
+    """Relation lookups on the schema made by ``fn()``."""
+    names = ("relation", "normalize_relation")
     return method_calls(monkeypatch, OntologySchema, names, fn)
 
 

@@ -10,7 +10,7 @@ from conftest import (
     reference_split,
     replicated_graph,
 )
-from sekg.catalog import DEFAULT_CATALOG
+from sekg.catalog import VOCABULARIES, lookup
 from sekg.datasets import canonical_text
 from sekg.errors import DatasetError, SekgError
 from sekg.graph import Node, scenario_members
@@ -94,6 +94,14 @@ def test_build_errors(text, fragment):
         load_dataset(text)
 
 
+@pytest.mark.parametrize("key", ["id", "concept", "scenario_id"])
+def test_property_named_like_a_node_field_rejected_with_line(key):
+    text = f"SCENARIO 1 type=t\n# pad\nNODE a1 Attacker scenario=1 {key}=Spy\n"
+    with pytest.raises(DatasetError, match=f"property '{key}' is a node field") as err:
+        load_dataset(text)
+    assert err.value.line == 3
+
+
 def test_quoted_values_and_escapes():
     text = (
         'SCENARIO 1 type="spear phishing"\n'
@@ -136,19 +144,23 @@ def test_unknown_kind_warns():
 
 
 def test_catalog_sizes():
-    assert len(DEFAULT_CATALOG.vulnerabilities) == 43
-    assert len(DEFAULT_CATALOG.mechanisms) == 38
-    assert len(DEFAULT_CATALOG.mediums) == 22
-    assert len(DEFAULT_CATALOG.motivations) == 19
-    assert len(DEFAULT_CATALOG.method_kinds) == 20
-    assert len(DEFAULT_CATALOG.target_kinds) == 15
-    assert len(DEFAULT_CATALOG.information_kinds) == 36
+    sizes = {name: len(entries) for name, entries in VOCABULARIES.items()}
+    assert sizes == {
+        "vulnerabilities": 43,
+        "mechanisms": 38,
+        "motivations": 19,
+        "mediums": 22,
+        "method_kinds": 20,
+        "target_kinds": 15,
+        "information_kinds": 36,
+    }
 
 
 def test_catalog_synonym_lookup():
-    entry = DEFAULT_CATALOG.lookup("mediums", "phone")
+    entry = lookup("mediums", "phone")
     assert entry is not None
     assert entry.ident == "telephone"
+    assert lookup("mediums", "carrier_pigeon") is None
 
 
 def test_serialize_roundtrip_fixpoint():

@@ -13,7 +13,6 @@ from sekg.inference import run_inference
 from sekg.query import (
     Conjunction,
     evaluate_query,
-    format_query,
     match,
     parse_query,
     run_query,
@@ -135,43 +134,6 @@ def test_parse_errors(text, offset, expected):
 def test_error_message_lists_expected():
     with pytest.raises(QueryParseError, match=r"\(expected: \), :, \{\)"):
         parse_query("MATCH (a RETURN a")
-
-
-# -- formatting ---------------------------------------------------------------
-
-
-def test_format_canonical_text():
-    q = parse_query(
-        'MATCH(v : Victim{affiliation = "Acme"})<-[:apply_to]-(m)'
-        'WHERE m.kind<>"baiting" RETURN DISTINCT v'
-    )
-    assert format_query(q) == (
-        'MATCH (v:AttackTarget {affiliation="Acme"})<-[:apply_to]-(m) '
-        'WHERE m.kind <> "baiting" RETURN DISTINCT v'
-    )
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "MATCH (a) RETURN a",
-        "MATCH () RETURN DISTINCT a, b",
-        'MATCH ({k="v"}) RETURN x',
-        "MATCH (a:Attacker)-[:craft_and_perform]->(m)<-[:suffer]-(v) RETURN a, m, v",
-        'MATCH (a), (b:Victim {x="1", y="two words"}) WHERE a = b AND a.p <> "q\\"r" RETURN a.p',
-        "MATCH (h)<-[:exploited_by]-(m) RETURN m, h",
-    ],
-)
-def test_format_parse_roundtrip(text):
-    # anonymous/unbound-return cases need patching to stay parseable
-    if "RETURN DISTINCT a, b" in text:
-        text = "MATCH (a)-[:attack]->(b) RETURN DISTINCT a, b"
-    if "RETURN x" in text:
-        text = 'MATCH (x {k="v"}) RETURN x'
-    first = parse_query(text)
-    rendered = format_query(first)
-    assert parse_query(rendered) == first
-    assert format_query(parse_query(rendered)) == rendered
 
 
 # -- evaluation ---------------------------------------------------------------

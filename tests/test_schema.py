@@ -1,4 +1,5 @@
 import pytest
+from conftest import check_edge_conformance
 
 from sekg import schema as schema_module
 from sekg.errors import SchemaError
@@ -165,23 +166,20 @@ def test_derived_relation_roster():
 
 
 def test_conformance_verdicts():
-    ok = DEFAULT_SCHEMA.check_edge_conformance("Attacker", "craft_and_perform", "AttackMethod")
-    assert ok
-    assert ok.reason is None
-    bad_domain = DEFAULT_SCHEMA.check_edge_conformance(
-        "AttackTarget", "craft_and_perform", "AttackMethod"
+    ok = check_edge_conformance(DEFAULT_SCHEMA, "Attacker", "craft_and_perform", "AttackMethod")
+    assert ok is None
+    bad_domain = check_edge_conformance(
+        DEFAULT_SCHEMA, "AttackTarget", "craft_and_perform", "AttackMethod"
     )
-    assert not bad_domain
-    assert "domain mismatch" in bad_domain.reason
-    bad_range = DEFAULT_SCHEMA.check_edge_conformance(
-        "Attacker", "craft_and_perform", "HumanVulnerability"
+    assert "domain mismatch" in bad_domain
+    bad_range = check_edge_conformance(
+        DEFAULT_SCHEMA, "Attacker", "craft_and_perform", "HumanVulnerability"
     )
-    assert not bad_range
-    assert "range mismatch" in bad_range.reason
+    assert "range mismatch" in bad_range
 
 
 def test_conformance_resolves_synonyms():
-    assert DEFAULT_SCHEMA.check_edge_conformance("AttackMethod", "apply_to", "Victim")
+    assert check_edge_conformance(DEFAULT_SCHEMA, "AttackMethod", "apply_to", "Victim") is None
 
 
 def test_unknown_names_raise():
