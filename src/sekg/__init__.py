@@ -57,8 +57,6 @@ _EXPORTS = {
     "evaluate_query": "query",
     "parse_query": "query",
     "run_query": "query",
-    "DEFAULT_SCHEMA": "schema",
-    "OntologySchema": "schema",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -90,9 +90,11 @@ def ranked_usage(
 
     Competition ranking: tied counts share a rank and are ordered by id. The
     result keeps every item whose rank is <= ``k``, so a tie straddling the
-    boundary is returned whole rather than cut arbitrarily. ``k`` must be at
-    least 1.
+    boundary is returned whole rather than cut arbitrarily. ``count_end``
+    must be an ``End`` and ``k`` at least 1.
     """
+    if not isinstance(count_end, End):
+        raise TypeError(f"count_end must be an End, got {count_end!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     direction = Direction.OUT if count_end is End.SRC else Direction.IN

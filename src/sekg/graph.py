@@ -12,9 +12,10 @@ graph, an unknown endpoint, an irreflexive self-loop or a domain or range
 mismatch. The loader reports a refusal as a ``DatasetError``; inference
 drops a refused rule head silently.
 
-Writes and reads resolve a relation name by indexing the schema's
-``write_table``: an alias reads like its stored relation, a swapped alias
-with its direction flipped, and an unknown name raises ``SchemaError``.
+Writes and reads resolve a relation name by indexing ``RELATIONS``, and a
+node's concept by indexing ``CONCEPTS`` (both in ``sekg.schema``): an alias
+reads like its stored relation, a swapped alias with its direction flipped,
+and an unknown name raises ``SchemaError``.
 """
 
 import bisect
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import GraphError
-from .schema import DEFAULT_SCHEMA
+from .schema import CONCEPTS, RELATIONS
 
 #: Relations rendered red in exports and traversed by the attack-path oracle.
 RED_RELATIONS = frozenset(
@@ -80,8 +81,6 @@ class Edge:
 class KnowledgeGraph:
     """Mutable-until-frozen store of nodes, edges and scenario declarations."""
 
-    schema = DEFAULT_SCHEMA
-
     def __init__(self):
         self._nodes: dict[str, Node] = {}
         self._edges: dict[tuple[str, str, str], Edge] = {}
@@ -117,7 +116,7 @@ class KnowledgeGraph:
     def add_node(self, node: Node) -> Node:
         """Insert a node. Re-adding an identical node is a no-op."""
         self._check_mutable()
-        concept = self.schema.concept(node.concept)
+        concept = CONCEPTS[node.concept]
         if concept.name != node.concept:
             node = Node(
                 node.id, concept.name, node.scenario_id,
@@ -162,7 +161,7 @@ class KnowledgeGraph:
         return tuple(sorted(self._nodes))
 
     def nodes_by_concept(self, concept: str) -> tuple[Node, ...]:
-        name = self.schema.concept(concept).name
+        name = CONCEPTS[concept].name
         return tuple(self._nodes[i] for i in self.nodes_with("concept", name))
 
     def nodes_with(self, key: str, value: str | None) -> tuple[str, ...]:
@@ -200,7 +199,7 @@ class KnowledgeGraph:
         insertion wins, including its provenance).
         """
         self._check_mutable()
-        relation, swapped, rel = DEFAULT_SCHEMA.write_table[relation]
+        relation, swapped, rel = RELATIONS[relation]
         if swapped:
             src, dst = dst, src
         src_node = self._nodes.get(src)
@@ -253,7 +252,7 @@ class KnowledgeGraph:
         """
         if relation is None:
             return tuple(sorted(self._edges.values(), key=Edge.key))
-        name = DEFAULT_SCHEMA.write_table[relation][0]
+        name = RELATIONS[relation][0]
         adjacency = self._out.get(name, {})
         return tuple(
             self._edges[(src, name, dst)]
@@ -288,7 +287,7 @@ class KnowledgeGraph:
         edge have a list; each is sorted and unique. The mapping and its
         lists are the graph's own: read them, never change them.
         """
-        name, swapped, _ = DEFAULT_SCHEMA.write_table[relation]
+        name, swapped, _ = RELATIONS[relation]
         index = self._out if (direction is Direction.OUT) != swapped else self._in
         return index.get(name, {})
 

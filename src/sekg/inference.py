@@ -25,7 +25,7 @@ from enum import Enum
 from .errors import GraphError, RuleError
 from .graph import Edge, KnowledgeGraph
 from .query import Condition, Conjunction, Operand, match
-from .schema import DEFAULT_SCHEMA
+from .schema import RELATIONS
 
 INVERSE_RULE = "R2"
 SUBPROPERTY_RULE = "R3"
@@ -108,7 +108,7 @@ class InferenceResult:
 
 
 def builtin_ruleset() -> tuple[Rule, ...]:
-    """Derivation rules over the default schema.
+    """Derivation rules over the schema's relations.
 
     R1 derives attack edges from performed methods; R4 relates attackers
     sharing a motivation and a victim; R5 relates targets with equal
@@ -176,7 +176,7 @@ def builtin_ruleset() -> tuple[Rule, ...]:
 def _closure_of_edge(edge: Edge) -> list[tuple[str, str, str, str]]:
     """Inverse and subproperty consequences of one edge: (src, rel, dst, rule)."""
     out = []
-    rel = DEFAULT_SCHEMA.write_table[edge.relation][2]
+    rel = RELATIONS[edge.relation][2]
     if rel.inverse_of is not None:
         out.append((edge.dst, rel.inverse_of, edge.src, INVERSE_RULE))
     if rel.subproperty_of is not None:
@@ -192,7 +192,7 @@ def axiom_closure(graph: KnowledgeGraph) -> InferenceResult:
     """
     seeds = [
         edge
-        for name, (stored, _, rel) in DEFAULT_SCHEMA.write_table.items()
+        for name, (stored, _, rel) in RELATIONS.items()
         if name == stored and (rel.inverse_of or rel.subproperty_of)
         for edge in graph.edges(name)
     ]
@@ -253,7 +253,7 @@ def _compile(rule: Rule) -> tuple[Conjunction, tuple[int | str, str, int | str]]
 
 
 def _oriented(relation: str, a: str, b: str) -> tuple[str, str, str]:
-    name, swapped = DEFAULT_SCHEMA.normalize_relation(relation)
+    name, swapped, _ = RELATIONS[relation]
     return (b, name, a) if swapped else (a, name, b)
 
 
@@ -296,8 +296,10 @@ def run_rules(
     input row twice. Bodies without relation atoms run only once.
     After every rule has run, closure completes that round's emissions.
     ``iterations`` counts these rounds, the last one adding nothing; more
-    than ``MAX_ROUNDS`` of them raise ``GraphError``.
+    than ``MAX_ROUNDS`` of them raise ``GraphError``, as does a frozen graph.
     """
+    if graph.frozen:
+        raise GraphError("graph is frozen")
     compiled = []
     for rule in rules:
         rule.validate()

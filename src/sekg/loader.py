@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .catalog import ID_VOCABULARY, KIND_VOCABULARY, lookup
 from .errors import DatasetError, GraphError, SchemaError
 from .graph import KnowledgeGraph, Node, scenario_members
-from .schema import DEFAULT_SCHEMA
+from .schema import CONCEPTS
 
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+$")
@@ -285,7 +285,7 @@ def load_dataset(text: str, strict_vocab: bool = False) -> LoadResult:
             graph.register_scenario(rec.scenario_id, rec.attack_type)
         elif isinstance(rec, NodeRecord):
             try:
-                concept = DEFAULT_SCHEMA.concept(rec.concept).name
+                concept = CONCEPTS[rec.concept].name
             except SchemaError as exc:
                 raise DatasetError(str(exc), rec.line) from None
             if concept in VOCABULARY_CONCEPTS and rec.scenario is not None:

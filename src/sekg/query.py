@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import QueryParseError, SchemaError
 from .graph import Direction, KnowledgeGraph
-from .schema import DEFAULT_SCHEMA
+from .schema import CONCEPTS, RELATIONS
 
 KEYWORDS = ("MATCH", "WHERE", "AND", "RETURN", "DISTINCT")
 
@@ -277,7 +277,7 @@ class _Parser:
             self.advance()
             tok = self.expect("IDENT")
             try:
-                concept = DEFAULT_SCHEMA.concept(tok.text).name
+                concept = CONCEPTS[tok.text].name
             except SchemaError:
                 raise QueryParseError(
                     f"unknown concept: {tok.text!r}", tok.offset, frozenset()
@@ -307,7 +307,7 @@ class _Parser:
         self.expect(":")
         tok = self.expect("IDENT")
         try:
-            relation, swapped = DEFAULT_SCHEMA.normalize_relation(tok.text)
+            relation, swapped, _ = RELATIONS[tok.text]
         except SchemaError:
             raise QueryParseError(
                 f"unknown relation: {tok.text!r}", tok.offset, frozenset()
@@ -403,7 +403,7 @@ class Plan(NamedTuple):
 class Conjunction:
     """Relation atoms ``(src, relation, dst)`` and tests over variables.
 
-    Relations are stored names (see ``OntologySchema.normalize_relation``).
+    Relations are stored names, the first field of a ``RELATIONS`` entry.
     """
 
     atoms: tuple[tuple[str, str, str], ...]

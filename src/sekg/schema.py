@@ -3,11 +3,13 @@
 The schema is a fixed, code-defined vocabulary: eleven core concepts plus
 three auxiliary ones, the asserted relations between them, property-style
 axioms (inverses and subproperties), the relations that only inference may
-produce, and the alias spellings accepted for stored relations. Everything
-here is immutable; every module reads the one ``DEFAULT_SCHEMA``.
+produce, and the alias spellings accepted for stored relations. The rows
+are built once, at import, into two lookup tables: ``CONCEPTS`` resolves a
+concept name or synonym, ``RELATIONS`` a relation name or alias. Every
+module indexes those two; an unknown name raises ``SchemaError``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SchemaError
@@ -250,94 +252,34 @@ def _derived_relations() -> tuple[RelationDef, ...]:
     )
 
 
-class RelationTable(dict[str, tuple[str, bool, RelationDef]]):
-    """Relation name -> (stored name, endpoints swapped, stored relation).
+class LookupTable(dict):
+    """Name -> entry of one kind, built once at import.
 
     Indexing it with a name it does not hold raises ``SchemaError``.
     """
 
+    def __init__(self, kind: str, entries):
+        super().__init__(entries)
+        self._kind = kind
+
     def __missing__(self, name: str):
-        raise SchemaError(f"unknown relation: {name!r}")
+        raise SchemaError(f"unknown {self._kind}: {name!r}")
 
 
-@dataclass(frozen=True)
-class OntologySchema:
-    """Immutable lookup structure over concepts and relations."""
+#: Concept name or synonym -> its concept.
+CONCEPTS = LookupTable(
+    "concept", ((n, c) for c in _concepts() for n in (c.name, *c.synonyms))
+)
 
-    concepts: dict[str, ConceptDef]
-    relations: dict[str, RelationDef]
-    derived_relations: tuple[RelationDef, ...]
-    _concept_index: dict[str, str] = field(repr=False, default_factory=dict)
-    #: Every relation name the graph accepts, aliases included, resolved
-    #: once: (stored name, endpoints swapped, stored relation). Writes,
-    #: reads, queries and rule bodies all resolve names through it.
-    write_table: RelationTable = field(repr=False, default_factory=RelationTable)
-
-    def concept(self, name: str) -> ConceptDef:
-        """Resolve a concept by canonical name or synonym."""
-        canonical = self._concept_index.get(name)
-        if canonical is None:
-            raise SchemaError(f"unknown concept: {name!r}")
-        return self.concepts[canonical]
-
-    def relation(self, name: str) -> RelationDef:
-        """Look up a stored relation, derived ones included; not an alias."""
-        stored, _, rel = self.write_table[name]
-        if stored != name:
-            raise SchemaError(f"unknown relation: {name!r}")
-        return rel
-
-    def asserted_relations(self) -> tuple[RelationDef, ...]:
-        return tuple(
-            r for r in self.relations.values() if r.kind is RelationKind.ASSERTED
-        )
-
-    def effective_relations(self, name: str) -> tuple[str, ...]:
-        """Subproperty chain for ``name``, most specific first."""
-        rel = self.relation(name)
-        chain = [rel.name]
-        while rel.subproperty_of is not None:
-            rel = self.relation(rel.subproperty_of)
-            chain.append(rel.name)
-        return tuple(chain)
-
-    def normalize_relation(self, name: str) -> tuple[str, bool]:
-        """Map an input relation name to its stored form.
-
-        Returns ``(stored_name, endpoints_swapped)``; only a swapped alias
-        such as ``exploited_by`` flips src and dst.
-        """
-        stored, swapped, _ = self.write_table[name]
-        return stored, swapped
-
-
-def build_default_schema() -> OntologySchema:
-    """Construct the fixed domain schema.
-
-    Two calls produce structurally equal schemas; the result is safe to share.
-    """
-    concepts = {c.name: c for c in _concepts()}
-    concept_index: dict[str, str] = {}
-    for c in concepts.values():
-        concept_index[c.name] = c.name
-        for syn in c.synonyms:
-            concept_index[syn] = c.name
-
-    relations = {r.name: r for r in _relations()}
-    derived = _derived_relations()
-    # Asserted names go in last, so they win a clash with a derived name.
-    write_table = RelationTable((r.name, (r.name, False, r)) for r in derived)
-    write_table.update((name, (name, False, r)) for name, r in relations.items())
-    for aliases, swapped in ((RELATION_ALIASES, False), (SWAPPED_ALIASES, True)):
-        for alias, stored in aliases.items():
-            write_table[alias] = (stored, swapped, write_table[stored][2])
-    return OntologySchema(
-        concepts=concepts,
-        relations=relations,
-        derived_relations=derived,
-        _concept_index=concept_index,
-        write_table=write_table,
-    )
-
-
-DEFAULT_SCHEMA = build_default_schema()
+#: Every relation name the graph accepts, aliases included, resolved once:
+#: (stored name, endpoints swapped, stored relation). Writes, reads,
+#: queries and rule bodies all resolve names through it.
+RELATIONS = LookupTable(
+    "relation",
+    ((r.name, (r.name, False, r)) for r in (*_relations(), *_derived_relations())),
+)
+RELATIONS.update(
+    (alias, (stored, swapped, RELATIONS[stored][2]))
+    for aliases, swapped in ((RELATION_ALIASES, False), (SWAPPED_ALIASES, True))
+    for alias, stored in aliases.items()
+)

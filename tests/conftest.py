@@ -8,6 +8,13 @@ from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError
 from sekg.graph import KnowledgeGraph, Node
 from sekg.inference import AtomKind
+from sekg.schema import (
+    RELATION_ALIASES,
+    SWAPPED_ALIASES,
+    _concepts,
+    _derived_relations,
+    _relations,
+)
 
 
 @pytest.fixture(scope="session")
@@ -326,7 +333,7 @@ def reference_closure(graph) -> list:
     pending = sorted(graph.edges(), key=lambda e: e.key())
     while pending:
         edge = pending.pop()
-        rel = graph.schema.relation(edge.relation)
+        rel = stored_relation(edge.relation)
         for src, relation, dst, rule in (
             (edge.dst, rel.inverse_of, edge.src, "R2"),
             (edge.src, rel.subproperty_of, edge.dst, "R3"),
@@ -338,15 +345,45 @@ def reference_closure(graph) -> list:
     return added
 
 
-def check_edge_conformance(schema, src_concept, relation, dst_concept) -> str | None:
-    """Why a (domain, relation, range) combination breaks ``schema``, or None.
+#: The schema's rows, read once. The references below scan them instead of
+#: indexing ``CONCEPTS`` or ``RELATIONS``, the tables they are diffed against.
+CONCEPT_ROWS = _concepts()
+RELATION_ROWS = (*_relations(), *_derived_relations())
+
+
+def stored_relation(name):
+    """The stored relation called ``name``, by a linear scan of the schema's
+    rows (asserted, then derived), or None; an alias is not a stored name."""
+    for rel in RELATION_ROWS:
+        if rel.name == name:
+            return rel
+    return None
+
+
+def stored_name(relation) -> tuple[str, bool]:
+    """(stored name, endpoints swapped) of an input name, from the alias dicts."""
+    if relation in SWAPPED_ALIASES:
+        return SWAPPED_ALIASES[relation], True
+    return RELATION_ALIASES.get(relation, relation), False
+
+
+def canonical_concept(name) -> str:
+    """The concept whose name or synonym is ``name``, by a scan of the rows."""
+    for concept in CONCEPT_ROWS:
+        if name == concept.name or name in concept.synonyms:
+            return concept.name
+    raise AssertionError(f"no concept {name!r}")
+
+
+def check_edge_conformance(src_concept, relation, dst_concept) -> str | None:
+    """Why a (domain, relation, range) combination breaks the schema, or None.
 
     Resolves concept synonyms; ``relation`` must be a stored name. The graph's
-    write table is diffed against this.
+    relation table is diffed against this.
     """
-    rel = schema.relation(relation)
-    src = schema.concept(src_concept).name
-    dst = schema.concept(dst_concept).name
+    rel = stored_relation(relation)
+    src = canonical_concept(src_concept)
+    dst = canonical_concept(dst_concept)
     if src != rel.domain:
         return f"domain mismatch: {relation} expects {rel.domain}, got {src}"
     if dst != rel.range:
@@ -363,7 +400,6 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
     body order (a hash lookup stands in for the scan once an endpoint is
     bound), until a round adds nothing. ``graph`` is not modified.
     """
-    schema = graph.schema
     nodes = {n.id: n for n in graph.nodes()}
     edges = {e.key() for e in graph.edges()}
 
@@ -383,7 +419,7 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
         return env
 
     def oriented(atom):
-        relation, swapped = schema.normalize_relation(atom.relation)
+        relation, swapped = stored_name(atom.relation)
         a, b = atom.terms
         return (b, relation, a) if swapped else (a, relation, b)
 
@@ -438,7 +474,7 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
         pending = list(edges)
         while pending:
             s, r, d = pending.pop()
-            rel = schema.relation(r)
+            rel = stored_relation(r)
             for key in ((d, rel.inverse_of, s), (s, rel.subproperty_of, d)):
                 if key[1] is not None and key not in edges:
                     edges.add(key)
@@ -450,7 +486,7 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
         heads = set()
         for rule in rules:
             a, relation, b = oriented(rule.head)
-            rel = schema.relation(relation)
+            rel = stored_relation(relation)
             for env in solve(rule.body, {}):
                 s, d = value(env, a), value(env, b)
                 if s not in nodes or d not in nodes:
@@ -458,7 +494,7 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
                 if rel.irreflexive and s == d:
                     continue
                 if check_edge_conformance(
-                    schema, nodes[s].concept, relation, nodes[d].concept
+                    nodes[s].concept, relation, nodes[d].concept
                 ) is None:
                     heads.add((s, relation, d))
         edges |= heads

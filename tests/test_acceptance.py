@@ -13,7 +13,6 @@ import pytest
 from conftest import random_conformant_graph, reference_eval
 
 from sekg import (
-    DEFAULT_SCHEMA,
     End,
     KnowledgeGraph,
     Node,
@@ -35,7 +34,7 @@ from sekg import (
     validate_scenario_completeness,
 )
 from sekg.cli import main
-from sekg.schema import RelationKind
+from sekg.schema import CONCEPTS, RELATIONS, RelationKind
 
 # ontology contract: name, domain, range, inverse
 RELATION_TABLE = [
@@ -98,26 +97,29 @@ EQUIVALENCE_AXIOMS = [
 
 def test_criterion_1_ontology_tables_complete():
     started = time.perf_counter()
-    core = {c.name for c in DEFAULT_SCHEMA.concepts.values() if not c.auxiliary}
-    aux = {c.name for c in DEFAULT_SCHEMA.concepts.values() if c.auxiliary}
+    core = {c.name for c in CONCEPTS.values() if not c.auxiliary}
+    aux = {c.name for c in CONCEPTS.values() if c.auxiliary}
     assert core == CORE_CONCEPTS and len(core) == 11
     assert aux == AUXILIARY_CONCEPTS and len(aux) == 3
 
-    assert len(DEFAULT_SCHEMA.asserted_relations()) == 22
+    asserted = {rel for _, _, rel in RELATIONS.values() if rel.kind is RelationKind.ASSERTED}
+    assert len(asserted) == 22
     for name, domain, range_, inverse in RELATION_TABLE:
-        rel = DEFAULT_SCHEMA.relation(name)
+        stored, swapped, rel = RELATIONS[name]
+        assert (stored, swapped) == (name, False), name
         assert rel.kind is RelationKind.ASSERTED, name
         assert rel.domain == domain, name
         assert rel.range == range_, name
         assert rel.inverse_of == inverse, name
 
     for name, parent in SUBPROPERTY_AXIOMS:
-        assert DEFAULT_SCHEMA.effective_relations(name) == (name, parent)
+        assert RELATIONS[name][2].subproperty_of == parent
+        assert RELATIONS[parent][2].subproperty_of is None
     for name, inverse in INVERSE_AXIOMS:
-        assert DEFAULT_SCHEMA.relation(name).inverse_of == inverse
-        assert DEFAULT_SCHEMA.relation(inverse).inverse_of == name
+        assert RELATIONS[name][2].inverse_of == inverse
+        assert RELATIONS[inverse][2].inverse_of == name
     for alias, canonical, swapped in EQUIVALENCE_AXIOMS:
-        assert DEFAULT_SCHEMA.normalize_relation(alias) == (canonical, swapped)
+        assert RELATIONS[alias][:2] == (canonical, swapped)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

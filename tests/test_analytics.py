@@ -114,6 +114,12 @@ def test_ranked_usage_refuses_k_below_one(k):
         ranked_usage(media_graph(), "performed_through", End.DST, k)
 
 
+@pytest.mark.parametrize("count_end", ["src", None])
+def test_ranked_usage_refuses_a_non_end(count_end):
+    with pytest.raises(TypeError, match=f"count_end must be an End, got {count_end!r}"):
+        ranked_usage(media_graph(), "performed_through", count_end, 1)
+
+
 def test_ranked_usage_canonical(graph):
     ranked = ranked_usage(graph, "performed_through", End.DST, 3)
     assert ranked == [
@@ -534,7 +540,6 @@ def test_public_exports_resolve():
         "AtomKind",
         "AttackPath",
         "BindingRow",
-        "DEFAULT_SCHEMA",
         "DatasetError",
         "Direction",
         "Edge",
@@ -546,7 +551,6 @@ def test_public_exports_resolve():
         "KnowledgeGraph",
         "LoadResult",
         "Node",
-        "OntologySchema",
         "PatternQuery",
         "QueryParseError",
         "RED_RELATIONS",

@@ -2,12 +2,22 @@ import functools
 
 import pytest
 
-from conftest import check_edge_conformance, random_conformant_graph
+from conftest import (
+    CONCEPT_ROWS,
+    RELATION_ROWS,
+    check_edge_conformance,
+    random_conformant_graph,
+    stored_name,
+    stored_relation,
+)
 from sekg.errors import DatasetError, GraphError, SchemaError
 from sekg.graph import Direction, Edge, KnowledgeGraph, Node
 from sekg.inference import run_inference
 from sekg.loader import load_dataset
-from sekg.schema import DEFAULT_SCHEMA, RELATION_ALIASES, SWAPPED_ALIASES
+from sekg.schema import RELATION_ALIASES, RELATIONS, SWAPPED_ALIASES
+
+#: Every stored relation name, asserted then derived, from the schema's rows.
+STORED = [r.name for r in RELATION_ROWS]
 
 
 def small_graph() -> KnowledgeGraph:
@@ -238,45 +248,42 @@ def test_frozen_refusal_comes_first():
         assert str(err.value) == "graph is frozen"
 
 
-def written_names(schema) -> list[str]:
+def written_names() -> list[str]:
     """Every relation name the schema accepts on input, plus an unknown one."""
-    names = [*schema.relations, *(r.name for r in schema.derived_relations)]
-    return sorted({*names, *RELATION_ALIASES, *SWAPPED_ALIASES, "bogus_rel"})
+    return sorted({*STORED, *RELATION_ALIASES, *SWAPPED_ALIASES, "bogus_rel"})
 
 
-def expected_write(schema, concepts, src, relation, dst):
+def expected_write(concepts, src, relation, dst):
     """What ``add_edge(src, relation, dst)`` must do, by the reference lookups
-    (the alias dicts, then ``relation``, not the write table):
+    (the alias dicts, then a scan of the schema's rows, not ``RELATIONS``):
     ``("ok", key)``, or ``(error type, message)``."""
-    stored = RELATION_ALIASES.get(relation) or SWAPPED_ALIASES.get(relation) or relation
-    swapped = relation in SWAPPED_ALIASES
-    try:
-        schema.relation(stored)
-    except SchemaError as exc:
-        return SchemaError, str(exc)
+    stored, swapped = stored_name(relation)
+    rel = stored_relation(stored)
+    if rel is None:
+        return SchemaError, f"unknown relation: {relation!r}"
     if swapped:
         src, dst = dst, src
-    if schema.relation(stored).irreflexive and src == dst:
+    if rel.irreflexive and src == dst:
         return GraphError, f"{stored} is irreflexive; got self-loop on {src!r}"
-    reason = check_edge_conformance(schema, concepts[src], stored, concepts[dst])
+    reason = check_edge_conformance(concepts[src], stored, concepts[dst])
     if reason is not None:
         return GraphError, f"edge ({src}, {stored}, {dst}): {reason}"
     return "ok", (src, stored, dst)
 
 
 def test_write_table_matches_reference_lookups():
-    schema = DEFAULT_SCHEMA
-    names = written_names(schema)
-    assert sorted(schema.write_table) == [n for n in names if n != "bogus_rel"]
-    for c1 in sorted(schema.concepts):
-        for c2 in sorted(schema.concepts):
+    names = written_names()
+    assert sorted(RELATIONS) == [n for n in names if n != "bogus_rel"]
+    concept_names = sorted(c.name for c in CONCEPT_ROWS)
+    for c1 in concept_names:
+        for c2 in concept_names:
             g = KnowledgeGraph()
             g.add_node(Node("x", c1))
             g.add_node(Node("y", c2))
             concepts = {"x": c1, "y": c2}
             for relation in names:
                 for dst in ("y", "x"):
-                    want = expected_write(schema, concepts, "x", relation, dst)
+                    want = expected_write(concepts, "x", relation, dst)
                     if want[0] == "ok":
                         edge = g.add_edge("x", relation, dst, rule="T")
                         assert edge.key() == want[1] and g.has_edge(*want[1])
@@ -359,13 +366,12 @@ def assert_reads_match_edges(g: KnowledgeGraph) -> None:
     reads like its stored relation, a swapped alias with ``OUT`` and ``IN``
     exchanged, and an unknown name raises."""
     every = g.edges()
-    relations = [*g.schema.relations, *(r.name for r in g.schema.derived_relations)]
     out: dict[tuple[str, str], set[str]] = {}
     inc: dict[tuple[str, str], set[str]] = {}
     for e in every:
         out.setdefault((e.src, e.relation), set()).add(e.dst)
         inc.setdefault((e.dst, e.relation), set()).add(e.src)
-    for relation in relations:
+    for relation in STORED:
         assert g.edges(relation) == tuple(
             sorted((e for e in every if e.relation == relation), key=Edge.key)
         ), relation
@@ -374,7 +380,7 @@ def assert_reads_match_edges(g: KnowledgeGraph) -> None:
     with pytest.raises(SchemaError, match="unknown relation: 'bogus_rel'"):
         g.edges("bogus_rel")
     for node_id in g.node_ids():
-        for relation in relations:
+        for relation in STORED:
             o = out.get((node_id, relation), set())
             i = inc.get((node_id, relation), set())
             assert g.neighbors(node_id, relation) == tuple(sorted(o))

