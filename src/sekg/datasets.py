@@ -18,15 +18,13 @@ def canonical_text() -> str:
     )
 
 
-def load_canonical(strict_vocab: bool = True) -> LoadResult:
-    """Parse the bundled dataset; strict mode turns vocabulary misses into errors."""
-    return load_dataset(canonical_text(), strict_vocab=strict_vocab)
+def load_canonical() -> LoadResult:
+    """Parse the bundled dataset in strict mode: a vocabulary miss is an error."""
+    return load_dataset(canonical_text(), strict_vocab=True)
 
 
-def canonical_graph(infer: bool = True) -> KnowledgeGraph:
-    """Load the bundled dataset, optionally run inference, and freeze the result."""
+def canonical_graph() -> KnowledgeGraph:
+    """Load the bundled dataset, run inference, and freeze the result."""
     graph = load_canonical().graph
-    if infer:
-        run_inference(graph)
-    graph.freeze()
-    return graph
+    run_inference(graph)
+    return graph.freeze()

@@ -238,12 +238,6 @@ class KnowledgeGraph:
     def has_edge(self, src: str, relation: str, dst: str) -> bool:
         return (src, relation, dst) in self._edges
 
-    def edge(self, src: str, relation: str, dst: str) -> Edge:
-        try:
-            return self._edges[(src, relation, dst)]
-        except KeyError:
-            raise GraphError(f"unknown edge: ({src}, {relation}, {dst})") from None
-
     def edges(self, relation: str | None = None) -> tuple[Edge, ...]:
         """All edges by (src, relation, dst), or one relation's edges.
 
@@ -331,16 +325,6 @@ class KnowledgeGraph:
     def _check_mutable(self) -> None:
         if self._frozen:
             raise GraphError("graph is frozen")
-
-    def copy(self) -> "KnowledgeGraph":
-        """Unfrozen deep-enough copy (nodes and edges are immutable values)."""
-        dup = KnowledgeGraph()
-        dup._scenarios = dict(self._scenarios)
-        dup._nodes = dict(self._nodes)
-        dup._edges = dict(self._edges)
-        dup._out = {r: {s: list(v) for s, v in m.items()} for r, m in self._out.items()}
-        dup._in = {r: {s: list(v) for s, v in m.items()} for r, m in self._in.items()}
-        return dup
 
 
 def scenario_members(graph: KnowledgeGraph) -> dict[int, set[str]]:

@@ -189,7 +189,10 @@ def axiom_closure(graph: KnowledgeGraph) -> InferenceResult:
 
     Only edges of relations with an axiom have consequences, so only they
     seed the closure, in ``Edge.key`` order as the whole edge list would.
+    A frozen graph raises ``GraphError``, even when there is nothing to add.
     """
+    if graph.frozen:
+        raise GraphError("graph is frozen")
     seeds = [
         edge
         for name, (stored, _, rel) in RELATIONS.items()
@@ -296,10 +299,9 @@ def run_rules(
     input row twice. Bodies without relation atoms run only once.
     After every rule has run, closure completes that round's emissions.
     ``iterations`` counts these rounds, the last one adding nothing; more
-    than ``MAX_ROUNDS`` of them raise ``GraphError``, as does a frozen graph.
+    than ``MAX_ROUNDS`` of them raise ``GraphError``. So does a frozen
+    graph, from the closure, before anything is joined or written.
     """
-    if graph.frozen:
-        raise GraphError("graph is frozen")
     compiled = []
     for rule in rules:
         rule.validate()
@@ -339,9 +341,6 @@ def run_rules(
             return result
 
 
-def run_inference(
-    graph: KnowledgeGraph,
-    rules: tuple[Rule, ...] | list[Rule] | None = None,
-) -> InferenceResult:
-    """Axiom closure and the (given or builtin) rule set, to fixpoint."""
-    return run_rules(graph, builtin_ruleset() if rules is None else rules)
+def run_inference(graph: KnowledgeGraph) -> InferenceResult:
+    """Axiom closure and the builtin rule set, to fixpoint."""
+    return run_rules(graph, builtin_ruleset())

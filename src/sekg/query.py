@@ -11,6 +11,10 @@ Grammar::
     operand := IDENT ("." IDENT)? | STRING
     item  := IDENT ("." IDENT)?
 
+``parse_query`` returns the join body (a :class:`Conjunction`) with the
+RETURN projection: each edge is a relation atom, and node concepts,
+``{key="value"}`` constraints and WHERE conditions are its tests.
+
 Keywords are case-sensitive uppercase. Matching uses homomorphism semantics:
 distinct variables may bind the same node unless a ``<>`` condition forbids
 it. Property comparisons use plain value equality; a property absent on a
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import QueryParseError, SchemaError
@@ -112,36 +116,12 @@ def _scan_string(text: str, start: int) -> tuple[str, int]:
 
 
 @dataclass(frozen=True)
-class NodePattern:
-    variable: str | None
-    concept: str | None
-    constraints: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class EdgePattern:
-    relation: str
-    reversed: bool
-
-
-@dataclass(frozen=True)
-class PathPattern:
-    nodes: tuple[NodePattern, ...]
-    edges: tuple[EdgePattern, ...]
-
-
-@dataclass(frozen=True)
 class Operand:
     """Variable, property access or string literal in a condition."""
 
     variable: str | None
     key: str | None
     literal: str | None
-    offset: int = field(default=0, compare=False)
-
-    @property
-    def is_literal(self) -> bool:
-        return self.literal is not None
 
 
 @dataclass(frozen=True)
@@ -168,7 +148,6 @@ class Condition:
 class ReturnItem:
     variable: str
     key: str | None = None
-    offset: int = field(default=0, compare=False)
 
     @property
     def label(self) -> str:
@@ -177,8 +156,15 @@ class ReturnItem:
 
 @dataclass(frozen=True)
 class PatternQuery:
-    patterns: tuple[PathPattern, ...]
-    where: tuple[Condition, ...]
+    """A parsed query: the join ``body`` it runs and the projection of its rows.
+
+    Every node of the MATCH paths is a variable of the body, in order of
+    first appearance; an anonymous node gets a name no query can spell.
+    Every edge is an atom over stored relation names. Node concepts,
+    ``{key="value"}`` constraints and then the WHERE conditions are its tests.
+    """
+
+    body: Conjunction
     returns: tuple[ReturnItem, ...]
     distinct: bool
 
@@ -198,10 +184,16 @@ class BindingRow:
 
 
 class _Parser:
+    """Builds the join body while it reads: each node adds its variable and
+    tests, each edge its atom, each WHERE condition its test."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.atoms: list[tuple[str, str, str]] = []
+        self.tests: list[Condition] = []
+        self.variables: dict[str, None] = {}
+        self.uses: list[tuple[str, int]] = []  # WHERE and RETURN variables
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -229,17 +221,16 @@ class _Parser:
 
     def parse(self) -> PatternQuery:
         self.expect("MATCH")
-        paths = [self.parse_path()]
+        self.parse_path()
         while self.peek().kind == ",":
             self.advance()
-            paths.append(self.parse_path())
-        conditions: list[Condition] = []
+            self.parse_path()
         if self.peek().kind == "WHERE":
             self.advance()
-            conditions.append(self.parse_condition())
+            self.tests.append(self.parse_condition())
             while self.peek().kind == "AND":
                 self.advance()
-                conditions.append(self.parse_condition())
+                self.tests.append(self.parse_condition())
             self._require("RETURN", "AND")
         else:
             self._require("RETURN", ",", "WHERE", "-[", "<-[")
@@ -253,26 +244,32 @@ class _Parser:
             self.advance()
             items.append(self.parse_item())
         self.expect("EOF", ",")
-        query = PatternQuery(tuple(paths), tuple(conditions), tuple(items), distinct)
-        self._check_bound(query)
-        return query
+        # Checked only now, so that a syntax error anywhere wins.
+        for name, offset in self.uses:
+            if name not in self.variables:
+                message = f"unbound variable: {name!r}"
+                raise QueryParseError(message, offset, frozenset())
+        body = Conjunction(tuple(self.atoms), tuple(self.tests), tuple(self.variables))
+        return PatternQuery(body, tuple(items), distinct)
 
-    def parse_path(self) -> PathPattern:
-        nodes = [self.parse_node()]
-        edges: list[EdgePattern] = []
+    def parse_path(self) -> None:
+        name = self.parse_node()
         while self.peek().kind in ("-[", "<-["):
-            edges.append(self.parse_edge())
-            nodes.append(self.parse_node())
-        return PathPattern(tuple(nodes), tuple(edges))
+            relation, reverse = self.parse_edge()
+            other = self.parse_node()
+            atom = (other, relation, name) if reverse else (name, relation, other)
+            self.atoms.append(atom)
+            name = other
 
-    def parse_node(self) -> NodePattern:
+    def parse_node(self) -> str:
+        """Read one node; returns its variable, made up if it has none."""
         self.expect("(")
         allowed = {"IDENT", ":", "{", ")"}
-        variable = None
+        name = f" anon{len(self.variables)}"
         if self.peek().kind == "IDENT":
-            variable = self.advance().text
+            name = self.advance().text
             allowed = {":", "{", ")"}
-        concept = None
+        self.variables[name] = None
         if self.peek().kind == ":":
             self.advance()
             tok = self.expect("IDENT")
@@ -282,27 +279,29 @@ class _Parser:
                 raise QueryParseError(
                     f"unknown concept: {tok.text!r}", tok.offset, frozenset()
                 ) from None
+            self.tests.append(_equals(name, "concept", concept))
             allowed = {"{", ")"}
-        constraints: list[tuple[str, str]] = []
         if self.peek().kind == "{":
             self.advance()
-            constraints.append(self.parse_constraint())
+            self.tests.append(self.parse_constraint(name))
             while self.peek().kind == ",":
                 self.advance()
-                constraints.append(self.parse_constraint())
+                self.tests.append(self.parse_constraint(name))
             self.expect("}", ",")
             allowed = {")"}
         self._require(")", *(allowed - {")"}))
         self.advance()
-        return NodePattern(variable, concept, tuple(constraints))
+        return name
 
-    def parse_constraint(self) -> tuple[str, str]:
+    def parse_constraint(self, name: str) -> Condition:
         key = self.expect("IDENT")
         self.expect("=")
         value = self.expect("STRING")
-        return (key.text, value.text)
+        return _equals(name, key.text, value.text)
 
-    def parse_edge(self) -> EdgePattern:
+    def parse_edge(self) -> tuple[str, bool]:
+        """Read one edge; returns its stored relation and whether its atom
+        runs against the arrow."""
         head = self.expect("-[", "<-[")
         self.expect(":")
         tok = self.expect("IDENT")
@@ -318,7 +317,7 @@ class _Parser:
         else:
             self.expect("]-")
             reverse = True
-        return EdgePattern(relation, reverse ^ swapped)
+        return relation, reverse ^ swapped
 
     def parse_condition(self) -> Condition:
         left = self.parse_operand()
@@ -329,41 +328,27 @@ class _Parser:
     def parse_operand(self) -> Operand:
         tok = self.expect("IDENT", "STRING")
         if tok.kind == "STRING":
-            return Operand(None, None, tok.text, tok.offset)
+            return Operand(None, None, tok.text)
+        self.uses.append((tok.text, tok.offset))
         key = None
         if self.peek().kind == ".":
             self.advance()
             key = self.expect("IDENT").text
-        return Operand(tok.text, key, None, tok.offset)
+        return Operand(tok.text, key, None)
 
     def parse_item(self) -> ReturnItem:
         tok = self.expect("IDENT")
+        self.uses.append((tok.text, tok.offset))
         key = None
         if self.peek().kind == ".":
             self.advance()
             key = self.expect("IDENT").text
-        return ReturnItem(tok.text, key, tok.offset)
+        return ReturnItem(tok.text, key)
 
-    def _check_bound(self, query: PatternQuery) -> None:
-        bound = {
-            node.variable
-            for path in query.patterns
-            for node in path.nodes
-            if node.variable is not None
-        }
-        for cond in query.where:
-            for operand in (cond.left, cond.right):
-                if not operand.is_literal and operand.variable not in bound:
-                    raise QueryParseError(
-                        f"unbound variable: {operand.variable!r}",
-                        operand.offset,
-                        frozenset(),
-                    )
-        for item in query.returns:
-            if item.variable not in bound:
-                raise QueryParseError(
-                    f"unbound variable: {item.variable!r}", item.offset, frozenset()
-                )
+
+def _equals(name: str, key: str, value: str) -> Condition:
+    """The test that node ``name`` has ``value`` for ``key``."""
+    return Condition(Operand(name, key, None), "=", Operand(None, None, value))
 
 
 def _found(tok: Token) -> str:
@@ -371,7 +356,7 @@ def _found(tok: Token) -> str:
 
 
 def parse_query(text: str) -> PatternQuery:
-    """Parse ``text`` into a schema-checked query AST."""
+    """Parse ``text`` into its schema-checked join body and projection."""
     return _Parser(text).parse()
 
 
@@ -591,41 +576,15 @@ def match(
     return join.rows
 
 
-def _compile(query: PatternQuery) -> Conjunction:
-    atoms: list[tuple[str, str, str]] = []
-    tests: list[Condition] = []
-    variables: dict[str, None] = {}
-    for path in query.patterns:
-        names = []
-        for node in path.nodes:
-            name = node.variable or f" anon{len(variables)}"
-            names.append(name)
-            variables[name] = None
-            constraints = list(node.constraints)
-            if node.concept is not None:
-                constraints.insert(0, ("concept", node.concept))
-            for key, value in constraints:
-                left, right = Operand(name, key, None), Operand(None, None, value)
-                tests.append(Condition(left, "=", right))
-        for i, edge in enumerate(path.edges):
-            src, dst = names[i], names[i + 1]
-            if edge.reversed:
-                src, dst = dst, src
-            atoms.append((src, edge.relation, dst))
-    tests.extend(query.where)
-    return Conjunction(tuple(atoms), tuple(tests), tuple(variables))
-
-
 def evaluate_query(
     query: PatternQuery, graph: KnowledgeGraph
 ) -> list[BindingRow]:
     """Evaluate ``query`` against ``graph`` and return sorted projection rows.
 
-    Node concepts, ``{key="value"}`` constraints and WHERE conditions become
-    tests of one conjunctive join (see :meth:`Conjunction.plan`). The step
-    order never changes the result set, only the search order.
+    Runs ``query.body`` as one conjunctive join (see :meth:`Conjunction.plan`).
+    The step order never changes the result set, only the search order.
     """
-    body = _compile(query)
+    body = query.body
     items = [(body.variables.index(item.variable), item.key) for item in query.returns]
     node = graph.node
     rows = [

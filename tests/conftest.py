@@ -6,7 +6,7 @@ import pytest
 from sekg.analytics import AttackPath
 from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError
-from sekg.graph import KnowledgeGraph, Node
+from sekg.graph import Edge, KnowledgeGraph, Node
 from sekg.inference import AtomKind
 from sekg.schema import (
     RELATION_ALIASES,
@@ -25,8 +25,8 @@ def graph():
 
 @pytest.fixture(scope="session")
 def asserted_graph():
-    """Canonical dataset without inference."""
-    return canonical_graph(infer=False)
+    """Canonical dataset without inference, frozen."""
+    return load_canonical().graph.freeze()
 
 
 @pytest.fixture(scope="session")
@@ -255,57 +255,31 @@ def replicated_graph(graph, k: int) -> KnowledgeGraph:
 
 
 def reference_eval(query, graph) -> list[tuple[str, ...]]:
-    """Exhaustive query evaluation: every variable assignment is tried.
+    """Exhaustive query evaluation: every assignment of ``query.body``'s
+    variables is tried against its atoms (by ``has_edge``) and its tests
+    (two absent properties compare equal).
 
-    Exponential, so only usable on small fixtures; the production evaluator
-    must agree with it exactly.
+    Shares no planner or join code. Exponential, so only usable on small
+    fixtures; the production evaluator must agree with it exactly.
     """
-    specs: dict[str, list] = {}
-    edges = []
-    anon = 0
-    for path in query.patterns:
-        names = []
-        for node in path.nodes:
-            name = node.variable
-            if name is None:
-                name = f"__anon{anon}"
-                anon += 1
-            names.append(name)
-            specs.setdefault(name, []).append(node)
-        for i, edge in enumerate(path.edges):
-            src, dst = names[i], names[i + 1]
-            if edge.reversed:
-                src, dst = dst, src
-            edges.append((src, edge.relation, dst))
-
-    def node_ok(node_id, pattern):
-        node = graph.node(node_id)
-        if pattern.concept is not None and node.concept != pattern.concept:
-            return False
-        return all(node.property(k) == v for k, v in pattern.constraints)
+    body = query.body
 
     def operand(env, op):
-        if op.is_literal:
+        if op.variable is None:
             return op.literal
         if op.key is None:
             return env[op.variable]
         return graph.node(env[op.variable]).property(op.key)
 
-    variables = sorted(specs)
     rows = []
-    for combo in itertools.product(graph.node_ids(), repeat=len(variables)):
-        env = dict(zip(variables, combo))
-        if not all(node_ok(env[v], p) for v in variables for p in specs[v]):
+    for combo in itertools.product(graph.node_ids(), repeat=len(body.variables)):
+        env = dict(zip(body.variables, combo))
+        if not all(graph.has_edge(env[s], r, env[d]) for s, r, d in body.atoms):
             continue
-        if not all(graph.has_edge(env[s], r, env[d]) for s, r, d in edges):
-            continue
-        ok = True
-        for cond in query.where:
-            left, right = operand(env, cond.left), operand(env, cond.right)
-            if (left == right) != (cond.op == "="):
-                ok = False
-                break
-        if not ok:
+        if not all(
+            (operand(env, t.left) == operand(env, t.right)) == (t.op == "=")
+            for t in body.tests
+        ):
             continue
         row = []
         for item in query.returns:
@@ -319,6 +293,27 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
     if query.distinct:
         rows = [r for i, r in enumerate(rows) if i == 0 or r != rows[i - 1]]
     return rows
+
+
+def thaw(graph) -> KnowledgeGraph:
+    """An unfrozen copy of ``graph``, written through ``add_node`` and
+    ``add_edge`` with each edge's rule."""
+    g = KnowledgeGraph()
+    for sid, attack_type in graph.scenarios.items():
+        g.register_scenario(sid, attack_type)
+    for node in graph.nodes():
+        g.add_node(node)
+    for e in graph.edges():
+        g.add_edge(e.src, e.relation, e.dst, rule=e.rule)
+    return g
+
+
+def find_edge(graph, src, relation, dst) -> Edge:
+    """The stored edge (src, relation, dst), by a scan of ``edges(relation)``."""
+    for edge in graph.edges(relation):
+        if edge.key() == (src, relation, dst):
+            return edge
+    raise AssertionError(f"no edge ({src}, {relation}, {dst})")
 
 
 def reference_closure(graph) -> list:

