@@ -1,22 +1,23 @@
 """Forward-chaining inference: axiom closure plus derivation rules.
 
-Axiom closure completes inverse and subproperty edges declared by the
-schema (a symmetric relation is its own inverse, so asserting one direction
-yields the other). Derivation rules are small conjunctive bodies over
-relation atoms, inequality constraints and property-equality constraints,
-compiled into the conjunctive join that MATCH queries use, with relation
-names resolved through the schema. They run semi-naive until fixpoint with
-set semantics: after its first join, a rule joins only the edges added
-since it last ran, given to the join as input rows. Inference is thus
-idempotent and terminates on any finite graph.
+The schema's axioms are single-atom rules generated at import: ``R3``
+lifts an edge to its superproperty and ``R2`` adds its inverse (a symmetric
+relation is its own inverse, so asserting one direction yields the other).
+Derivation rules are small conjunctive bodies over relation atoms,
+inequality constraints and property-equality constraints. Both compile
+into the conjunctive join that MATCH queries use, with relation names
+resolved through the schema, and one engine runs them semi-naive until
+fixpoint with set semantics: after its first join, a rule joins only the
+edges added since it last ran, given to the join as input rows. Inference
+is thus idempotent and terminates on any finite graph.
 
-Every inferred edge records the name of the rule that produced it; closure
-edges use ``R2`` (inverse completion) and ``R3`` (subproperty completion).
-Heads are written through ``KnowledgeGraph.add_edge``, which checks them
-against the schema; a head it refuses (an unknown endpoint, wrong endpoint
-concepts, or a self-loop on an irreflexive relation) is dropped rather than
-raised: the body of a rule constrains structure, the schema constrains the
-head.
+Every inferred edge records the name of the rule that produced it. R3 runs
+before R2, so an edge derivable both ways is labelled ``R3``, whatever the
+node ids. Heads are written through ``KnowledgeGraph.add_edge``, which
+checks them against the schema; a head it refuses (an unknown endpoint,
+wrong endpoint concepts, or a self-loop on an irreflexive relation) is
+dropped rather than raised: the body of a rule constrains structure, the
+schema constrains the head.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,13 +25,14 @@ from enum import Enum
 
 from .errors import GraphError, RuleError
 from .graph import Edge, KnowledgeGraph
-from .query import Condition, Conjunction, Operand, match
+from .query import Condition, Conjunction, Operand, Plan, match
 from .schema import RELATIONS
 
 INVERSE_RULE = "R2"
 SUBPROPERTY_RULE = "R3"
 
-#: Rounds after which ``run_rules`` gives up on reaching a fixpoint.
+#: Rounds after which one fixpoint run gives up: the axiom closure and the
+#: rule rounds of ``run_rules`` are each bounded by it.
 MAX_ROUNDS = 1000
 
 
@@ -115,7 +117,8 @@ def builtin_ruleset() -> tuple[Rule, ...]:
     affiliations; R6 relates methods that share an encoded source domain,
     a common motivation behind their attackers, and victims already known
     to share an affiliation; R7 lifts R6 to the attackers themselves.
-    R2/R3 are the axiom-closure passes, not explicit rules.
+    R2/R3 are not listed: they are generated from the schema's axioms and
+    run by ``axiom_closure`` and after these rules in every round.
     """
     return (
         Rule(
@@ -173,57 +176,17 @@ def builtin_ruleset() -> tuple[Rule, ...]:
     )
 
 
-def _closure_of_edge(edge: Edge) -> list[tuple[str, str, str, str]]:
-    """Inverse and subproperty consequences of one edge: (src, rel, dst, rule)."""
-    out = []
-    rel = RELATIONS[edge.relation][2]
-    if rel.inverse_of is not None:
-        out.append((edge.dst, rel.inverse_of, edge.src, INVERSE_RULE))
-    if rel.subproperty_of is not None:
-        out.append((edge.src, rel.subproperty_of, edge.dst, SUBPROPERTY_RULE))
-    return out
+def _compile(rule: Rule) -> tuple[str, tuple[int | str, str, int | str], Plan, list]:
+    """The rule, validated and planned: (name, head, body plan, per-atom plans).
 
-
-def axiom_closure(graph: KnowledgeGraph) -> InferenceResult:
-    """Complete inverse and subproperty edges until nothing new appears.
-
-    Only edges of relations with an axiom have consequences, so only they
-    seed the closure, in ``Edge.key`` order as the whole edge list would.
-    A frozen graph raises ``GraphError``, even when there is nothing to add.
+    The body becomes a join over stored relation names. A constant in a
+    relation or property atom becomes a variable pinned by id; a constant in
+    an inequality stays a literal. A head term is the slot of its variable
+    in the body's rows, or a constant node id. Per relation atom, the body
+    without that atom is planned with the atom's endpoints as inputs, and
+    kept as (relation, plan, is a self-loop).
     """
-    if graph.frozen:
-        raise GraphError("graph is frozen")
-    seeds = [
-        edge
-        for name, (stored, _, rel) in RELATIONS.items()
-        if name == stored and (rel.inverse_of or rel.subproperty_of)
-        for edge in graph.edges(name)
-    ]
-    return _close(graph, sorted(seeds, key=Edge.key), InferenceResult())
-
-
-def _close(
-    graph: KnowledgeGraph, pending: list[Edge], result: InferenceResult
-) -> InferenceResult:
-    """Closure consequences of ``pending``, popped from the end, and theirs."""
-    while pending:
-        edge = pending.pop()
-        for src, relation, dst, rule in _closure_of_edge(edge):
-            if graph.has_edge(src, relation, dst):
-                continue
-            added = graph.add_edge(src, relation, dst, rule=rule)
-            result._record(added)
-            pending.append(added)
-    return result
-
-
-def _compile(rule: Rule) -> tuple[Conjunction, tuple[int | str, str, int | str]]:
-    """The rule body as a join over stored relation names, and its head.
-
-    A constant in a relation or property atom becomes a variable pinned by
-    id; a constant in an inequality stays a literal. A head term is the
-    slot of its variable in the body's rows, or a constant node id.
-    """
+    rule.validate()
     atoms: list[tuple[str, str, str]] = []
     tests: list[Condition] = []
     pins: dict[str, str] = {}
@@ -252,7 +215,13 @@ def _compile(rule: Rule) -> tuple[Conjunction, tuple[int | str, str, int | str]]
     body = Conjunction(tuple(atoms), tuple(tests), tuple(dict.fromkeys(names)))
     a, relation, b = _oriented(rule.head.relation or "", *rule.head.terms)
     slot = {v: i for i, v in enumerate(body.variables)}
-    return body, (slot.get(a, a), relation, slot.get(b, b))
+    head = (slot.get(a, a), relation, slot.get(b, b))
+    per_atom = []
+    for i, (src, relation, dst) in enumerate(body.atoms):
+        rest = replace(body, atoms=body.atoms[:i] + body.atoms[i + 1 :])
+        inputs = tuple(dict.fromkeys((src, dst)))
+        per_atom.append((relation, rest.plan(inputs=inputs), src == dst))
+    return rule.name, head, body.plan(), per_atom
 
 
 def _oriented(relation: str, a: str, b: str) -> tuple[str, str, str]:
@@ -260,23 +229,89 @@ def _oriented(relation: str, a: str, b: str) -> tuple[str, str, str]:
     return (b, name, a) if swapped else (a, name, b)
 
 
-def _emit(
-    graph: KnowledgeGraph,
-    name: str,
-    head: tuple[int | str, str, int | str],
-    row: tuple[str, ...],
-    result: InferenceResult,
-) -> None:
-    a, relation, b = head
-    src = a if isinstance(a, str) else row[a]
-    dst = b if isinstance(b, str) else row[b]
-    if graph.has_edge(src, relation, dst):
-        return
-    try:
-        edge = graph.add_edge(src, relation, dst, rule=name)
-    except GraphError:
-        return  # a head the schema refuses is dropped
-    result._record(edge)
+_STORED = [rel for name, (stored, _, rel) in RELATIONS.items() if name == stored]
+
+#: The schema's axioms as single-atom rules, planned once: an R3 rule
+#: ``(?x r ?y) -> (?x sub ?y)`` per subproperty axiom, then an R2 rule
+#: ``(?x r ?y) -> (?y inv ?x)`` per relation with an inverse.
+_AXIOMS = tuple(
+    _compile(Rule(label, (Atom.rel(rel.name, "?x", "?y"),), Atom.rel(target, *ends)))
+    for label, ends, targets in (
+        (SUBPROPERTY_RULE, ("?x", "?y"), [(r, r.subproperty_of) for r in _STORED]),
+        (INVERSE_RULE, ("?y", "?x"), [(r, r.inverse_of) for r in _STORED]),
+    )
+    for rel, target in targets
+    if target
+)
+
+
+def _fixpoint(
+    graph: KnowledgeGraph, result: InferenceResult, fresh: tuple, joined: tuple = ()
+) -> InferenceResult:
+    """Run planned rules in rounds, in order, until a round adds nothing.
+
+    A rule of ``fresh`` first joins its body against the whole graph; a rule
+    of ``joined`` counts that join as done already. After it, a rule joins
+    only its delta: per relation, the ``(src, dst)`` pairs of the edges
+    added in this call since its previous join began. Per relation atom,
+    the plan of the body without that atom runs with those pairs of the
+    atom's relation as input rows; the other atoms are joined against the
+    current graph. A self-loop atom ``(?x, r, ?x)`` takes only the pairs
+    with ``src == dst``. A rule thus sees its own emissions and everything
+    added since it last ran, and never gets the same edge as an input row
+    twice. Bodies without relation atoms run only once.
+
+    Emissions go into ``result``; ``result.iterations`` becomes this call's
+    round count, the last round adding nothing. More than ``MAX_ROUNDS``
+    rounds raise ``GraphError``.
+    """
+    rules = fresh + joined
+    added: dict[str, list[tuple[str, ...]]] = {}
+    seen: list[dict[str, int] | None] = [None] * len(fresh) + [{}] * len(joined)
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > MAX_ROUNDS:
+            raise GraphError(f"no fixpoint after {MAX_ROUNDS} rounds")
+        before = len(result.added)
+        for i, (name, (a, head_relation, b), plan, per_atom) in enumerate(rules):
+            offsets, seen[i] = seen[i], {r: len(p) for r, p in added.items()}
+            if offsets is None:
+                rows = match(graph, plan)
+            else:
+                rows = []
+                for relation, rest, loop in per_atom:
+                    pairs = added.get(relation, [])[offsets.get(relation, 0) :]
+                    if loop:
+                        pairs = [(src,) for src, dst in pairs if src == dst]
+                    if pairs:
+                        rows += match(graph, rest, pairs)
+            for row in rows:
+                src = a if isinstance(a, str) else row[a]
+                dst = b if isinstance(b, str) else row[b]
+                if graph.has_edge(src, head_relation, dst):
+                    continue
+                try:
+                    edge = graph.add_edge(src, head_relation, dst, rule=name)
+                except GraphError:
+                    continue  # a head the schema refuses is dropped
+                result._record(edge)
+                added.setdefault(head_relation, []).append((src, dst))
+        if len(result.added) == before:
+            result.iterations = rounds
+            return result
+
+
+def axiom_closure(graph: KnowledgeGraph) -> InferenceResult:
+    """Complete inverse and subproperty edges until nothing new appears.
+
+    Runs the axiom rules alone to fixpoint, R3 before R2 in every round, so
+    an edge both lifted and inverted is labelled ``R3``. A frozen graph
+    raises ``GraphError``, even when there is nothing to add.
+    """
+    if graph.frozen:
+        raise GraphError("graph is frozen")
+    return _fixpoint(graph, InferenceResult(), _AXIOMS)
 
 
 def run_rules(
@@ -287,58 +322,16 @@ def run_rules(
 
     The graph is closed once, up front, so a direct call on a graph that
     was never closed still starts from the closed graph (its closure edges
-    count in ``result``). Each rule then keeps its own delta: the edges of
-    ``result.added`` from where its previous join began. Its first join
-    runs the body against the whole graph. Later ones run, per relation
-    atom, the plan of the body without that atom, whose inputs are the
-    atom's endpoints, with the delta's ``(src, dst)`` pairs of that relation
-    as input rows; the other atoms are joined against the current graph.
-    A self-loop atom ``(?x, r, ?x)`` takes the one input ``?x`` and only the
-    pairs with ``src == dst``. A rule thus sees its own emissions and
-    everything added since it last ran, and never gets the same edge as an
-    input row twice. Bodies without relation atoms run only once.
-    After every rule has run, closure completes that round's emissions.
-    ``iterations`` counts these rounds, the last one adding nothing; more
-    than ``MAX_ROUNDS`` of them raise ``GraphError``. So does a frozen
-    graph, from the closure, before anything is joined or written.
+    count in ``result``). Then ``rules`` run semi-naive (see ``_fixpoint``),
+    each round followed by the axiom rules, R3 before R2. Their first join
+    is that closure, so they join only the round's deltas; the next round
+    completes what they miss of their own emissions. ``iterations`` counts
+    the rounds after the closure. A rule is validated and planned before
+    anything is joined or written, and a frozen graph raises ``GraphError``
+    from the closure.
     """
-    compiled = []
-    for rule in rules:
-        rule.validate()
-        body, head = _compile(rule)
-        per_atom = []
-        for i, (src, relation, dst) in enumerate(body.atoms):
-            rest = replace(body, atoms=body.atoms[:i] + body.atoms[i + 1 :])
-            inputs = tuple(dict.fromkeys((src, dst)))
-            per_atom.append((relation, rest.plan(inputs=inputs), src == dst))
-        compiled.append((rule.name, head, body.plan(), per_atom))
-    result = axiom_closure(graph)
-    marks: list[int | None] = [None] * len(compiled)
-    while True:
-        result.iterations += 1
-        if result.iterations > MAX_ROUNDS:
-            raise GraphError(f"no fixpoint after {MAX_ROUNDS} rounds")
-        before = len(result.added)
-        for i, (name, head, plan, per_atom) in enumerate(compiled):
-            mark, marks[i] = marks[i], len(result.added)
-            if mark is None:
-                rows = match(graph, plan)
-            else:
-                delta: dict[str, list[tuple[str, ...]]] = {}
-                for edge in result.added[mark:]:
-                    delta.setdefault(edge.relation, []).append((edge.src, edge.dst))
-                rows = []
-                for relation, rest, loop in per_atom:
-                    if relation in delta:
-                        pairs = delta[relation]
-                        if loop:
-                            pairs = [(src,) for src, dst in pairs if src == dst]
-                        rows += match(graph, rest, pairs)
-            for row in rows:
-                _emit(graph, name, head, row, result)
-        _close(graph, sorted(result.added[before:], key=Edge.key), result)
-        if len(result.added) == before:
-            return result
+    planned = tuple(_compile(rule) for rule in rules)
+    return _fixpoint(graph, axiom_closure(graph), planned, _AXIOMS)
 
 
 def run_inference(graph: KnowledgeGraph) -> InferenceResult:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -295,16 +296,18 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
     return rows
 
 
-def thaw(graph) -> KnowledgeGraph:
+def thaw(graph, rename=None) -> KnowledgeGraph:
     """An unfrozen copy of ``graph``, written through ``add_node`` and
-    ``add_edge`` with each edge's rule."""
+    ``add_edge`` with each edge's rule. A node id in ``rename`` becomes the
+    id it maps to."""
+    new = (rename or {}).get
     g = KnowledgeGraph()
     for sid, attack_type in graph.scenarios.items():
         g.register_scenario(sid, attack_type)
     for node in graph.nodes():
-        g.add_node(node)
+        g.add_node(replace(node, id=new(node.id, node.id)))
     for e in graph.edges():
-        g.add_edge(e.src, e.relation, e.dst, rule=e.rule)
+        g.add_edge(new(e.src, e.src), e.relation, new(e.dst, e.dst), rule=e.rule)
     return g
 
 
@@ -317,27 +320,28 @@ def find_edge(graph, src, relation, dst) -> Edge:
 
 
 def reference_closure(graph) -> list:
-    """Axiom closure seeded from every edge of ``graph``; the edges it adds.
+    """Axiom closure by naive passes over the whole graph; the edges it adds.
 
-    Pops the whole edge list, sorted by key, from the end; each inverse
-    (``R2``) or subproperty (``R3``) consequence that is new is added and
-    pushed in turn. ``axiom_closure`` must add the same edges, with the same
-    rule labels, in the same order. ``graph`` is modified.
+    Each pass scans every edge, sorted by key, twice. The first scan adds
+    each missing subproperty edge (``R3``). The second, reading the graph as
+    it now is, adds each missing inverse edge (``R2``). Passes repeat until
+    one adds nothing, so an edge that is both a lift and an inverse is
+    labelled ``R3``. ``axiom_closure`` must add the same edges with the same
+    labels. Shares no code with the join. ``graph`` is modified.
     """
     added = []
-    pending = sorted(graph.edges(), key=lambda e: e.key())
-    while pending:
-        edge = pending.pop()
-        rel = stored_relation(edge.relation)
-        for src, relation, dst, rule in (
-            (edge.dst, rel.inverse_of, edge.src, "R2"),
-            (edge.src, rel.subproperty_of, edge.dst, "R3"),
-        ):
-            if relation is not None and not graph.has_edge(src, relation, dst):
-                new = graph.add_edge(src, relation, dst, rule=rule)
-                added.append(new)
-                pending.append(new)
-    return added
+    while True:
+        before = len(added)
+        for edge in sorted(graph.edges(), key=lambda e: e.key()):
+            lift = stored_relation(edge.relation).subproperty_of
+            if lift is not None and not graph.has_edge(edge.src, lift, edge.dst):
+                added.append(graph.add_edge(edge.src, lift, edge.dst, rule="R3"))
+        for edge in sorted(graph.edges(), key=lambda e: e.key()):
+            inverse = stored_relation(edge.relation).inverse_of
+            if inverse is not None and not graph.has_edge(edge.dst, inverse, edge.src):
+                added.append(graph.add_edge(edge.dst, inverse, edge.src, rule="R2"))
+        if len(added) == before:
+            return added
 
 
 #: The schema's rows, read once. The references below scan them instead of

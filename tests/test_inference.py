@@ -13,7 +13,7 @@ from conftest import (
 
 from sekg import inference
 from sekg.errors import GraphError, RuleError, SchemaError
-from sekg.graph import KnowledgeGraph, Node
+from sekg.graph import Edge, KnowledgeGraph, Node
 from sekg.inference import (
     Atom,
     Rule,
@@ -360,9 +360,25 @@ def test_closure_matches_reference_with_provenance(asserted_graph):
     graphs += [random_conformant_graph(seed) for seed in range(100)]
     for i, g in enumerate(graphs):
         got, want = thaw(g), thaw(g)
-        added = axiom_closure(got).added
-        assert added == reference_closure(want), f"graph {i}"
+        added = sorted(axiom_closure(got).added, key=Edge.key)
+        assert added == sorted(reference_closure(want), key=Edge.key), f"graph {i}"
         assert got.edges() == want.edges(), f"graph {i}"
+
+
+def test_provenance_independent_of_node_ids(load_result):
+    # Relabel every node so that ids sort in reverse; each edge must still
+    # get the same rule label, whatever order the engine visits nodes in.
+    graphs = [load_result.graph] + [random_conformant_graph(s) for s in range(100)]
+    for i, source in enumerate(graphs):
+        ids = sorted(source.node_ids())
+        rename = {old: f"n{len(ids) - k:04d}" for k, old in enumerate(ids)}
+        back = {new: old for old, new in rename.items()}
+        g, h = thaw(source), thaw(source, rename)
+        run_inference(g)
+        run_inference(h)
+        want = {(e.src, e.relation, e.dst, e.rule) for e in g.edges()}
+        got = {(back[e.src], e.relation, back[e.dst], e.rule) for e in h.edges()}
+        assert got == want, f"graph {i}"
 
 
 def test_later_rule_feeds_earlier_rule(load_result):
@@ -420,6 +436,21 @@ def test_rule_feeds_itself():
     # R1 in round 1, then one hop per round, then an empty round
     assert result.fired["S"] == 5
     assert result.iterations == 7
+
+
+def test_run_inference_closes_once(monkeypatch):
+    # The closure is a traced layer of its own: run_inference must reach it
+    # through inference.axiom_closure, once.
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return axiom_closure(graph)
+
+    monkeypatch.setattr(inference, "axiom_closure", counted)
+    g = chain_fixture()
+    run_inference(g)
+    assert calls == [g]
 
 
 def test_run_rules_closes_unclosed_graph_first():
@@ -487,24 +518,32 @@ def transitive_chain() -> tuple[KnowledgeGraph, Rule]:
 
 
 def test_semi_naive_graph_read_counts(load_result, monkeypatch):
-    # Counted, not timed. On the bundled corpus the engine makes 224 reads
-    # (77 adjacency, 147 has_edge): its second round joins only each rule's
-    # own delta. Counted as neighbors plus has_edge calls, before the join
-    # read adjacency directly, that was 220; seeding that round from all of
-    # the first round's edges made 454, re-running every join 344, and the
+    # Counted, not timed. On the bundled corpus the engine makes 240 reads
+    # (93 adjacency, 147 has_edge): its second round joins only each rule's
+    # own delta. The 16 extra adjacency reads are the axiom rules' full
+    # joins in the closure, which a separate closure pass made as 224 reads.
+    # Counted as neighbors plus has_edge calls, before the join read
+    # adjacency directly, that was 220; seeding that round from all of the
+    # first round's edges made 454, re-running every join 344, and the
     # earlier engine, which re-enumerated every body each round, 975.
     g = thaw(load_result.graph)
     assert graph_reads(monkeypatch, lambda: run_inference(g)) < 245
     # A transitive rule over a chain of 24 attackers takes 6 rounds: seeding
-    # each join from the edges added since that rule last ran makes 16219
-    # reads (16218 as neighbors plus has_edge), re-running every join over
-    # the whole graph would make 29608.
+    # each join from the edges added since that rule last ran makes 16235
+    # reads (16219 with a separate closure pass, 16218 as neighbors plus
+    # has_edge), re-running every join over the whole graph would make 29608.
     chain, transitive = transitive_chain()
     assert graph_reads(monkeypatch, lambda: run_rules(chain, [transitive])) < 22000
     assert chain.edge_count == 24 * 23
 
 
 def test_round_limit_raises(monkeypatch):
+    # MAX_ROUNDS bounds each fixpoint run separately: the closure of the
+    # chain takes 2 rounds, so the limits below trip in the rule rounds.
+    chain, transitive = transitive_chain()
+    monkeypatch.setattr(inference, "MAX_ROUNDS", 2)
+    added = axiom_closure(chain).added
+    assert len(added) == 23 and {e.rule for e in added} == {"R2"}
     chain, transitive = transitive_chain()
     monkeypatch.setattr(inference, "MAX_ROUNDS", 6)
     assert run_rules(chain, [transitive]).iterations == 6
