@@ -39,8 +39,6 @@ _EXPORTS = {
     "Edge": "graph",
     "KnowledgeGraph": "graph",
     "Node": "graph",
-    "Atom": "inference",
-    "AtomKind": "inference",
     "InferenceResult": "inference",
     "Rule": "inference",
     "axiom_closure": "inference",

@@ -1,31 +1,36 @@
 """Forward-chaining inference: axiom closure plus derivation rules.
 
+A rule is a name, a head relation and a body written as MATCH text, whose
+``RETURN`` names the head's two endpoints: R1 is ``MATCH
+(a)-[:craft_and_perform]->(am)-[:apply_to]->(v) RETURN a, v`` with head
+``attack``. The body parses into the conjunctive join that MATCH queries
+use, with one difference: an ``=`` test in a rule never matches an absent
+property, where MATCH lets two absent properties compare equal. Each rule
+is parsed and planned once per process.
+
 The schema's axioms are single-atom rules generated at import: ``R3``
 lifts an edge to its superproperty and ``R2`` adds its inverse (a symmetric
 relation is its own inverse, so asserting one direction yields the other).
-Derivation rules are small conjunctive bodies over relation atoms,
-inequality constraints and property-equality constraints. Both compile
-into the conjunctive join that MATCH queries use, with relation names
-resolved through the schema, and one engine runs them semi-naive until
-fixpoint with set semantics: after its first join, a rule joins only the
-edges added since it last ran, given to the join as input rows. Inference
-is thus idempotent and terminates on any finite graph.
+One engine runs every rule semi-naive until fixpoint with set semantics:
+after its first join, a rule joins only the edges added since it last ran,
+given to the join as input rows. Inference is thus idempotent and
+terminates on any finite graph.
 
 Every inferred edge records the name of the rule that produced it. R3 runs
 before R2, so an edge derivable both ways is labelled ``R3``, whatever the
 node ids. Heads are written through ``KnowledgeGraph.add_edge``, which
-checks them against the schema; a head it refuses (an unknown endpoint,
-wrong endpoint concepts, or a self-loop on an irreflexive relation) is
-dropped rather than raised: the body of a rule constrains structure, the
-schema constrains the head.
+checks them against the schema; a head it refuses (wrong endpoint concepts
+or a self-loop on an irreflexive relation) is dropped rather than raised:
+the body of a rule constrains structure, the schema constrains the head.
 """
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
+from functools import cache
+from typing import NamedTuple
 
 from .errors import GraphError, RuleError
 from .graph import Edge, KnowledgeGraph
-from .query import Condition, Conjunction, Operand, Plan, match
+from .query import Plan, match, parse_query
 from .schema import RELATIONS
 
 INVERSE_RULE = "R2"
@@ -36,63 +41,13 @@ SUBPROPERTY_RULE = "R3"
 MAX_ROUNDS = 1000
 
 
-class AtomKind(Enum):
-    RELATION = "relation"
-    DIFFERENT_FROM = "different_from"
-    PROPERTY_EQUALS = "property_equals"
+class Rule(NamedTuple):
+    """Derive ``(x, relation, y)`` for each row of ``body``, a MATCH text
+    whose ``RETURN`` is ``x, y``."""
 
-
-def _is_var(term: str) -> bool:
-    return term.startswith("?")
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One body or head condition. Terms starting with ``?`` are variables."""
-
-    kind: AtomKind
-    terms: tuple[str, str]
-    relation: str | None = None
-    property_key: str | None = None
-
-    @staticmethod
-    def rel(relation: str, a: str, b: str) -> "Atom":
-        return Atom(AtomKind.RELATION, (a, b), relation=relation)
-
-    @staticmethod
-    def different(a: str, b: str) -> "Atom":
-        return Atom(AtomKind.DIFFERENT_FROM, (a, b))
-
-    @staticmethod
-    def prop_equals(key: str, a: str, b: str) -> "Atom":
-        return Atom(AtomKind.PROPERTY_EQUALS, (a, b), property_key=key)
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(t for t in self.terms if _is_var(t))
-
-
-@dataclass(frozen=True)
-class Rule:
     name: str
-    body: tuple[Atom, ...]
-    head: Atom
-
-    def validate(self) -> None:
-        if self.head.kind is not AtomKind.RELATION:
-            raise RuleError(f"rule {self.name}: head must be a relation atom")
-        bound = frozenset().union(
-            *(a.variables() for a in self.body if a.kind is not AtomKind.DIFFERENT_FROM)
-        )
-        loose = frozenset().union(*(a.variables() for a in self.body)) - bound
-        if loose:
-            raise RuleError(
-                f"rule {self.name}: variables only in inequality atoms: {sorted(loose)}"
-            )
-        unbound = self.head.variables() - bound
-        if unbound:
-            raise RuleError(
-                f"rule {self.name}: head variables not bound in body: {sorted(unbound)}"
-            )
+    relation: str
+    body: str
 
 
 @dataclass
@@ -110,112 +65,75 @@ class InferenceResult:
 
 
 def builtin_ruleset() -> tuple[Rule, ...]:
-    """Derivation rules over the schema's relations.
+    """Derivation rules over the schema's relations, as MATCH text.
 
     R1 derives attack edges from performed methods; R4 relates attackers
     sharing a motivation and a victim; R5 relates targets with equal
     affiliations; R6 relates methods that share an encoded source domain,
     a common motivation behind their attackers, and victims already known
     to share an affiliation; R7 lifts R6 to the attackers themselves.
+    The planner breaks ties in written order, so reordering the edges of a
+    body can change its plan.
     R2/R3 are not listed: they are generated from the schema's axioms and
     run by ``axiom_closure`` and after these rules in every round.
     """
     return (
         Rule(
             "R1",
-            body=(
-                Atom.rel("craft_and_perform", "?a", "?am"),
-                Atom.rel("apply_to", "?am", "?v"),
-            ),
-            head=Atom.rel("attack", "?a", "?v"),
+            "attack",
+            "MATCH (a)-[:craft_and_perform]->(am)-[:apply_to]->(v) RETURN a, v",
         ),
         Rule(
             "R4",
-            body=(
-                Atom.rel("motivate", "?m", "?a"),
-                Atom.rel("attack", "?a", "?v"),
-                Atom.rel("attack", "?b", "?v"),
-                Atom.rel("motivate", "?m", "?b"),
-                Atom.different("?a", "?b"),
-            ),
-            head=Atom.rel("same_attack_organization", "?a", "?b"),
+            "same_attack_organization",
+            "MATCH (m)-[:motivate]->(a)-[:attack]->(v)<-[:attack]-(b)<-[:motivate]-(m)"
+            " WHERE a <> b RETURN a, b",
         ),
         Rule(
             "R5",
-            body=(
-                Atom.prop_equals("affiliation", "?v1", "?v2"),
-                Atom.different("?v1", "?v2"),
-            ),
-            head=Atom.rel("same_affiliation", "?v1", "?v2"),
+            "same_affiliation",
+            "MATCH (v1), (v2) WHERE v1.affiliation = v2.affiliation AND v1 <> v2"
+            " RETURN v1, v2",
         ),
         Rule(
             "R6",
-            body=(
-                Atom.prop_equals("encoded_domain", "?am1", "?am2"),
-                Atom.different("?am1", "?am2"),
-                Atom.rel("craft_and_perform", "?a1", "?am1"),
-                Atom.rel("craft_and_perform", "?a2", "?am2"),
-                Atom.rel("motivated_by", "?a1", "?m"),
-                Atom.rel("motivated_by", "?a2", "?m"),
-                Atom.rel("attack", "?a1", "?v1"),
-                Atom.rel("attack", "?a2", "?v2"),
-                Atom.rel("same_affiliation", "?v1", "?v2"),
-            ),
-            head=Atom.rel("same_origin_attack", "?am1", "?am2"),
+            "same_origin_attack",
+            "MATCH (a1)-[:craft_and_perform]->(am1), (a2)-[:craft_and_perform]->(am2),"
+            " (a1)-[:motivated_by]->(m), (a2)-[:motivated_by]->(m),"
+            " (a1)-[:attack]->(v1), (a2)-[:attack]->(v2),"
+            " (v1)-[:same_affiliation]->(v2)"
+            " WHERE am1.encoded_domain = am2.encoded_domain AND am1 <> am2"
+            " RETURN am1, am2",
         ),
         Rule(
             "R7",
-            body=(
-                Atom.rel("same_origin_attack", "?am1", "?am2"),
-                Atom.rel("craft_and_perform", "?a1", "?am1"),
-                Atom.rel("craft_and_perform", "?a2", "?am2"),
-                Atom.different("?a1", "?a2"),
-            ),
-            head=Atom.rel("in_the_same_organization", "?a1", "?a2"),
+            "in_the_same_organization",
+            "MATCH (am1)-[:same_origin_attack]->(am2),"
+            " (a1)-[:craft_and_perform]->(am1), (a2)-[:craft_and_perform]->(am2)"
+            " WHERE a1 <> a2 RETURN a1, a2",
         ),
     )
 
 
-def _compile(rule: Rule) -> tuple[str, tuple[int | str, str, int | str], Plan, list]:
-    """The rule, validated and planned: (name, head, body plan, per-atom plans).
+@cache
+def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
+    """The rule, parsed and planned: (name, head, body plan, per-atom plans).
 
-    The body becomes a join over stored relation names. A constant in a
-    relation or property atom becomes a variable pinned by id; a constant in
-    an inequality stays a literal. A head term is the slot of its variable
-    in the body's rows, or a constant node id. Per relation atom, the body
-    without that atom is planned with the atom's endpoints as inputs, and
-    kept as (relation, plan, is a self-loop).
+    Every ``=`` test of the body is made strict, so an absent property
+    equals nothing. A head endpoint is the slot of its variable in the
+    body's rows. Per relation atom, the body without that atom is planned
+    with the atom's endpoints as inputs, and kept as (relation, plan, is a
+    self-loop). Cached: each rule is parsed and planned once per process.
     """
-    rule.validate()
-    atoms: list[tuple[str, str, str]] = []
-    tests: list[Condition] = []
-    pins: dict[str, str] = {}
-    for atom in rule.body:
-        if atom.kind is AtomKind.DIFFERENT_FROM:
-            left, right = (
-                Operand(t, None, None) if _is_var(t) else Operand(None, None, t)
-                for t in atom.terms
-            )
-            tests.append(Condition(left, "<>", right))
-            continue
-        a, b = (
-            t if _is_var(t) else pins.setdefault(t, f" c{len(pins)}") for t in atom.terms
-        )
-        if atom.kind is AtomKind.RELATION:
-            atoms.append(_oriented(atom.relation or "", a, b))
-        else:
-            key = atom.property_key
-            left, right = Operand(a, key, None), Operand(b, key, None)
-            tests.append(Condition(left, "=", right, strict=True))
-    for constant, pinned in pins.items():
-        left, right = Operand(pinned, None, None), Operand(None, None, constant)
-        tests.append(Condition(left, "=", right))
-    names = [v for src, _, dst in atoms for v in (src, dst)]
-    names += [o.variable for t in tests for o in (t.left, t.right) if o.variable]
-    body = Conjunction(tuple(atoms), tuple(tests), tuple(dict.fromkeys(names)))
-    a, relation, b = _oriented(rule.head.relation or "", *rule.head.terms)
+    query = parse_query(rule.body)
+    if query.distinct or len(query.returns) != 2 or any(i.key for i in query.returns):
+        raise RuleError(f"rule {rule.name}: RETURN must be two variables")
+    tests = tuple(replace(t, strict=t.op == "=") for t in query.body.tests)
+    body = replace(query.body, tests=tests)
+    relation, swapped, _ = RELATIONS[rule.relation]
     slot = {v: i for i, v in enumerate(body.variables)}
-    head = (slot.get(a, a), relation, slot.get(b, b))
+    a, b = (slot[item.variable] for item in query.returns)
+    head = (b, relation, a) if swapped else (a, relation, b)
     per_atom = []
     for i, (src, relation, dst) in enumerate(body.atoms):
         rest = replace(body, atoms=body.atoms[:i] + body.atoms[i + 1 :])
@@ -224,21 +142,16 @@ def _compile(rule: Rule) -> tuple[str, tuple[int | str, str, int | str], Plan, l
     return rule.name, head, body.plan(), per_atom
 
 
-def _oriented(relation: str, a: str, b: str) -> tuple[str, str, str]:
-    name, swapped, _ = RELATIONS[relation]
-    return (b, name, a) if swapped else (a, name, b)
-
-
 _STORED = [rel for name, (stored, _, rel) in RELATIONS.items() if name == stored]
 
 #: The schema's axioms as single-atom rules, planned once: an R3 rule
-#: ``(?x r ?y) -> (?x sub ?y)`` per subproperty axiom, then an R2 rule
-#: ``(?x r ?y) -> (?y inv ?x)`` per relation with an inverse.
+#: ``(x r y) -> (x sub y)`` per subproperty axiom, then an R2 rule
+#: ``(x r y) -> (y inv x)`` per relation with an inverse.
 _AXIOMS = tuple(
-    _compile(Rule(label, (Atom.rel(rel.name, "?x", "?y"),), Atom.rel(target, *ends)))
+    _compile(Rule(label, target, f"MATCH (x)-[:{rel.name}]->(y) RETURN {ends}"))
     for label, ends, targets in (
-        (SUBPROPERTY_RULE, ("?x", "?y"), [(r, r.subproperty_of) for r in _STORED]),
-        (INVERSE_RULE, ("?y", "?x"), [(r, r.inverse_of) for r in _STORED]),
+        (SUBPROPERTY_RULE, "x, y", [(r, r.subproperty_of) for r in _STORED]),
+        (INVERSE_RULE, "y, x", [(r, r.inverse_of) for r in _STORED]),
     )
     for rel, target in targets
     if target
@@ -287,8 +200,7 @@ def _fixpoint(
                     if pairs:
                         rows += match(graph, rest, pairs)
             for row in rows:
-                src = a if isinstance(a, str) else row[a]
-                dst = b if isinstance(b, str) else row[b]
+                src, dst = row[a], row[b]
                 if graph.has_edge(src, head_relation, dst):
                     continue
                 try:
@@ -326,9 +238,11 @@ def run_rules(
     each round followed by the axiom rules, R3 before R2. Their first join
     is that closure, so they join only the round's deltas; the next round
     completes what they miss of their own emissions. ``iterations`` counts
-    the rounds after the closure. A rule is validated and planned before
-    anything is joined or written, and a frozen graph raises ``GraphError``
-    from the closure.
+    the rounds after the closure. Every rule is parsed and planned (once
+    per process, see ``_compile``) before anything is joined or written, so
+    a malformed rule raises ``QueryParseError``, ``RuleError`` or
+    ``SchemaError`` on every call; a frozen graph raises ``GraphError`` from
+    the closure.
     """
     planned = tuple(_compile(rule) for rule in rules)
     return _fixpoint(graph, axiom_closure(graph), planned, _AXIOMS)

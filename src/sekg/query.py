@@ -35,7 +35,15 @@ from .schema import CONCEPTS, RELATIONS
 
 KEYWORDS = ("MATCH", "WHERE", "AND", "RETURN", "DISTINCT")
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: One token after optional whitespace: a symbol, a double-quoted string
+#: with ``\\`` escapes, a word, the end of input, or any other character.
+#: An unterminated string ends in the last alternative at its quote.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:(<-\[|-\[|\]->|\]-|<>|[(){}:,.=])|("[^"\\]*(?:\\.[^"\\]*)*")"""
+    r"""|([A-Za-z_][A-Za-z0-9_]*)|(\Z)|(.))""",
+    re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 class Token(NamedTuple):
@@ -47,72 +55,25 @@ class Token(NamedTuple):
 def tokenize(text: str) -> list[Token]:
     """Scan ``text`` into tokens; offsets index into the source string."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<-[", i):
-            tokens.append(Token("<-[", "<-[", i))
-            i += 3
-            continue
-        if text.startswith("-[", i):
-            tokens.append(Token("-[", "-[", i))
-            i += 2
-            continue
-        if text.startswith("]->", i):
-            tokens.append(Token("]->", "]->", i))
-            i += 3
-            continue
-        if text.startswith("]-", i):
-            tokens.append(Token("]-", "]-", i))
-            i += 2
-            continue
-        if text.startswith("<>", i):
-            tokens.append(Token("<>", "<>", i))
-            i += 2
-            continue
-        if ch in "(){}:,.=":
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            start = i
-            value, i = _scan_string(text, i)
-            tokens.append(Token("STRING", value, start))
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, i))
-            i = m.end()
-            continue
-        raise QueryParseError(f"unexpected character {ch!r}", i, frozenset())
-    tokens.append(Token("EOF", "", n))
-    return tokens
-
-
-def _scan_string(text: str, start: int) -> tuple[str, int]:
-    """Read a double-quoted string starting at ``start``; returns (value, end)."""
-    out: list[str] = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            return "".join(out), i + 1
-        if ch == "\\":
-            if i + 1 >= n:
-                break
-            out.append(text[i + 1])
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    raise QueryParseError("unterminated string literal", start, frozenset({'"'}))
+    end = 0
+    while True:
+        m = _TOKEN_RE.match(text, end)
+        group, end = m.lastindex, m.end()
+        word, offset = m.group(group), m.start(group)
+        if group == 1:
+            tokens.append(Token(word, word, offset))
+        elif group == 2:
+            tokens.append(Token("STRING", _ESCAPE_RE.sub(r"\1", word[1:-1]), offset))
+        elif group == 3:
+            tokens.append(Token(word if word in KEYWORDS else "IDENT", word, offset))
+        elif group == 4:
+            tokens.append(Token("EOF", "", offset))
+            return tokens
+        elif word == '"':
+            message = "unterminated string literal"
+            raise QueryParseError(message, offset, frozenset({'"'}))
+        else:
+            raise QueryParseError(f"unexpected character {word!r}", offset, frozenset())
 
 
 @dataclass(frozen=True)
@@ -129,7 +90,7 @@ class Condition:
     """``left op right``; also a test in a join plan.
 
     ``strict`` is off for MATCH conditions, where two absent properties
-    compare equal, and on for rule property equality, where an absent
+    compare equal, and on for every ``=`` of a rule body, where an absent
     property never matches.
     """
 

@@ -8,7 +8,7 @@ from sekg.analytics import AttackPath
 from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError
 from sekg.graph import Edge, KnowledgeGraph, Node
-from sekg.inference import AtomKind
+from sekg.query import parse_query
 from sekg.schema import (
     RELATION_ALIASES,
     SWAPPED_ALIASES,
@@ -393,34 +393,19 @@ def check_edge_conformance(src_concept, relation, dst_concept) -> str | None:
 def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
     """Naive fixpoint of axiom closure plus ``rules``, as edge keys.
 
-    Shares no code with the inference or query engines. Each round
-    completes inverse and subproperty edges from the schema, then re-runs
-    every rule over the whole edge set as a nested-loop join in written
-    body order (a hash lookup stands in for the scan once an endpoint is
-    bound), until a round adds nothing. ``graph`` is not modified.
+    Shares no code with the inference engine or the join, only the parser:
+    each rule body is ``parse_query(rule.body).body``. Each round completes
+    inverse and subproperty edges from the schema, then re-runs every rule
+    over the whole edge set: a nested-loop join over the body's atoms in
+    written order (a hash lookup stands in for the scan once an endpoint is
+    bound), then each variable no atom binds ranges over every node (or,
+    if an ``=`` test ties its property to a bound variable's, over the
+    nodes with that value), then the tests, where ``=`` fails on an absent
+    property. Rounds repeat until one adds nothing. ``graph`` is not
+    modified.
     """
     nodes = {n.id: n for n in graph.nodes()}
     edges = {e.key() for e in graph.edges()}
-
-    def is_var(term):
-        return term.startswith("?")
-
-    def value(env, term):
-        return env.get(term) if is_var(term) else term
-
-    def bind(env, pairs):
-        env = dict(env)
-        for term, v in pairs:
-            if value(env, term) not in (None, v):
-                return None
-            if is_var(term):
-                env[term] = v
-        return env
-
-    def oriented(atom):
-        relation, swapped = stored_name(atom.relation)
-        a, b = atom.terms
-        return (b, relation, a) if swapped else (a, relation, b)
 
     buckets: dict[str, dict[str, list[str]]] = {}
 
@@ -434,39 +419,59 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
                     groups.setdefault(p, []).append(node_id)
         return buckets[key]
 
-    def solve(body, env):
-        if not body:
+    def value(env, operand):
+        if operand.variable is None:
+            return operand.literal
+        node_id = env[operand.variable]
+        return node_id if operand.key is None else nodes[node_id].property(operand.key)
+
+    def holds(env, test):
+        a, b = value(env, test.left), value(env, test.right)
+        return a != b if test.op == "<>" else a == b and a is not None
+
+    def candidates(env, var, tests):
+        """Nodes for the unbound ``var``: a property bucket when an ``=``
+        test ties ``var.key`` to a bound variable's ``key``, else all."""
+        for t in tests:
+            for mine, other in ((t.left, t.right), (t.right, t.left)):
+                if (
+                    t.op == "="
+                    and mine.variable == var
+                    and mine.key is not None
+                    and other.variable in env
+                    and other.key is not None
+                ):
+                    return bucket(mine.key).get(value(env, other), [])
+        return list(nodes)
+
+    def solve(body, atoms, env):
+        if atoms:
+            (a, relation, b), rest = atoms[0], atoms[1:]
+            if a in env:
+                pairs = [(env[a], d) for d in out.get((relation, env[a]), ())]
+            elif b in env:
+                pairs = [(s, env[b]) for s in inc.get((relation, env[b]), ())]
+            else:
+                pairs = [(s, d) for s, r, d in edges if r == relation]
+            for s, d in pairs:
+                if env.get(b, d) != d or (a == b and s != d):
+                    continue
+                yield from solve(body, rest, {**env, a: s, b: d})
+            return
+        free = [v for v in body.variables if v not in env]
+        if free:
+            for node_id in candidates(env, free[0], body.tests):
+                yield from solve(body, (), {**env, free[0]: node_id})
+        elif all(holds(env, t) for t in body.tests):
             yield env
-            return
-        atom, rest = body[0], body[1:]
-        a, b = atom.terms
-        if atom.kind is AtomKind.DIFFERENT_FROM:
-            va, vb = value(env, a), value(env, b)
-            if va is None or vb is None:
-                raise AssertionError("inequality over an unbound variable")
-            if va != vb:
-                yield from solve(rest, env)
-            return
-        if atom.kind is AtomKind.PROPERTY_EQUALS:
-            for members in bucket(atom.property_key).values():
-                for x in members:
-                    for y in members:
-                        env2 = bind(env, ((a, x), (b, y)))
-                        if env2 is not None:
-                            yield from solve(rest, env2)
-            return
-        a, relation, b = oriented(atom)
-        va, vb = value(env, a), value(env, b)
-        if va is not None:
-            pairs = [(va, d) for d in out.get((relation, va), ())]
-        elif vb is not None:
-            pairs = [(s, vb) for s in inc.get((relation, vb), ())]
-        else:
-            pairs = [(s, d) for s, r, d in edges if r == relation]
-        for s, d in pairs:
-            env2 = bind(env, ((a, s), (b, d)))
-            if env2 is not None:
-                yield from solve(rest, env2)
+
+    compiled = []
+    for rule in rules:
+        query = parse_query(rule.body)
+        relation, swapped = stored_name(rule.relation)
+        a, b = (item.variable for item in query.returns)
+        head = (b, relation, a) if swapped else (a, relation, b)
+        compiled.append((query.body, *head))
 
     while True:
         before = len(edges)
@@ -483,13 +488,10 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
             out.setdefault((r, s), []).append(d)
             inc.setdefault((r, d), []).append(s)
         heads = set()
-        for rule in rules:
-            a, relation, b = oriented(rule.head)
+        for body, a, relation, b in compiled:
             rel = stored_relation(relation)
-            for env in solve(rule.body, {}):
-                s, d = value(env, a), value(env, b)
-                if s not in nodes or d not in nodes:
-                    continue
+            for env in solve(body, body.atoms, {}):
+                s, d = env[a], env[b]
                 if rel.irreflexive and s == d:
                     continue
                 if check_edge_conformance(
@@ -499,4 +501,3 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
         edges |= heads
         if len(edges) == before:
             return edges
-

@@ -536,8 +536,6 @@ def test_evaluation_report_matches_reference(graph, seed):
 def test_public_exports_resolve():
     assert len(set(sekg.__all__)) == len(sekg.__all__)
     assert sorted(sekg.__all__) == [
-        "Atom",
-        "AtomKind",
         "AttackPath",
         "BindingRow",
         "DatasetError",

@@ -12,16 +12,16 @@ from conftest import (
 )
 
 from sekg import inference
-from sekg.errors import GraphError, RuleError, SchemaError
-from sekg.graph import Edge, KnowledgeGraph, Node
+from sekg.errors import GraphError, QueryParseError, RuleError, SchemaError
+from sekg.graph import Direction, Edge, KnowledgeGraph, Node
 from sekg.inference import (
-    Atom,
     Rule,
     axiom_closure,
     builtin_ruleset,
     run_inference,
     run_rules,
 )
+from sekg.query import Plan, parse_query, run_query
 
 SYMMETRIC_DERIVED = (
     "same_attack_organization",
@@ -172,11 +172,7 @@ def test_nonconformant_head_dropped():
     g.add_edge("m", "to_exploit", g.add_node(Node("greed", "HumanVulnerability")).id)
     # head endpoints are (AttackMethod, HumanVulnerability): attack expects
     # (Attacker, AttackTarget), so every firing is silently dropped
-    bad_head = Rule(
-        "X1",
-        body=(Atom.rel("to_exploit", "?m", "?h"),),
-        head=Atom.rel("attack", "?m", "?h"),
-    )
+    bad_head = Rule("X1", "attack", "MATCH (m)-[:to_exploit]->(h) RETURN m, h")
     result = run_rules(g, [bad_head])
     assert g.edges("attack") == ()
     assert all(e.rule == "R2" for e in result.added)
@@ -189,70 +185,74 @@ def test_irreflexive_head_dropped():
     # v1 pairs with itself on the property join; the self-loop must not land
     loopy = Rule(
         "X2",
-        body=(Atom.prop_equals("affiliation", "?x", "?y"),),
-        head=Atom.rel("same_affiliation", "?x", "?y"),
+        "same_affiliation",
+        "MATCH (x), (y) WHERE x.affiliation = y.affiliation RETURN x, y",
     )
     result = run_rules(g, [loopy])
     assert result.added == []
 
 
-def test_unknown_constant_endpoint_dropped():
-    g = chain_fixture()
-    ghost = Rule(
-        "X3",
-        body=(Atom.rel("craft_and_perform", "?a", "?m"),),
-        head=Atom.rel("attack", "?a", "ghost"),
-    )
-    run_rules(g, [ghost])
-    assert g.edges("attack") == ()
-
-
 def test_unsafe_rule_rejected():
     g = chain_fixture()
-    unbound_head = Rule(
-        "X4",
-        body=(Atom.rel("apply_to", "?m", "?v"),),
-        head=Atom.rel("attack", "?a", "?v"),
-    )
-    with pytest.raises(RuleError, match="not bound"):
-        run_rules(g, [unbound_head])
-    inequality_only = Rule(
-        "X5",
-        body=(Atom.different("?a", "?b"),),
-        head=Atom.rel("attack", "?a", "?b"),
-    )
-    with pytest.raises(RuleError, match="inequality"):
-        inequality_only.validate()
-    with pytest.raises(RuleError, match="inequality"):
-        run_rules(g, [inequality_only])
-    loose_inequality = Rule(
-        "X8",
-        body=(Atom.rel("apply_to", "?m", "?v"), Atom.different("?v", "?w")),
-        head=Atom.rel("suffer", "?v", "?m"),
-    )
-    with pytest.raises(RuleError, match="inequality"):
-        loose_inequality.validate()
-    unknown_head_relation = Rule(
-        "X6",
-        body=(Atom.rel("apply_to", "?m", "?v"),),
-        head=Atom.rel("fly_to", "?m", "?v"),
-    )
+    before = g.edges()
+    for body in (
+        "MATCH (m)-[:apply_to]->(v) RETURN a, v",  # unbound head variable
+        "MATCH (m)-[:apply_to]->(v) WHERE v <> w RETURN v, m",  # WHERE-only
+        "MATCH (m)-[:fly_to]->(v) RETURN m, v",  # unknown body relation
+    ):
+        with pytest.raises(QueryParseError):
+            run_rules(g, [Rule("X4", "attack", body)])
+    for items in ("m", "m, v, m", "m.id, v", "DISTINCT m, v"):
+        rule = Rule("X5", "apply_to", f"MATCH (m)-[:apply_to]->(v) RETURN {items}")
+        with pytest.raises(RuleError, match="RETURN must be two variables"):
+            run_rules(g, [rule])
+    unknown_head = Rule("X6", "fly_to", "MATCH (m)-[:apply_to]->(v) RETURN m, v")
     with pytest.raises(SchemaError, match="unknown relation"):
-        run_rules(g, [unknown_head_relation])
-    unknown_body_relation = Rule(
-        "X9",
-        body=(Atom.rel("fly_to", "?m", "?v"),),
-        head=Atom.rel("apply_to", "?m", "?v"),
-    )
-    with pytest.raises(SchemaError, match="unknown relation"):
-        run_rules(g, [unknown_body_relation])
+        run_rules(g, [unknown_head])
+    # a rule is checked before anything is written, the closure included
+    assert g.edges() == before
 
 
-def r1_with(relation: str, *extra: Atom) -> Rule:
+def test_malformed_rule_raises_on_every_call():
+    # _compile is cached, but a failed compile is not: each call re-raises
+    g = chain_fixture()
+    rule = Rule("X", "attack", "MATCH (a)-[:craft_and_perform]->(am) RETURN a")
+    for _ in range(3):
+        with pytest.raises(RuleError):
+            run_rules(g, [rule])
+
+
+def test_rule_equality_never_matches_absent_property():
+    # The same text: MATCH pairs two nodes without an affiliation (absent =
+    # absent), a rule body does not (its = tests are strict).
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t")
+    g.add_node(Node("v1", "AttackTarget", 1))
+    g.add_node(Node("v2", "AttackTarget", 1))
+    text = "MATCH (x), (y) WHERE x.affiliation = y.affiliation AND x <> y RETURN x, y"
+    assert [row.values for row in run_query(text, g)] == [("v1", "v2"), ("v2", "v1")]
+    assert run_rules(g, [Rule("X", "same_affiliation", text)]).added == []
+    assert g.edges("same_affiliation") == ()
+
+
+def test_rules_parsed_once(monkeypatch):
+    run_inference(chain_fixture())
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_query(text)
+
+    monkeypatch.setattr(inference, "parse_query", counted)
+    run_inference(chain_fixture())
+    assert calls == []
+
+
+def r1_with(relation: str, extra: str = "") -> Rule:
     return Rule(
         "X",
-        body=(Atom.rel(relation, "?a", "?am"), Atom.rel("apply_to", "?am", "?v"), *extra),
-        head=Atom.rel("attack", "?a", "?v"),
+        "attack",
+        f"MATCH (a)-[:{relation}]->(am)-[:apply_to]->(v){extra} RETURN a, v",
     )
 
 
@@ -269,14 +269,211 @@ def test_rule_body_swapped_alias():
     g = chain_fixture()
     g.add_node(Node("greed", "HumanVulnerability"))
     g.add_edge("m", "to_exploit", "greed")
-    rule = r1_with("craft_and_perform", Atom.rel("exploited_by", "greed", "?am"))
+    extra = ', (h)-[:exploited_by]->(am) WHERE h = "greed"'
+    rule = r1_with("craft_and_perform", extra)
     assert run_rules(g, [rule]).fired == {"X": 1, "R2": 1}
     assert find_edge(g, "a", "attack", "v").rule == "X"
 
 
-def test_non_relation_head_rejected():
-    with pytest.raises(RuleError, match="head must be a relation"):
-        Rule("X7", body=(), head=Atom.different("?a", "?b")).validate()
+def test_swapped_alias_head():
+    # a head named by a swapped alias is written as its stored relation
+    g = chain_fixture()
+    g.add_node(Node("greed", "HumanVulnerability"))
+    g.add_edge("v", "have_vul", "greed")
+    text = "MATCH (am)-[:apply_to]->(v)-[:have_vul]->(h) RETURN h, am"
+    rule = Rule("X", "exploited_by", text)
+    assert run_rules(g, [rule]).fired.get("X") == 1
+    assert find_edge(g, "m", "to_exploit", "greed").rule == "X"
+
+
+OUT, IN = Direction.OUT, Direction.IN
+
+#: The compiled head, body plan and per-atom plans of each builtin rule.
+#: The planner breaks ties in written order, so reordering a body's atoms
+#: fails this pin.
+BUILTIN_PLANS = {
+    "R1": (
+        (0, "attack", 2),
+        Plan((
+            ("edges", 0, "craft_and_perform", 1),
+            ("adjacent", 2, "apply_to", OUT, 1),
+        ), 3, ()),
+        [
+            ("craft_and_perform", Plan((
+                ("adjacent", 2, "apply_to", OUT, 1),
+            ), 3, (0, 1)), False),
+            ("apply_to", Plan((
+                ("adjacent", 0, "craft_and_perform", IN, 1),
+            ), 3, (1, 2)), False),
+        ],
+    ),
+    "R4": (
+        (1, "same_attack_organization", 3),
+        Plan((
+            ("edges", 0, "motivate", 1),
+            ("adjacent", 2, "attack", OUT, 1),
+            ("adjacent", 3, "attack", IN, 2),
+            ("has_edge", 0, "motivate", 3),
+            ("test", (1, None, None), (3, None, None), True, False),
+        ), 4, ()),
+        [
+            ("motivate", Plan((
+                ("adjacent", 2, "attack", OUT, 1),
+                ("adjacent", 3, "attack", IN, 2),
+                ("has_edge", 0, "motivate", 3),
+                ("test", (1, None, None), (3, None, None), True, False),
+            ), 4, (0, 1)), False),
+            ("attack", Plan((
+                ("adjacent", 0, "motivate", IN, 1),
+                ("adjacent", 3, "attack", IN, 2),
+                ("has_edge", 0, "motivate", 3),
+                ("test", (1, None, None), (3, None, None), True, False),
+            ), 4, (1, 2)), False),
+            ("attack", Plan((
+                ("adjacent", 1, "attack", IN, 2),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 0, "motivate", IN, 1),
+                ("has_edge", 0, "motivate", 3),
+            ), 4, (3, 2)), False),
+            ("motivate", Plan((
+                ("adjacent", 1, "motivate", OUT, 0),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 2, "attack", OUT, 1),
+                ("has_edge", 3, "attack", 2),
+            ), 4, (0, 3)), False),
+        ],
+    ),
+    "R5": (
+        (0, "same_affiliation", 1),
+        Plan((
+            ("nodes", 0),
+            ("lookup", 1, "affiliation", (0, "affiliation", None), True),
+            ("test", (0, None, None), (1, None, None), True, False),
+        ), 2, ()),
+        [
+        ],
+    ),
+    "R6": (
+        (1, "same_origin_attack", 3),
+        Plan((
+            ("edges", 0, "craft_and_perform", 1),
+            ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
+            ("test", (1, None, None), (3, None, None), True, False),
+            ("adjacent", 2, "craft_and_perform", IN, 3),
+            ("adjacent", 4, "motivated_by", OUT, 0),
+            ("has_edge", 2, "motivated_by", 4),
+            ("adjacent", 5, "attack", OUT, 0),
+            ("adjacent", 6, "attack", OUT, 2),
+            ("has_edge", 5, "same_affiliation", 6),
+        ), 7, ()),
+        [
+            ("craft_and_perform", Plan((
+                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 2, "craft_and_perform", IN, 3),
+                ("adjacent", 4, "motivated_by", OUT, 0),
+                ("has_edge", 2, "motivated_by", 4),
+                ("adjacent", 5, "attack", OUT, 0),
+                ("adjacent", 6, "attack", OUT, 2),
+                ("has_edge", 5, "same_affiliation", 6),
+            ), 7, (0, 1)), False),
+            ("craft_and_perform", Plan((
+                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 0, "craft_and_perform", IN, 1),
+                ("adjacent", 4, "motivated_by", OUT, 0),
+                ("has_edge", 2, "motivated_by", 4),
+                ("adjacent", 5, "attack", OUT, 0),
+                ("adjacent", 6, "attack", OUT, 2),
+                ("has_edge", 5, "same_affiliation", 6),
+            ), 7, (2, 3)), False),
+            ("motivated_by", Plan((
+                ("adjacent", 1, "craft_and_perform", OUT, 0),
+                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 2, "craft_and_perform", IN, 3),
+                ("has_edge", 2, "motivated_by", 4),
+                ("adjacent", 5, "attack", OUT, 0),
+                ("adjacent", 6, "attack", OUT, 2),
+                ("has_edge", 5, "same_affiliation", 6),
+            ), 7, (0, 4)), False),
+            ("motivated_by", Plan((
+                ("adjacent", 3, "craft_and_perform", OUT, 2),
+                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 0, "craft_and_perform", IN, 1),
+                ("has_edge", 0, "motivated_by", 4),
+                ("adjacent", 5, "attack", OUT, 0),
+                ("adjacent", 6, "attack", OUT, 2),
+                ("has_edge", 5, "same_affiliation", 6),
+            ), 7, (2, 4)), False),
+            ("attack", Plan((
+                ("adjacent", 1, "craft_and_perform", OUT, 0),
+                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 2, "craft_and_perform", IN, 3),
+                ("adjacent", 4, "motivated_by", OUT, 0),
+                ("has_edge", 2, "motivated_by", 4),
+                ("adjacent", 6, "attack", OUT, 2),
+                ("has_edge", 5, "same_affiliation", 6),
+            ), 7, (0, 5)), False),
+            ("attack", Plan((
+                ("adjacent", 3, "craft_and_perform", OUT, 2),
+                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 0, "craft_and_perform", IN, 1),
+                ("adjacent", 4, "motivated_by", OUT, 0),
+                ("has_edge", 2, "motivated_by", 4),
+                ("adjacent", 5, "attack", OUT, 0),
+                ("has_edge", 5, "same_affiliation", 6),
+            ), 7, (2, 6)), False),
+            ("same_affiliation", Plan((
+                ("adjacent", 0, "attack", IN, 5),
+                ("adjacent", 1, "craft_and_perform", OUT, 0),
+                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
+                ("test", (1, None, None), (3, None, None), True, False),
+                ("adjacent", 2, "craft_and_perform", IN, 3),
+                ("has_edge", 2, "attack", 6),
+                ("adjacent", 4, "motivated_by", OUT, 0),
+                ("has_edge", 2, "motivated_by", 4),
+            ), 7, (5, 6)), False),
+        ],
+    ),
+    "R7": (
+        (2, "in_the_same_organization", 3),
+        Plan((
+            ("edges", 0, "same_origin_attack", 1),
+            ("adjacent", 2, "craft_and_perform", IN, 0),
+            ("adjacent", 3, "craft_and_perform", IN, 1),
+            ("test", (2, None, None), (3, None, None), True, False),
+        ), 4, ()),
+        [
+            ("same_origin_attack", Plan((
+                ("adjacent", 2, "craft_and_perform", IN, 0),
+                ("adjacent", 3, "craft_and_perform", IN, 1),
+                ("test", (2, None, None), (3, None, None), True, False),
+            ), 4, (0, 1)), False),
+            ("craft_and_perform", Plan((
+                ("adjacent", 1, "same_origin_attack", OUT, 0),
+                ("adjacent", 3, "craft_and_perform", IN, 1),
+                ("test", (2, None, None), (3, None, None), True, False),
+            ), 4, (2, 0)), False),
+            ("craft_and_perform", Plan((
+                ("adjacent", 0, "same_origin_attack", IN, 1),
+                ("adjacent", 2, "craft_and_perform", IN, 0),
+                ("test", (2, None, None), (3, None, None), True, False),
+            ), 4, (3, 1)), False),
+        ],
+    ),
+}
+
+
+def test_builtin_plans_pinned():
+    compile_rule = inference._compile
+    compiled = {name: rest for name, *rest in map(compile_rule, builtin_ruleset())}
+    assert compiled == {name: list(plans) for name, plans in BUILTIN_PLANS.items()}
+    labels = Counter(name for name, *_ in inference._AXIOMS)
+    assert labels == {"R3": 4, "R2": 12}
 
 
 # -- canonical dataset ------------------------------------------------------
@@ -388,11 +585,9 @@ def test_later_rule_feeds_earlier_rule(load_result):
     # relation admits a self-loop, so L never fires, but it must compile.
     loop = Rule(
         "L",
-        body=(
-            Atom.rel("same_attack_organization", "?a", "?a"),
-            Atom.rel("same_attack_organization", "?a", "?b"),
-        ),
-        head=Atom.rel("in_the_same_organization", "?a", "?b"),
+        "in_the_same_organization",
+        "MATCH (a)-[:same_attack_organization]->(a)-[:same_attack_organization]->(b)"
+        " RETURN a, b",
     )
     rules = tuple(reversed(builtin_ruleset())) + (loop,)
     graphs = [load_result.graph] + [random_conformant_graph(s) for s in range(100)]
@@ -422,11 +617,8 @@ def test_rule_feeds_itself():
     g.add_edge("m", "apply_to", "v")
     spread = Rule(
         "S",
-        body=(
-            Atom.rel("attack", "?a", "?v"),
-            Atom.rel("same_attack_organization", "?a", "?b"),
-        ),
-        head=Atom.rel("attack", "?b", "?v"),
+        "attack",
+        "MATCH (a)-[:attack]->(v), (a)-[:same_attack_organization]->(b) RETURN b, v",
     )
     rules = (spread,) + builtin_ruleset()
     expected = reference_fixpoint(g, rules)
@@ -458,12 +650,7 @@ def test_run_rules_closes_unclosed_graph_first():
     # in round 1 only if run_rules closes the graph before the first join
     g = chain_fixture()
     rule = Rule(
-        "X",
-        body=(
-            Atom.rel("craft_and_perform", "?a", "?am"),
-            Atom.rel("suffer", "?v", "?am"),
-        ),
-        head=Atom.rel("attack", "?a", "?v"),
+        "X", "attack", "MATCH (a)-[:craft_and_perform]->(am)<-[:suffer]-(v) RETURN a, v"
     )
     result = run_rules(g, [rule])
     assert result.fired == {"R2": 1, "X": 1}
@@ -507,12 +694,9 @@ def transitive_chain() -> tuple[KnowledgeGraph, Rule]:
             chain.add_edge(f"x{i - 1}", "same_attack_organization", f"x{i}")
     transitive = Rule(
         "T",
-        body=(
-            Atom.rel("same_attack_organization", "?a", "?b"),
-            Atom.rel("same_attack_organization", "?b", "?c"),
-            Atom.different("?a", "?c"),
-        ),
-        head=Atom.rel("same_attack_organization", "?a", "?c"),
+        "same_attack_organization",
+        "MATCH (a)-[:same_attack_organization]->(b)-[:same_attack_organization]->(c)"
+        " WHERE a <> c RETURN a, c",
     )
     return chain, transitive
 
