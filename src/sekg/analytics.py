@@ -6,8 +6,8 @@ identical (and identically ordered) results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import GraphError
 from .graph import Direction, KnowledgeGraph
@@ -34,15 +34,13 @@ class End(Enum):
     DST = "dst"
 
 
-@dataclass(frozen=True)
-class RankedCount:
+class RankedCount(NamedTuple):
     id: str
     count: int
     rank: int
 
 
-@dataclass(frozen=True)
-class ThreatPair:
+class ThreatPair(NamedTuple):
     """One (attacker, method, victim) threat with its evidence."""
 
     attacker: str
@@ -52,8 +50,7 @@ class ThreatPair:
     origin_scenarios: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class AttackPath:
+class AttackPath(NamedTuple):
     """Simple path over red relations from an attacker to a victim.
 
     ``steps[i]`` holds ``(relation, forward)`` for the hop between
@@ -73,8 +70,7 @@ class AttackPath:
         return " ".join(out)
 
 
-@dataclass(frozen=True)
-class EvalMetrics:
+class EvalMetrics(NamedTuple):
     true_positives: int
     false_positives: int
     omitted: int

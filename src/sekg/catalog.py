@@ -8,11 +8,10 @@ engineering information kinds (36). Dataset loading resolves node ids and
 nodes with their category labels and synonyms.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     ident: str
     category: str | None = None
     synonyms: tuple[str, ...] = ()

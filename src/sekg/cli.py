@@ -9,7 +9,6 @@ error, 2 usage error. All output is deterministic.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -129,10 +128,10 @@ def export_report(result: object, fmt: str) -> str:
 
 
 def _jsonable(value: object) -> object:
-    """JSON form of a result: a dataclass becomes an object of its fields, a
-    set a sorted list, and a float is rounded to 4 decimal places."""
-    if dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    """JSON form of a result: a record (a ``NamedTuple``) becomes an object of
+    its fields, a set a sorted list, and a float is rounded to 4 places."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):

@@ -20,8 +20,9 @@ and an unknown name raises ``SchemaError``.
 
 import bisect
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import GraphError
 from .schema import CONCEPTS, RELATIONS
@@ -39,13 +40,13 @@ class Direction(Enum):
     IN = "in"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     concept: str
     scenario_id: int | None = None
     taxonomy_labels: tuple[str, ...] = ()
-    properties: dict[str, str] = field(default_factory=dict)
+    #: Read-only when defaulted: the one empty mapping every such node shares.
+    properties: Mapping[str, str] = MappingProxyType({})
     comment: str = ""
 
     def property(self, key: str) -> str | None:
@@ -59,8 +60,7 @@ class Node:
         return self.properties.get(key)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     relation: str
     dst: str
@@ -75,7 +75,7 @@ class Edge:
         return "asserted" if self.rule is None else f"inferred:{self.rule}"
 
     def key(self) -> tuple[str, str, str]:
-        return (self.src, self.relation, self.dst)
+        return self[:3]
 
 
 class KnowledgeGraph:
@@ -118,10 +118,7 @@ class KnowledgeGraph:
         self._check_mutable()
         concept = CONCEPTS[node.concept]
         if concept.name != node.concept:
-            node = Node(
-                node.id, concept.name, node.scenario_id,
-                node.taxonomy_labels, node.properties, node.comment,
-            )
+            node = node._replace(concept=concept.name)
         for label in node.taxonomy_labels:
             if label not in concept.taxonomy_labels:
                 raise GraphError(
@@ -232,8 +229,22 @@ class KnowledgeGraph:
         """Store ``edge`` under ``key`` and index it; it has passed the checks."""
         src, relation, dst = key
         self._edges[key] = edge
-        bisect.insort(self._out.setdefault(relation, {}).setdefault(src, []), dst)
-        bisect.insort(self._in.setdefault(relation, {}).setdefault(dst, []), src)
+        lists = self._out.get(relation)
+        if lists is None:
+            lists = self._out[relation] = {}
+        ids = lists.get(src)
+        if ids is None:
+            lists[src] = [dst]
+        else:
+            bisect.insort(ids, dst)
+        lists = self._in.get(relation)
+        if lists is None:
+            lists = self._in[relation] = {}
+        ids = lists.get(dst)
+        if ids is None:
+            lists[dst] = [src]
+        else:
+            bisect.insort(ids, src)
 
     def has_edge(self, src: str, relation: str, dst: str) -> bool:
         return (src, relation, dst) in self._edges

@@ -24,7 +24,6 @@ or a self-loop on an irreflexive relation) is dropped rather than raised:
 the body of a rule constrains structure, the schema constrains the head.
 """
 
-from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import NamedTuple
 
@@ -50,11 +49,13 @@ class Rule(NamedTuple):
     body: str
 
 
-@dataclass
 class InferenceResult:
-    added: list[Edge] = field(default_factory=list)
-    iterations: int = 0
-    fired: dict[str, int] = field(default_factory=dict)
+    """Edges added in order, the round count, and edges added per rule."""
+
+    def __init__(self) -> None:
+        self.added: list[Edge] = []
+        self.iterations = 0
+        self.fired: dict[str, int] = {}
 
     def _record(self, edge: Edge) -> None:
         self.added.append(edge)
@@ -128,15 +129,15 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     query = parse_query(rule.body)
     if query.distinct or len(query.returns) != 2 or any(i.key for i in query.returns):
         raise RuleError(f"rule {rule.name}: RETURN must be two variables")
-    tests = tuple(replace(t, strict=t.op == "=") for t in query.body.tests)
-    body = replace(query.body, tests=tests)
+    tests = tuple(t._replace(strict=t.op == "=") for t in query.body.tests)
+    body = query.body._replace(tests=tests)
     relation, swapped, _ = RELATIONS[rule.relation]
     slot = {v: i for i, v in enumerate(body.variables)}
     a, b = (slot[item.variable] for item in query.returns)
     head = (b, relation, a) if swapped else (a, relation, b)
     per_atom = []
     for i, (src, relation, dst) in enumerate(body.atoms):
-        rest = replace(body, atoms=body.atoms[:i] + body.atoms[i + 1 :])
+        rest = body._replace(atoms=body.atoms[:i] + body.atoms[i + 1 :])
         inputs = tuple(dict.fromkeys((src, dst)))
         per_atom.append((relation, rest.plan(inputs=inputs), src == dst))
     return rule.name, head, body.plan(), per_atom

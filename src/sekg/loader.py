@@ -22,7 +22,6 @@ errors in strict mode.
 """
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .catalog import ID_VOCABULARY, KIND_VOCABULARY, lookup
@@ -101,18 +100,16 @@ class EdgeRecord(NamedTuple):
 Record = ScenarioRecord | NodeRecord | EdgeRecord
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     scenario_id: int
     severity: str  # "mandatory" | "advisory"
     role: str
     message: str
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
     graph: KnowledgeGraph
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def _split_fields(line: str, lineno: int) -> list[str]:
@@ -181,15 +178,25 @@ def parse_document(text: str) -> tuple[Record, ...]:
         if not line or line.startswith("#"):
             continue
         fields = _split_fields(line, lineno)
-        tag, rest = fields[0], fields[1:]
-        if tag == "SCENARIO":
-            if len(rest) < 1:
+        tag = fields[0]
+        if tag == "EDGE":  # most lines: test it first and slice nothing
+            if len(fields) < 4:
+                raise DatasetError("EDGE needs src, relation and dst", lineno)
+            rule = None
+            if len(fields) > 4:
+                kv = _parse_kv(fields[4:], lineno)
+                rule = kv.pop("inferred", None)
+                if kv:
+                    raise DatasetError(f"unknown EDGE keys: {sorted(kv)}", lineno)
+            records.append(EdgeRecord(lineno, fields[1], fields[2], fields[3], rule))
+        elif tag == "SCENARIO":
+            if len(fields) < 2:
                 raise DatasetError("SCENARIO needs an integer id", lineno)
             try:
-                sid = int(rest[0])
+                sid = int(fields[1])
             except ValueError:
-                raise DatasetError(f"bad scenario id {rest[0]!r}", lineno) from None
-            kv = _parse_kv(rest[1:], lineno)
+                raise DatasetError(f"bad scenario id {fields[1]!r}", lineno) from None
+            kv = _parse_kv(fields[2:], lineno)
             attack_type = kv.pop("type", "")
             if not attack_type:
                 raise DatasetError("SCENARIO needs a type=\"...\" tag", lineno)
@@ -197,10 +204,10 @@ def parse_document(text: str) -> tuple[Record, ...]:
                 raise DatasetError(f"unknown SCENARIO keys: {sorted(kv)}", lineno)
             records.append(ScenarioRecord(lineno, sid, attack_type))
         elif tag == "NODE":
-            if len(rest) < 2:
+            if len(fields) < 3:
                 raise DatasetError("NODE needs an id and a concept", lineno)
-            node_id, concept = rest[0], rest[1]
-            kv = _parse_kv(rest[2:], lineno)
+            node_id, concept = fields[1], fields[2]
+            kv = _parse_kv(fields[3:], lineno)
             scenario: int | None = None
             if "scenario" in kv:
                 try:
@@ -214,15 +221,6 @@ def parse_document(text: str) -> tuple[Record, ...]:
             records.append(
                 NodeRecord(lineno, node_id, concept, scenario, labels, kv, comment)
             )
-        elif tag == "EDGE":
-            if len(rest) < 3:
-                raise DatasetError("EDGE needs src, relation and dst", lineno)
-            src, relation, dst = rest[0], rest[1], rest[2]
-            kv = _parse_kv(rest[3:], lineno)
-            rule = kv.pop("inferred", None)
-            if kv:
-                raise DatasetError(f"unknown EDGE keys: {sorted(kv)}", lineno)
-            records.append(EdgeRecord(lineno, src, relation, dst, rule))
         else:
             raise DatasetError(f"unknown record tag {tag!r}", lineno)
     return tuple(records)
@@ -276,14 +274,19 @@ def load_dataset(text: str, strict_vocab: bool = False) -> LoadResult:
 
     seen_scenarios: set[int] = set()
     for rec in parse_document(text):
-        if isinstance(rec, ScenarioRecord):
+        if type(rec) is EdgeRecord:
+            try:
+                graph.add_edge(rec.src, rec.relation, rec.dst, rec.rule)
+            except (GraphError, SchemaError) as exc:
+                raise DatasetError(str(exc), rec.line) from None
+        elif type(rec) is ScenarioRecord:
             if rec.scenario_id in seen_scenarios:
                 raise DatasetError(
                     f"duplicate scenario id {rec.scenario_id}", rec.line
                 )
             seen_scenarios.add(rec.scenario_id)
             graph.register_scenario(rec.scenario_id, rec.attack_type)
-        elif isinstance(rec, NodeRecord):
+        else:
             try:
                 concept = CONCEPTS[rec.concept].name
             except SchemaError as exc:
@@ -303,11 +306,6 @@ def load_dataset(text: str, strict_vocab: bool = False) -> LoadResult:
                     Node(rec.node_id, concept, rec.scenario, labels, props, rec.comment)
                 )
             except GraphError as exc:
-                raise DatasetError(str(exc), rec.line) from None
-        else:
-            try:
-                graph.add_edge(rec.src, rec.relation, rec.dst, rule=rec.rule)
-            except (GraphError, SchemaError) as exc:
                 raise DatasetError(str(exc), rec.line) from None
     return LoadResult(graph, warnings)
 

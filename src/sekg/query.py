@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import QueryParseError, SchemaError
@@ -76,8 +75,7 @@ def tokenize(text: str) -> list[Token]:
             raise QueryParseError(f"unexpected character {word!r}", offset, frozenset())
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     """Variable, property access or string literal in a condition."""
 
     variable: str | None
@@ -85,8 +83,7 @@ class Operand:
     literal: str | None
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """``left op right``; also a test in a join plan.
 
     ``strict`` is off for MATCH conditions, where two absent properties
@@ -105,8 +102,7 @@ class Condition:
         )
 
 
-@dataclass(frozen=True)
-class ReturnItem:
+class ReturnItem(NamedTuple):
     variable: str
     key: str | None = None
 
@@ -115,8 +111,7 @@ class ReturnItem:
         return self.variable if self.key is None else f"{self.variable}.{self.key}"
 
 
-@dataclass(frozen=True)
-class PatternQuery:
+class PatternQuery(NamedTuple):
     """A parsed query: the join ``body`` it runs and the projection of its rows.
 
     Every node of the MATCH paths is a variable of the body, in order of
@@ -130,8 +125,7 @@ class PatternQuery:
     distinct: bool
 
 
-@dataclass(frozen=True)
-class BindingRow:
+class BindingRow(NamedTuple):
     """One result row: projection labels paired with their values."""
 
     items: tuple[tuple[str, str], ...]
@@ -345,8 +339,7 @@ class Plan(NamedTuple):
     inputs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Conjunction:
+class Conjunction(NamedTuple):
     """Relation atoms ``(src, relation, dst)`` and tests over variables.
 
     Relations are stored names, the first field of a ``RELATIONS`` entry.
@@ -448,7 +441,11 @@ class _Join:
 
     def __init__(self, graph: KnowledgeGraph, steps: tuple[tuple, ...], width: int):
         self.graph = graph
-        self.steps = steps
+        # Each adjacent step's map is resolved here, once per ``match`` call.
+        self.steps = tuple(
+            s[:2] + (graph.adjacency(s[2], s[3]), s[4]) if s[0] == "adjacent" else s
+            for s in steps
+        )
         self.slots = [""] * width
         self.rows: list[tuple[str, ...]] = []
 
@@ -475,8 +472,8 @@ class _Join:
             self.rows.append(tuple(slots))
             return
         if kind == "adjacent":
-            _, var, relation, direction, other = step
-            values = graph.adjacency(relation, direction).get(slots[other], ())
+            _, var, adjacency, other = step
+            values = adjacency.get(slots[other], ())
         elif kind == "lookup":
             _, var, key, operand, strict = step
             values = _lookup(graph, key, _value(graph, slots, operand), strict)

@@ -9,8 +9,8 @@ concept name or synonym, ``RELATIONS`` a relation name or alias. Every
 module indexes those two; an unknown name raises ``SchemaError``.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import SchemaError
 
@@ -21,8 +21,7 @@ class RelationKind(Enum):
     DERIVED = "derived"
 
 
-@dataclass(frozen=True)
-class ConceptDef:
+class ConceptDef(NamedTuple):
     """One ontology concept: canonical name, synonyms, allowed taxonomy labels."""
 
     name: str
@@ -32,8 +31,7 @@ class ConceptDef:
     definition: str = ""
 
 
-@dataclass(frozen=True)
-class RelationDef:
+class RelationDef(NamedTuple):
     """One relation: exactly one domain and one range concept.
 
     ``inverse_of`` and ``subproperty_of`` encode the axioms. A symmetric

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -305,7 +304,7 @@ def thaw(graph, rename=None) -> KnowledgeGraph:
     for sid, attack_type in graph.scenarios.items():
         g.register_scenario(sid, attack_type)
     for node in graph.nodes():
-        g.add_node(replace(node, id=new(node.id, node.id)))
+        g.add_node(node._replace(id=new(node.id, node.id)))
     for e in graph.edges():
         g.add_edge(new(e.src, e.src), e.relation, new(e.dst, e.dst), rule=e.rule)
     return g

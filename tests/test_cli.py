@@ -39,6 +39,7 @@ def run_cli(capsys, *argv):
         ("threats_victim7.txt", ["threats", "--victim", "victim7"]),
         ("threats_victim7.json", ["threats", "--victim", "victim7", "--format", "json"]),
         ("targets_attacker10.txt", ["targets", "--attacker", "attacker10"]),
+        ("targets_attacker10.json", ["targets", "--attacker", "attacker10", "--format", "json"]),
         ("paths_10_13.txt", ["paths", "--from", "attacker10", "--to", "victim13"]),
         ("paths_10_13.json", ["paths", "--from", "attacker10", "--to", "victim13", "--format", "json"]),
         ("same_origin.json", ["same-origin"]),

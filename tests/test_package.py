@@ -1,4 +1,5 @@
-"""Package structure: lazy exports, and no public name that only tests use."""
+"""Package structure: lazy exports, record semantics, and no public name
+that only tests use."""
 
 import ast
 import os
@@ -7,7 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sekg
+from sekg.analytics import AttackPath, EvalMetrics, RankedCount, ThreatPair
+from sekg.catalog import CatalogEntry
+from sekg.graph import Edge, KnowledgeGraph, Node
+from sekg.inference import InferenceResult, Rule
+from sekg.loader import Finding, LoadResult
+from sekg.query import BindingRow, Condition, Conjunction, Operand, ReturnItem, parse_query
+from sekg.schema import ConceptDef, RelationDef
 
 SRC = Path(sekg.__file__).resolve().parent
 ROOT = SRC.parents[1]
@@ -60,6 +70,76 @@ def test_star_import_binds_exactly_all():
         "print(sorted(ns) == sorted(sekg.__all__))"
     )
     assert fresh(code) == "True"
+
+
+def test_import_cli_loads_no_dataclasses():
+    # Diffed against the modules loaded before the import, so what the
+    # interpreter's start-up (``site``) loads does not count.
+    code = (
+        "import sys; before = set(sys.modules); import sekg.cli\n"
+        "print(sorted(set(sys.modules) - before))"
+    )
+    loaded = fresh(code)
+    assert "'sekg.cli'" in loaded
+    assert "'dataclasses'" not in loaded
+
+
+#: One value of every public record type, exported or not.
+RECORDS = [
+    ConceptDef("Attacker", ("Hacker",)),
+    RelationDef("attack", "Attacker", "AttackTarget"),
+    CatalogEntry("greed", "human_nature"),
+    Node("a1", "Attacker", 1, properties={"kind": "spy"}),
+    Edge("a", "attack", "b", "R1"),
+    Rule("R1", "attack", "MATCH (a)-[:attack]->(v) RETURN a, v"),
+    Finding(1, "mandatory", "Attacker", "scenario 1 has no Attacker"),
+    LoadResult(KnowledgeGraph(), []),
+    Operand("a", "kind", None),
+    Condition(Operand("a", None, None), "<>", Operand("b", None, None)),
+    ReturnItem("a", "kind"),
+    parse_query("MATCH (a)-[:attack]->(v) RETURN a"),
+    BindingRow((("a", "a1"),)),
+    Conjunction((("a", "attack", "v"),), (), ("a", "v")),
+    RankedCount("phishing", 3, 1),
+    ThreatPair("a1", "m1", "v2", frozenset({"greed"}), (1, 2)),
+    AttackPath(("a1", "m1"), (("craft_and_perform", True),)),
+    EvalMetrics(1, 2, 3, 0.25, 0.5, 0.4),
+]
+
+
+def test_every_exported_record_has_a_sample():
+    exported = {n for n in sekg.__all__ if isinstance(getattr(sekg, n), type)}
+    records = {n for n in exported if issubclass(getattr(sekg, n), tuple)}
+    assert records <= {type(r).__name__ for r in RECORDS}
+    assert "InferenceResult" in exported - records
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_is_its_field_tuple(record):
+    fields = tuple(getattr(record, name) for name in type(record)._fields)
+    assert record == fields and fields == record
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict or list field: neither one hashes
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    with pytest.raises(AttributeError):
+        setattr(record, type(record)._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_record_defaults_are_not_shared():
+    first, second = Node("a", "Attacker"), Node("b", "Attacker")
+    with pytest.raises(TypeError):
+        first.properties["kind"] = "spy"
+    assert first.properties == second.properties == {}
+    one, other = InferenceResult(), InferenceResult()
+    one.added.append(Edge("a", "attack", "b", "R1"))
+    one.fired["R1"] = 1
+    assert (other.added, other.fired, other.iterations) == ([], {}, 0)
 
 
 def public_definitions(source: str):
