@@ -39,7 +39,6 @@ def run_cli(capsys, *argv):
         ("threats_victim7.txt", ["threats", "--victim", "victim7"]),
         ("threats_victim7.json", ["threats", "--victim", "victim7", "--format", "json"]),
         ("targets_attacker10.txt", ["targets", "--attacker", "attacker10"]),
-        ("targets_attacker10.json", ["targets", "--attacker", "attacker10", "--format", "json"]),
         ("paths_10_13.txt", ["paths", "--from", "attacker10", "--to", "victim13"]),
         ("paths_10_13.json", ["paths", "--from", "attacker10", "--to", "victim13", "--format", "json"]),
         ("same_origin.json", ["same-origin"]),
@@ -49,6 +48,7 @@ def run_cli(capsys, *argv):
         ),
         ("export_scenario9.dot", ["export", "--scenario", "9"]),
         ("eval.json", ["eval"]),
+        ("targets_attacker10.json", ["targets", "--attacker", "attacker10", "--format", "json"]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):
