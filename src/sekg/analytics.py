@@ -10,7 +10,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import GraphError
-from .graph import Direction, KnowledgeGraph
+from .graph import RED_RELATIONS, Direction, KnowledgeGraph
 from .query import Conjunction, match
 
 _CHAIN = Conjunction(
@@ -224,41 +224,47 @@ def attack_paths_between(
     return [AttackPath(chain, steps) for chain in chains], sorted(auxiliary)
 
 
-def enumerate_oracle_paths(graph: KnowledgeGraph) -> list[AttackPath]:
-    """Ground-truth enumeration of red-relation paths attacker -> victim.
+def enumerate_oracle_paths(graph: KnowledgeGraph) -> list[tuple[str, ...]]:
+    """Ground truth: the red-relation paths attacker -> victim, as sorted
+    node-id tuples.
 
     Undirected paths over the red relation set that visit at most one node
     per concept and stop at the first AttackTarget. A node has one concept,
-    so the concept rule makes every path simple and bounds its length. Each
-    path is a single attack account: attacker -> method -> victim over
-    apply_to, or attacker -> method -> vulnerability -> victim.
+    so the concept rule makes every path simple and bounds its length; each
+    red relation joins its own pair of concepts in a fixed direction, so the
+    concepts fix each hop's relation. Each path is a single attack account:
+    attacker -> method -> victim over apply_to, or attacker -> method ->
+    vulnerability -> victim.
     """
-    paths: list[AttackPath] = []
+    adjacency = [
+        graph.adjacency(relation, direction)
+        for relation in RED_RELATIONS
+        for direction in Direction
+    ]
+    paths: list[tuple[str, ...]] = []
     nodes: list[str] = []
-    steps: list[tuple[str, bool]] = []
     seen = {"Attacker"}
 
     def walk(node_id: str) -> None:
-        for other, relation, forward in graph.red_neighbors(node_id):
-            concept = graph.node(other).concept
-            if concept in seen:
-                continue
-            nodes.append(other)
-            steps.append((relation, forward))
-            if concept == "AttackTarget":
-                paths.append(AttackPath(tuple(nodes), tuple(steps)))
-            else:
-                seen.add(concept)
-                walk(other)
-                seen.remove(concept)
-            nodes.pop()
-            steps.pop()
+        for lists in adjacency:
+            for other in lists.get(node_id, ()):
+                concept = graph.node(other).concept
+                if concept in seen:
+                    continue
+                nodes.append(other)
+                if concept == "AttackTarget":
+                    paths.append(tuple(nodes))
+                else:
+                    seen.add(concept)
+                    walk(other)
+                    seen.remove(concept)
+                nodes.pop()
 
     for attacker in graph.nodes_by_concept("Attacker"):
         nodes.append(attacker.id)
         walk(attacker.id)
         nodes.pop()
-    paths.sort(key=lambda p: p.nodes)
+    paths.sort()
     return paths
 
 
@@ -286,24 +292,18 @@ def evaluate_pattern(
 def evaluation_report(graph: KnowledgeGraph) -> dict:
     """Score the chain patterns against the path oracle.
 
-    One pass over :func:`enumerate_oracle_paths` projects its labels:
-    (attacker, method, victim) triples, (attacker, victim) pairs and the
-    node tuples of 3-edge paths. One :func:`vulnerability_chains` join
-    gives the outputs: cross-scenario triples plus the asserted apply_to
+    The labels are the :func:`enumerate_oracle_paths` paths' (attacker,
+    method, victim) triples, their (attacker, victim) pairs and the 4-node
+    paths, which cross a vulnerability. One :func:`vulnerability_chains`
+    join gives the outputs: cross-scenario triples plus the asserted apply_to
     ones, cross-scenario pairs plus the attack edges, and the chains.
     Returns the oracle's path counts, the label counts and one
     EvalMetrics per pattern.
     """
     oracle = enumerate_oracle_paths(graph)
-    triples, pairs, quads = set(), set(), set()
-    with_hop = 0
-    for path in oracle:
-        attacker, method, victim = path.nodes[0], path.nodes[1], path.nodes[-1]
-        triples.add((attacker, method, victim))
-        pairs.add((attacker, victim))
-        if len(path.steps) == 3:
-            quads.add(path.nodes)
-            with_hop += 1
+    triples = {(path[0], path[1], path[-1]) for path in oracle}
+    pairs = {(path[0], path[-1]) for path in oracle}
+    quads = {path for path in oracle if len(path) == 4}
 
     chains = vulnerability_chains(graph)
     scenario = {node.id: node.scenario_id for node in graph.nodes()}
@@ -318,8 +318,8 @@ def evaluation_report(graph: KnowledgeGraph) -> dict:
     return {
         "oracle": {
             "total": len(oracle),
-            "with_vulnerability_hop": with_hop,
-            "direct_apply_to": len(oracle) - with_hop,
+            "with_vulnerability_hop": len(quads),
+            "direct_apply_to": len(oracle) - len(quads),
         },
         "labels": {
             "threat_triples": len(triples),
@@ -338,7 +338,12 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
     """Evidence view of the same-origin relations R5, R6 and R7 derive.
 
     The three relations are symmetric, so each unordered pair is listed
-    once, endpoints in id order.
+    once, endpoints in id order. A same_origin_attack pair's
+    ``shared_motivation`` is every motivation that an attacker of each
+    method is motivated_by. R6's witnesses may be fewer: R6 also needs the
+    two attackers to attack victims of the same affiliation. An
+    in_the_same_organization pair's ``via_methods`` is R7's matches for
+    it: the (first's method, second's method) pairs in same_origin_attack.
     """
 
     def pairs(relation: str) -> list[tuple[str, str, str]]:

@@ -296,16 +296,6 @@ class KnowledgeGraph:
         index = self._out if (direction is Direction.OUT) != swapped else self._in
         return index.get(name, {})
 
-    def red_neighbors(self, node_id: str) -> tuple[tuple[str, str, bool], ...]:
-        """Undirected red-relation adjacency: (other, relation, forward)."""
-        out: list[tuple[str, str, bool]] = []
-        for rel in sorted(RED_RELATIONS):
-            for other in self._out.get(rel, {}).get(node_id, ()):
-                out.append((other, rel, True))
-            for other in self._in.get(rel, {}).get(node_id, ()):
-                out.append((other, rel, False))
-        return tuple(out)
-
     # -- scenario views ------------------------------------------------------
 
     def scenario_subgraph(self, scenario_id: int) -> "KnowledgeGraph":

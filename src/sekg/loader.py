@@ -116,14 +116,15 @@ def _split_fields(line: str, lineno: int) -> list[str]:
     """Split a record line into whitespace-separated fields, honoring quotes.
 
     Only quoted lines need the character loop: ``str.split()`` breaks on the
-    same characters as ``str.isspace()``.
+    same characters as ``str.isspace()``. A quoted field is kept even when
+    it is empty.
     """
     if '"' not in line:
         return line.split()
     fields: list[str] = []
     buf: list[str] = []
     i = 0
-    in_quotes = False
+    in_quotes = quoted = False
     while i < len(line):
         ch = line[i]
         if in_quotes:
@@ -139,20 +140,20 @@ def _split_fields(line: str, lineno: int) -> list[str]:
                 continue
             buf.append(ch)
         elif ch == '"':
-            in_quotes = True
-            buf.append("\x00")  # marks "was quoted" so empty values survive
+            in_quotes = quoted = True
             i += 1
             continue
         elif ch.isspace():
-            if buf:
+            if buf or quoted:
                 fields.append("".join(buf))
                 buf = []
+                quoted = False
         else:
             buf.append(ch)
         i += 1
     if in_quotes:
         raise DatasetError("unterminated quoted value", lineno)
-    if buf:
+    if buf or quoted:
         fields.append("".join(buf))
     return fields
 
@@ -161,12 +162,11 @@ def _parse_kv(fields: list[str], lineno: int) -> dict[str, str]:
     out: dict[str, str] = {}
     for f in fields:
         key, sep, value = f.partition("=")
-        key = key.replace("\x00", "")
         if not sep or not _KEY_RE.match(key):
-            raise DatasetError(f"expected key=value, got {f.replace(chr(0), '')!r}", lineno)
+            raise DatasetError(f"expected key=value, got {f!r}", lineno)
         if key in out:
             raise DatasetError(f"duplicate key {key!r}", lineno)
-        out[key] = value.replace("\x00", "")
+        out[key] = value
     return out
 
 
@@ -328,7 +328,7 @@ def serialize_dataset(graph: KnowledgeGraph, include_inferred: bool = False) -> 
     for sid in graph.scenario_ids():
         lines.append(f"SCENARIO {sid} type={_format_value(graph.scenarios[sid])}")
     for node in graph.nodes():
-        parts = [f"NODE {node.id} {node.concept}"]
+        parts = [f"NODE {_format_value(node.id)} {node.concept}"]
         if node.scenario_id is not None:
             parts.append(f"scenario={node.scenario_id}")
         if node.taxonomy_labels:
@@ -341,7 +341,7 @@ def serialize_dataset(graph: KnowledgeGraph, include_inferred: bool = False) -> 
     for edge in graph.edges():
         if edge.is_inferred and not include_inferred:
             continue
-        line = f"EDGE {edge.src} {edge.relation} {edge.dst}"
+        line = f"EDGE {_format_value(edge.src)} {edge.relation} {_format_value(edge.dst)}"
         if edge.is_inferred:
             line += f" inferred={_format_value(edge.rule)}"
         lines.append(line)

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from sekg.analytics import AttackPath
 from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError
-from sekg.graph import Edge, KnowledgeGraph, Node
+from sekg.graph import RED_RELATIONS, Edge, KnowledgeGraph, Node
 from sekg.query import parse_query
 from sekg.schema import (
     RELATION_ALIASES,
@@ -102,13 +101,12 @@ def reference_split(line: str, lineno: int) -> list[str]:
     quotes. ``loader._split_fields`` must return the same fields or raise
     the same ``DatasetError``.
 
-    A quoted field starts with a NUL character so that an empty value
-    survives.
+    A quoted field is kept even when it is empty.
     """
     fields: list[str] = []
     buf: list[str] = []
     i = 0
-    in_quotes = False
+    in_quotes = quoted = False
     while i < len(line):
         ch = line[i]
         if in_quotes:
@@ -124,20 +122,20 @@ def reference_split(line: str, lineno: int) -> list[str]:
                 continue
             buf.append(ch)
         elif ch == '"':
-            in_quotes = True
-            buf.append("\x00")
+            in_quotes = quoted = True
             i += 1
             continue
         elif ch.isspace():
-            if buf:
+            if buf or quoted:
                 fields.append("".join(buf))
                 buf = []
+                quoted = False
         else:
             buf.append(ch)
         i += 1
     if in_quotes:
         raise DatasetError("unterminated quoted value", lineno)
-    if buf:
+    if buf or quoted:
         fields.append("".join(buf))
     return fields
 
@@ -162,23 +160,29 @@ def reference_chains(graph) -> list[tuple[str, str, str, str]]:
     )
 
 
-def reference_oracle_paths(graph) -> list[AttackPath]:
+def reference_oracle_paths(graph) -> list[tuple[str, ...]]:
     """Red-relation paths attacker -> victim with at most one node per
-    concept and at most 8 edges, by a recursive walk that copies its seen
-    sets and path tuples at every step and checks node ids and concepts
-    separately.
+    concept and at most 8 edges, as sorted node-id tuples, by a recursive
+    walk over an undirected red adjacency built from ``graph.edges()`` that
+    copies its seen sets and path tuples at every step and checks node ids
+    and concepts separately.
 
     ``enumerate_oracle_paths`` must equal it, order included.
     """
+    neighbours: dict[str, list[str]] = {}
+    for edge in graph.edges():
+        if edge.relation in RED_RELATIONS:
+            neighbours.setdefault(edge.src, []).append(edge.dst)
+            neighbours.setdefault(edge.dst, []).append(edge.src)
     paths = []
 
-    def walk(node_id, seen_nodes, seen_concepts, nodes, steps):
+    def walk(node_id, seen_nodes, seen_concepts, nodes):
         if graph.node(node_id).concept == "AttackTarget":
-            paths.append(AttackPath(nodes, steps))
+            paths.append(nodes)
             return
-        if len(steps) >= 8:
+        if len(nodes) > 8:
             return
-        for other, relation, forward in graph.red_neighbors(node_id):
+        for other in neighbours.get(node_id, ()):
             if other in seen_nodes:
                 continue
             concept = graph.node(other).concept
@@ -189,7 +193,6 @@ def reference_oracle_paths(graph) -> list[AttackPath]:
                 seen_nodes | {other},
                 seen_concepts | {concept},
                 nodes + (other,),
-                steps + ((relation, forward),),
             )
 
     for attacker in graph.nodes_by_concept("Attacker"):
@@ -198,9 +201,8 @@ def reference_oracle_paths(graph) -> list[AttackPath]:
             frozenset({attacker.id}),
             frozenset({"Attacker"}),
             (attacker.id,),
-            (),
         )
-    paths.sort(key=lambda p: p.nodes)
+    paths.sort()
     return paths
 
 

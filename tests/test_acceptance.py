@@ -236,9 +236,9 @@ def test_criterion_6_patterns_score_against_oracle(graph):
             quad_out.update(tuple(p.nodes) for p in paths)
 
     oracle = enumerate_oracle_paths(graph)
-    triples = {(p.nodes[0], p.nodes[1], p.nodes[-1]) for p in oracle}
-    pair_labels = {(p.nodes[0], p.nodes[-1]) for p in oracle}
-    quads = {p.nodes for p in oracle if len(p.steps) == 3}
+    triples = {(p[0], p[1], p[-1]) for p in oracle}
+    pair_labels = {(p[0], p[-1]) for p in oracle}
+    quads = {p for p in oracle if len(p) == 4}
     reference = {
         "threat_triples": evaluate_pattern(threat_out, triples),
         "victim_pairs": evaluate_pattern(target_out, pair_labels),

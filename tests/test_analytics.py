@@ -392,7 +392,7 @@ def test_chain_ops_plan_once(graph, monkeypatch):
 
 def test_oracle_hand_counts():
     g = hand_graph()
-    assert {p.nodes for p in enumerate_oracle_paths(g)} == {
+    assert set(enumerate_oracle_paths(g)) == {
         ("attacker1", "method1", "victim1"),
         ("attacker2", "method2", "victim2"),
         ("attacker3", "method3", "victim3"),
@@ -419,8 +419,8 @@ def test_oracle_hand_counts():
 def test_oracle_paths_are_simple_and_concept_distinct():
     g = hand_graph()
     for p in enumerate_oracle_paths(g):
-        assert len(set(p.nodes)) == len(p.nodes)
-        concepts = [g.node(n).concept for n in p.nodes]
+        assert len(set(p)) == len(p)
+        concepts = [g.node(n).concept for n in p]
         assert len(set(concepts)) == len(concepts)
         assert concepts[0] == "Attacker"
         assert concepts[-1] == "AttackTarget"
@@ -444,14 +444,14 @@ def test_oracle_canonical_counts(graph):
 def test_oracle_matches_reference(graph, seed):
     """The oracle equals ``reference_oracle_paths``, order included, on the
     bundled graph (seed None), on four copies of it and on random graphs.
-    Every path has 2 or 3 edges, so the walk needs no length bound."""
+    Every path has 3 or 4 nodes, so the walk needs no length bound."""
     if seed == "replicated":
         graph = replicated_graph(graph, 4)
     elif seed is not None:
         graph = random_conformant_graph(seed)
     paths = enumerate_oracle_paths(graph)
     assert paths == reference_oracle_paths(graph)
-    assert {len(p.steps) for p in paths} <= {2, 3}
+    assert {len(p) for p in paths} <= {3, 4}
 
 
 def test_oracle_calls_no_pattern_code(graph, monkeypatch):
@@ -478,7 +478,7 @@ def test_oracle_union_matches_analytics(graph):
             if graph.has_edge(attacker.id, "craft_and_perform", edge.src):
                 produced.add((attacker.id, edge.src, edge.dst))
     oracle = enumerate_oracle_paths(graph)
-    assert produced == {(p.nodes[0], p.nodes[1], p.nodes[-1]) for p in oracle}
+    assert produced == {(p[0], p[1], p[-1]) for p in oracle}
 
 
 @pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
@@ -491,10 +491,10 @@ def test_evaluation_report_matches_reference(graph, seed):
     elif seed is not None:
         graph = random_conformant_graph(seed)
     oracle = reference_oracle_paths(graph)
-    triples = {(p.nodes[0], p.nodes[1], p.nodes[-1]) for p in oracle}
-    pairs = {(p.nodes[0], p.nodes[-1]) for p in oracle}
-    quads = {p.nodes for p in oracle if len(p.steps) == 3}
-    with_hop = sum(1 for p in oracle if len(p.steps) == 3)
+    triples = {(p[0], p[1], p[-1]) for p in oracle}
+    pairs = {(p[0], p[-1]) for p in oracle}
+    quads = {p for p in oracle if len(p) == 4}
+    with_hop = sum(1 for p in oracle if len(p) == 4)
 
     threats = {
         (p.attacker, p.method, p.victim)

@@ -327,19 +327,6 @@ def test_neighbors_directions():
         g.neighbors("ghost", "apply_to")
 
 
-def test_red_neighbors():
-    g = small_graph()
-    assert g.red_neighbors("pretexting1") == (
-        ("victim1", "apply_to", True),
-        ("attacker1", "craft_and_perform", False),
-        ("greed", "to_exploit", True),
-    )
-    assert g.red_neighbors("greed") == (
-        ("victim1", "have_vul", False),
-        ("pretexting1", "to_exploit", False),
-    )
-
-
 def test_freeze_blocks_mutation():
     g = small_graph()
     g.freeze()

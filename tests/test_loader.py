@@ -14,8 +14,11 @@ from conftest import (
 from sekg.catalog import VOCABULARIES, lookup
 from sekg.datasets import canonical_text
 from sekg.errors import DatasetError, SekgError
-from sekg.graph import Node, scenario_members
+from sekg.graph import KnowledgeGraph, Node, scenario_members
 from sekg.loader import (
+    EdgeRecord,
+    NodeRecord,
+    ScenarioRecord,
     _split_fields,
     load_dataset,
     parse_document,
@@ -180,6 +183,30 @@ def test_serialize_includes_inferred_marker():
     assert find_edge(reloaded, "attacker1", "attack", "victim1").provenance == "inferred:R1"
 
 
+@pytest.mark.parametrize(
+    "line, record",
+    [
+        ('NODE "x" Attacker scenario=1', NodeRecord(1, "x", "Attacker", 1, (), {}, "")),
+        ('SCENARIO "1" type=t', ScenarioRecord(1, 1, "t")),
+        ('"EDGE" a b c', EdgeRecord(1, "a", "b", "c", None)),
+    ],
+)
+def test_quoted_positional_field_parses_like_bare(line, record):
+    assert parse_document(line) == (record,)
+    assert parse_document(line.replace('"', "")) == (record,)
+
+
+def test_serialize_quotes_ids():
+    g = load_dataset(MINI).graph
+    g.add_node(Node("a b", "Attacker", 1))
+    g.add_edge("a b", "craft_and_perform", "pretexting1")
+    text = serialize_dataset(g)
+    assert 'NODE "a b" Attacker scenario=1\n' in text
+    assert 'EDGE "a b" craft_and_perform pretexting1\n' in text
+    reloaded = load_dataset(text).graph
+    assert (reloaded.nodes(), reloaded.edges()) == (g.nodes(), g.edges())
+
+
 def test_completeness_findings():
     findings = validate_scenario_completeness(load_dataset(MINI).graph)
     severities = {(f.severity, f.role) for f in findings}
@@ -311,6 +338,41 @@ def test_split_fields_matches_reference(line):
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
     else:
         assert _split_fields(line, 7) == expected
+
+
+# Characters an id or value must be quoted or escaped for, and non-ASCII
+# ones (whitespace among them); none ends a line for ``str.splitlines``,
+# since a record is one line.
+QUOTED_TEXT = st.text(
+    alphabet=list(' "\\=#\x00a\xa0\u00e9\u200b\u3000\u4e2d\U0001f600'), max_size=6
+)
+
+
+@st.composite
+def quoted_graph(draw) -> KnowledgeGraph:
+    """A scenario of attackers, methods and targets whose ids, property
+    values, comments and scenario type come from ``QUOTED_TEXT``."""
+    g = KnowledgeGraph()
+    g.register_scenario(1, draw(QUOTED_TEXT.filter(bool)))
+    ids = draw(st.lists(QUOTED_TEXT, min_size=3, max_size=9, unique=True))
+    concepts = ("Attacker", "AttackMethod", "AttackTarget")
+    for i, node_id in enumerate(ids):
+        properties = draw(st.dictionaries(st.sampled_from(("alias", "note")), QUOTED_TEXT))
+        g.add_node(Node(node_id, concepts[i % 3], 1, (), properties, draw(QUOTED_TEXT)))
+    for relation, offset in (("craft_and_perform", 0), ("apply_to", 1)):
+        for src in ids[offset::3]:
+            for dst in ids[offset + 1 :: 3]:
+                if draw(st.booleans()):
+                    g.add_edge(src, relation, dst)
+    return g
+
+
+@settings(FUZZ_SETTINGS, max_examples=100)
+@given(quoted_graph())
+def test_serialize_roundtrips_quoted_text(g):
+    reloaded = load_dataset(serialize_dataset(g)).graph
+    assert reloaded.scenarios == g.scenarios
+    assert (reloaded.nodes(), reloaded.edges()) == (g.nodes(), g.edges())
 
 
 CANONICAL_LINES = canonical_text().splitlines()
