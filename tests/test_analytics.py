@@ -28,6 +28,7 @@ from sekg.analytics import (
 )
 from sekg.errors import GraphError
 from sekg.graph import KnowledgeGraph, Node
+from sekg.inference import run_inference
 
 
 def hand_graph() -> KnowledgeGraph:
@@ -655,3 +656,68 @@ def test_same_origin_report_canonical(graph):
             "provenance": "inferred:R7",
         }
     ]
+
+
+@pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
+def test_same_origin_report_matches_reference(graph, seed):
+    """``same_origin_report`` equals a report built by brute force from
+    ``graph.edges()``, with no adjacency index and no analytics code, on the
+    bundled graph (seed None), on four copies of it and on random graphs,
+    each closed under the rules."""
+    if seed == "replicated":
+        graph = replicated_graph(graph, 4)
+    elif seed is not None:
+        graph = random_conformant_graph(seed)
+    if seed is not None:
+        run_inference(graph)
+    edges = graph.edges()
+
+    def heads(relation, tail):
+        return {e.dst for e in edges if e.relation == relation and e.src == tail}
+
+    def tails(relation, head):
+        return {e.src for e in edges if e.relation == relation and e.dst == head}
+
+    def pairs(relation):
+        first: dict[tuple[str, str], str] = {}
+        for e in edges:
+            if e.relation == relation:
+                first.setdefault((min(e.src, e.dst), max(e.src, e.dst)), e.provenance)
+        return sorted(first.items())
+
+    def motivations(method):
+        return {m for a in tails("craft_and_perform", method) for m in heads("motivated_by", a)}
+
+    expected = {
+        "same_affiliation": [
+            {
+                "nodes": [a, b],
+                "provenance": provenance,
+                "affiliation": graph.node(a).properties.get("affiliation", ""),
+            }
+            for (a, b), provenance in pairs("same_affiliation")
+        ],
+        "same_origin_attack": [
+            {
+                "nodes": [a, b],
+                "provenance": provenance,
+                "encoded_domain": graph.node(a).properties.get("encoded_domain", ""),
+                "shared_motivation": sorted(motivations(a) & motivations(b)),
+            }
+            for (a, b), provenance in pairs("same_origin_attack")
+        ],
+        "in_the_same_organization": [
+            {
+                "nodes": [a, b],
+                "provenance": provenance,
+                "via_methods": [
+                    [m1, m2]
+                    for m1 in sorted(heads("craft_and_perform", a))
+                    for m2 in sorted(heads("craft_and_perform", b))
+                    if m2 in heads("same_origin_attack", m1)
+                ],
+            }
+            for (a, b), provenance in pairs("in_the_same_organization")
+        ],
+    }
+    assert same_origin_report(graph) == expected
