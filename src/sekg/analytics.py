@@ -11,20 +11,6 @@ from typing import NamedTuple
 
 from .errors import GraphError
 from .graph import RED_RELATIONS, Direction, KnowledgeGraph
-from .query import Conjunction, match
-
-_CHAIN = Conjunction(
-    (("a", "craft_and_perform", "m"), ("m", "to_exploit", "h"), ("v", "have_vul", "h")),
-    (),
-    ("a", "m", "h", "v"),
-)
-#: The chain join planned once per pin shape: (attacker given, victim given).
-_CHAIN_PLANS = {
-    (False, False): _CHAIN.plan(),
-    (True, False): _CHAIN.plan(inputs=("a",)),
-    (False, True): _CHAIN.plan(inputs=("v",)),
-    (True, True): _CHAIN.plan(inputs=("a", "v")),
-}
 
 
 class End(Enum):
@@ -110,6 +96,41 @@ def ranked_usage(
     return out
 
 
+def _chain_pairs(
+    graph: KnowledgeGraph,
+    attacker_id: str | None = None,
+    victim_id: str | None = None,
+) -> list[tuple[str, str]]:
+    """The (method, vulnerability) pairs of the chains attacker
+    -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul-
+    victim through the pinned ends, in no set order. A pair stands for its
+    method's attackers (or the pinned one) times its vulnerability's victims
+    (or the pinned one). A pinned id that is unknown or of the wrong concept
+    raises GraphError.
+    """
+    for node_id, concept in ((attacker_id, "Attacker"), (victim_id, "AttackTarget")):
+        if node_id is not None:
+            actual = graph.node(node_id).concept
+            if actual != concept:
+                raise GraphError(f"expected an {concept}, got {node_id!r} ({actual})")
+    methods = graph.adjacency("craft_and_perform", Direction.IN)
+    flawed = graph.adjacency("have_vul", Direction.IN)
+    if victim_id is not None:
+        flawed = graph.adjacency("have_vul").get(victim_id, ())
+        if attacker_id is None:  # from the victim's few flaws, not from every method
+            exploited_by = graph.adjacency("to_exploit", Direction.IN)
+            return [(m, h) for h in flawed for m in exploited_by.get(h, ()) if m in methods]
+    if attacker_id is not None:
+        methods = graph.adjacency("craft_and_perform").get(attacker_id, ())
+    exploits = graph.adjacency("to_exploit")
+    return [(m, h) for m in methods for h in exploits.get(m, ()) if h in flawed]
+
+
+def _scenario_nodes(graph: KnowledgeGraph, node_id: str) -> tuple[str, ...]:
+    """Sorted ids of the nodes sharing ``node_id``'s scenario (or lack of one)."""
+    return graph.nodes_with("scenario_id", graph.node(node_id).property("scenario_id"))
+
+
 def vulnerability_chains(
     graph: KnowledgeGraph,
     attacker_id: str | None = None,
@@ -118,19 +139,18 @@ def vulnerability_chains(
     """Sorted (attacker, method, vulnerability, victim) chains attacker
     -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul- victim.
 
-    One join (see :meth:`Conjunction.plan`), made once per pin shape: the
-    given ids are its one input row. A pinned id that is unknown or of the
+    Each (method, vulnerability) pair expands into its attackers times its
+    victims; a given id pins its end. A pinned id that is unknown or of the
     wrong concept raises GraphError.
     """
-    row = []
-    for node_id, concept in ((attacker_id, "Attacker"), (victim_id, "AttackTarget")):
-        if node_id is not None:
-            actual = graph.node(node_id).concept
-            if actual != concept:
-                raise GraphError(f"expected an {concept}, got {node_id!r} ({actual})")
-            row.append(node_id)
-    plan = _CHAIN_PLANS[attacker_id is not None, victim_id is not None]
-    return sorted(match(graph, plan, [row]))
+    attackers = graph.adjacency("craft_and_perform", Direction.IN)
+    victims = graph.adjacency("have_vul", Direction.IN)
+    return sorted(
+        (a, m, h, v)
+        for m, h in _chain_pairs(graph, attacker_id, victim_id)
+        for a in (attackers[m] if attacker_id is None else (attacker_id,))
+        for v in (victims[h] if victim_id is None else (victim_id,))
+    )
 
 
 def potential_threats_for_victim(
@@ -142,18 +162,20 @@ def potential_threats_for_victim(
     victim that the method exploits. Methods of the victim's own scenario
     are excluded.
     """
-    victim = graph.node(victim_id)
-    pairs: dict[tuple[str, str], set[str]] = {}
-    for attacker, method, hv, _ in vulnerability_chains(graph, victim_id=victim_id):
-        pairs.setdefault((attacker, method), set()).add(hv)
-    return [
-        ThreatPair(
-            attacker, method, victim_id, frozenset(shared),
-            (graph.node(attacker).scenario_id or 0, victim.scenario_id or 0),
-        )
-        for (attacker, method), shared in pairs.items()
-        if graph.node(method).scenario_id != victim.scenario_id
+    own = set(_scenario_nodes(graph, victim_id))
+    shared: dict[str, list[str]] = {}
+    for method, hv in _chain_pairs(graph, victim_id=victim_id):
+        if method not in own:
+            shared.setdefault(method, []).append(hv)
+    attackers = graph.adjacency("craft_and_perform", Direction.IN)
+    origin = graph.node(victim_id).scenario_id or 0
+    out = [
+        ThreatPair(a, method, victim_id, frozenset(hvs), (graph.node(a).scenario_id or 0, origin))
+        for method, hvs in shared.items()
+        for a in attackers[method]
     ]
+    out.sort()
+    return out
 
 
 def potential_targets_for_attacker(
@@ -166,23 +188,19 @@ def potential_targets_for_attacker(
     method id). Alternate same-scenario methods of the victim are provided
     separately by :func:`alternate_methods_for_target`.
     """
-    attacker = graph.node(attacker_id)
+    own = set(_scenario_nodes(graph, attacker_id))
+    victims = graph.adjacency("have_vul", Direction.IN)
     shared: dict[str, dict[str, set[str]]] = {}
-    for _, method, hv, victim in vulnerability_chains(graph, attacker_id=attacker_id):
-        shared.setdefault(victim, {}).setdefault(method, set()).add(hv)
+    for method, hv in _chain_pairs(graph, attacker_id=attacker_id):
+        for victim in victims[hv]:
+            if victim not in own:
+                shared.setdefault(victim, {}).setdefault(method, set()).add(hv)
+    origin = graph.node(attacker_id).scenario_id or 0
     out = []
-    for victim in sorted(shared):
-        scenario = graph.node(victim).scenario_id
-        if scenario == attacker.scenario_id:
-            continue
-        by_method = shared[victim]
+    for victim, by_method in sorted(shared.items()):
         method = min(by_method, key=lambda m: (-len(by_method[m]), m))
-        out.append(
-            ThreatPair(
-                attacker_id, method, victim, frozenset(by_method[method]),
-                (attacker.scenario_id or 0, scenario or 0),
-            )
-        )
+        origins = (origin, graph.node(victim).scenario_id or 0)
+        out.append(ThreatPair(attacker_id, method, victim, frozenset(by_method[method]), origins))
     return out
 
 
@@ -190,15 +208,10 @@ def alternate_methods_for_target(
     graph: KnowledgeGraph, attacker_id: str, victim_id: str
 ) -> tuple[str, ...]:
     """Victim-scenario methods exploiting flaws the attacker can also reach."""
-    scenario = graph.node(victim_id).scenario_id
-    shared = {hv for _, _, hv, _ in vulnerability_chains(graph, attacker_id, victim_id)}
-    methods = {
-        method
-        for hv in shared
-        for method in graph.neighbors(hv, "to_exploit", Direction.IN)
-        if graph.node(method).scenario_id == scenario
-    }
-    return tuple(sorted(methods))
+    pairs = _chain_pairs(graph, attacker_id, victim_id)
+    exploited_by = graph.adjacency("to_exploit", Direction.IN)
+    exploiters = {m for _, hv in pairs for m in exploited_by[hv]}
+    return tuple(m for m in _scenario_nodes(graph, victim_id) if m in exploiters)
 
 
 def attack_paths_between(
@@ -211,17 +224,14 @@ def attack_paths_between(
     from other scenarios than the victim's that exploit the victim's
     vulnerabilities but sit on none of the returned paths.
     """
-    chains = vulnerability_chains(graph, attacker_id, victim_id)
-    scenario = graph.node(victim_id).scenario_id
-    on_path = {method for _, method, _, _ in chains}
-    auxiliary = {
-        method
-        for hv in graph.neighbors(victim_id, "have_vul")
-        for method in graph.neighbors(hv, "to_exploit", Direction.IN)
-        if method not in on_path and graph.node(method).scenario_id != scenario
-    }
+    pairs = sorted(_chain_pairs(graph, attacker_id, victim_id))
+    exploited_by = graph.adjacency("to_exploit", Direction.IN)
+    flaws = graph.adjacency("have_vul").get(victim_id, ())
+    auxiliary = {method for hv in flaws for method in exploited_by.get(hv, ())}
+    auxiliary.difference_update((m for m, _ in pairs), _scenario_nodes(graph, victim_id))
     steps = (("craft_and_perform", True), ("to_exploit", True), ("have_vul", False))
-    return [AttackPath(chain, steps) for chain in chains], sorted(auxiliary)
+    paths = [AttackPath((attacker_id, m, hv, victim_id), steps) for m, hv in pairs]
+    return paths, sorted(auxiliary)
 
 
 def enumerate_oracle_paths(graph: KnowledgeGraph) -> list[tuple[str, ...]]:
@@ -295,7 +305,7 @@ def evaluation_report(graph: KnowledgeGraph) -> dict:
     The labels are the :func:`enumerate_oracle_paths` paths' (attacker,
     method, victim) triples, their (attacker, victim) pairs and the 4-node
     paths, which cross a vulnerability. One :func:`vulnerability_chains`
-    join gives the outputs: cross-scenario triples plus the asserted apply_to
+    call gives the outputs: cross-scenario triples plus the asserted apply_to
     ones, cross-scenario pairs plus the attack edges, and the chains.
     Returns the oracle's path counts, the label counts and one
     EvalMetrics per pattern.
@@ -347,16 +357,12 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
     """
 
     def pairs(relation: str) -> list[tuple[str, str, str]]:
-        seen = set()
-        out = []
+        first: dict[tuple[str, str], str] = {}
         for e in graph.edges(relation):
-            key = tuple(sorted((e.src, e.dst)))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((key[0], key[1], e.provenance))
-        out.sort()
-        return out
+            key = (e.src, e.dst) if e.src < e.dst else (e.dst, e.src)
+            if key not in first:
+                first[key] = e.provenance
+        return sorted((a, b, provenance) for (a, b), provenance in first.items())
 
     report: dict = {
         "same_affiliation": [],
@@ -371,41 +377,35 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
                 "affiliation": graph.node(a).property("affiliation") or "",
             }
         )
-    for a, b, provenance in pairs("same_origin_attack"):
-        attackers_a = graph.neighbors(a, "craft_and_perform", Direction.IN)
-        attackers_b = graph.neighbors(b, "craft_and_perform", Direction.IN)
-        shared_motivation = sorted(
-            set(
-                m
-                for attacker in attackers_a
-                for m in graph.neighbors(attacker, "motivated_by")
-            )
-            & set(
-                m
-                for attacker in attackers_b
-                for m in graph.neighbors(attacker, "motivated_by")
-            )
-        )
+    origin_pairs = pairs("same_origin_attack")
+    performed = graph.adjacency("craft_and_perform", Direction.IN)
+    motives = graph.adjacency("motivated_by")
+    motivations = {  # of each method's attackers, once per method
+        method: {m for attacker in performed.get(method, ()) for m in motives.get(attacker, ())}
+        for method in {method for a, b, _ in origin_pairs for method in (a, b)}
+    }
+    for a, b, provenance in origin_pairs:
         report["same_origin_attack"].append(
             {
                 "nodes": [a, b],
                 "provenance": provenance,
                 "encoded_domain": graph.node(a).property("encoded_domain") or "",
-                "shared_motivation": shared_motivation,
+                "shared_motivation": sorted(motivations[a] & motivations[b]),
             }
         )
+    performs = graph.adjacency("craft_and_perform")
+    same_origin = graph.adjacency("same_origin_attack")
     for a, b, provenance in pairs("in_the_same_organization"):
-        via = sorted(
-            (m1, m2)
-            for m1 in graph.neighbors(a, "craft_and_perform")
-            for m2 in graph.neighbors(b, "craft_and_perform")
-            if graph.has_edge(m1, "same_origin_attack", m2)
-        )
         report["in_the_same_organization"].append(
             {
                 "nodes": [a, b],
                 "provenance": provenance,
-                "via_methods": [list(pair) for pair in via],
+                "via_methods": [
+                    [m1, m2]
+                    for m1 in performs.get(a, ())
+                    for m2 in performs.get(b, ())
+                    if m2 in same_origin.get(m1, ())
+                ],
             }
         )
     return report

@@ -364,10 +364,16 @@ def _cmd_query(args: argparse.Namespace) -> str:
     text = args.text if args.text is not None else sys.stdin.read()
     graph, _ = _load_graph(args)
     query = parse_query(text)
+    labels = [item.label for item in query.returns]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if args.format == "json" and repeated:
+        # one JSON key per label: a repeated label would lose a column
+        raise SekgError(
+            f"--format json needs distinct RETURN labels; repeated: {', '.join(repeated)}"
+        )
     rows = evaluate_query(query, graph)
     if args.format == "json":
         return export_report([row.as_dict() for row in rows], "json")
-    labels = [item.label for item in query.returns]
     lines = ["\t".join(labels)]
     lines.extend("\t".join(row.values) for row in rows)
     return "\n".join(lines) + "\n"

@@ -30,7 +30,9 @@ from .graph import KnowledgeGraph, Node, scenario_members
 from .schema import CONCEPTS
 
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+$")
+_BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+")
+#: The characters ``str.splitlines`` ends a line at; a record is one line.
+_LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 #: Concepts whose instances belong to exactly one scenario.
 SCENARIO_CONCEPTS = frozenset(
@@ -310,9 +312,16 @@ def load_dataset(text: str, strict_vocab: bool = False) -> LoadResult:
     return LoadResult(graph, warnings)
 
 
-def _format_value(value: str) -> str:
-    if value and _BARE_VALUE_RE.match(value):
+def _format_value(value: str, owner: str, field: str) -> str:
+    """``value`` as one field, bare when it can be, else quoted.
+
+    Text holding a line break cannot be written, since a record is one line:
+    it raises DatasetError naming ``field`` of ``owner``.
+    """
+    if _BARE_VALUE_RE.fullmatch(value):
         return value
+    if _LINE_BREAK_RE.search(value):
+        raise DatasetError(f"{owner}: cannot write {field} {value!r}: it holds a line break")
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -322,28 +331,34 @@ def serialize_dataset(graph: KnowledgeGraph, include_inferred: bool = False) -> 
     Scenario records come first (by id), then nodes (by id), then edges by
     (src, relation, dst); output is deterministic and reparses to an equal
     graph. Inferred edges are skipped unless ``include_inferred`` is set, in
-    which case they carry an ``inferred=<rule>`` marker.
+    which case they carry an ``inferred=<rule>`` marker. An id or value
+    holding a character that ``str.splitlines`` breaks at raises
+    DatasetError.
     """
     lines: list[str] = []
     for sid in graph.scenario_ids():
-        lines.append(f"SCENARIO {sid} type={_format_value(graph.scenarios[sid])}")
+        scenario_type = _format_value(graph.scenarios[sid], f"scenario {sid}", "type")
+        lines.append(f"SCENARIO {sid} type={scenario_type}")
     for node in graph.nodes():
-        parts = [f"NODE {_format_value(node.id)} {node.concept}"]
+        owner = f"node {node.id!r}"
+        parts = [f"NODE {_format_value(node.id, owner, 'id')} {node.concept}"]
         if node.scenario_id is not None:
             parts.append(f"scenario={node.scenario_id}")
         if node.taxonomy_labels:
-            parts.append(f"labels={_format_value(','.join(sorted(node.taxonomy_labels)))}")
+            labels = ",".join(sorted(node.taxonomy_labels))
+            parts.append(f"labels={_format_value(labels, owner, 'labels')}")
         for key in sorted(node.properties):
-            parts.append(f"{key}={_format_value(node.properties[key])}")
+            parts.append(f"{key}={_format_value(node.properties[key], owner, key)}")
         if node.comment:
-            parts.append(f"comment={_format_value(node.comment)}")
+            parts.append(f"comment={_format_value(node.comment, owner, 'comment')}")
         lines.append(" ".join(parts))
     for edge in graph.edges():
         if edge.is_inferred and not include_inferred:
             continue
-        line = f"EDGE {_format_value(edge.src)} {edge.relation} {_format_value(edge.dst)}"
+        src, dst = _format_value(edge.src, "edge", "src"), _format_value(edge.dst, "edge", "dst")
+        line = f"EDGE {src} {edge.relation} {dst}"
         if edge.is_inferred:
-            line += f" inferred={_format_value(edge.rule)}"
+            line += f" inferred={_format_value(edge.rule, 'edge', 'rule')}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 

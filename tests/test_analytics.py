@@ -370,8 +370,8 @@ def test_chain_ops_unknown_id_raises(graph):
 
 
 def test_chain_ops_plan_once(graph, monkeypatch):
-    """The chain join is planned once per pin shape, at import: no chain op
-    plans a join when it is called."""
+    """No chain op plans a join when it is called: they read the graph's
+    adjacency maps."""
     ops = [
         (attack_paths_between, ("attacker10", "victim13")),
         (potential_threats_for_victim, ("victim7",)),
@@ -457,13 +457,13 @@ def test_oracle_matches_reference(graph, seed):
 
 def test_oracle_calls_no_pattern_code(graph, monkeypatch):
     """The oracle is ground truth for the chain patterns, so it must not
-    reach them through ``vulnerability_chains`` or the MATCH join."""
+    reach them through ``vulnerability_chains`` or ``_chain_pairs``."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called pattern code")
 
     monkeypatch.setattr(analytics, "vulnerability_chains", refuse)
-    monkeypatch.setattr(analytics, "match", refuse)
+    monkeypatch.setattr(analytics, "_chain_pairs", refuse)
     assert len(enumerate_oracle_paths(graph)) == 330
 
 

@@ -191,6 +191,16 @@ def test_query_json_format(capsys):
     assert json.loads(out) == [{"v": "victim10"}, {"v": "victim15"}]
 
 
+def test_query_json_refuses_repeated_labels(capsys):
+    text = "MATCH (a:Attacker)-[:craft_and_perform]->(m) RETURN a, m, a"
+    code, out, err = run_cli(capsys, "query", "--format", "json", text)
+    assert (code, out) == (1, "")
+    assert err == "error: --format json needs distinct RETURN labels; repeated: a\n"
+    code, out, _ = run_cli(capsys, "query", text)
+    assert code == 0
+    assert out.splitlines()[0] == "a\tm\ta"
+
+
 def test_eval_graph_reads(graph, monkeypatch, capsys):
     # Counted, not timed, on a graph built before counting starts. eval
     # joins the attacker chains once: 132 adjacency reads (the join's and

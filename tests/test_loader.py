@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -373,6 +374,35 @@ def test_serialize_roundtrips_quoted_text(g):
     reloaded = load_dataset(serialize_dataset(g)).graph
     assert reloaded.scenarios == g.scenarios
     assert (reloaded.nodes(), reloaded.edges()) == (g.nodes(), g.edges())
+
+
+# Every character ``str.splitlines`` ends a line at.
+LINE_BREAKS = list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+@settings(FUZZ_SETTINGS, max_examples=100)
+@given(
+    quoted_graph(),
+    QUOTED_TEXT,
+    st.sampled_from(LINE_BREAKS),
+    QUOTED_TEXT,
+    st.sampled_from(("id", "note", "comment", "type")),
+)
+def test_serialize_refuses_line_breaks(g, head, line_break, tail, field):
+    """A record is one line, so an id or value holding a line break is
+    refused with an error naming it, not written to reload as other text."""
+    text = head + line_break + tail
+    assert len((text + "x").splitlines()) == 2
+    if field == "type":
+        g.register_scenario(2, text)
+    elif field == "id":
+        g.add_node(Node(text, "Attacker", 1))
+    elif field == "note":
+        g.add_node(Node("broken", "Attacker", 1, (), {"note": text}))
+    else:
+        g.add_node(Node("broken", "Attacker", 1, comment=text))
+    with pytest.raises(DatasetError, match=re.escape(f"cannot write {field} {text!r}")):
+        serialize_dataset(g)
 
 
 CANONICAL_LINES = canonical_text().splitlines()

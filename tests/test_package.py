@@ -50,6 +50,13 @@ def test_one_name_loads_only_its_module():
         assert f"'{module}'" not in loaded
 
 
+def test_analytics_loads_no_query_module():
+    # The chain ops read the graph's adjacency maps, not the MATCH join.
+    loaded = fresh(f"import sys, sekg.analytics; {LOADED}")
+    assert "'sekg.analytics'" in loaded
+    assert "'sekg.query'" not in loaded
+
+
 def test_unknown_name_raises_attribute_error():
     code = (
         "import sekg\n"
