@@ -203,10 +203,10 @@ def test_query_json_refuses_repeated_labels(capsys):
 
 def test_eval_graph_reads(graph, monkeypatch, capsys):
     # Counted, not timed, on a graph built before counting starts. eval
-    # joins the attacker chains once: 132 adjacency reads (the join's and
-    # those under neighbors), no has_edge and 1 nodes_by_concept call (the
-    # oracle's). Counted as neighbors calls that was 131 + 1; one analytics
-    # call per attacker x victim pair made 5577 + 280.
+    # expands the chain pairs once: 36 adjacency reads (the chain's, the
+    # oracle's and those under neighbors), no has_edge and 1
+    # nodes_by_concept call (the oracle's). The chain join made it 132;
+    # one analytics call per attacker x victim pair made 5577 + 280.
     calls: Counter = Counter()
     for name in ("adjacency", "has_edge", "nodes_by_concept"):
 
