@@ -7,6 +7,7 @@ identical (and identically ordered) results.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import GraphError
@@ -169,11 +170,12 @@ def potential_threats_for_victim(
             shared.setdefault(method, []).append(hv)
     attackers = graph.adjacency("craft_and_perform", Direction.IN)
     origin = graph.node(victim_id).scenario_id or 0
-    out = [
-        ThreatPair(a, method, victim_id, frozenset(hvs), (graph.node(a).scenario_id or 0, origin))
-        for method, hvs in shared.items()
-        for a in attackers[method]
-    ]
+    node, make = graph.node, ThreatPair._make
+    out = []
+    for method, hvs in shared.items():
+        evidence = frozenset(hvs)  # one per method, shared by its attackers' rows
+        for a in attackers[method]:
+            out.append(make((a, method, victim_id, evidence, (node(a).scenario_id or 0, origin))))
     out.sort()
     return out
 
@@ -188,19 +190,27 @@ def potential_targets_for_attacker(
     method id). Alternate same-scenario methods of the victim are provided
     separately by :func:`alternate_methods_for_target`.
     """
-    own = set(_scenario_nodes(graph, attacker_id))
-    victims = graph.adjacency("have_vul", Direction.IN)
-    shared: dict[str, dict[str, set[str]]] = {}
+    reach: dict[str, list[str]] = {}  # the flaws each method reaches a victim by
     for method, hv in _chain_pairs(graph, attacker_id=attacker_id):
-        for victim in victims[hv]:
-            if victim not in own:
-                shared.setdefault(victim, {}).setdefault(method, set()).add(hv)
+        reach.setdefault(method, []).append(hv)
+    by_method = {method: frozenset(hvs) for method, hvs in sorted(reach.items())}
+    victims = graph.adjacency("have_vul", Direction.IN)
+    targets: set[str] = set()
+    for hvs in by_method.values():
+        for hv in hvs:
+            targets.update(victims[hv])
+    targets.difference_update(_scenario_nodes(graph, attacker_id))
+    flaws = graph.adjacency("have_vul")
     origin = graph.node(attacker_id).scenario_id or 0
     out = []
-    for victim, by_method in sorted(shared.items()):
-        method = min(by_method, key=lambda m: (-len(by_method[m]), m))
+    for victim in sorted(targets):  # each victim once, each method once per victim
+        best: frozenset[str] = frozenset()
+        for method, hvs in by_method.items():  # in id order: a tie keeps the first
+            shared = hvs.intersection(flaws[victim])
+            if len(shared) > len(best):
+                chosen, best = method, shared
         origins = (origin, graph.node(victim).scenario_id or 0)
-        out.append(ThreatPair(attacker_id, method, victim, frozenset(by_method[method]), origins))
+        out.append(ThreatPair(attacker_id, chosen, victim, best, origins))
     return out
 
 
@@ -287,8 +297,10 @@ def evaluate_pattern(
     labels never produced. Precision defaults to 1.0 when nothing was
     claimed; recall to 1.0 when nothing was labeled.
     """
-    arities = {len(t) for t in outputs} | {len(t) for t in labels}
-    if len(arities) > 1:
+    sizes = map(len, chain(outputs, labels))
+    arity = next(sizes, None)
+    if any(size != arity for size in sizes):  # stops at the first mismatch
+        arities = {len(t) for t in outputs} | {len(t) for t in labels}
         raise ValueError(f"tuple schema mismatch: arities {sorted(arities)}")
     tp = len(outputs & labels)
     fp = len(outputs - labels)
@@ -357,25 +369,33 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
     """
 
     def pairs(relation: str) -> list[tuple[str, str, str]]:
-        first: dict[tuple[str, str], str] = {}
-        for e in graph.edges(relation):
-            key = (e.src, e.dst) if e.src < e.dst else (e.dst, e.src)
-            if key not in first:
-                first[key] = e.provenance
-        return sorted((a, b, provenance) for (a, b), provenance in first.items())
+        """Each unordered pair once, endpoints in id order, with the
+        provenance of its first edge in (src, dst) order: the pair's own
+        edge unless only the reverse one is stored."""
+        edges = graph.edges(relation)
+        listed = [(e.src, e.dst, e.provenance) for e in edges if e.src <= e.dst]
+        out = graph.adjacency(relation)
+        if graph.adjacency(relation, Direction.IN) != out:  # some edge lacks its reverse
+            listed += [
+                (e.dst, e.src, e.provenance)
+                for e in edges
+                if e.src > e.dst and e.src not in out.get(e.dst, ())
+            ]
+            listed.sort()
+        return listed
 
     report: dict = {
         "same_affiliation": [],
         "same_origin_attack": [],
         "in_the_same_organization": [],
     }
-    for a, b, provenance in pairs("same_affiliation"):
+    affiliation_pairs = pairs("same_affiliation")
+    affiliations = {  # read once per node, not once per pair
+        a: graph.node(a).property("affiliation") or "" for a in {a for a, _, _ in affiliation_pairs}
+    }
+    for a, b, provenance in affiliation_pairs:
         report["same_affiliation"].append(
-            {
-                "nodes": [a, b],
-                "provenance": provenance,
-                "affiliation": graph.node(a).property("affiliation") or "",
-            }
+            {"nodes": [a, b], "provenance": provenance, "affiliation": affiliations[a]}
         )
     origin_pairs = pairs("same_origin_attack")
     performed = graph.adjacency("craft_and_perform", Direction.IN)
@@ -384,12 +404,15 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
         method: {m for attacker in performed.get(method, ()) for m in motives.get(attacker, ())}
         for method in {method for a, b, _ in origin_pairs for method in (a, b)}
     }
+    domains = {
+        a: graph.node(a).property("encoded_domain") or "" for a in {a for a, _, _ in origin_pairs}
+    }
     for a, b, provenance in origin_pairs:
         report["same_origin_attack"].append(
             {
                 "nodes": [a, b],
                 "provenance": provenance,
-                "encoded_domain": graph.node(a).property("encoded_domain") or "",
+                "encoded_domain": domains[a],
                 "shared_motivation": sorted(motivations[a] & motivations[b]),
             }
         )

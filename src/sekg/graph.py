@@ -19,6 +19,7 @@ and an unknown name raises ``SchemaError``.
 """
 
 import bisect
+import re
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from types import MappingProxyType
@@ -33,6 +34,14 @@ RED_RELATIONS = frozenset(
 )
 
 ASSERTED = None
+
+#: A property key a dataset can hold: the ``key`` of a ``key=value`` field.
+#: The loader reads fields by it, and ``add_node`` refuses any other key.
+PROPERTY_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: Keys of a NODE record that load into the node's own fields, not into
+#: its properties.
+_RECORD_KEYS = frozenset({"scenario", "labels", "comment"})
 
 
 class Direction(Enum):
@@ -88,6 +97,7 @@ class KnowledgeGraph:
         self._in: dict[str, dict[str, list[str]]] = {}
         self._scenarios: dict[int, str] = {}
         self._by_property: dict[str, dict[str | None, tuple[str, ...]]] = {}
+        self._property_values: dict[str, dict[str, str | None]] = {}
         self._frozen = False
 
     # -- scenario registry ------------------------------------------------
@@ -114,7 +124,12 @@ class KnowledgeGraph:
     # -- nodes -------------------------------------------------------------
 
     def add_node(self, node: Node) -> Node:
-        """Insert a node. Re-adding an identical node is a no-op."""
+        """Insert a node. Re-adding an identical node is a no-op.
+
+        A property key must be one a dataset can hold (``PROPERTY_KEY_RE``)
+        and not name a node field or a NODE record's ``scenario``,
+        ``labels`` or ``comment``; any other key raises ``GraphError``.
+        """
         self._check_mutable()
         concept = CONCEPTS[node.concept]
         if concept.name != node.concept:
@@ -129,6 +144,11 @@ class KnowledgeGraph:
                 raise GraphError(
                     f"node {node.id!r}: property {key!r} is a node field, not a property"
                 )
+        for key in node.properties:
+            if key in _RECORD_KEYS or not PROPERTY_KEY_RE.fullmatch(key):
+                raise GraphError(
+                    f"node {node.id!r}: property key {key!r} cannot be written to a dataset"
+                )
         if node.scenario_id is not None and node.scenario_id not in self._scenarios:
             raise GraphError(
                 f"node {node.id!r}: scenario {node.scenario_id} not declared"
@@ -140,6 +160,7 @@ class KnowledgeGraph:
             raise GraphError(f"node {node.id!r} already exists with different content")
         self._nodes[node.id] = node
         self._by_property.clear()
+        self._property_values.clear()
         return node
 
     def node(self, node_id: str) -> Node:
@@ -169,11 +190,25 @@ class KnowledgeGraph:
         """
         groups = self._by_property.get(key)
         if groups is None:
+            values = self.property_values(key)
             lists: dict[str | None, list[str]] = {}
-            for node_id in sorted(self._nodes):
-                lists.setdefault(self._nodes[node_id].property(key), []).append(node_id)
+            for node_id in sorted(values):
+                lists.setdefault(values[node_id], []).append(node_id)
             groups = self._by_property[key] = {v: tuple(ids) for v, ids in lists.items()}
         return groups.get(value, ())
+
+    def property_values(self, key: str) -> Mapping[str, str | None]:
+        """``Node.property(key)`` of every node, keyed by node id.
+
+        Built on a key's first use and dropped when a node is added, like
+        the groups of ``nodes_with``. The mapping is the graph's own: read
+        it, never change it.
+        """
+        values = self._property_values.get(key)
+        if values is None:
+            nodes = self._nodes
+            values = self._property_values[key] = {i: nodes[i].property(key) for i in nodes}
+        return values
 
     @property
     def node_count(self) -> int:

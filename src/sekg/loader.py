@@ -26,10 +26,9 @@ from typing import NamedTuple
 
 from .catalog import ID_VOCABULARY, KIND_VOCABULARY, lookup
 from .errors import DatasetError, GraphError, SchemaError
-from .graph import KnowledgeGraph, Node, scenario_members
+from .graph import PROPERTY_KEY_RE, KnowledgeGraph, Node, scenario_members
 from .schema import CONCEPTS
 
-_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+")
 #: The characters ``str.splitlines`` ends a line at; a record is one line.
 _LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -164,7 +163,7 @@ def _parse_kv(fields: list[str], lineno: int) -> dict[str, str]:
     out: dict[str, str] = {}
     for f in fields:
         key, sep, value = f.partition("=")
-        if not sep or not _KEY_RE.match(key):
+        if not sep or not PROPERTY_KEY_RE.fullmatch(key):
             raise DatasetError(f"expected key=value, got {f!r}", lineno)
         if key in out:
             raise DatasetError(f"duplicate key {key!r}", lineno)

@@ -13,7 +13,9 @@ Grammar::
 
 ``parse_query`` returns the join body (a :class:`Conjunction`) with the
 RETURN projection: each edge is a relation atom, and node concepts,
-``{key="value"}`` constraints and WHERE conditions are its tests.
+``{key="value"}`` constraints and WHERE conditions are its tests. The
+planner drops a concept test that an atom's relation implies through its
+domain or range, since ``add_edge`` stores no edge that breaks them.
 
 Keywords are case-sensitive uppercase. Matching uses homomorphism semantics:
 distinct variables may bind the same node unless a ``<>`` condition forbids
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import QueryParseError, SchemaError
@@ -54,25 +57,26 @@ class Token(NamedTuple):
 def tokenize(text: str) -> list[Token]:
     """Scan ``text`` into tokens; offsets index into the source string."""
     tokens: list[Token] = []
-    end = 0
-    while True:
-        m = _TOKEN_RE.match(text, end)
-        group, end = m.lastindex, m.end()
-        word, offset = m.group(group), m.start(group)
+    append, make = tokens.append, Token._make
+    # Each match starts where the last one ended; the first at the end is EOF.
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        word, offset = m[group], m.start(group)
         if group == 1:
-            tokens.append(Token(word, word, offset))
-        elif group == 2:
-            tokens.append(Token("STRING", _ESCAPE_RE.sub(r"\1", word[1:-1]), offset))
+            append(make((word, word, offset)))
         elif group == 3:
-            tokens.append(Token(word if word in KEYWORDS else "IDENT", word, offset))
+            append(make((word if word in KEYWORDS else "IDENT", word, offset)))
+        elif group == 2:
+            append(make(("STRING", _ESCAPE_RE.sub(r"\1", word[1:-1]), offset)))
         elif group == 4:
-            tokens.append(Token("EOF", "", offset))
-            return tokens
+            append(make(("EOF", "", offset)))
+            break
         elif word == '"':
             message = "unterminated string literal"
             raise QueryParseError(message, offset, frozenset({'"'}))
         else:
             raise QueryParseError(f"unexpected character {word!r}", offset, frozenset())
+    return tokens
 
 
 class Operand(NamedTuple):
@@ -351,60 +355,74 @@ class Conjunction(NamedTuple):
 
     def plan(self, inputs: tuple[str, ...] = ()) -> Plan:
         """Fix the step order once. ``inputs`` are variables bound before the
-        join starts, from the rows supplied at run time. Checks run as soon
-        as their variables are bound; otherwise the next step is the first
-        of, in this order: an id lookup, a property lookup against a bound
-        variable, a bound endpoint's neighbors, a property lookup against a
-        literal, a relation scan, a node scan."""
+        join starts, from the rows supplied at run time.
+
+        A concept test on a variable that an atom's relation already types
+        is dropped: the variable is the atom's source and the concept its
+        relation's domain, or its target and the range. ``add_edge``
+        enforces both, so such a test could never fail. Other checks run as
+        soon as their variables are bound; otherwise the next step is the
+        first of, in this order: an id lookup, a property lookup against a
+        bound variable, a bound endpoint's neighbors, a property lookup
+        against a literal, a relation scan, a node scan."""
         slot = {v: i for i, v in enumerate(self.variables)}
         if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
             raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
-        atoms, tests = list(self.atoms), list(self.tests)
+        atoms = list(self.atoms)
+        typed: set[tuple[str, str]] = set()
+        for src, rel, dst in atoms:
+            relation = RELATIONS[rel][2]
+            typed.update(((src, relation.domain), (dst, relation.range)))
+        tests = [(t, t.variables()) for t in self.tests if _typed_by(t) not in typed]
         bound = set(inputs)
         steps: list[tuple] = []
         while True:
-            for src, rel, dst in [a for a in atoms if {a[0], a[2]} <= bound]:
-                atoms.remove((src, rel, dst))
+            for atom in [a for a in atoms if a[0] in bound and a[2] in bound]:
+                atoms.remove(atom)
+                src, rel, dst = atom
                 steps.append(("has_edge", slot[src], rel, slot[dst]))
-            for test in [t for t in tests if t.variables() <= bound]:
-                tests.remove(test)
+            for test, names in [t for t in tests if t[1] <= bound]:
+                tests.remove((test, names))
                 left, right = _operand(slot, test.left), _operand(slot, test.right)
                 steps.append(("test", left, right, test.op == "<>", test.strict))
-            free = [v for v in self.variables if v not in bound]
-            if not free:
+            free = next((v for v in self.variables if v not in bound), None)
+            if free is None:
                 pinned = tuple(slot[v] for v in inputs)
                 return Plan(tuple(steps), len(slot), pinned)
-            # (rank, step, variables it binds, pool it comes from, item)
-            options: list[tuple[int, tuple, tuple[str, ...], list, object]] = [
-                (5, ("nodes", slot[free[0]]), (free[0],), [], None)
-            ]
-            for test in tests:
+            # The first option of the lowest rank wins; a node scan ranks 5.
+            rank, lookup, atom = 5, None, None
+            for test, names in tests:
                 if oriented := _as_lookup(test, bound):
                     mine, other = oriented
                     if mine.key in (None, "id"):
-                        rank = 0
+                        option = 0
                     else:
-                        rank = 1 if other.variable is not None else 3
-                    var = mine.variable
-                    value = _operand(slot, other)
-                    step = ("lookup", slot[var], mine.key, value, test.strict)
-                    options.append((rank, step, (var,), tests, test))
-            for src, rel, dst in atoms:
+                        option = 1 if other.variable is not None else 3
+                    if option < rank:
+                        rank, lookup = option, (test, names, mine, other)
+            for candidate in atoms:
+                option = 2 if candidate[0] in bound or candidate[2] in bound else 4
+                if option < rank:
+                    rank, atom = option, candidate
+            if atom is not None:
+                atoms.remove(atom)
+                src, rel, dst = atom
                 if src in bound:
-                    step = ("adjacent", slot[dst], rel, Direction.OUT, slot[src])
-                    rank, binds = 2, (dst,)
+                    steps.append(("adjacent", slot[dst], rel, Direction.OUT, slot[src]))
                 elif dst in bound:
-                    step = ("adjacent", slot[src], rel, Direction.IN, slot[dst])
-                    rank, binds = 2, (src,)
+                    steps.append(("adjacent", slot[src], rel, Direction.IN, slot[dst]))
                 else:
-                    step = ("edges", slot[src], rel, slot[dst])
-                    rank, binds = 4, (src, dst)
-                options.append((rank, step, binds, atoms, (src, rel, dst)))
-            _, step, binds, pool, item = min(options, key=lambda o: o[0])
-            if item is not None:
-                pool.remove(item)
-            steps.append(step)
-            bound.update(binds)
+                    steps.append(("edges", slot[src], rel, slot[dst]))
+                bound.update((src, dst))
+            elif lookup is not None:
+                test, names, mine, other = lookup
+                tests.remove((test, names))
+                value = _operand(slot, other)
+                steps.append(("lookup", slot[mine.variable], mine.key, value, test.strict))
+                bound.add(mine.variable)
+            else:
+                steps.append(("nodes", slot[free]))
+                bound.add(free)
 
 
 def _operand(
@@ -413,6 +431,15 @@ def _operand(
     """``operand`` as a plan reads it: (slot or None, key, literal)."""
     index = None if operand.variable is None else slot[operand.variable]
     return (index, operand.key, operand.literal)
+
+
+def _typed_by(test: Condition) -> tuple[str, str] | None:
+    """(variable, concept) if ``test`` is the concept test ``(v:Concept)``
+    makes, else None."""
+    left, right = test.left, test.right
+    if test.op == "=" and left.key == "concept" and right.variable is None:
+        return left.variable, right.literal
+    return None
 
 
 def _as_lookup(test: Condition, bound: set[str]) -> tuple[Operand, Operand] | None:
@@ -427,12 +454,18 @@ def _as_lookup(test: Condition, bound: set[str]) -> tuple[Operand, Operand] | No
     return None
 
 
-def _value(graph: KnowledgeGraph, slots: list[str], operand: tuple) -> str | None:
+def _resolved(graph: KnowledgeGraph, operand: tuple) -> tuple:
+    """``operand`` with its property key replaced by the key's values."""
     index, key, literal = operand
+    return operand if key is None else (index, graph.property_values(key), literal)
+
+
+def _value(slots: list[str], operand: tuple) -> str | None:
+    """A resolved operand's value for the bound ``slots``."""
+    index, values, literal = operand
     if index is None:
         return literal
-    node_id = slots[index]
-    return node_id if key is None else graph.node(node_id).property(key)
+    return slots[index] if values is None else values[slots[index]]
 
 
 class _Join:
@@ -441,11 +474,18 @@ class _Join:
 
     def __init__(self, graph: KnowledgeGraph, steps: tuple[tuple, ...], width: int):
         self.graph = graph
-        # Each adjacent step's map is resolved here, once per ``match`` call.
-        self.steps = tuple(
-            s[:2] + (graph.adjacency(s[2], s[3]), s[4]) if s[0] == "adjacent" else s
-            for s in steps
-        )
+        # Each adjacent step's map and each property its operands read are
+        # resolved here, once per ``match`` call.
+        resolved = []
+        for s in steps:
+            if s[0] == "adjacent":
+                s = s[:2] + (graph.adjacency(s[2], s[3]), s[4])
+            elif s[0] == "test":
+                s = ("test", _resolved(graph, s[1]), _resolved(graph, s[2]), *s[3:])
+            elif s[0] == "lookup":
+                s = s[:3] + (_resolved(graph, s[3]), s[4])
+            resolved.append(s)
+        self.steps = tuple(resolved)
         self.slots = [""] * width
         self.rows: list[tuple[str, ...]] = []
 
@@ -456,7 +496,7 @@ class _Join:
             kind = step[0]
             if kind == "test":
                 _, left, right, negate, strict = step
-                a, b = _value(graph, slots, left), _value(graph, slots, right)
+                a, b = _value(slots, left), _value(slots, right)
                 if negate:
                     if a == b:
                         return
@@ -476,7 +516,7 @@ class _Join:
             values = adjacency.get(slots[other], ())
         elif kind == "lookup":
             _, var, key, operand, strict = step
-            values = _lookup(graph, key, _value(graph, slots, operand), strict)
+            values = _lookup(graph, key, _value(slots, operand), strict)
         elif kind == "nodes":
             var, values = step[1], graph.node_ids()
         else:
@@ -544,14 +584,20 @@ def evaluate_query(
     """
     body = query.body
     items = [(body.variables.index(item.variable), item.key) for item in query.returns]
-    node = graph.node
-    rows = [
-        tuple(
-            row[i] if key is None else node(row[i]).property(key) or ""
-            for i, key in items
-        )
-        for row in match(graph, body.plan())
-    ]
+    found = match(graph, body.plan())
+    if any(key is not None for _, key in items):
+        node = graph.node
+        rows = [
+            tuple(
+                row[i] if key is None else node(row[i]).property(key) or ""
+                for i, key in items
+            )
+            for row in found
+        ]
+    else:  # variables only: project each row in C, no generator per row
+        rows = map(itemgetter(*(i for i, _ in items)), found)
+        if len(items) == 1:
+            rows = zip(rows)  # itemgetter of one index gives the bare value
     rows = sorted(set(rows) if query.distinct else rows)
     labels = tuple(item.label for item in query.returns)
     return [BindingRow(tuple(zip(labels, row))) for row in rows]

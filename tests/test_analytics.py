@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -629,6 +630,16 @@ def test_evaluate_pattern_arity_mismatch():
         evaluate_pattern({("a", "b")}, {("a", "b", "c")})
 
 
+def test_evaluate_pattern_names_every_arity():
+    # The check stops at the first mismatch, but the message still lists
+    # every arity on either side, sorted.
+    outputs = {("a", "b"), ("a",), ("b",)}
+    labels = {("a", "b", "c"), ("a", "b")}
+    with pytest.raises(ValueError) as err:
+        evaluate_pattern(outputs, labels)
+    assert str(err.value) == "tuple schema mismatch: arities [1, 2, 3]"
+
+
 # -- reports ----------------------------------------------------------------------
 
 
@@ -658,17 +669,49 @@ def test_same_origin_report_canonical(graph):
     ]
 
 
-@pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
+SAME_ORIGIN = ("same_affiliation", "same_origin_attack", "in_the_same_organization")
+
+
+def one_way(graph: KnowledgeGraph, seed: int) -> KnowledgeGraph:
+    """A copy of ``graph`` that drops about half of its same-origin edges,
+    so many pairs keep one direction only, and asserts some of the rest,
+    so a pair's two edges can differ in provenance."""
+    rng = random.Random(seed)
+    g = KnowledgeGraph()
+    for sid, attack_type in graph.scenarios.items():
+        g.register_scenario(sid, attack_type)
+    for node in graph.nodes():
+        g.add_node(node)
+    for e in graph.edges():
+        rule = e.rule
+        if e.relation in SAME_ORIGIN:
+            if rng.random() < 0.5:
+                continue
+            if rng.random() < 0.3:
+                rule = None
+        g.add_edge(e.src, e.relation, e.dst, rule)
+    return g.freeze()
+
+
+@pytest.mark.parametrize(
+    "seed", ["replicated", None, *range(100), *(f"one-way {n}" for n in range(30))]
+)
 def test_same_origin_report_matches_reference(graph, seed):
     """``same_origin_report`` equals a report built by brute force from
     ``graph.edges()``, with no adjacency index and no analytics code, on the
     bundled graph (seed None), on four copies of it and on random graphs,
-    each closed under the rules."""
+    each closed under the rules, and on random graphs whose same-origin
+    edges are thinned out after the rules ran ("one-way")."""
     if seed == "replicated":
         graph = replicated_graph(graph, 4)
+    elif isinstance(seed, str):
+        n = int(seed.split()[-1])
+        graph = random_conformant_graph(n)
+        run_inference(graph)
+        graph = one_way(graph, n)
     elif seed is not None:
         graph = random_conformant_graph(seed)
-    if seed is not None:
+    if isinstance(seed, int) or seed == "replicated":
         run_inference(graph)
     edges = graph.edges()
 

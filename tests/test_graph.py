@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 
@@ -88,6 +89,20 @@ def test_property_named_like_a_node_field_rejected(key):
     g.register_scenario(1, "t")
     with pytest.raises(GraphError, match=f"property '{key}' is a node field"):
         g.add_node(Node("a1", "Attacker", 1, properties={key: "Spy"}))
+    assert not g.has_node("a1")
+
+
+@pytest.mark.parametrize(
+    "key", ["my key", "k=x", "", "9lives", "k-x", "k\n", "caf\u00e9", "scenario", "labels", "comment"]
+)
+def test_property_key_a_dataset_cannot_hold_rejected(key):
+    # serialize_dataset writes ``key=value`` raw: such a key would fail to
+    # reload, reload as another key, or load into a node field.
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t")
+    message = f"node 'a1': property key {key!r} cannot be written to a dataset"
+    with pytest.raises(GraphError, match=re.escape(message)):
+        g.add_node(Node("a1", "Attacker", 1, properties={"note": "x", key: "Spy"}))
     assert not g.has_node("a1")
 
 

@@ -14,7 +14,7 @@ from conftest import (
 )
 from sekg.catalog import VOCABULARIES, lookup
 from sekg.datasets import canonical_text
-from sekg.errors import DatasetError, SekgError
+from sekg.errors import DatasetError, GraphError, SekgError
 from sekg.graph import KnowledgeGraph, Node, scenario_members
 from sekg.loader import (
     EdgeRecord,
@@ -374,6 +374,31 @@ def test_serialize_roundtrips_quoted_text(g):
     reloaded = load_dataset(serialize_dataset(g)).graph
     assert reloaded.scenarios == g.scenarios
     assert (reloaded.nodes(), reloaded.edges()) == (g.nodes(), g.edges())
+
+
+@settings(FUZZ_SETTINGS, max_examples=200)
+@given(
+    st.dictionaries(
+        st.one_of(
+            st.text(alphabet=list("ak_9 =-\u00e9\n"), max_size=4),
+            st.sampled_from(("scenario", "labels", "comment", "kind", "inferred")),
+        ),
+        QUOTED_TEXT,
+        max_size=3,
+    )
+)
+def test_every_accepted_property_key_roundtrips(properties):
+    """A key ``add_node`` accepts is one ``serialize_dataset`` can write
+    back: it reloads as the same key with the same value."""
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t")
+    try:
+        g.add_node(Node("a", "Attacker", 1, properties=properties))
+    except GraphError as exc:
+        assert "cannot be written to a dataset" in str(exc)
+        return
+    reloaded = load_dataset(serialize_dataset(g)).graph
+    assert reloaded.nodes() == g.nodes()
 
 
 # Every character ``str.splitlines`` ends a line at.

@@ -11,6 +11,8 @@ from sekg.errors import QueryParseError, SekgError
 from sekg.graph import Direction, KnowledgeGraph, Node
 from sekg.inference import run_inference
 from sekg.query import (
+    _TOKEN_RE,
+    KEYWORDS,
     Condition,
     Conjunction,
     Operand,
@@ -144,12 +146,11 @@ OUT, IN = Direction.OUT, Direction.IN
             'MATCH (a:Attacker {id="attacker10"})-[:craft_and_perform]->(m)-[:to_exploit]->(h)'
             "<-[:have_vul]-(v:AttackTarget) WHERE a.scenario_id <> v.scenario_id RETURN DISTINCT v",
             (
+                # craft_and_perform's domain types a, have_vul's domain v
                 ("lookup", 0, "id", (None, None, "attacker10"), False),
-                ("test", (0, "concept", None), (None, None, "Attacker"), False, False),
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
                 ("adjacent", 2, "to_exploit", OUT, 1),
                 ("adjacent", 3, "have_vul", IN, 2),
-                ("test", (3, "concept", None), (None, None, "AttackTarget"), False, False),
                 ("test", (0, "scenario_id", None), (3, "scenario_id", None), True, False),
             ),
         ),
@@ -184,6 +185,48 @@ def test_read_benchmark_query_plans(text, steps):
     parser or planner change cannot reorder them unnoticed."""
     body = parse_query(text).body
     assert body.plan() == Plan(steps, len(body.variables), ())
+
+
+def _concepts_checked(plan: Plan) -> list[str]:
+    """The concepts a plan checks, by a test or a lookup step, in order."""
+    out = []
+    for step in plan.steps:
+        if step[0] == "test" and step[1][1] == "concept":
+            out.append(step[2][2])
+        elif step[0] == "lookup" and step[2] == "concept":
+            out.append(step[3][2])
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, kept, empty",
+    [
+        # have_vul's domain and range type both ends: both tests go
+        ("MATCH (v:AttackTarget)-[:have_vul]->(h:HumanVulnerability) RETURN v, h", [], False),
+        # no atom types v, so its test stays
+        ("MATCH (v:AttackTarget) RETURN v", ["AttackTarget"], False),
+        # the relation contradicts the concept: the test stays and fails
+        ("MATCH (x:Attacker)-[:have_vul]->(h) RETURN x, h", ["Attacker"], True),
+        ("MATCH (m)-[:apply_to]->(m2:AttackMethod) RETURN m", ["AttackMethod"], True),
+        ("MATCH (v:Victim)<-[:apply_to]-(m:Attacker) RETURN v, m", ["Attacker"], True),
+        # a swapped alias types its ends as its stored relation does
+        ("MATCH (h:HumanVulnerability)-[:exploited_by]->(m:AttackMethod) RETURN m, h", [], False),
+        # a WHERE concept test is the same test; a synonym literal is not
+        ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "AttackTarget" RETURN v', [], False),
+        ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "Victim" RETURN v', ["Victim"], True),
+    ],
+)
+def test_planner_drops_only_implied_concept_tests(text, kept, empty):
+    """A concept test goes from the plan only when an atom's relation
+    implies it (its domain at the source, its range at the target); the
+    rows stay those of the brute-force evaluator, which runs every test."""
+    query = parse_query(text)
+    for inputs in ((), query.body.variables[:1]):
+        assert _concepts_checked(query.body.plan(inputs)) == kept
+    for g in (fixture_graph(), random_conformant_graph(3)):
+        got = [r.values for r in evaluate_query(query, g)]
+        assert got == reference_eval(query, g)
+        assert (got == []) == empty
 
 
 @pytest.mark.parametrize(
@@ -447,6 +490,22 @@ def test_property_lookups_follow_node_writes():
     assert rows(g) == [("v1",), ("v2",)]
     assert rows(g.scenario_subgraph(2)) == [("v2",)]
 
+
+def test_property_tests_follow_node_writes():
+    """A WHERE test reads the graph's property values, which are dropped
+    when a node is added, like the property index."""
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t1")
+    g.add_node(Node("v1", "AttackTarget", 1, properties={"affiliation": "Acme"}))
+    query = parse_query('MATCH (v) WHERE v.affiliation <> "Other" RETURN v.affiliation')
+    assert [step[0] for step in query.body.plan().steps] == ["nodes", "test"]
+    assert [r.values for r in evaluate_query(query, g)] == [("Acme",)]
+    g.add_node(Node("v2", "AttackTarget", 1, properties={"affiliation": "Other"}))
+    g.add_node(Node("v3", "AttackTarget", 1))
+    got = [r.values for r in evaluate_query(query, g)]
+    assert got == reference_eval(query, g) == [("",), ("Acme",)]
+
+
 # -- brute-force equivalence ----------------------------------------------------
 
 
@@ -551,6 +610,40 @@ def test_fuzzed_character_soup():
             parse_query(text)
         except QueryParseError:
             pass
+
+
+def _scan_stepwise(text: str) -> list[tuple[str, str, int]]:
+    """The tokens one anchored match at a time, as (kind, text, offset);
+    an error is returned as ("error", message, offset)."""
+    tokens, end = [], 0
+    while True:
+        m = _TOKEN_RE.match(text, end)
+        group, end = m.lastindex, m.end()
+        word, offset = m.group(group), m.start(group)
+        if group == 1:
+            tokens.append((word, word, offset))
+        elif group == 2:
+            tokens.append(("STRING", re.sub(r"\\(.)", r"\1", word[1:-1], flags=re.S), offset))
+        elif group == 3:
+            tokens.append((word if word in KEYWORDS else "IDENT", word, offset))
+        elif group == 4:
+            return tokens + [("EOF", "", offset)]
+        else:
+            message = "unterminated string literal" if word == '"' else "unexpected character"
+            return tokens + [("error", message, offset)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.text(alphabet=list('MATCH(){}[]<>-:,."\\= az_9\t\n\u00e9#'), max_size=40))
+def test_tokenize_matches_a_stepwise_scan(text):
+    expected = _scan_stepwise(text)
+    if expected[-1][0] != "error":
+        assert [tuple(t) for t in tokenize(text)] == expected
+        return
+    with pytest.raises(QueryParseError) as err:
+        tokenize(text)
+    assert err.value.offset == expected[-1][2]
+    assert expected[-1][1] in str(err.value)
 
 
 FUZZ_GRAPH = fixture_graph()
