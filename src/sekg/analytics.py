@@ -132,28 +132,6 @@ def _scenario_nodes(graph: KnowledgeGraph, node_id: str) -> tuple[str, ...]:
     return graph.nodes_with("scenario_id", graph.node(node_id).property("scenario_id"))
 
 
-def vulnerability_chains(
-    graph: KnowledgeGraph,
-    attacker_id: str | None = None,
-    victim_id: str | None = None,
-) -> list[tuple[str, str, str, str]]:
-    """Sorted (attacker, method, vulnerability, victim) chains attacker
-    -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul- victim.
-
-    Each (method, vulnerability) pair expands into its attackers times its
-    victims; a given id pins its end. A pinned id that is unknown or of the
-    wrong concept raises GraphError.
-    """
-    attackers = graph.adjacency("craft_and_perform", Direction.IN)
-    victims = graph.adjacency("have_vul", Direction.IN)
-    return sorted(
-        (a, m, h, v)
-        for m, h in _chain_pairs(graph, attacker_id, victim_id)
-        for a in (attackers[m] if attacker_id is None else (attacker_id,))
-        for v in (victims[h] if victim_id is None else (victim_id,))
-    )
-
-
 def potential_threats_for_victim(
     graph: KnowledgeGraph, victim_id: str
 ) -> list[ThreatPair]:
@@ -316,19 +294,25 @@ def evaluation_report(graph: KnowledgeGraph) -> dict:
 
     The labels are the :func:`enumerate_oracle_paths` paths' (attacker,
     method, victim) triples, their (attacker, victim) pairs and the 4-node
-    paths, which cross a vulnerability. One :func:`vulnerability_chains`
-    call gives the outputs: cross-scenario triples plus the asserted apply_to
-    ones, cross-scenario pairs plus the attack edges, and the chains.
-    Returns the oracle's path counts, the label counts and one
-    EvalMetrics per pattern.
+    paths, which cross a vulnerability. The outputs come from the chains
+    attacker -craft_and_perform-> method -to_exploit-> vulnerability
+    <-have_vul- victim, each (method, vulnerability) pair of
+    :func:`_chain_pairs` times its attackers and victims: cross-scenario
+    triples plus the asserted apply_to ones, cross-scenario pairs plus the
+    attack edges, and the chains themselves. Returns the oracle's path
+    counts, the label counts and one EvalMetrics per pattern.
     """
     oracle = enumerate_oracle_paths(graph)
     triples = {(path[0], path[1], path[-1]) for path in oracle}
     pairs = {(path[0], path[-1]) for path in oracle}
     quads = {path for path in oracle if len(path) == 4}
 
-    chains = vulnerability_chains(graph)
-    scenario = {node.id: node.scenario_id for node in graph.nodes()}
+    attackers = graph.adjacency("craft_and_perform", Direction.IN)
+    victims = graph.adjacency("have_vul", Direction.IN)
+    chains = [  # a list: iterating it twice is faster than iterating a set
+        (a, m, h, v) for m, h in _chain_pairs(graph) for a in attackers[m] for v in victims[h]
+    ]
+    scenario = graph.property_values("scenario_id")
     threat_out = {(a, m, v) for a, m, _, v in chains if scenario[m] != scenario[v]}
     # in-scenario triples come from the asserted apply_to chain
     for edge in graph.edges("apply_to"):

@@ -327,12 +327,13 @@ class Plan(NamedTuple):
     * ``("test", left, right, negate, strict)`` checks a condition whose
       operands are ``(slot or None, key or None, literal or None)``;
     * ``("has_edge", src, relation, dst)`` checks an edge between two slots;
-    * ``("edges", src, relation, dst)`` binds them to each ``relation`` edge;
     * ``("adjacent", var, relation, direction, other)`` binds ``var`` to the
       ``relation`` neighbors of slot ``other`` in ``direction``;
     * ``("lookup", var, key, operand, strict)`` binds ``var`` to the nodes
       whose property ``key`` (their id when ``None``) equals ``operand``;
-    * ``("nodes", var)`` binds ``var`` to every node.
+    * ``("nodes", var)`` binds ``var`` to every node, and
+      ``("nodes", var, relation)`` to the sources of ``relation``'s edges,
+      both in id order.
 
     ``inputs`` are the slots bound before the first step, in order, from
     each input row given to :func:`match`.
@@ -364,7 +365,9 @@ class Conjunction(NamedTuple):
         soon as their variables are bound; otherwise the next step is the
         first of, in this order: an id lookup, a property lookup against a
         bound variable, a bound endpoint's neighbors, a property lookup
-        against a literal, a relation scan, a node scan."""
+        against a literal, a scan of a relation's sources, a node scan. A
+        source scan leaves its atom in the body, to be planned as the bound
+        endpoint's neighbors, or as an edge check for a self-loop."""
         slot = {v: i for i, v in enumerate(self.variables)}
         if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
             raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
@@ -405,14 +408,16 @@ class Conjunction(NamedTuple):
                 if option < rank:
                     rank, atom = option, candidate
             if atom is not None:
-                atoms.remove(atom)
                 src, rel, dst = atom
                 if src in bound:
                     steps.append(("adjacent", slot[dst], rel, Direction.OUT, slot[src]))
                 elif dst in bound:
                     steps.append(("adjacent", slot[src], rel, Direction.IN, slot[dst]))
-                else:
-                    steps.append(("edges", slot[src], rel, slot[dst]))
+                else:  # the atom stays, to be planned once src is bound
+                    steps.append(("nodes", slot[src], rel))
+                    bound.add(src)
+                    continue
+                atoms.remove(atom)
                 bound.update((src, dst))
             elif lookup is not None:
                 test, names, mine, other = lookup
@@ -474,12 +479,15 @@ class _Join:
 
     def __init__(self, graph: KnowledgeGraph, steps: tuple[tuple, ...], width: int):
         self.graph = graph
-        # Each adjacent step's map and each property its operands read are
-        # resolved here, once per ``match`` call.
+        # Each adjacent step's map, each scan's ids and each property its
+        # operands read are resolved here, once per ``match`` call.
         resolved = []
         for s in steps:
             if s[0] == "adjacent":
                 s = s[:2] + (graph.adjacency(s[2], s[3]), s[4])
+            elif s[0] == "nodes":  # every node, or one relation's sources
+                ids = sorted(graph.adjacency(s[2])) if len(s) == 3 else graph.node_ids()
+                s = ("nodes", s[1], ids)
             elif s[0] == "test":
                 s = ("test", _resolved(graph, s[1]), _resolved(graph, s[2]), *s[3:])
             elif s[0] == "lookup":
@@ -517,19 +525,8 @@ class _Join:
         elif kind == "lookup":
             _, var, key, operand, strict = step
             values = _lookup(graph, key, _value(slots, operand), strict)
-        elif kind == "nodes":
-            var, values = step[1], graph.node_ids()
         else:
-            _, var, relation, other = step
-            adjacency = graph.adjacency(relation)
-            pairs = ((src, dst) for src in sorted(adjacency) for dst in adjacency[src])
-            for src, dst in pairs:
-                if var == other and src != dst:
-                    continue
-                slots[var] = src
-                slots[other] = dst
-                self.run(i + 1)
-            return
+            _, var, values = step
         if i + 1 == len(steps):
             rows = self.rows
             for value in values:

@@ -25,10 +25,9 @@ from sekg.analytics import (
     potential_threats_for_victim,
     ranked_usage,
     same_origin_report,
-    vulnerability_chains,
 )
 from sekg.errors import GraphError
-from sekg.graph import KnowledgeGraph, Node
+from sekg.graph import Direction, KnowledgeGraph, Node
 from sekg.inference import run_inference
 
 
@@ -264,34 +263,45 @@ def test_attack_paths_canonical(graph):
     ]
 
 
+def expand_pairs(graph, attacker_id=None, victim_id=None):
+    """Sorted (attacker, method, vulnerability, victim) chains of
+    ``analytics._chain_pairs``: each (method, vulnerability) pair times its
+    method's attackers (or the pinned one) and its vulnerability's victims
+    (or the pinned one)."""
+    attackers = graph.adjacency("craft_and_perform", Direction.IN)
+    victims = graph.adjacency("have_vul", Direction.IN)
+    return sorted(
+        (a, m, h, v)
+        for m, h in analytics._chain_pairs(graph, attacker_id, victim_id)
+        for a in (attackers[m] if attacker_id is None else (attacker_id,))
+        for v in (victims[h] if victim_id is None else (victim_id,))
+    )
+
+
 @pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
 def test_chain_ops_match_reference(graph, seed):
-    """``vulnerability_chains`` under every pinning, and the four chain ops,
-    equal their definitions over ``reference_chains``, for every attacker,
-    every victim and every (attacker, victim) pair. Runs on the bundled
-    graph (seed None), on four copies of it sharing their vulnerabilities,
-    and on random graphs."""
+    """The (method, vulnerability) pairs under every pinning, expanded into
+    chains, and the four chain ops equal their definitions over
+    ``reference_chains``, for every attacker, every victim and every
+    (attacker, victim) pair. Runs on the bundled graph (seed None), on four
+    copies of it sharing their vulnerabilities, and on random graphs."""
     if seed == "replicated":
         graph = replicated_graph(graph, 4)
     elif seed is not None:
         graph = random_conformant_graph(seed)
     chains = reference_chains(graph)
-    assert vulnerability_chains(graph) == chains
+    assert expand_pairs(graph) == chains
     scenario = {n.id: n.scenario_id for n in graph.nodes()}
     attackers = [n.id for n in graph.nodes() if n.concept == "Attacker"]
     victims = [n.id for n in graph.nodes() if n.concept == "AttackTarget"]
     for a in attackers:
-        assert vulnerability_chains(graph, attacker_id=a) == [
-            c for c in chains if c[0] == a
-        ]
+        assert expand_pairs(graph, attacker_id=a) == [c for c in chains if c[0] == a]
         for v in victims:
-            assert vulnerability_chains(graph, a, v) == [
+            assert expand_pairs(graph, a, v) == [
                 c for c in chains if c[0] == a and c[3] == v
             ]
     for v in victims:
-        assert vulnerability_chains(graph, victim_id=v) == [
-            c for c in chains if c[3] == v
-        ]
+        assert expand_pairs(graph, victim_id=v) == [c for c in chains if c[3] == v]
     exploiters: dict[str, set[str]] = {}
     for e in graph.edges("to_exploit"):
         exploiters.setdefault(e.dst, set()).add(e.src)
@@ -364,7 +374,7 @@ def test_chain_ops_reject_wrong_concept(graph, op, args, wrong):
 
 def test_chain_ops_unknown_id_raises(graph):
     with pytest.raises(GraphError, match="unknown node"):
-        vulnerability_chains(graph, victim_id="ghost")
+        attack_paths_between(graph, "attacker10", "ghost")
     with pytest.raises(GraphError, match="unknown node"):
         potential_targets_for_attacker(graph, "ghost")
 
@@ -378,7 +388,7 @@ def test_chain_ops_plan_once(graph, monkeypatch):
         (potential_threats_for_victim, ("victim7",)),
         (potential_targets_for_attacker, ("attacker10",)),
         (alternate_methods_for_target, ("attacker10", "victim13")),
-        (vulnerability_chains, ()),
+        (evaluation_report, ()),
     ]
     before = [op(graph, *args) for op, args in ops]
 
@@ -458,12 +468,11 @@ def test_oracle_matches_reference(graph, seed):
 
 def test_oracle_calls_no_pattern_code(graph, monkeypatch):
     """The oracle is ground truth for the chain patterns, so it must not
-    reach them through ``vulnerability_chains`` or ``_chain_pairs``."""
+    reach them through ``_chain_pairs``."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called pattern code")
 
-    monkeypatch.setattr(analytics, "vulnerability_chains", refuse)
     monkeypatch.setattr(analytics, "_chain_pairs", refuse)
     assert len(enumerate_oracle_paths(graph)) == 330
 

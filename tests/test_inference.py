@@ -295,7 +295,8 @@ BUILTIN_PLANS = {
     "R1": (
         (0, "attack", 2),
         Plan((
-            ("edges", 0, "craft_and_perform", 1),
+            ("nodes", 0, "craft_and_perform"),
+            ("adjacent", 1, "craft_and_perform", OUT, 0),
             ("adjacent", 2, "apply_to", OUT, 1),
         ), 3, ()),
         [
@@ -310,7 +311,8 @@ BUILTIN_PLANS = {
     "R4": (
         (1, "same_attack_organization", 3),
         Plan((
-            ("edges", 0, "motivate", 1),
+            ("nodes", 0, "motivate"),
+            ("adjacent", 1, "motivate", OUT, 0),
             ("adjacent", 2, "attack", OUT, 1),
             ("adjacent", 3, "attack", IN, 2),
             ("has_edge", 0, "motivate", 3),
@@ -356,7 +358,8 @@ BUILTIN_PLANS = {
     "R6": (
         (1, "same_origin_attack", 3),
         Plan((
-            ("edges", 0, "craft_and_perform", 1),
+            ("nodes", 0, "craft_and_perform"),
+            ("adjacent", 1, "craft_and_perform", OUT, 0),
             ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
             ("test", (1, None, None), (3, None, None), True, False),
             ("adjacent", 2, "craft_and_perform", IN, 3),
@@ -442,7 +445,8 @@ BUILTIN_PLANS = {
     "R7": (
         (2, "in_the_same_organization", 3),
         Plan((
-            ("edges", 0, "same_origin_attack", 1),
+            ("nodes", 0, "same_origin_attack"),
+            ("adjacent", 1, "same_origin_attack", OUT, 0),
             ("adjacent", 2, "craft_and_perform", IN, 0),
             ("adjacent", 3, "craft_and_perform", IN, 1),
             ("test", (2, None, None), (3, None, None), True, False),

@@ -527,6 +527,9 @@ BRUTE_QUERIES = [
     "MATCH (h)<-[:exploited_by]-(m) RETURN m, h",
     "MATCH (a)-[:conduct]->(m) RETURN a, m",
     "MATCH (v:Victim) RETURN v, v.scenario_id",
+    "MATCH (a)-[:craft_and_perform]->(m), (v)-[:have_vul]->(h) RETURN a, m, v, h",
+    "MATCH (a)-[:craft_and_perform]->(m), (x) WHERE x.scenario_id = a.scenario_id "
+    "RETURN DISTINCT m, x",
 ]
 
 
@@ -576,7 +579,7 @@ def test_evaluator_matches_brute_force_on_random_graphs():
         run_inference(g)
         g.freeze()
         assert g.node_count <= 30
-        for text in BRUTE_QUERIES[:12]:
+        for text in BRUTE_QUERIES:
             query = parse_query(text)
             got = [r.values for r in evaluate_query(query, g)]
             assert got == reference_eval(query, g), f"seed {seed}: {text}"
