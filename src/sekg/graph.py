@@ -43,6 +43,9 @@ PROPERTY_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: its properties.
 _RECORD_KEYS = frozenset({"scenario", "labels", "comment"})
 
+#: Builds an edge from a tuple of its fields, with no checks.
+_new = tuple.__new__
+
 
 class Direction(Enum):
     OUT = "out"
@@ -230,7 +233,8 @@ class KnowledgeGraph:
         Duplicate insertion is a no-op returning the existing edge (first
         insertion wins, including its provenance).
         """
-        self._check_mutable()
+        if self._frozen:
+            raise GraphError("graph is frozen")
         relation, swapped, rel = RELATIONS[relation]
         if swapped:
             src, dst = dst, src
@@ -256,12 +260,16 @@ class KnowledgeGraph:
         edge = self._edges.get(key)
         if edge is not None:
             return edge
-        edge = Edge(src, relation, dst, rule)
+        edge = _new(Edge, (src, relation, dst, rule))
         self._insert(key, edge)
         return edge
 
     def _insert(self, key: tuple[str, str, str], edge: Edge) -> None:
-        """Store ``edge`` under ``key`` and index it; it has passed the checks."""
+        """Store ``edge`` under ``key`` and index it; it has passed the checks.
+
+        An id that sorts after its list's last one is appended; the rest
+        are inserted in order.
+        """
         src, relation, dst = key
         self._edges[key] = edge
         lists = self._out.get(relation)
@@ -270,6 +278,8 @@ class KnowledgeGraph:
         ids = lists.get(src)
         if ids is None:
             lists[src] = [dst]
+        elif ids[-1] < dst:
+            ids.append(dst)
         else:
             bisect.insort(ids, dst)
         lists = self._in.get(relation)
@@ -278,6 +288,8 @@ class KnowledgeGraph:
         ids = lists.get(dst)
         if ids is None:
             lists[dst] = [src]
+        elif ids[-1] < src:
+            ids.append(src)
         else:
             bisect.insort(ids, src)
 

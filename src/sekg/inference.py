@@ -57,10 +57,6 @@ class InferenceResult:
         self.iterations = 0
         self.fired: dict[str, int] = {}
 
-    def _record(self, edge: Edge) -> None:
-        self.added.append(edge)
-        self.fired[edge.rule] = self.fired.get(edge.rule, 0) + 1
-
     def sorted_added(self) -> list[Edge]:
         return sorted(self.added, key=lambda e: (e.relation, e.src, e.dst))
 
@@ -182,12 +178,14 @@ def _fixpoint(
     rules = fresh + joined
     added: dict[str, list[tuple[str, ...]]] = {}
     seen: list[dict[str, int] | None] = [None] * len(fresh) + [{}] * len(joined)
+    edges, fired = result.added, result.fired
+    has_edge, add_edge = graph.has_edge, graph.add_edge
     rounds = 0
     while True:
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise GraphError(f"no fixpoint after {MAX_ROUNDS} rounds")
-        before = len(result.added)
+        before = len(edges)
         for i, (name, (a, head_relation, b), plan, per_atom) in enumerate(rules):
             offsets, seen[i] = seen[i], {r: len(p) for r, p in added.items()}
             if offsets is None:
@@ -200,17 +198,20 @@ def _fixpoint(
                         pairs = [(src,) for src, dst in pairs if src == dst]
                     if pairs:
                         rows += match(graph, rest, pairs)
+            emitted = added.setdefault(head_relation, [])
+            start = len(emitted)
             for row in rows:
                 src, dst = row[a], row[b]
-                if graph.has_edge(src, head_relation, dst):
+                if has_edge(src, head_relation, dst):
                     continue
                 try:
-                    edge = graph.add_edge(src, head_relation, dst, rule=name)
+                    edges.append(add_edge(src, head_relation, dst, name))
                 except GraphError:
                     continue  # a head the schema refuses is dropped
-                result._record(edge)
-                added.setdefault(head_relation, []).append((src, dst))
-        if len(result.added) == before:
+                emitted.append((src, dst))
+            if len(emitted) > start:
+                fired[name] = fired.get(name, 0) + len(emitted) - start
+        if len(edges) == before:
             result.iterations = rounds
             return result
 

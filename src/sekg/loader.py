@@ -30,6 +30,19 @@ from .graph import PROPERTY_KEY_RE, KnowledgeGraph, Node, scenario_members
 from .schema import CONCEPTS
 
 _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+")
+#: The inside of a quoted segment, where ``\"`` and ``\\`` escape a quote
+#: and a backslash. It is unrolled (no run can split two ways), so a
+#: segment that does not close fails in linear time.
+_ESCAPED = r'[^"\\]*(?:\\["\\][^"\\]*)*'
+_ESCAPED_RE = re.compile(_ESCAPED)
+_SEGMENT_RE = re.compile(rf'"({_ESCAPED})"')
+_ESCAPE_RE = re.compile(r"\\(.)")
+#: The longest prefix of a line whose quoted segments all close.
+_CLOSED_RE = re.compile(rf'[^"]*(?:"{_ESCAPED}"[^"]*)*')
+#: A field of a line whose segments close: bare runs and quoted segments.
+_FIELD_RE = re.compile(rf'(?:[^\s"]+|"{_ESCAPED}")+')
+#: Builds a record or node from a tuple of its fields, with no checks.
+_new = tuple.__new__
 #: The characters ``str.splitlines`` ends a line at; a record is one line.
 _LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -116,47 +129,27 @@ class LoadResult(NamedTuple):
 def _split_fields(line: str, lineno: int) -> list[str]:
     """Split a record line into whitespace-separated fields, honoring quotes.
 
-    Only quoted lines need the character loop: ``str.split()`` breaks on the
-    same characters as ``str.isspace()``. A quoted field is kept even when
-    it is empty.
+    ``str.split()`` and the regexes' ``\\s`` break on the same characters
+    as ``str.isspace()``. A field is a run of bare characters and quoted
+    segments; a quoted field is kept even when it is empty.
     """
     if '"' not in line:
         return line.split()
-    fields: list[str] = []
-    buf: list[str] = []
-    i = 0
-    in_quotes = quoted = False
-    while i < len(line):
-        ch = line[i]
-        if in_quotes:
-            if ch == "\\":
-                if i + 1 >= len(line) or line[i + 1] not in '"\\':
-                    raise DatasetError("bad escape in quoted value", lineno)
-                buf.append(line[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                in_quotes = False
-                i += 1
-                continue
-            buf.append(ch)
-        elif ch == '"':
-            in_quotes = quoted = True
-            i += 1
-            continue
-        elif ch.isspace():
-            if buf or quoted:
-                fields.append("".join(buf))
-                buf = []
-                quoted = False
-        else:
-            buf.append(ch)
-        i += 1
-    if in_quotes:
+    end = _CLOSED_RE.match(line).end()
+    if end < len(line):
+        # line[end] opens a segment that runs to the end of the line, or
+        # up to a backslash escaping neither a quote nor a backslash.
+        if _ESCAPED_RE.match(line, end + 1).end() < len(line):
+            raise DatasetError("bad escape in quoted value", lineno)
         raise DatasetError("unterminated quoted value", lineno)
-    if buf or quoted:
-        fields.append("".join(buf))
-    return fields
+    return [_unquote(f) if '"' in f else f for f in _FIELD_RE.findall(line)]
+
+
+def _unquote(field: str) -> str:
+    """``field`` without the quotes and escapes of its quoted segments."""
+    if "\\" not in field:
+        return field.replace('"', "")
+    return _SEGMENT_RE.sub(lambda m: _ESCAPE_RE.sub(r"\1", m[1]), field)
 
 
 def _parse_kv(fields: list[str], lineno: int) -> dict[str, str]:
@@ -174,11 +167,16 @@ def _parse_kv(fields: list[str], lineno: int) -> dict[str, str]:
 def parse_document(text: str) -> tuple[Record, ...]:
     """Parse dataset text into records without building a graph."""
     records: list[Record] = []
+    append = records.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = _split_fields(line, lineno)
+        if '"' in raw:
+            if raw.lstrip()[0] == "#":
+                continue
+            fields = _split_fields(raw, lineno)
+        else:
+            fields = raw.split()
+            if not fields or fields[0][0] == "#":
+                continue
         tag = fields[0]
         if tag == "EDGE":  # most lines: test it first and slice nothing
             if len(fields) < 4:
@@ -189,7 +187,7 @@ def parse_document(text: str) -> tuple[Record, ...]:
                 rule = kv.pop("inferred", None)
                 if kv:
                     raise DatasetError(f"unknown EDGE keys: {sorted(kv)}", lineno)
-            records.append(EdgeRecord(lineno, fields[1], fields[2], fields[3], rule))
+            append(_new(EdgeRecord, (lineno, fields[1], fields[2], fields[3], rule)))
         elif tag == "SCENARIO":
             if len(fields) < 2:
                 raise DatasetError("SCENARIO needs an integer id", lineno)
@@ -203,7 +201,7 @@ def parse_document(text: str) -> tuple[Record, ...]:
                 raise DatasetError("SCENARIO needs a type=\"...\" tag", lineno)
             if kv:
                 raise DatasetError(f"unknown SCENARIO keys: {sorted(kv)}", lineno)
-            records.append(ScenarioRecord(lineno, sid, attack_type))
+            append(ScenarioRecord(lineno, sid, attack_type))
         elif tag == "NODE":
             if len(fields) < 3:
                 raise DatasetError("NODE needs an id and a concept", lineno)
@@ -215,12 +213,10 @@ def parse_document(text: str) -> tuple[Record, ...]:
                     scenario = int(kv.pop("scenario"))
                 except ValueError:
                     raise DatasetError("scenario= must be an integer", lineno) from None
-            labels = tuple(
-                s for s in (x.strip() for x in kv.pop("labels", "").split(",")) if s
-            )
+            labels = tuple(filter(None, map(str.strip, kv.pop("labels", "").split(","))))
             comment = kv.pop("comment", "")
-            records.append(
-                NodeRecord(lineno, node_id, concept, scenario, labels, kv, comment)
+            append(
+                _new(NodeRecord, (lineno, node_id, concept, scenario, labels, kv, comment))
             )
         else:
             raise DatasetError(f"unknown record tag {tag!r}", lineno)
@@ -233,9 +229,17 @@ def _enrich_node(
     strict: bool,
     warnings: list[str],
 ) -> tuple[tuple[str, ...], dict[str, str]]:
-    """Resolve a node against the catalog; return merged labels/properties."""
+    """Resolve a node against the catalog; return merged labels/properties.
+
+    A node with neither a vocabulary concept nor a ``kind`` keeps its
+    record's properties, and its labels are only sorted and deduplicated.
+    """
+    props = rec.properties
+    kind = props.get("kind")
+    vocab = ID_VOCABULARY.get(concept)
+    if vocab is None and kind is None:
+        return tuple(sorted(set(rec.labels))), props
     labels = set(rec.labels)
-    props = dict(rec.properties)
 
     def unresolved(what: str) -> None:
         msg = f"line {rec.line}: {what}"
@@ -243,9 +247,7 @@ def _enrich_node(
             raise DatasetError(what, rec.line)
         warnings.append(msg)
 
-    kind = props.get("kind")
     entry = None
-    vocab = ID_VOCABULARY.get(concept)
     if vocab is not None:
         entry = lookup(vocab, rec.node_id)
         if entry is None and kind is not None:
@@ -264,7 +266,7 @@ def _enrich_node(
             labels.add(entry.category)
         labels.update(entry.labels)
         if entry.synonyms and entry.ident == rec.node_id and "synonyms" not in props:
-            props["synonyms"] = ",".join(entry.synonyms)
+            props = {**props, "synonyms": ",".join(entry.synonyms)}
     return tuple(sorted(labels)), props
 
 
@@ -274,12 +276,14 @@ def load_dataset(text: str, strict_vocab: bool = False) -> LoadResult:
     warnings: list[str] = []
 
     seen_scenarios: set[int] = set()
+    add_edge = graph.add_edge
     for rec in parse_document(text):
         if type(rec) is EdgeRecord:
+            line, src, relation, dst, rule = rec
             try:
-                graph.add_edge(rec.src, rec.relation, rec.dst, rec.rule)
+                add_edge(src, relation, dst, rule)
             except (GraphError, SchemaError) as exc:
-                raise DatasetError(str(exc), rec.line) from None
+                raise DatasetError(str(exc), line) from None
         elif type(rec) is ScenarioRecord:
             if rec.scenario_id in seen_scenarios:
                 raise DatasetError(
@@ -302,10 +306,9 @@ def load_dataset(text: str, strict_vocab: bool = False) -> LoadResult:
                     f"{concept} node {rec.node_id!r} needs scenario=", rec.line
                 )
             labels, props = _enrich_node(rec, concept, strict_vocab, warnings)
+            node = (rec.node_id, concept, rec.scenario, labels, props, rec.comment)
             try:
-                graph.add_node(
-                    Node(rec.node_id, concept, rec.scenario, labels, props, rec.comment)
-                )
+                graph.add_node(_new(Node, node))
             except GraphError as exc:
                 raise DatasetError(str(exc), rec.line) from None
     return LoadResult(graph, warnings)

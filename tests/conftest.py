@@ -5,7 +5,8 @@ import pytest
 
 from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError
-from sekg.graph import RED_RELATIONS, Edge, KnowledgeGraph, Node
+from sekg.graph import PROPERTY_KEY_RE, RED_RELATIONS, Edge, KnowledgeGraph, Node
+from sekg.loader import EdgeRecord, NodeRecord, ScenarioRecord
 from sekg.query import parse_query
 from sekg.schema import (
     RELATION_ALIASES,
@@ -138,6 +139,76 @@ def reference_split(line: str, lineno: int) -> list[str]:
     if buf or quoted:
         fields.append("".join(buf))
     return fields
+
+
+def _reference_kv(fields: list[str], lineno: int) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for f in fields:
+        key, sep, value = f.partition("=")
+        if not sep or not PROPERTY_KEY_RE.fullmatch(key):
+            raise DatasetError(f"expected key=value, got {f!r}", lineno)
+        if key in out:
+            raise DatasetError(f"duplicate key {key!r}", lineno)
+        out[key] = value
+    return out
+
+
+def reference_parse_document(text: str) -> tuple:
+    """Parse dataset text into records one stripped line at a time, with
+    ``reference_split`` for the fields. ``loader.parse_document`` must
+    return equal records or raise the same ``DatasetError``."""
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = reference_split(line, lineno)
+        tag = fields[0]
+        if tag == "EDGE":
+            if len(fields) < 4:
+                raise DatasetError("EDGE needs src, relation and dst", lineno)
+            rule = None
+            if len(fields) > 4:
+                kv = _reference_kv(fields[4:], lineno)
+                rule = kv.pop("inferred", None)
+                if kv:
+                    raise DatasetError(f"unknown EDGE keys: {sorted(kv)}", lineno)
+            records.append(EdgeRecord(lineno, fields[1], fields[2], fields[3], rule))
+        elif tag == "SCENARIO":
+            if len(fields) < 2:
+                raise DatasetError("SCENARIO needs an integer id", lineno)
+            try:
+                sid = int(fields[1])
+            except ValueError:
+                raise DatasetError(f"bad scenario id {fields[1]!r}", lineno) from None
+            kv = _reference_kv(fields[2:], lineno)
+            attack_type = kv.pop("type", "")
+            if not attack_type:
+                raise DatasetError("SCENARIO needs a type=\"...\" tag", lineno)
+            if kv:
+                raise DatasetError(f"unknown SCENARIO keys: {sorted(kv)}", lineno)
+            records.append(ScenarioRecord(lineno, sid, attack_type))
+        elif tag == "NODE":
+            if len(fields) < 3:
+                raise DatasetError("NODE needs an id and a concept", lineno)
+            node_id, concept = fields[1], fields[2]
+            kv = _reference_kv(fields[3:], lineno)
+            scenario = None
+            if "scenario" in kv:
+                try:
+                    scenario = int(kv.pop("scenario"))
+                except ValueError:
+                    raise DatasetError("scenario= must be an integer", lineno) from None
+            labels = tuple(
+                s for s in (x.strip() for x in kv.pop("labels", "").split(",")) if s
+            )
+            comment = kv.pop("comment", "")
+            records.append(
+                NodeRecord(lineno, node_id, concept, scenario, labels, kv, comment)
+            )
+        else:
+            raise DatasetError(f"unknown record tag {tag!r}", lineno)
+    return tuple(records)
 
 
 def reference_chains(graph) -> list[tuple[str, str, str, str]]:

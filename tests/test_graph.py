@@ -1,4 +1,5 @@
 import functools
+import random
 import re
 
 import pytest
@@ -9,13 +10,14 @@ from conftest import (
     check_edge_conformance,
     find_edge,
     random_conformant_graph,
+    replicated_graph,
     stored_name,
     stored_relation,
 )
 from sekg.errors import DatasetError, GraphError, SchemaError
 from sekg.graph import Direction, Edge, KnowledgeGraph, Node
 from sekg.inference import run_inference
-from sekg.loader import load_dataset
+from sekg.loader import load_dataset, serialize_dataset
 from sekg.schema import RELATION_ALIASES, RELATIONS, SWAPPED_ALIASES
 
 #: Every stored relation name, asserted then derived, from the schema's rows.
@@ -429,6 +431,28 @@ def inferred_random_graph(seed: int) -> KnowledgeGraph:
 def test_reads_match_edges(graph, seed):
     """On the bundled graph (seed None) and on inferred random graphs."""
     assert_reads_match_edges(graph if seed is None else inferred_random_graph(seed))
+
+
+def test_stored_lists_do_not_depend_on_edge_line_order(asserted_graph):
+    """The inferred 4x graph, reloaded from its text as written (every list
+    grows by appends) and with its EDGE lines shuffled (most grow by ordered
+    inserts), reads the same edges and the same sorted lists."""
+    g = replicated_graph(asserted_graph, 4)
+    run_inference(g)
+    lines = serialize_dataset(g, include_inferred=True).splitlines()
+    head = [line for line in lines if not line.startswith("EDGE ")]
+    edge_lines = lines[len(head):]
+    assert edge_lines and all(line.startswith("EDGE ") for line in edge_lines)
+    random.Random(4).shuffle(edge_lines)
+    as_written = load_dataset("\n".join(lines)).graph
+    shuffled = load_dataset("\n".join(head + edge_lines)).graph
+    assert shuffled.edges() == as_written.edges() == g.edges()
+    for relation in STORED:
+        for direction in Direction:
+            lists = as_written.adjacency(relation, direction)
+            assert shuffled.adjacency(relation, direction) == lists, (relation, direction)
+            assert g.adjacency(relation, direction) == lists, (relation, direction)
+    assert_reads_match_edges(shuffled)
 
 
 def test_neighbors_result_is_a_snapshot():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     find_edge,
     random_conformant_graph,
+    reference_parse_document,
     reference_scenario_members,
     reference_split,
     replicated_graph,
@@ -16,6 +17,7 @@ from sekg.catalog import VOCABULARIES, lookup
 from sekg.datasets import canonical_text
 from sekg.errors import DatasetError, GraphError, SekgError
 from sekg.graph import KnowledgeGraph, Node, scenario_members
+from sekg.inference import run_inference
 from sekg.loader import (
     EdgeRecord,
     NodeRecord,
@@ -97,6 +99,15 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
 def test_build_errors(text, fragment):
     with pytest.raises(DatasetError, match=fragment):
         load_dataset(text)
+
+
+def test_parse_error_wins_over_an_earlier_graph_error():
+    """The whole text is parsed before the graph is built, so a bad record
+    on a later line is reported before an edge to an unknown node."""
+    text = MINI + "EDGE ghost apply_to victim1\n# pad\nBOGUS x\n"
+    with pytest.raises(DatasetError, match="unknown record tag 'BOGUS'") as err:
+        load_dataset(text)
+    assert err.value.line == MINI.count("\n") + 3
 
 
 @pytest.mark.parametrize("key", ["id", "concept", "scenario_id"])
@@ -339,6 +350,86 @@ def test_split_fields_matches_reference(line):
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
     else:
         assert _split_fields(line, 7) == expected
+
+
+# Whitespace between fields: ASCII, C1 and Unicode characters that
+# ``str.isspace`` holds and ``str.splitlines`` does not break at.
+FIELD_GAPS = st.sampled_from([" ", "  ", "\t", " \t", "\x1f", "\xa0", "\u2003", "\u3000"])
+#: An id or a value: bare, or quoted with escapes and whitespace inside.
+RECORD_VALUES = st.one_of(
+    st.text(alphabet="ab1_.,#", min_size=1, max_size=3),
+    st.text(alphabet='a \t\xa0\\"=,#', max_size=4).map(
+        lambda s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    ),
+)
+#: A field that is often wrong: a quote left open or holding a bad
+#: escape, a stray word or a key=value pair with an unknown or bad key.
+RECORD_STRAYS = st.one_of(
+    st.text(alphabet='a \t\\"', max_size=4).map(lambda s: f'"{s}'),
+    st.sampled_from(("x", "=v", "9x=1", "note=", "scenario=x", "labels=a,,b", '"\\q"')),
+)
+RECORD_SHAPES = ("EDGE",) * 4 + ("EDGE3", "EDGE5", "NODE", "NODE", "SCENARIO", "blank", "bad")
+
+
+@st.composite
+def record_text(draw) -> str:
+    """Dataset text of blank, whitespace-only and comment lines, EDGE lines
+    of three to five fields (``inferred=`` the fifth), NODE and SCENARIO
+    lines with key=value fields, bad tags, and now and then a stray field."""
+    lines = []
+    value = RECORD_VALUES
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(RECORD_SHAPES))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(("", " ", "\t\xa0", "# note", ' # "open'))))
+            continue
+        if shape.startswith("EDGE"):
+            fields = ["EDGE", *(draw(value) for _ in range(2 if shape == "EDGE3" else 3))]
+            if shape == "EDGE5":
+                fields.append("inferred=" + draw(value))
+        elif shape == "NODE":
+            fields = ["NODE", draw(value), draw(st.sampled_from(("Attacker", '"Victim"')))]
+            keys = draw(st.lists(st.sampled_from(("labels", "comment", "kind", "note")), max_size=3))
+            fields += [f"{key}={draw(value)}" for key in keys]
+            if draw(st.booleans()):
+                fields.append(f"scenario={draw(st.integers(-2, 2))}")
+        elif shape == "SCENARIO":
+            fields = ["SCENARIO", str(draw(st.integers(-2, 99))), "type=" + draw(value)]
+        else:
+            fields = [draw(st.sampled_from(("BOGUS", "#x", '"EDGE"', '"#"', '""')))]
+        if draw(st.integers(0, 9)) == 0:
+            fields.insert(draw(st.integers(1, len(fields))), draw(RECORD_STRAYS))
+        gaps = draw(st.lists(FIELD_GAPS, min_size=len(fields) + 1, max_size=len(fields) + 1))
+        if draw(st.booleans()):
+            gaps[0] = gaps[-1] = ""
+        lines.append("".join(gap + field for gap, field in zip(gaps, fields)) + gaps[-1])
+    return "\n".join(lines)
+
+
+def assert_parses_like_reference(text):
+    try:
+        expected = reference_parse_document(text)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as err:
+            parse_document(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+    else:
+        got = parse_document(text)
+        assert got == expected
+        assert [type(r) for r in got] == [type(r) for r in expected]
+
+
+@settings(FUZZ_SETTINGS, max_examples=300)
+@given(record_text())
+def test_parse_document_matches_reference(text):
+    assert_parses_like_reference(text)
+
+
+def test_parse_document_matches_reference_on_corpora(asserted_graph):
+    four = replicated_graph(asserted_graph, 4)
+    run_inference(four)
+    for text in (canonical_text(), serialize_dataset(four, include_inferred=True)):
+        assert_parses_like_reference(text)
 
 
 # Characters an id or value must be quoted or escaped for, and non-ASCII
