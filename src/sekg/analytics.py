@@ -239,6 +239,7 @@ def enumerate_oracle_paths(graph: KnowledgeGraph) -> list[tuple[str, ...]]:
         for relation in RED_RELATIONS
         for direction in Direction
     ]
+    concepts = graph.property_values("concept")
     paths: list[tuple[str, ...]] = []
     nodes: list[str] = []
     seen = {"Attacker"}
@@ -246,7 +247,7 @@ def enumerate_oracle_paths(graph: KnowledgeGraph) -> list[tuple[str, ...]]:
     def walk(node_id: str) -> None:
         for lists in adjacency:
             for other in lists.get(node_id, ()):
-                concept = graph.node(other).concept
+                concept = concepts[other]
                 if concept in seen:
                     continue
                 nodes.append(other)
@@ -373,13 +374,10 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
         "same_origin_attack": [],
         "in_the_same_organization": [],
     }
-    affiliation_pairs = pairs("same_affiliation")
-    affiliations = {  # read once per node, not once per pair
-        a: graph.node(a).property("affiliation") or "" for a in {a for a, _, _ in affiliation_pairs}
-    }
-    for a, b, provenance in affiliation_pairs:
+    affiliations = graph.property_values("affiliation")
+    for a, b, provenance in pairs("same_affiliation"):
         report["same_affiliation"].append(
-            {"nodes": [a, b], "provenance": provenance, "affiliation": affiliations[a]}
+            {"nodes": [a, b], "provenance": provenance, "affiliation": affiliations[a] or ""}
         )
     origin_pairs = pairs("same_origin_attack")
     performed = graph.adjacency("craft_and_perform", Direction.IN)
@@ -388,15 +386,13 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
         method: {m for attacker in performed.get(method, ()) for m in motives.get(attacker, ())}
         for method in {method for a, b, _ in origin_pairs for method in (a, b)}
     }
-    domains = {
-        a: graph.node(a).property("encoded_domain") or "" for a in {a for a, _, _ in origin_pairs}
-    }
+    domains = graph.property_values("encoded_domain")
     for a, b, provenance in origin_pairs:
         report["same_origin_attack"].append(
             {
                 "nodes": [a, b],
                 "provenance": provenance,
-                "encoded_domain": domains[a],
+                "encoded_domain": domains[a] or "",
                 "shared_motivation": sorted(motivations[a] & motivations[b]),
             }
         )

@@ -108,23 +108,9 @@ def attack_path_dict(path: analytics.AttackPath) -> dict:
     }
 
 
-def export_report(result: object, fmt: str) -> str:
-    """Serialize an analysis result as JSON or CSV.
-
-    JSON output has sorted keys. CSV is supported for ranked-count lists
-    only, with the header ``id,count,rank``.
-    """
-    if fmt == "json":
-        return json.dumps(_jsonable(result), indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        if not isinstance(result, list) or not all(
-            isinstance(r, analytics.RankedCount) for r in result
-        ):
-            raise ValueError("csv format is only defined for ranked counts")
-        lines = ["id,count,rank"]
-        lines.extend(f"{r.id},{r.count},{r.rank}" for r in result)
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unsupported format: {fmt!r}")
+def export_report(result: object) -> str:
+    """Serialize an analysis result as JSON with sorted keys."""
+    return json.dumps(_jsonable(result), indent=2, sort_keys=True) + "\n"
 
 
 def _jsonable(value: object) -> object:
@@ -292,10 +278,14 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
     end = analytics.End.SRC if args.end == "src" else analytics.End.DST
     ranked = analytics.ranked_usage(graph, args.relation, end, args.top)
-    if args.format != "table":
-        return export_report(ranked, args.format)
-    lines = ["rank  count  id"]
-    lines.extend(f"{r.rank:<5} {r.count:<6} {r.id}" for r in ranked)
+    if args.format == "json":
+        return export_report(ranked)
+    if args.format == "csv":
+        lines = ["id,count,rank"]
+        lines.extend(f"{r.id},{r.count},{r.rank}" for r in ranked)
+    else:
+        lines = ["rank  count  id"]
+        lines.extend(f"{r.rank:<5} {r.count:<6} {r.id}" for r in ranked)
     return "\n".join(lines) + "\n"
 
 
@@ -303,7 +293,7 @@ def _cmd_threats(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
     pairs = analytics.potential_threats_for_victim(graph, args.victim)
     if args.format == "json":
-        return export_report(pairs, "json")
+        return export_report(pairs)
     lines = [f"threats against {args.victim}: {len(pairs)}"]
     for p in pairs:
         shared = ", ".join(sorted(p.shared_vulnerabilities))
@@ -325,7 +315,7 @@ def _cmd_targets(args: argparse.Namespace) -> str:
             {**_jsonable(p), "alternate_methods": list(methods)}
             for p, methods in zip(pairs, alternates)
         ]
-        return export_report(payload, "json")
+        return export_report(payload)
     lines = [f"targets for {args.attacker}: {len(pairs)}"]
     for p, methods in zip(pairs, alternates):
         shared = ", ".join(sorted(p.shared_vulnerabilities))
@@ -342,8 +332,7 @@ def _cmd_paths(args: argparse.Namespace) -> str:
             {
                 "paths": [attack_path_dict(p) for p in paths],
                 "auxiliary_methods": auxiliary,
-            },
-            "json",
+            }
         )
     lines = [f"attack paths {args.src} -> {args.dst}: {len(paths)}"]
     lines.extend(f"  {p.describe()}" for p in paths)
@@ -357,7 +346,7 @@ def _cmd_paths(args: argparse.Namespace) -> str:
 
 def _cmd_same_origin(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
-    return export_report(analytics.same_origin_report(graph), "json")
+    return export_report(analytics.same_origin_report(graph))
 
 
 def _cmd_query(args: argparse.Namespace) -> str:
@@ -373,7 +362,7 @@ def _cmd_query(args: argparse.Namespace) -> str:
         )
     rows = evaluate_query(query, graph)
     if args.format == "json":
-        return export_report([row.as_dict() for row in rows], "json")
+        return export_report([row.as_dict() for row in rows])
     lines = ["\t".join(labels)]
     lines.extend("\t".join(row.values) for row in rows)
     return "\n".join(lines) + "\n"
@@ -390,7 +379,7 @@ def _cmd_export(args: argparse.Namespace) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> str:
     graph, _ = _load_graph(args)
-    return export_report(analytics.evaluation_report(graph), "json")
+    return export_report(analytics.evaluation_report(graph))
 
 
 _HANDLERS = {

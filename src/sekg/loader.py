@@ -133,8 +133,6 @@ def _split_fields(line: str, lineno: int) -> list[str]:
     as ``str.isspace()``. A field is a run of bare characters and quoted
     segments; a quoted field is kept even when it is empty.
     """
-    if '"' not in line:
-        return line.split()
     end = _CLOSED_RE.match(line).end()
     if end < len(line):
         # line[end] opens a segment that runs to the end of the line, or
@@ -338,8 +336,8 @@ def serialize_dataset(graph: KnowledgeGraph, include_inferred: bool = False) -> 
     DatasetError.
     """
     lines: list[str] = []
-    for sid in graph.scenario_ids():
-        scenario_type = _format_value(graph.scenarios[sid], f"scenario {sid}", "type")
+    for sid, attack_type in sorted(graph.scenarios.items()):
+        scenario_type = _format_value(attack_type, f"scenario {sid}", "type")
         lines.append(f"SCENARIO {sid} type={scenario_type}")
     for node in graph.nodes():
         owner = f"node {node.id!r}"

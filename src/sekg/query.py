@@ -578,23 +578,19 @@ def evaluate_query(
 
     Runs ``query.body`` as one conjunctive join (see :meth:`Conjunction.plan`).
     The step order never changes the result set, only the search order.
+    Each RETURN item is one column over the join's rows: a variable's ids,
+    or a key's values from ``graph.property_values``, ``""`` when absent.
     """
     body = query.body
-    items = [(body.variables.index(item.variable), item.key) for item in query.returns]
     found = match(graph, body.plan())
-    if any(key is not None for _, key in items):
-        node = graph.node
-        rows = [
-            tuple(
-                row[i] if key is None else node(row[i]).property(key) or ""
-                for i, key in items
-            )
-            for row in found
-        ]
-    else:  # variables only: project each row in C, no generator per row
-        rows = map(itemgetter(*(i for i, _ in items)), found)
-        if len(items) == 1:
-            rows = zip(rows)  # itemgetter of one index gives the bare value
+    columns = []
+    for item in query.returns:
+        column = map(itemgetter(body.variables.index(item.variable)), found)
+        if item.key is not None:
+            values = graph.property_values(item.key)
+            column = [values[i] or "" for i in column]
+        columns.append(column)
+    rows = zip(*columns)
     rows = sorted(set(rows) if query.distinct else rows)
     labels = tuple(item.label for item in query.returns)
     return [BindingRow(tuple(zip(labels, row))) for row in rows]

@@ -66,8 +66,9 @@ def test_repeated_runs_identical(capsys):
 
 def test_subprocess_determinism_across_hash_seeds(tmp_path):
     outs = []
+    src = str(Path(cli.__file__).resolve().parents[1])  # the sekg under test
     for seed in ("0", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-m", "sekg.cli", "export"],
             capture_output=True,

@@ -506,10 +506,46 @@ def test_property_tests_follow_node_writes():
     assert got == reference_eval(query, g) == [("",), ("Acme",)]
 
 
+def test_property_columns_follow_node_writes():
+    """A RETURN ``v.key`` column reads the graph's property values, which
+    are dropped when a node is added: a new node's value shows, and a node
+    without the property projects ``""``."""
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t1")
+    g.add_node(Node("m1", "AttackMethod", 1))
+    g.add_node(Node("v1", "AttackTarget", 1, properties={"affiliation": "Acme"}))
+    g.add_edge("m1", "apply_to", "v1")
+    query = parse_query("MATCH (m)-[:apply_to]->(v) RETURN v, v.affiliation")
+
+    def rows():
+        got = [r.values for r in evaluate_query(query, g)]
+        assert got == reference_eval(query, g)
+        return got
+
+    assert rows() == [("v1", "Acme")]
+    g.add_node(Node("v2", "AttackTarget", 1, properties={"affiliation": "Beta"}))
+    g.add_edge("m1", "apply_to", "v2")
+    assert rows() == [("v1", "Acme"), ("v2", "Beta")]
+    g.add_node(Node("v3", "AttackTarget", 1))
+    g.add_edge("m1", "apply_to", "v3")
+    assert rows() == [("v1", "Acme"), ("v2", "Beta"), ("v3", "")]
+
+
 # -- brute-force equivalence ----------------------------------------------------
 
 
-BRUTE_QUERIES = [
+#: RETURN lists of pseudo-keys (a vocabulary node has no scenario_id) and of
+#: a repeated variable, with and without DISTINCT.
+RETURN_QUERIES = [
+    "MATCH (n) RETURN n.id, n.concept, n.scenario_id",
+    "MATCH (n) RETURN DISTINCT n.concept, n.scenario_id",
+    "MATCH (a) RETURN a, a.id, a",
+    "MATCH (a) RETURN DISTINCT a, a.id, a",
+    "MATCH (m)-[:apply_to]->(v) RETURN v.affiliation, m.scenario_id, v",
+    "MATCH (m)-[:apply_to]->(v) RETURN DISTINCT v.affiliation, m.scenario_id",
+]
+
+BRUTE_QUERIES = [*RETURN_QUERIES,
     "MATCH (a) RETURN a",
     "MATCH (a:Attacker) RETURN a",
     'MATCH (m {kind="phishing"}) RETURN m',
@@ -540,6 +576,15 @@ def test_evaluator_matches_brute_force(text):
     query = parse_query(text)
     got = [r.values for r in evaluate_query(query, g)]
     assert got == reference_eval(query, g)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_return_items_match_brute_force_on_random_graphs(seed):
+    g = random_conformant_graph(seed)
+    for text in RETURN_QUERIES:
+        query = parse_query(text)
+        got = [r.values for r in evaluate_query(query, g)]
+        assert got == reference_eval(query, g), text
 
 
 def test_evaluator_matches_brute_force_on_random_graphs():
