@@ -176,6 +176,17 @@ def _add_common(parser: argparse.ArgumentParser, infer_flag: bool = True) -> Non
         parser.set_defaults(no_infer=True)
 
 
+def _top(text: str) -> int:
+    """``stats --top``: an int of at least 1."""
+    try:
+        top = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if top < 1:
+        raise argparse.ArgumentTypeError(f"--top must be at least 1, got {top}")
+    return top
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="se-kg",
@@ -197,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--relation", required=True)
     p.add_argument("--end", choices=("src", "dst"), default="dst")
-    p.add_argument("--top", type=int, default=3)
+    p.add_argument("--top", type=_top, default=3)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("threats", help="potential threats against one victim")
@@ -398,10 +409,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "stats" and args.top < 1:
-        parser.error(f"--top must be at least 1, got {args.top}")
+    args = build_parser().parse_args(argv)
     try:
         outcome = _HANDLERS[args.command](args)
         text, status = outcome if isinstance(outcome, tuple) else (outcome, 0)

@@ -6,11 +6,11 @@ whether they were asserted by a dataset or produced by an inference rule.
 All iteration orders are sorted so downstream output is reproducible.
 
 ``KnowledgeGraph.add_edge`` is the only checked way in for an edge: the
-loader, axiom closure and the rules all write through it. It raises
-``SchemaError`` for an unknown relation and ``GraphError`` for a frozen
-graph, an unknown endpoint, an irreflexive self-loop or a domain or range
-mismatch. The loader reports a refusal as a ``DatasetError``; inference
-drops a refused rule head silently.
+loader, axiom closure, the rules and ``scenario_subgraph`` all write
+through it. It raises ``SchemaError`` for an unknown relation and
+``GraphError`` for a frozen graph, an unknown endpoint, an irreflexive
+self-loop or a domain or range mismatch. The loader reports a refusal as
+a ``DatasetError``; inference drops a refused rule head silently.
 
 Writes and reads resolve a relation name by indexing ``RELATIONS``, and a
 node's concept by indexing ``CONCEPTS`` (both in ``sekg.schema``): an alias
@@ -224,14 +224,16 @@ class KnowledgeGraph:
     ) -> Edge:
         """Insert an edge after normalizing aliases and checking conformance.
 
-        This is the graph's only checked insertion path. It raises
+        This is the graph's only insertion path, and it checks. It raises
         ``GraphError`` on a frozen graph, ``SchemaError`` on an unknown
         relation, then ``GraphError`` on an unknown endpoint, a self-loop on
         an irreflexive relation, or a domain or range mismatch, in that
         order. Node concepts are canonical (``add_node`` resolves synonyms),
         so they compare directly with the relation's domain and range.
         Duplicate insertion is a no-op returning the existing edge (first
-        insertion wins, including its provenance).
+        insertion wins, including its provenance). A new edge's id joins
+        each of its adjacency lists in order: appended when it sorts after
+        the list's last id, inserted otherwise.
         """
         if self._frozen:
             raise GraphError("graph is frozen")
@@ -260,18 +262,7 @@ class KnowledgeGraph:
         edge = self._edges.get(key)
         if edge is not None:
             return edge
-        edge = _new(Edge, (src, relation, dst, rule))
-        self._insert(key, edge)
-        return edge
-
-    def _insert(self, key: tuple[str, str, str], edge: Edge) -> None:
-        """Store ``edge`` under ``key`` and index it; it has passed the checks.
-
-        An id that sorts after its list's last one is appended; the rest
-        are inserted in order.
-        """
-        src, relation, dst = key
-        self._edges[key] = edge
+        edge = self._edges[key] = _new(Edge, (src, relation, dst, rule))
         lists = self._out.get(relation)
         if lists is None:
             lists = self._out[relation] = {}
@@ -292,6 +283,7 @@ class KnowledgeGraph:
             ids.append(src)
         else:
             bisect.insort(ids, src)
+        return edge
 
     def has_edge(self, src: str, relation: str, dst: str) -> bool:
         return (src, relation, dst) in self._edges
@@ -354,11 +346,10 @@ class KnowledgeGraph:
         sub._scenarios = {scenario_id: self._scenarios[scenario_id]}
         for node_id in sorted(keep):
             sub._nodes[node_id] = self._nodes[node_id]
-        for key, edge in self._edges.items():
-            if edge.src in keep and edge.dst in keep:
-                sub._insert(key, edge)
-        sub._frozen = True
-        return sub
+        for src, relation, dst, rule in self._edges.values():
+            if src in keep and dst in keep:
+                sub.add_edge(src, relation, dst, rule)
+        return sub.freeze()
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -27,7 +27,7 @@ sorted by their values and, under DISTINCT, deduplicated.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -337,6 +337,13 @@ class Plan(NamedTuple):
 
     ``inputs`` are the slots bound before the first step, in order, from
     each input row given to :func:`match`.
+
+    :func:`match` builds one function per step, last step first, each
+    calling the next: a binding step once per value it binds, a check only
+    when it passes, and after the last step a function appends the bound
+    slots as a row. Maps and property values are resolved when a function
+    is built, once per ``match`` call. Checks thus run as soon as their
+    slots are bound, and rows come out in the order the steps bind them.
     """
 
     steps: tuple[tuple, ...]
@@ -459,94 +466,72 @@ def _as_lookup(test: Condition, bound: set[str]) -> tuple[Operand, Operand] | No
     return None
 
 
-def _resolved(graph: KnowledgeGraph, operand: tuple) -> tuple:
-    """``operand`` with its property key replaced by the key's values."""
+def _reader(graph: KnowledgeGraph, slots: list[str], operand: tuple) -> Callable:
+    """A function giving ``operand``'s value for the bound ``slots``."""
     index, key, literal = operand
-    return operand if key is None else (index, graph.property_values(key), literal)
-
-
-def _value(slots: list[str], operand: tuple) -> str | None:
-    """A resolved operand's value for the bound ``slots``."""
-    index, values, literal = operand
     if index is None:
-        return literal
-    return slots[index] if values is None else values[slots[index]]
+        return lambda: literal
+    if key is None:
+        return lambda: slots[index]
+    values = graph.property_values(key)
+    return lambda: values[slots[index]]
 
 
-class _Join:
-    """The runs of a plan over its input rows: the slots bound so far and
-    the rows found."""
+def _step(
+    graph: KnowledgeGraph, slots: list[str], step: tuple, then: Callable
+) -> Callable:
+    """``step`` as a function of the bound ``slots`` that calls ``then``
+    once per binding it makes, or once if its check passes."""
+    kind = step[0]
+    if kind == "test":
+        _, left, right, negate, strict = step
+        left, right = _reader(graph, slots, left), _reader(graph, slots, right)
 
-    def __init__(self, graph: KnowledgeGraph, steps: tuple[tuple, ...], width: int):
-        self.graph = graph
-        # Each adjacent step's map, each scan's ids and each property its
-        # operands read are resolved here, once per ``match`` call.
-        resolved = []
-        for s in steps:
-            if s[0] == "adjacent":
-                s = s[:2] + (graph.adjacency(s[2], s[3]), s[4])
-            elif s[0] == "nodes":  # every node, or one relation's sources
-                ids = sorted(graph.adjacency(s[2])) if len(s) == 3 else graph.node_ids()
-                s = ("nodes", s[1], ids)
-            elif s[0] == "test":
-                s = ("test", _resolved(graph, s[1]), _resolved(graph, s[2]), *s[3:])
-            elif s[0] == "lookup":
-                s = s[:3] + (_resolved(graph, s[3]), s[4])
-            resolved.append(s)
-        self.steps = tuple(resolved)
-        self.slots = [""] * width
-        self.rows: list[tuple[str, ...]] = []
+        def check() -> None:
+            a, b = left(), right()
+            if (a != b) if negate else (a == b and (a is not None or not strict)):
+                then()
 
-    def run(self, i: int) -> None:
-        graph, slots, steps = self.graph, self.slots, self.steps
-        while i < len(steps):
-            step = steps[i]
-            kind = step[0]
-            if kind == "test":
-                _, left, right, negate, strict = step
-                a, b = _value(slots, left), _value(slots, right)
-                if negate:
-                    if a == b:
-                        return
-                elif a != b or (strict and a is None):
-                    return
-            elif kind == "has_edge":
-                if not graph.has_edge(slots[step[1]], step[2], slots[step[3]]):
-                    return
-            else:
-                break
-            i += 1
-        else:  # every step has passed: a row
-            self.rows.append(tuple(slots))
-            return
-        if kind == "adjacent":
-            _, var, adjacency, other = step
-            values = adjacency.get(slots[other], ())
-        elif kind == "lookup":
-            _, var, key, operand, strict = step
-            values = _lookup(graph, key, _value(slots, operand), strict)
-        else:
-            _, var, values = step
-        if i + 1 == len(steps):
-            rows = self.rows
-            for value in values:
-                slots[var] = value
-                rows.append(tuple(slots))
-            return
-        for value in values:
+        return check
+    if kind == "has_edge":
+        _, src, relation, dst = step
+        has_edge = graph.has_edge
+
+        def check() -> None:
+            if has_edge(slots[src], relation, slots[dst]):
+                then()
+
+        return check
+    if kind == "adjacent":
+        get, other = graph.adjacency(step[2], step[3]).get, step[4]
+
+        def values() -> Sequence[str]:
+            return get(slots[other], ())
+
+    elif kind == "lookup":
+        _, _, key, operand, strict = step
+        read, by_id = _reader(graph, slots, operand), key in (None, "id")
+
+        def values() -> Sequence[str]:
+            value = read()
+            if by_id:
+                return (value,) if graph.has_node(value) else ()
+            return () if value is None and strict else graph.nodes_with(key, value)
+
+    else:  # every node, or one relation's sources
+        ids = sorted(graph.adjacency(step[2])) if len(step) == 3 else graph.node_ids()
+
+        def values() -> Sequence[str]:
+            return ids
+
+    var = step[1]
+
+    def bind() -> None:
+        for value in values():
             slots[var] = value
-            self.run(i + 1)
+            then()
 
-
-def _lookup(
-    graph: KnowledgeGraph, key: str | None, value: str | None, strict: bool
-) -> tuple[str, ...]:
-    """Ids of the nodes whose ``key`` equals ``value``; ``None`` is the id."""
-    if key is None or key == "id":
-        return (value,) if value is not None and graph.has_node(value) else ()
-    if value is None and strict:
-        return ()
-    return graph.nodes_with(key, value)
+    return bind
 
 
 def match(
@@ -560,15 +545,22 @@ def match(
     results, and a row whose width is not ``len(plan.inputs)`` raises
     ``ValueError``.
     """
-    join = _Join(graph, plan.steps, plan.width)
-    slots, inputs = join.slots, plan.inputs
+    slots = [""] * plan.width
+    found: list[tuple[str, ...]] = []
+
+    def run() -> None:  # every step has passed: a row
+        found.append(tuple(slots))
+
+    for step in reversed(plan.steps):
+        run = _step(graph, slots, step, run)
+    inputs = plan.inputs
     for row in rows:
         if len(row) != len(inputs):
             raise ValueError(f"the plan takes {len(inputs)} inputs, got {len(row)}")
         for index, value in zip(inputs, row):
             slots[index] = value
-        join.run(0)
-    return join.rows
+        run()
+    return found
 
 
 def evaluate_query(

@@ -147,6 +147,7 @@ def test_usage_errors_exit_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--top must be at least 1, got {top}" in captured.err
+        assert captured.err.startswith("usage: se-kg stats ")
 
 
 def test_query_parse_error_exit_one(capsys):

@@ -442,6 +442,25 @@ def test_match_refuses_a_row_of_the_wrong_width():
         body.plan(inputs=("x",))
 
 
+def test_strict_test_step_never_matches_an_absent_property():
+    # Both sides come in as inputs, so the = runs as a test step, not a
+    # lookup; strict (as in a rule body) refuses absent = absent.
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t")
+    for v in ("v1", "v2"):
+        g.add_node(Node(v, "AttackTarget", 1))
+    for v in ("v3", "v4"):
+        g.add_node(Node(v, "AttackTarget", 1, properties={"affiliation": "Acme"}))
+    body = parse_query("MATCH (x), (y) WHERE x.affiliation = y.affiliation RETURN x").body
+    rows = [("v1", "v2"), ("v1", "v3"), ("v3", "v4")]
+    cases = ((False, [("v1", "v2"), ("v3", "v4")]), (True, [("v3", "v4")]))
+    for strict, expected in cases:
+        tests = tuple(t._replace(strict=strict) for t in body.tests)
+        plan = body._replace(tests=tests).plan(inputs=("x", "y"))
+        assert [step[0] for step in plan.steps] == ["test"]
+        assert match(g, plan, rows) == expected
+
+
 CHAIN = Conjunction(
     (("a", "craft_and_perform", "m"), ("m", "to_exploit", "h"), ("v", "have_vul", "h")),
     (),
@@ -566,6 +585,11 @@ BRUTE_QUERIES = [*RETURN_QUERIES,
     "MATCH (a)-[:craft_and_perform]->(m), (v)-[:have_vul]->(h) RETURN a, m, v, h",
     "MATCH (a)-[:craft_and_perform]->(m), (x) WHERE x.scenario_id = a.scenario_id "
     "RETURN DISTINCT m, x",
+    'MATCH (a) WHERE "x" = "x" RETURN a',
+    'MATCH (a) WHERE "x" <> "x" RETURN a',
+    'MATCH (a {id="no-such-node"}) RETURN a',
+    "MATCH (m)-[:to_exploit]->(h), (v)-[:have_vul]->(h), (m)-[:apply_to]->(v) "
+    "RETURN m, h, v",
 ]
 
 
