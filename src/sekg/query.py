@@ -27,7 +27,8 @@ sorted by their values and, under DISTINCT, deduplicated.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -338,12 +339,16 @@ class Plan(NamedTuple):
     ``inputs`` are the slots bound before the first step, in order, from
     each input row given to :func:`match`.
 
-    :func:`match` builds one function per step, last step first, each
-    calling the next: a binding step once per value it binds, a check only
-    when it passes, and after the last step a function appends the bound
-    slots as a row. Maps and property values are resolved when a function
-    is built, once per ``match`` call. Checks thus run as soon as their
-    slots are bound, and rows come out in the order the steps bind them.
+    :func:`match` runs a plan as one generated function, a loop nest: each
+    input row unpacks into local variables, one per slot; each binding step
+    is a ``for`` over the values it binds, each check an ``if``, and the
+    row append sits innermost. The source names only slot and argument
+    numbers. The relations, keys and literals, with the adjacency maps,
+    property values and scan ids read from them once per ``match`` call,
+    are the function's arguments, so plans that differ only in those share
+    one compiled function, cached by the plan's shape. Checks thus run as
+    soon as their slots are bound, and rows come out in the order the steps
+    bind them.
     """
 
     steps: tuple[tuple, ...]
@@ -466,72 +471,160 @@ def _as_lookup(test: Condition, bound: set[str]) -> tuple[Operand, Operand] | No
     return None
 
 
-def _reader(graph: KnowledgeGraph, slots: list[str], operand: tuple) -> Callable:
-    """A function giving ``operand``'s value for the bound ``slots``."""
-    index, key, literal = operand
-    if index is None:
-        return lambda: literal
-    if key is None:
-        return lambda: slots[index]
-    values = graph.property_values(key)
-    return lambda: values[slots[index]]
+#: ``for`` loops one generated function nests at most. CPython refuses a
+#: function nesting more than 20 blocks, so a deeper plan goes on in a
+#: nested function.
+_MAX_LOOPS = 16
 
 
-def _step(
-    graph: KnowledgeGraph, slots: list[str], step: tuple, then: Callable
-) -> Callable:
-    """``step`` as a function of the bound ``slots`` that calls ``then``
-    once per binding it makes, or once if its check passes."""
+def _lower(graph: KnowledgeGraph, step: tuple, args: list) -> tuple:
+    """``step`` as a step of a plan shape; the values it reads go to ``args``.
+
+    Each string of a step (relation, key, literal) and each graph read it
+    needs is resolved here, once per :func:`match` call, and becomes an
+    argument of the compiled join; the shape keeps the step's kind, slots
+    and flags. Per kind, the shape and then its arguments, in order:
+
+    * ``("test", left, right, negate, strict)``, each operand ``(slot or
+      None, keyed)``: a literal, or the key's ``property_values``;
+    * ``("has_edge", src, dst)``: ``graph.has_edge``, the relation;
+    * ``("adjacent", var, other)``: the adjacency map's ``get``;
+    * ``("scan", var)``: the ids to bind, for a node scan, a source scan or
+      a lookup against a literal;
+    * ``("id", var, operand)``: the operand's, ``graph.has_node``;
+    * ``("lookup", var, operand, strict)``: the operand's,
+      ``graph.nodes_with``, the key.
+    """
     kind = step[0]
     if kind == "test":
         _, left, right, negate, strict = step
-        left, right = _reader(graph, slots, left), _reader(graph, slots, right)
-
-        def check() -> None:
-            a, b = left(), right()
-            if (a != b) if negate else (a == b and (a is not None or not strict)):
-                then()
-
-        return check
+        left, right = _operand_arg(graph, left, args), _operand_arg(graph, right, args)
+        return kind, left, right, negate, strict
     if kind == "has_edge":
-        _, src, relation, dst = step
-        has_edge = graph.has_edge
-
-        def check() -> None:
-            if has_edge(slots[src], relation, slots[dst]):
-                then()
-
-        return check
+        args += (graph.has_edge, step[2])
+        return kind, step[1], step[3]
     if kind == "adjacent":
-        get, other = graph.adjacency(step[2], step[3]).get, step[4]
+        args.append(graph.adjacency(step[2], step[3]).get)
+        return kind, step[1], step[4]
+    if kind == "nodes":
+        args.append(sorted(graph.adjacency(step[2])) if len(step) == 3 else graph.node_ids())
+        return "scan", step[1]
+    _, var, key, operand, strict = step
+    by_id = key in (None, "id")
+    index, _, literal = operand
+    if index is None:  # a literal: its nodes are found once
+        if by_id:
+            args.append((literal,) if graph.has_node(literal) else ())
+        else:
+            args.append(graph.nodes_with(key, literal))
+        return "scan", var
+    operand = _operand_arg(graph, operand, args)
+    if by_id:
+        args.append(graph.has_node)
+        return "id", var, operand
+    args += (graph.nodes_with, key)
+    return kind, var, operand, strict
 
-        def values() -> Sequence[str]:
-            return get(slots[other], ())
 
-    elif kind == "lookup":
-        _, _, key, operand, strict = step
-        read, by_id = _reader(graph, slots, operand), key in (None, "id")
+def _operand_arg(graph: KnowledgeGraph, operand: tuple, args: list) -> tuple:
+    """``operand`` as (slot or None, keyed); a literal, or a key's property
+    values, goes to ``args``."""
+    index, key, literal = operand
+    if index is None:
+        args.append(literal)
+    elif key is not None:
+        args.append(graph.property_values(key))
+    return index, key is not None
 
-        def values() -> Sequence[str]:
-            value = read()
-            if by_id:
-                return (value,) if graph.has_node(value) else ()
-            return () if value is None and strict else graph.nodes_with(key, value)
 
-    else:  # every node, or one relation's sources
-        ids = sorted(graph.adjacency(step[2])) if len(step) == 3 else graph.node_ids()
+def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
+    """The source of ``join(rows, a0, a1, ...)``, the loop nest of a plan
+    shape over the arguments :func:`_lower` gives, which returns the rows.
 
-        def values() -> Sequence[str]:
-            return ids
+    Slot ``i`` is the local ``s{i}``. Each input row unpacks into the input
+    slots; each binding step is a ``for``, consecutive checks are one
+    ``if``, and the row append sits innermost. A lookup first assigns its
+    operand's value to its own slot: an id lookup keeps it if it is a node,
+    a property lookup loops over the nodes that have it.
+    """
+    names: list[str] = []
 
-    var = step[1]
+    def arg() -> str:  # the next argument
+        names.append(f"a{len(names)}")
+        return names[-1]
 
-    def bind() -> None:
-        for value in values():
-            slots[var] = value
-            then()
+    def read(operand: tuple) -> str:
+        index, keyed = operand
+        if index is None:
+            return arg()
+        return f"{arg()}[s{index}]" if keyed else f"s{index}"
 
-    return bind
+    def statements():  # ("if" | "for" | "line", slot or None, text) per step
+        for step in shape:
+            kind, var = step[0], step[1]
+            if kind == "test":
+                _, left, right, negate, strict = step
+                left, right = read(left), read(right)
+                if negate:
+                    yield "if", None, f"{left} != {right}"
+                else:
+                    yield "if", None, f"{left} == {right}" + " is not None" * strict
+            elif kind == "has_edge":
+                yield "if", None, f"{arg()}(s{var}, {arg()}, s{step[2]})"
+            elif kind == "adjacent":
+                yield "for", var, f"{arg()}(s{step[2]}, ())"
+            elif kind == "scan":
+                yield "for", var, arg()
+            else:  # an id or property lookup
+                yield "line", var, f"s{var} = {read(step[2])}"
+                if kind == "id":
+                    yield "if", None, f"{arg()}(s{var})"
+                    continue
+                if step[3]:
+                    yield "if", None, f"s{var} is not None"
+                yield "for", var, f"{arg()}({arg()}, s{var})"
+
+    row = "".join(f"s{i}, " for i in range(width))
+    parts = [[f"    for ({''.join(f's{i}, ' for i in inputs)}) in rows:"]]
+    depth, loops, bound, checks = 2, 1, list(inputs), []
+    for kind, var, text in (*statements(), ("line", None, f"append(({row}))")):
+        if checks and kind != "if":
+            parts[-1].append("    " * depth + f"if {' and '.join(checks)}:")
+            depth += 1
+            checks.clear()
+        if kind == "if":
+            checks.append(text)
+            continue
+        if kind == "for" and loops == _MAX_LOOPS:
+            call = f"part{len(parts)}({', '.join(f's{i}' for i in bound)})"
+            parts[-1].append("    " * depth + call)
+            parts.append([f"    def {call}:"])
+            depth, loops = 2, 0
+        if kind == "for":
+            parts[-1].append("    " * depth + f"for s{var} in {text}:")
+            depth, loops = depth + 1, loops + 1
+        else:
+            parts[-1].append("    " * depth + text)
+        if var is not None and var not in bound:
+            bound.append(var)
+    head = f"def join(rows{''.join(', ' + n for n in names)}):"
+    lines = [head, "    found = []", "    append = found.append"]
+    lines += [line for part in parts[1:] + parts[:1] for line in part]
+    return "\n".join([*lines, "    return found", ""])
+
+
+@lru_cache(maxsize=128)
+def _loop_nest(inputs: tuple[int, ...], width: int, shape: tuple):
+    """The compiled ``join`` of :func:`_source`, once per plan shape.
+
+    A shape holds no string from a query, rule or dataset, so no such text
+    is ever compiled, and plans that differ only in those strings share one
+    function. Compiled on first use, so a process compiles only the shapes
+    it runs.
+    """
+    namespace: dict = {}
+    exec(compile(_source(inputs, width, shape), "<join>", "exec"), namespace)
+    return namespace["join"]
 
 
 def match(
@@ -545,22 +638,13 @@ def match(
     results, and a row whose width is not ``len(plan.inputs)`` raises
     ``ValueError``.
     """
-    slots = [""] * plan.width
-    found: list[tuple[str, ...]] = []
-
-    def run() -> None:  # every step has passed: a row
-        found.append(tuple(slots))
-
-    for step in reversed(plan.steps):
-        run = _step(graph, slots, step, run)
-    inputs = plan.inputs
-    for row in rows:
-        if len(row) != len(inputs):
-            raise ValueError(f"the plan takes {len(inputs)} inputs, got {len(row)}")
-        for index, value in zip(inputs, row):
-            slots[index] = value
-        run()
-    return found
+    args: list = []
+    shape = tuple([_lower(graph, step, args) for step in plan.steps])
+    join = _loop_nest(plan.inputs, plan.width, shape)
+    try:
+        return join(rows, *args)
+    except ValueError as error:  # a join raises it only to unpack a row
+        raise ValueError(f"the plan takes {len(plan.inputs)} inputs: {error}") from None
 
 
 def evaluate_query(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections.abc import Callable, Iterable, Sequence
 
 import pytest
 
@@ -7,7 +8,7 @@ from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError
 from sekg.graph import PROPERTY_KEY_RE, RED_RELATIONS, Edge, KnowledgeGraph, Node
 from sekg.loader import EdgeRecord, NodeRecord, ScenarioRecord
-from sekg.query import parse_query
+from sekg.query import Plan, parse_query
 from sekg.schema import (
     RELATION_ALIASES,
     SWAPPED_ALIASES,
@@ -327,6 +328,20 @@ def replicated_graph(graph, k: int) -> KnowledgeGraph:
     return g
 
 
+def crosslinked_graph(graph, k: int) -> KnowledgeGraph:
+    """``replicated_graph(graph, k)`` plus ``phishing10_<c> apply_to
+    victim1_<c-1>`` for each copy ``c`` from 1 to ``k - 1``.
+
+    Each link sends copy ``c``'s attacker10 against copy ``c-1``'s victim1,
+    whose own attacker shares attacker10's motivation. So R4 fires, twice
+    per link, where on ``k`` unlinked copies its plan yields no row.
+    """
+    g = replicated_graph(graph, k)
+    for c in range(1, k):
+        g.add_edge(f"phishing10_{c}", "apply_to", f"victim1_{c - 1}")
+    return g
+
+
 def reference_eval(query, graph) -> list[tuple[str, ...]]:
     """Exhaustive query evaluation: every assignment of ``query.body``'s
     variables is tried against its atoms (by ``has_edge``) and its tests
@@ -366,6 +381,112 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
     if query.distinct:
         rows = [r for i, r in enumerate(rows) if i == 0 or r != rows[i - 1]]
     return rows
+
+
+def _reference_reader(
+    graph: KnowledgeGraph, slots: list[str], operand: tuple
+) -> Callable:
+    """A function giving ``operand``'s value for the bound ``slots``."""
+    index, key, literal = operand
+    if index is None:
+        return lambda: literal
+    if key is None:
+        return lambda: slots[index]
+    values = graph.property_values(key)
+    return lambda: values[slots[index]]
+
+
+def _reference_step(
+    graph: KnowledgeGraph, slots: list[str], step: tuple, then: Callable
+) -> Callable:
+    """``step`` as a function of the bound ``slots`` that calls ``then``
+    once per binding it makes, or once if its check passes."""
+    kind = step[0]
+    if kind == "test":
+        _, left, right, negate, strict = step
+        left = _reference_reader(graph, slots, left)
+        right = _reference_reader(graph, slots, right)
+
+        def check() -> None:
+            a, b = left(), right()
+            if (a != b) if negate else (a == b and (a is not None or not strict)):
+                then()
+
+        return check
+    if kind == "has_edge":
+        _, src, relation, dst = step
+        has_edge = graph.has_edge
+
+        def check() -> None:
+            if has_edge(slots[src], relation, slots[dst]):
+                then()
+
+        return check
+    if kind == "adjacent":
+        get, other = graph.adjacency(step[2], step[3]).get, step[4]
+
+        def values() -> Sequence[str]:
+            return get(slots[other], ())
+
+    elif kind == "lookup":
+        _, _, key, operand, strict = step
+        read, by_id = _reference_reader(graph, slots, operand), key in (None, "id")
+
+        def values() -> Sequence[str]:
+            value = read()
+            if by_id:
+                return (value,) if graph.has_node(value) else ()
+            return () if value is None and strict else graph.nodes_with(key, value)
+
+    else:  # every node, or one relation's sources
+        ids = sorted(graph.adjacency(step[2])) if len(step) == 3 else graph.node_ids()
+
+        def values() -> Sequence[str]:
+            return ids
+
+    var = step[1]
+
+    def bind() -> None:
+        for value in values():
+            slots[var] = value
+            then()
+
+    return bind
+
+
+def reference_match(
+    graph: KnowledgeGraph, plan: Plan, rows: Iterable[Sequence[str]] = ((),)
+) -> list[tuple[str, ...]]:
+    """Every binding of a plan's variables that satisfies it on ``graph``,
+    as one tuple of its slots per result row, by one closure per plan step.
+
+    The join engine as it was before plans ran as generated loop nests:
+    each step is a function of a shared slot list that calls the next step's
+    function once per binding it makes, or once if its check passes.
+    ``query.match`` must return the same rows in the same order, and raise
+    the same ``ValueError`` for a row of the wrong width.
+
+    The plan runs once per input row, which binds ``plan.inputs`` in order;
+    the default is one empty row, for a plan without inputs. No rows give no
+    results, and a row whose width is not ``len(plan.inputs)`` raises
+    ``ValueError``.
+    """
+    slots = [""] * plan.width
+    found: list[tuple[str, ...]] = []
+
+    def run() -> None:  # every step has passed: a row
+        found.append(tuple(slots))
+
+    for step in reversed(plan.steps):
+        run = _reference_step(graph, slots, step, run)
+    inputs = plan.inputs
+    for row in rows:
+        if len(row) != len(inputs):
+            raise ValueError(f"the plan takes {len(inputs)} inputs, got {len(row)}")
+        for index, value in zip(inputs, row):
+            slots[index] = value
+        run()
+    return found
 
 
 def thaw(graph, rename=None) -> KnowledgeGraph:

@@ -3,6 +3,7 @@ from collections import Counter
 
 from conftest import (
     check_edge_conformance,
+    crosslinked_graph,
     find_edge,
     random_conformant_graph,
     reference_closure,
@@ -554,6 +555,17 @@ def test_matches_naive_fixpoint_reference(load_result):
         g = thaw(source)
         run_rules(g, rules)
         assert {e.key() for e in g.edges()} == expected, f"graph {i}"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_crosslinked_copies_match_naive_fixpoint_reference(asserted_graph, k):
+    # On k plain copies R4 never fires; each cross-copy link makes it fire
+    # twice, so the engine's R4 joins run on a corpus of the benchmark's kind.
+    g = crosslinked_graph(asserted_graph, k)
+    expected = reference_fixpoint(g, builtin_ruleset())
+    result = run_inference(g)
+    assert {e.key() for e in g.edges()} == expected
+    assert result.fired["R4"] == 2 * (k - 1)
 
 
 def test_closure_matches_reference_with_provenance(asserted_graph):

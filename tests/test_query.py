@@ -3,12 +3,13 @@ import random
 import re
 
 import pytest
-from conftest import random_conformant_graph, reference_eval, thaw
+from conftest import random_conformant_graph, reference_eval, reference_match, thaw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sekg.errors import QueryParseError, SekgError
 from sekg.graph import Direction, KnowledgeGraph, Node
+from sekg import inference, query
 from sekg.inference import run_inference
 from sekg.query import (
     _TOKEN_RE,
@@ -590,6 +591,8 @@ BRUTE_QUERIES = [*RETURN_QUERIES,
     'MATCH (a {id="no-such-node"}) RETURN a',
     "MATCH (m)-[:to_exploit]->(h), (v)-[:have_vul]->(h), (m)-[:apply_to]->(v) "
     "RETURN m, h, v",
+    "MATCH (m), (x) WHERE x.id = m.kind RETURN m, x",
+    "MATCH (a)-[:craft_and_perform]->(m), (x) WHERE x.id = a.id RETURN x, m",
 ]
 
 
@@ -652,6 +655,159 @@ def test_evaluator_matches_brute_force_on_random_graphs():
             query = parse_query(text)
             got = [r.values for r in evaluate_query(query, g)]
             assert got == reference_eval(query, g), f"seed {seed}: {text}"
+
+
+# -- compiled joins against the closure engine --------------------------------
+
+
+def diffed_plans() -> list[tuple[str, Plan, str | None]]:
+    """(label, plan, relation of its input rows or None) for every builtin
+    rule plan, each of its per-atom plans, every axiom plan, each rule body
+    with all its variables as inputs, and every ``BRUTE_QUERIES`` plan,
+    unpinned and pinned on its first variable."""
+    rules = [inference._compile(rule) for rule in inference.builtin_ruleset()]
+    plans = []
+    for name, _, plan, per_atom in [*rules, *inference._AXIOMS]:
+        plans.append((name, plan, None))
+        plans += [(f"{name} {rel}", rest, rel) for rel, rest, _ in per_atom]
+    for rule in inference.builtin_ruleset():  # every check a step, as rules run it
+        body = parse_query(rule.body).body
+        body = body._replace(tests=tuple(t._replace(strict=t.op == "=") for t in body.tests))
+        plans.append((f"{rule.name} pinned", body.plan(inputs=body.variables), None))
+    for text in BRUTE_QUERIES:
+        body = parse_query(text).body
+        plans.append((text, body.plan(), None))
+        plans.append((text, body.plan(inputs=body.variables[:1]), None))
+    return plans
+
+
+def random_rows(rng, graph, plan, relation) -> list[tuple[str, ...]]:
+    """Up to 12 input rows for ``plan``: random node ids and, for a per-atom
+    plan, endpoints of its relation's edges, some of them repeated."""
+    ids = graph.node_ids()
+    width = len(plan.inputs)
+    rows = [tuple(rng.choice(ids) for _ in range(width)) for _ in range(rng.randint(0, 6))]
+    if relation is not None:
+        pairs = [(e.src, e.dst)[:width] for e in graph.edges(relation)]
+        rows += rng.choices(pairs, k=min(len(pairs), 6))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_compiled_joins_match_the_closure_engine(seed):
+    """Every rule, axiom and BRUTE_QUERIES plan gives the closure engine's
+    rows, order included, on an inferred random graph: without inputs, or
+    over random input rows. A row of the wrong width raises ``ValueError``
+    in both."""
+    rng = random.Random(seed)
+    g = random_conformant_graph(seed)
+    run_inference(g)
+    g.freeze()
+    for label, plan, relation in diffed_plans():
+        if plan.inputs:
+            batches = [[], *(random_rows(rng, g, plan, relation) for _ in range(3))]
+        else:
+            batches = [((),), [], [(), ()]]
+        for rows in batches:
+            assert match(g, plan, rows) == reference_match(g, plan, rows), label
+        bad = [*random_rows(rng, g, plan, relation), ("x",) * (len(plan.inputs) + 1)]
+        for engine in (match, reference_match):
+            with pytest.raises(ValueError, match="inputs"):
+                engine(g, plan, bad)
+
+
+def test_deep_plans_match_the_closure_engine():
+    # More nested loops than one Python function can hold, so the join
+    # goes on in two nested functions: a chain of 33 atoms with 60
+    # conditions on it, and 40 id lookups.
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t")
+    for i in range(40):
+        g.add_node(Node(f"x{i}", "Attacker", 1))
+        if i:
+            g.add_edge(f"x{i - 1}", "same_attack_organization", f"x{i}")
+    g.freeze()
+    chain = "-[:same_attack_organization]->".join(f"(n{i})" for i in range(34))
+    where = " AND ".join(f'n{i % 34} <> "y{i}"' for i in range(60))
+    ids = ", ".join(f'(n{i} {{id="x{i}"}})' for i in range(40))
+    rows = [("x0",), ("x5",), ("x9",), ("x0",)]
+    cases = ((f"MATCH {chain} WHERE {where} RETURN n0", 7, 3), (f"MATCH {ids} RETURN n0", 1, 2))
+    for text, unpinned, pinned in cases:
+        body = parse_query(text).body
+        for plan, rows, count in ((body.plan(), ((),), unpinned), (body.plan(("n0",)), rows, pinned)):
+            got = match(g, plan, rows)
+            assert got == reference_match(g, plan, rows)
+            assert len(got) == count
+
+
+def test_plans_differing_only_in_strings_share_one_compiled_join(graph):
+    assert query._loop_nest.cache_info().maxsize is not None
+    texts = [
+        'MATCH (a {id="attacker1"})-[:craft_and_perform]->(m) RETURN m',
+        'MATCH (a {id="attacker10"})-[:craft_and_perform]->(m) RETURN m',
+        'MATCH (a {kind="x"})-[:attack]->(m) RETURN m',
+    ]
+    assert run_query(texts[0], graph)
+    misses = query._loop_nest.cache_info().misses
+    for text in texts[1:]:
+        run_query(text, graph)
+    assert query._loop_nest.cache_info().misses == misses
+
+
+#: Strings that would run as code, or break the source, if formatted into
+#: it: quotes, backslashes, escaped and real newlines, braces.
+HOSTILE = [
+    '"); __import__("os").system("exit 7") #',
+    "'''; raise SystemExit(7); '''",
+    '\\\\ \\n \\" \\',
+    "line\nbreak",
+    "{a0}{s0}}",
+]
+HOSTILE_KEYS = ("__import__", "__class__", "exec")
+
+
+def hostile_graph() -> KnowledgeGraph:
+    """Per HOSTILE value, a method with it under one to three HOSTILE_KEYS
+    and a target whose id and ``exec`` it is, the method applied to it."""
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t")
+    for i, value in enumerate(HOSTILE):
+        props = {key: value for key in HOSTILE_KEYS[: 1 + i % 3]}
+        g.add_node(Node(f"m{i}", "AttackMethod", 1, properties=props))
+        g.add_node(Node(value, "AttackTarget", 1, properties={"exec": value}))
+        g.add_edge(f"m{i}", "apply_to", value)
+    g.add_node(Node("plain", "AttackMethod", 1))
+    return g.freeze()
+
+
+def quoted(value: str) -> str:
+    """``value`` as a query string literal."""
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+@pytest.mark.parametrize("value", HOSTILE)
+def test_strings_holding_python_never_reach_the_compiled_source(value):
+    g = hostile_graph()
+    lit = quoted(value)
+    texts = [
+        f"MATCH (m {{__import__={lit}}}) RETURN m",
+        f"MATCH (v {{id={lit}}}) RETURN v, v.exec",
+        f"MATCH (m)-[:apply_to]->(v) WHERE m.__class__ = {lit} RETURN m, v",
+        f"MATCH (m)-[:apply_to]->(v) WHERE v.exec <> {lit} RETURN v, m.__import__",
+        f"MATCH (m), (v) WHERE m.__import__ = v.exec AND v <> {lit} RETURN m, v",
+    ]
+    for text in texts:
+        q = parse_query(text)
+        got = [r.values for r in evaluate_query(q, g)]
+        assert got == reference_eval(q, g), text
+        plan, args = q.body.plan(), []
+        shape = tuple(query._lower(g, step, args) for step in plan.steps)
+        source = query._source(plan.inputs, plan.width, shape)
+        for string in (value, "apply_to", *HOSTILE_KEYS):
+            assert string not in source, text
+    assert [r.values for r in run_query(texts[0], g)] == [(f"m{HOSTILE.index(value)}",)]
+    assert [r.values for r in run_query(texts[1], g)] == [(value, value)]
 
 
 # -- fuzzing ------------------------------------------------------------------
