@@ -353,21 +353,17 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
     it: the (first's method, second's method) pairs in same_origin_attack.
     """
 
-    def pairs(relation: str) -> list[tuple[str, str, str]]:
+    def pairs(relation: str) -> list[tuple[tuple[str, str], str]]:
         """Each unordered pair once, endpoints in id order, with the
         provenance of its first edge in (src, dst) order: the pair's own
         edge unless only the reverse one is stored."""
-        edges = graph.edges(relation)
-        listed = [(e.src, e.dst, e.provenance) for e in edges if e.src <= e.dst]
-        out = graph.adjacency(relation)
-        if graph.adjacency(relation, Direction.IN) != out:  # some edge lacks its reverse
-            listed += [
-                (e.dst, e.src, e.provenance)
-                for e in edges
-                if e.src > e.dst and e.src not in out.get(e.dst, ())
-            ]
-            listed.sort()
-        return listed
+        listed: dict[tuple[str, str], str] = {}
+        for edge in graph.edges(relation):
+            src, _, dst, _ = edge
+            pair = (src, dst) if src <= dst else (dst, src)
+            if pair not in listed:
+                listed[pair] = edge.provenance
+        return sorted(listed.items())
 
     report: dict = {
         "same_affiliation": [],
@@ -375,7 +371,7 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
         "in_the_same_organization": [],
     }
     affiliations = graph.property_values("affiliation")
-    for a, b, provenance in pairs("same_affiliation"):
+    for (a, b), provenance in pairs("same_affiliation"):
         report["same_affiliation"].append(
             {"nodes": [a, b], "provenance": provenance, "affiliation": affiliations[a] or ""}
         )
@@ -384,10 +380,10 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
     motives = graph.adjacency("motivated_by")
     motivations = {  # of each method's attackers, once per method
         method: {m for attacker in performed.get(method, ()) for m in motives.get(attacker, ())}
-        for method in {method for a, b, _ in origin_pairs for method in (a, b)}
+        for method in {method for pair, _ in origin_pairs for method in pair}
     }
     domains = graph.property_values("encoded_domain")
-    for a, b, provenance in origin_pairs:
+    for (a, b), provenance in origin_pairs:
         report["same_origin_attack"].append(
             {
                 "nodes": [a, b],
@@ -398,7 +394,7 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
         )
     performs = graph.adjacency("craft_and_perform")
     same_origin = graph.adjacency("same_origin_attack")
-    for a, b, provenance in pairs("in_the_same_organization"):
+    for (a, b), provenance in pairs("in_the_same_organization"):
         report["in_the_same_organization"].append(
             {
                 "nodes": [a, b],

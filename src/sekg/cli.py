@@ -59,29 +59,22 @@ def export_dot(graph: KnowledgeGraph) -> str:
     lines.append("digraph sekg {")
     lines.append('  node [shape=box, style=filled, fontname="Helvetica"];')
 
-    nodes = graph.nodes()
     goal_trees: dict[int, list[str]] = {}
-    for node in nodes:
+    unclustered: list[str] = []
+    for node in graph.nodes():
+        fill = CONCEPT_FILL.get(node.concept, AUXILIARY_FILL)
+        line = f"{_dot_quote(node.id)} [fillcolor=\"{fill}\"];"
         if node.concept in ("AttackGoal", "SubGoal") and node.scenario_id is not None:
-            goal_trees.setdefault(node.scenario_id, []).append(node.id)
-    clustered: set[str] = set()
+            goal_trees.setdefault(node.scenario_id, []).append(line)
+        else:
+            unclustered.append(line)
     for sid in sorted(goal_trees):
-        members = goal_trees[sid]
         lines.append(f"  subgraph cluster_goal_tree_{sid} {{")
         lines.append(f'    label="goal tree S{sid}";')
         lines.append(f'    style=filled; fillcolor="{GOAL_CLUSTER_FILL}";')
-        for node_id in members:
-            fill = _node_fill(graph, node_id)
-            lines.append(f"    {_dot_quote(node_id)} [fillcolor=\"{fill}\"];")
-            clustered.add(node_id)
+        lines += [f"    {line}" for line in goal_trees[sid]]
         lines.append("  }")
-
-    for node in nodes:
-        if node.id in clustered:
-            continue
-        lines.append(
-            f"  {_dot_quote(node.id)} [fillcolor=\"{_node_fill(graph, node.id)}\"];"
-        )
+    lines += [f"  {line}" for line in unclustered]
 
     red = RED_RELATIONS | {"attack"}
     for edge in graph.edges():
@@ -94,10 +87,6 @@ def export_dot(graph: KnowledgeGraph) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _node_fill(graph: KnowledgeGraph, node_id: str) -> str:
-    return CONCEPT_FILL.get(graph.node(node_id).concept, AUXILIARY_FILL)
 
 
 def attack_path_dict(path: analytics.AttackPath) -> dict:

@@ -172,9 +172,6 @@ class KnowledgeGraph:
         except KeyError:
             raise GraphError(f"unknown node: {node_id!r}") from None
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def nodes(self) -> tuple[Node, ...]:
         return tuple(self._nodes[i] for i in sorted(self._nodes))
 
@@ -329,9 +326,12 @@ class KnowledgeGraph:
 
         Names resolve as in ``neighbors``. Only nodes with at least one such
         edge have a list; each is sorted and unique. The mapping and its
-        lists are the graph's own: read them, never change them.
+        lists are the graph's own: read them, never change them. A
+        ``direction`` that is not a ``Direction`` raises ``TypeError``.
         """
         name, swapped, _ = RELATIONS[relation]
+        if type(direction) is not Direction:
+            raise TypeError(f"direction must be a Direction, got {direction!r}")
         index = self._out if (direction is Direction.OUT) != swapped else self._in
         return index.get(name, {})
 

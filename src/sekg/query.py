@@ -331,7 +331,8 @@ class Plan(NamedTuple):
     * ``("adjacent", var, relation, direction, other)`` binds ``var`` to the
       ``relation`` neighbors of slot ``other`` in ``direction``;
     * ``("lookup", var, key, operand, strict)`` binds ``var`` to the nodes
-      whose property ``key`` (their id when ``None``) equals ``operand``;
+      whose property ``key`` equals ``operand``; ``key`` is never ``None``,
+      and ``"id"`` finds the node of that id, as ``{id="x"}`` does;
     * ``("nodes", var)`` binds ``var`` to every node, and
       ``("nodes", var, relation)`` to the sources of ``relation``'s edges,
       both in id order.
@@ -343,12 +344,12 @@ class Plan(NamedTuple):
     input row unpacks into local variables, one per slot; each binding step
     is a ``for`` over the values it binds, each check an ``if``, and the
     row append sits innermost. The source names only slot and argument
-    numbers. The relations, keys and literals, with the adjacency maps,
-    property values and scan ids read from them once per ``match`` call,
-    are the function's arguments, so plans that differ only in those share
-    one compiled function, cached by the plan's shape. Checks thus run as
-    soon as their slots are bound, and rows come out in the order the steps
-    bind them.
+    numbers. The relations, directions, keys and literals are the
+    function's arguments, so plans that differ only in those share one
+    compiled function, cached by the plan's shape. It reads the adjacency
+    maps, property values and node lists it needs from the graph once per
+    call, before the first row. Checks thus run as soon as their slots are
+    bound, and rows come out in the order the steps bind them.
     """
 
     steps: tuple[tuple, ...]
@@ -375,7 +376,8 @@ class Conjunction(NamedTuple):
         relation's domain, or its target and the range. ``add_edge``
         enforces both, so such a test could never fail. Other checks run as
         soon as their variables are bound; otherwise the next step is the
-        first of, in this order: an id lookup, a property lookup against a
+        first of, in this order: an id lookup (``v = ...`` or ``v.id = ...``,
+        a lookup on key ``"id"``), a property lookup against a
         bound variable, a bound endpoint's neighbors, a property lookup
         against a literal, a scan of a relation's sources, a node scan. A
         source scan leaves its atom in the body, to be planned as the bound
@@ -435,7 +437,8 @@ class Conjunction(NamedTuple):
                 test, names, mine, other = lookup
                 tests.remove((test, names))
                 value = _operand(slot, other)
-                steps.append(("lookup", slot[mine.variable], mine.key, value, test.strict))
+                key = mine.key or "id"
+                steps.append(("lookup", slot[mine.variable], key, value, test.strict))
                 bound.add(mine.variable)
             else:
                 steps.append(("nodes", slot[free]))
@@ -477,112 +480,95 @@ def _as_lookup(test: Condition, bound: set[str]) -> tuple[Operand, Operand] | No
 _MAX_LOOPS = 16
 
 
-def _lower(graph: KnowledgeGraph, step: tuple, args: list) -> tuple:
-    """``step`` as a step of a plan shape; the values it reads go to ``args``.
-
-    Each string of a step (relation, key, literal) and each graph read it
-    needs is resolved here, once per :func:`match` call, and becomes an
-    argument of the compiled join; the shape keeps the step's kind, slots
-    and flags. Per kind, the shape and then its arguments, in order:
-
-    * ``("test", left, right, negate, strict)``, each operand ``(slot or
-      None, keyed)``: a literal, or the key's ``property_values``;
-    * ``("has_edge", src, dst)``: ``graph.has_edge``, the relation;
-    * ``("adjacent", var, other)``: the adjacency map's ``get``;
-    * ``("scan", var)``: the ids to bind, for a node scan, a source scan or
-      a lookup against a literal;
-    * ``("id", var, operand)``: the operand's, ``graph.has_node``;
-    * ``("lookup", var, operand, strict)``: the operand's,
-      ``graph.nodes_with``, the key.
-    """
-    kind = step[0]
-    if kind == "test":
-        _, left, right, negate, strict = step
-        left, right = _operand_arg(graph, left, args), _operand_arg(graph, right, args)
-        return kind, left, right, negate, strict
-    if kind == "has_edge":
-        args += (graph.has_edge, step[2])
-        return kind, step[1], step[3]
-    if kind == "adjacent":
-        args.append(graph.adjacency(step[2], step[3]).get)
-        return kind, step[1], step[4]
-    if kind == "nodes":
-        args.append(sorted(graph.adjacency(step[2])) if len(step) == 3 else graph.node_ids())
-        return "scan", step[1]
-    _, var, key, operand, strict = step
-    by_id = key in (None, "id")
-    index, _, literal = operand
-    if index is None:  # a literal: its nodes are found once
-        if by_id:
-            args.append((literal,) if graph.has_node(literal) else ())
-        else:
-            args.append(graph.nodes_with(key, literal))
-        return "scan", var
-    operand = _operand_arg(graph, operand, args)
-    if by_id:
-        args.append(graph.has_node)
-        return "id", var, operand
-    args += (graph.nodes_with, key)
-    return kind, var, operand, strict
-
-
-def _operand_arg(graph: KnowledgeGraph, operand: tuple, args: list) -> tuple:
-    """``operand`` as (slot or None, keyed); a literal, or a key's property
-    values, goes to ``args``."""
-    index, key, literal = operand
-    if index is None:
-        args.append(literal)
-    elif key is not None:
-        args.append(graph.property_values(key))
-    return index, key is not None
+def _split(steps: tuple[tuple, ...], args: list) -> tuple[tuple, ...]:
+    """The shape of ``steps``: each relation, direction, key and literal,
+    in a step or in one of its operands, becomes ``...`` and is appended
+    to ``args``, in order. Kinds, slots and flags stay."""
+    append, shape = args.append, []
+    for step in steps:
+        fields = [step[0]]
+        for field in step[1:]:
+            cls = type(field)
+            if cls is tuple:  # an operand: (slot or None, key, literal)
+                index, key, literal = field
+                if key is not None:
+                    append(key)
+                    key = ...
+                if literal is not None:
+                    append(literal)
+                    literal = ...
+                field = index, key, literal
+            elif cls is str or cls is Direction:
+                append(field)
+                field = ...
+            fields.append(field)
+        shape.append(tuple(fields))
+    return tuple(shape)
 
 
 def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
-    """The source of ``join(rows, a0, a1, ...)``, the loop nest of a plan
-    shape over the arguments :func:`_lower` gives, which returns the rows.
+    """The source of ``join(rows, graph, a0, a1, ...)``, the loop nest of
+    a plan shape over the arguments :func:`_split` gives, which returns the
+    rows.
+
+    Argument ``aN`` stands for the shape's ``...`` number ``N``, counting
+    from 0 in step and field order. Each graph read the steps need (an
+    adjacency map, a key's property values or nodes, the node ids, a
+    relation's sources) is made once, into a local ``rN``, before the
+    first row.
 
     Slot ``i`` is the local ``s{i}``. Each input row unpacks into the input
     slots; each binding step is a ``for``, consecutive checks are one
-    ``if``, and the row append sits innermost. A lookup first assigns its
-    operand's value to its own slot: an id lookup keeps it if it is a node,
-    a property lookup loops over the nodes that have it.
+    ``if``, and the row append sits innermost. A lookup against a bound
+    operand first assigns the operand's value to its own slot, then loops
+    over the nodes that have it.
     """
     names: list[str] = []
+    reads: dict[str, str] = {}
 
     def arg() -> str:  # the next argument
         names.append(f"a{len(names)}")
         return names[-1]
 
-    def read(operand: tuple) -> str:
-        index, keyed = operand
+    def read(text: str) -> str:  # a graph read, made once per call
+        return reads.setdefault(text, f"r{len(reads)}")
+
+    def value(operand: tuple) -> str:
+        index, key, _ = operand
         if index is None:
             return arg()
-        return f"{arg()}[s{index}]" if keyed else f"s{index}"
+        if key is None:
+            return f"s{index}"
+        return f"{read(f'graph.property_values({arg()})')}[s{index}]"
 
     def statements():  # ("if" | "for" | "line", slot or None, text) per step
         for step in shape:
             kind, var = step[0], step[1]
             if kind == "test":
                 _, left, right, negate, strict = step
-                left, right = read(left), read(right)
+                left, right = value(left), value(right)
                 if negate:
                     yield "if", None, f"{left} != {right}"
                 else:
                     yield "if", None, f"{left} == {right}" + " is not None" * strict
             elif kind == "has_edge":
-                yield "if", None, f"{arg()}(s{var}, {arg()}, s{step[2]})"
+                yield "if", None, f"{read('graph.has_edge')}(s{var}, {arg()}, s{step[3]})"
             elif kind == "adjacent":
-                yield "for", var, f"{arg()}(s{step[2]}, ())"
-            elif kind == "scan":
-                yield "for", var, arg()
-            else:  # an id or property lookup
-                yield "line", var, f"s{var} = {read(step[2])}"
-                if kind == "id":
-                    yield "if", None, f"{arg()}(s{var})"
+                get = read(f"graph.adjacency({arg()}, {arg()}).get")
+                yield "for", var, f"{get}(s{step[4]}, ())"
+            elif kind == "nodes":
+                ids = f"sorted(graph.adjacency({arg()}))" if len(step) == 3 else "graph.node_ids()"
+                yield "for", var, read(ids)
+            else:  # a lookup
+                _, _, _, operand, strict = step
+                key = arg()
+                if operand[0] is None:
+                    yield "for", var, read(f"graph.nodes_with({key}, {arg()})")
                     continue
-                if step[3]:
+                yield "line", var, f"s{var} = {value(operand)}"
+                if strict:
                     yield "if", None, f"s{var} is not None"
-                yield "for", var, f"{arg()}({arg()}, s{var})"
+                yield "for", var, f"{read('graph.nodes_with')}({key}, s{var})"
 
     row = "".join(f"s{i}, " for i in range(width))
     parts = [[f"    for ({''.join(f's{i}, ' for i in inputs)}) in rows:"]]
@@ -607,8 +593,9 @@ def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
             parts[-1].append("    " * depth + text)
         if var is not None and var not in bound:
             bound.append(var)
-    head = f"def join(rows{''.join(', ' + n for n in names)}):"
-    lines = [head, "    found = []", "    append = found.append"]
+    head = f"def join(rows, graph{''.join(', ' + n for n in names)}):"
+    lines = [head, *(f"    {r} = {text}" for text, r in reads.items())]
+    lines += ["    found = []", "    append = found.append"]
     lines += [line for part in parts[1:] + parts[:1] for line in part]
     return "\n".join([*lines, "    return found", ""])
 
@@ -617,10 +604,10 @@ def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
 def _loop_nest(inputs: tuple[int, ...], width: int, shape: tuple):
     """The compiled ``join`` of :func:`_source`, once per plan shape.
 
-    A shape holds no string from a query, rule or dataset, so no such text
-    is ever compiled, and plans that differ only in those strings share one
-    function. Compiled on first use, so a process compiles only the shapes
-    it runs.
+    A shape holds no string from a query, rule or dataset, nor a
+    direction, so no such text is ever compiled, and plans that differ only
+    in those share one function. Compiled on first use, so a process
+    compiles only the shapes it runs.
     """
     namespace: dict = {}
     exec(compile(_source(inputs, width, shape), "<join>", "exec"), namespace)
@@ -636,13 +623,14 @@ def match(
     The plan runs once per input row, which binds ``plan.inputs`` in order;
     the default is one empty row, for a plan without inputs. No rows give no
     results, and a row whose width is not ``len(plan.inputs)`` raises
-    ``ValueError``.
+    ``ValueError``. The plan's relations, directions, keys and literals are
+    the arguments of its compiled join (see :func:`_split`), which makes
+    its graph reads once per call, before the first row.
     """
     args: list = []
-    shape = tuple([_lower(graph, step, args) for step in plan.steps])
-    join = _loop_nest(plan.inputs, plan.width, shape)
+    join = _loop_nest(plan.inputs, plan.width, _split(plan.steps, args))
     try:
-        return join(rows, *args)
+        return join(rows, graph, *args)
     except ValueError as error:  # a join raises it only to unpack a row
         raise ValueError(f"the plan takes {len(plan.inputs)} inputs: {error}") from None
 

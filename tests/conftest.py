@@ -5,7 +5,7 @@ from collections.abc import Callable, Iterable, Sequence
 import pytest
 
 from sekg.datasets import canonical_graph, load_canonical
-from sekg.errors import DatasetError
+from sekg.errors import DatasetError, GraphError
 from sekg.graph import PROPERTY_KEY_RE, RED_RELATIONS, Edge, KnowledgeGraph, Node
 from sekg.loader import EdgeRecord, NodeRecord, ScenarioRecord
 from sekg.query import Plan, parse_query
@@ -383,6 +383,16 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
     return rows
 
 
+def has_node(graph: KnowledgeGraph, node_id: str | None) -> bool:
+    """Whether ``graph`` holds a node ``node_id``, asked of ``graph.node``
+    alone, so that it shares no index with the joins it checks."""
+    try:
+        graph.node(node_id)
+    except GraphError:
+        return False
+    return True
+
+
 def _reference_reader(
     graph: KnowledgeGraph, slots: list[str], operand: tuple
 ) -> Callable:
@@ -435,7 +445,7 @@ def _reference_step(
         def values() -> Sequence[str]:
             value = read()
             if by_id:
-                return (value,) if graph.has_node(value) else ()
+                return (value,) if has_node(graph, value) else ()
             return () if value is None and strict else graph.nodes_with(key, value)
 
     else:  # every node, or one relation's sources

@@ -9,6 +9,7 @@ from conftest import (
     RELATION_ROWS,
     check_edge_conformance,
     find_edge,
+    has_node,
     random_conformant_graph,
     replicated_graph,
     stored_name,
@@ -41,8 +42,8 @@ def small_graph() -> KnowledgeGraph:
 def test_node_roundtrip():
     g = small_graph()
     assert g.node_count == 4
-    assert g.has_node("attacker1")
-    assert not g.has_node("nobody")
+    assert has_node(g, "attacker1")
+    assert not has_node(g, "nobody")
     assert g.node("attacker1").concept == "Attacker"
     assert g.node_ids() == ("attacker1", "greed", "pretexting1", "victim1")
     with pytest.raises(GraphError):
@@ -91,7 +92,7 @@ def test_property_named_like_a_node_field_rejected(key):
     g.register_scenario(1, "t")
     with pytest.raises(GraphError, match=f"property '{key}' is a node field"):
         g.add_node(Node("a1", "Attacker", 1, properties={key: "Spy"}))
-    assert not g.has_node("a1")
+    assert not has_node(g, "a1")
 
 
 @pytest.mark.parametrize(
@@ -105,7 +106,7 @@ def test_property_key_a_dataset_cannot_hold_rejected(key):
     message = f"node 'a1': property key {key!r} cannot be written to a dataset"
     with pytest.raises(GraphError, match=re.escape(message)):
         g.add_node(Node("a1", "Attacker", 1, properties={"note": "x", key: "Spy"}))
-    assert not g.has_node("a1")
+    assert not has_node(g, "a1")
 
 
 def test_scenario_registry():
@@ -344,6 +345,19 @@ def test_neighbors_directions():
         g.neighbors("ghost", "apply_to")
 
 
+@pytest.mark.parametrize("direction", ["out", "in", None, 0, True])
+def test_a_direction_that_is_not_a_direction_raises(direction):
+    # A string such as "out" must not read as a direction, not even as IN.
+    g = small_graph()
+    message = f"direction must be a Direction, got {direction!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        g.adjacency("apply_to", direction)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        g.neighbors("pretexting1", "apply_to", direction)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        g.adjacency("exploited_by", direction)  # a swapped alias
+
+
 def test_freeze_blocks_mutation():
     g = small_graph()
     g.freeze()
@@ -474,8 +488,8 @@ def test_scenario_subgraph_membership(graph):
     assert sub.node_count == 49
     # every edge endpoint is inside the subgraph
     for edge in sub.edges():
-        assert sub.has_node(edge.src)
-        assert sub.has_node(edge.dst)
+        assert has_node(sub, edge.src)
+        assert has_node(sub, edge.dst)
     # mechanisms two hops out are pulled in
     assert any(n.concept == "EffectMechanism" for n in sub.nodes())
     with pytest.raises(GraphError):

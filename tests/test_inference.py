@@ -5,6 +5,7 @@ from conftest import (
     check_edge_conformance,
     crosslinked_graph,
     find_edge,
+    has_node,
     random_conformant_graph,
     reference_closure,
     reference_fixpoint,
@@ -139,7 +140,7 @@ def same_origin_fixture(affiliations=("Acme", "Acme"), motivations=("gain", "gai
         g.add_node(Node(f"v{sid}", "AttackTarget", sid, properties={"affiliation": aff}))
         g.add_edge(f"a{sid}", "craft_and_perform", f"m{sid}")
         g.add_edge(f"m{sid}", "apply_to", f"v{sid}")
-        if not g.has_node(motivation):
+        if not has_node(g, motivation):
             g.add_node(Node(motivation, "AttackMotivation"))
         g.add_edge(f"a{sid}", "motivated_by", motivation)
     return g

@@ -1,6 +1,8 @@
 import gc
+import io
 import random
 import re
+from tokenize import STRING, generate_tokens
 
 import pytest
 from conftest import random_conformant_graph, reference_eval, reference_match, thaw
@@ -593,6 +595,8 @@ BRUTE_QUERIES = [*RETURN_QUERIES,
     "RETURN m, h, v",
     "MATCH (m), (x) WHERE x.id = m.kind RETURN m, x",
     "MATCH (a)-[:craft_and_perform]->(m), (x) WHERE x.id = a.id RETURN x, m",
+    "MATCH (a)-[:craft_and_perform]->(m), (x) WHERE x = a RETURN x, m",
+    "MATCH (m), (x) WHERE x = m.kind RETURN m, x",
 ]
 
 
@@ -802,12 +806,29 @@ def test_strings_holding_python_never_reach_the_compiled_source(value):
         got = [r.values for r in evaluate_query(q, g)]
         assert got == reference_eval(q, g), text
         plan, args = q.body.plan(), []
-        shape = tuple(query._lower(g, step, args) for step in plan.steps)
+        shape = query._split(plan.steps, args)
         source = query._source(plan.inputs, plan.width, shape)
         for string in (value, "apply_to", *HOSTILE_KEYS):
             assert string not in source, text
     assert [r.values for r in run_query(texts[0], g)] == [(f"m{HOSTILE.index(value)}",)]
     assert [r.values for r in run_query(texts[1], g)] == [(value, value)]
+    for label, plan, _ in diffed_plans():
+        if label in BRUTE_QUERIES:
+            continue  # every rule and axiom plan
+        source = query._source(plan.inputs, plan.width, query._split(plan.steps, []))
+        tokens = list(generate_tokens(io.StringIO(source).readline))
+        assert not [t for t in tokens if t.type == STRING], label
+        assert not {t.string for t in tokens} & plan_strings(plan), label
+
+
+def plan_strings(plan: Plan) -> set[str]:
+    """Every relation, key and literal in ``plan``'s steps and operands."""
+    strings = set()
+    for step in plan.steps:
+        for field in step[1:]:
+            values = field if isinstance(field, tuple) else (field,)
+            strings.update(v for v in values if isinstance(v, str))
+    return strings
 
 
 # -- fuzzing ------------------------------------------------------------------
