@@ -138,7 +138,9 @@ def _load_graph(args: argparse.Namespace) -> tuple[KnowledgeGraph, list[str]]:
     return result.graph, result.warnings
 
 
-def _add_common(parser: argparse.ArgumentParser, infer_flag: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, run, infer_flag: bool = True) -> None:
+    """Add the options every subcommand shares, and ``run``, its handler."""
+    parser.set_defaults(run=run)
     parser.add_argument(
         "dataset",
         nargs="?",
@@ -184,58 +186,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("load", help="parse a dataset and print summary counts")
-    _add_common(p, infer_flag=False)
+    _add_common(p, _cmd_load, infer_flag=False)
 
     p = sub.add_parser("validate", help="lint scenarios for missing roles")
-    _add_common(p, infer_flag=False)
+    _add_common(p, _cmd_validate, infer_flag=False)
 
     p = sub.add_parser("infer", help="run inference and list derived edges")
-    _add_common(p, infer_flag=False)
+    _add_common(p, _cmd_infer, infer_flag=False)
     p.add_argument("--trace", action="store_true", help="print per-rule firing counts")
 
     p = sub.add_parser("stats", help="rank endpoint usage of one relation")
-    _add_common(p)
+    _add_common(p, _cmd_stats)
     p.add_argument("--relation", required=True)
     p.add_argument("--end", choices=("src", "dst"), default="dst")
     p.add_argument("--top", type=_top, default=3)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("threats", help="potential threats against one victim")
-    _add_common(p)
+    _add_common(p, _cmd_threats)
     p.add_argument("--victim", required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("targets", help="potential targets of one attacker")
-    _add_common(p)
+    _add_common(p, _cmd_targets)
     p.add_argument("--attacker", required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("paths", help="attack paths between an attacker and a victim")
-    _add_common(p)
+    _add_common(p, _cmd_paths)
     p.add_argument("--from", dest="src", required=True, metavar="ATTACKER")
     p.add_argument("--to", dest="dst", required=True, metavar="VICTIM")
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("same-origin", help="report same-origin attack evidence")
-    _add_common(p)
+    _add_common(p, _cmd_same_origin)
 
     p = sub.add_parser("query", help="run a MATCH query")
     p.add_argument("text", nargs="?", default=None, help="query text; stdin when omitted")
-    _add_common(p)
+    _add_common(p, _cmd_query)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("export", help="export the graph as DOT or dataset text")
-    _add_common(p)
+    _add_common(p, _cmd_export)
     p.add_argument("--format", choices=("dot", "sekg"), default="dot")
     p.add_argument("--scenario", type=int, default=None, help="restrict to one scenario subgraph")
 
     p = sub.add_parser("eval", help="score the analysis patterns against the path oracle")
-    _add_common(p)
+    _add_common(p, _cmd_eval)
     return parser
 
 
-def _cmd_load(args: argparse.Namespace) -> str:
-    graph, warnings = _load_graph(args)
+def _cmd_load(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     lines = [
         f"scenarios: {len(graph.scenarios)}",
         f"attack types: {len(graph.attack_types())}",
@@ -247,8 +248,9 @@ def _cmd_load(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
-    graph, _ = _load_graph(args)
+def _cmd_validate(
+    args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]
+) -> tuple[str, int]:
     findings = validate_scenario_completeness(graph)
     lines = [
         f"{f.severity} scenario={f.scenario_id} {f.role}: {f.message}"
@@ -260,8 +262,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 1 if mandatory else 0
 
 
-def _cmd_infer(args: argparse.Namespace) -> str:
-    graph, _ = _load_graph(args)
+def _cmd_infer(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     outcome = run_inference(graph)
     lines = []
     if args.trace:
@@ -274,8 +275,7 @@ def _cmd_infer(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_stats(args: argparse.Namespace) -> str:
-    graph, _ = _load_graph(args)
+def _cmd_stats(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     end = analytics.End.SRC if args.end == "src" else analytics.End.DST
     ranked = analytics.ranked_usage(graph, args.relation, end, args.top)
     if args.format == "json":
@@ -289,8 +289,7 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_threats(args: argparse.Namespace) -> str:
-    graph, _ = _load_graph(args)
+def _cmd_threats(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     pairs = analytics.potential_threats_for_victim(graph, args.victim)
     if args.format == "json":
         return export_report(pairs)
@@ -303,8 +302,7 @@ def _cmd_threats(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_targets(args: argparse.Namespace) -> str:
-    graph, _ = _load_graph(args)
+def _cmd_targets(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     pairs = analytics.potential_targets_for_attacker(graph, args.attacker)
     alternates = [
         analytics.alternate_methods_for_target(graph, args.attacker, p.victim)
@@ -324,8 +322,7 @@ def _cmd_targets(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_paths(args: argparse.Namespace) -> str:
-    graph, _ = _load_graph(args)
+def _cmd_paths(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     paths, auxiliary = analytics.attack_paths_between(graph, args.src, args.dst)
     if args.format == "json":
         return export_report(
@@ -344,14 +341,14 @@ def _cmd_paths(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_same_origin(args: argparse.Namespace) -> str:
-    graph, _ = _load_graph(args)
+def _cmd_same_origin(
+    args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]
+) -> str:
     return export_report(analytics.same_origin_report(graph))
 
 
-def _cmd_query(args: argparse.Namespace) -> str:
+def _cmd_query(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     text = args.text if args.text is not None else sys.stdin.read()
-    graph, _ = _load_graph(args)
     query = parse_query(text)
     labels = [item.label for item in query.returns]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
@@ -368,8 +365,7 @@ def _cmd_query(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_export(args: argparse.Namespace) -> str:
-    graph, _ = _load_graph(args)
+def _cmd_export(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     if args.scenario is not None:
         graph = graph.scenario_subgraph(args.scenario)
     if args.format == "sekg":
@@ -377,30 +373,17 @@ def _cmd_export(args: argparse.Namespace) -> str:
     return export_dot(graph)
 
 
-def _cmd_eval(args: argparse.Namespace) -> str:
-    graph, _ = _load_graph(args)
+def _cmd_eval(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
     return export_report(analytics.evaluation_report(graph))
 
 
-_HANDLERS = {
-    "load": _cmd_load,
-    "validate": _cmd_validate,
-    "infer": _cmd_infer,
-    "stats": _cmd_stats,
-    "threats": _cmd_threats,
-    "targets": _cmd_targets,
-    "paths": _cmd_paths,
-    "same-origin": _cmd_same_origin,
-    "query": _cmd_query,
-    "export": _cmd_export,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: load its graph, then call the handler its
+    subparser set as ``run`` with the graph and the load warnings."""
     args = build_parser().parse_args(argv)
     try:
-        outcome = _HANDLERS[args.command](args)
+        graph, warnings = _load_graph(args)
+        outcome = args.run(args, graph, warnings)
         text, status = outcome if isinstance(outcome, tuple) else (outcome, 0)
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as handle:

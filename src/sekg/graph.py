@@ -3,14 +3,19 @@
 Nodes carry a concept, optional scenario membership, taxonomy labels and
 string properties. Edges are unique per (src, relation, dst) and record
 whether they were asserted by a dataset or produced by an inference rule.
-All iteration orders are sorted so downstream output is reproducible.
+These reads come in id order: ``nodes``, ``node_ids``, ``nodes_with``,
+``nodes_by_concept``, ``edges`` (one relation's by (src, dst), all of them
+by (src, relation, dst)), ``neighbors`` and each list of an ``adjacency``
+map. Two do not: the keys of an ``adjacency`` map follow the order in
+which the nodes got their first such edge, and the keys of
+``property_values`` follow node insertion. Sort those where order matters.
 
 ``KnowledgeGraph.add_edge`` is the only checked way in for an edge: the
 loader, axiom closure, the rules and ``scenario_subgraph`` all write
 through it. It raises ``SchemaError`` for an unknown relation and
-``GraphError`` for a frozen graph, an unknown endpoint, an irreflexive
-self-loop or a domain or range mismatch. The loader reports a refusal as
-a ``DatasetError``; inference drops a refused rule head silently.
+``GraphError`` for a frozen graph, an unknown endpoint, a self-loop or a
+domain or range mismatch. The loader reports a refusal as a
+``DatasetError``; inference drops a refused rule head silently.
 
 Writes and reads resolve a relation name by indexing ``RELATIONS``, and a
 node's concept by indexing ``CONCEPTS`` (both in ``sekg.schema``): an alias
@@ -223,9 +228,8 @@ class KnowledgeGraph:
 
         This is the graph's only insertion path, and it checks. It raises
         ``GraphError`` on a frozen graph, ``SchemaError`` on an unknown
-        relation, then ``GraphError`` on an unknown endpoint, a self-loop on
-        an irreflexive relation, or a domain or range mismatch, in that
-        order. Node concepts are canonical (``add_node`` resolves synonyms),
+        relation, then ``GraphError`` on an unknown endpoint, a self-loop,
+        or a domain or range mismatch, in that order. Node concepts are canonical (``add_node`` resolves synonyms),
         so they compare directly with the relation's domain and range.
         Duplicate insertion is a no-op returning the existing edge (first
         insertion wins, including its provenance). A new edge's id joins
@@ -243,7 +247,7 @@ class KnowledgeGraph:
         dst_node = self._nodes.get(dst)
         if dst_node is None:
             raise GraphError(f"unknown node: {dst!r}")
-        if rel.irreflexive and src == dst:
+        if src == dst:
             raise GraphError(f"{relation} is irreflexive; got self-loop on {src!r}")
         if src_node.concept != rel.domain:
             raise GraphError(

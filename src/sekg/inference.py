@@ -20,7 +20,7 @@ Every inferred edge records the name of the rule that produced it. R3 runs
 before R2, so an edge derivable both ways is labelled ``R3``, whatever the
 node ids. Heads are written through ``KnowledgeGraph.add_edge``, which
 checks them against the schema; a head it refuses (wrong endpoint concepts
-or a self-loop on an irreflexive relation) is dropped rather than raised:
+or a self-loop) is dropped rather than raised:
 the body of a rule constrains structure, the schema constrains the head.
 """
 
@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .errors import GraphError, RuleError
 from .graph import Edge, KnowledgeGraph
 from .query import Plan, match, parse_query
-from .schema import RELATIONS
+from .schema import RELATION_ROWS, RELATIONS
 
 INVERSE_RULE = "R2"
 SUBPROPERTY_RULE = "R3"
@@ -139,16 +139,14 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     return rule.name, head, body.plan(), per_atom
 
 
-_STORED = [rel for name, (stored, _, rel) in RELATIONS.items() if name == stored]
-
 #: The schema's axioms as single-atom rules, planned once: an R3 rule
-#: ``(x r y) -> (x sub y)`` per subproperty axiom, then an R2 rule
-#: ``(x r y) -> (y inv x)`` per relation with an inverse.
+#: ``(x r y) -> (x sub y)`` per row of ``RELATION_ROWS`` with a subproperty
+#: axiom, then an R2 rule ``(x r y) -> (y inv x)`` per row with an inverse.
 _AXIOMS = tuple(
     _compile(Rule(label, target, f"MATCH (x)-[:{rel.name}]->(y) RETURN {ends}"))
     for label, ends, targets in (
-        (SUBPROPERTY_RULE, "x, y", [(r, r.subproperty_of) for r in _STORED]),
-        (INVERSE_RULE, "y, x", [(r, r.inverse_of) for r in _STORED]),
+        (SUBPROPERTY_RULE, "x, y", [(r, r.subproperty_of) for r in RELATION_ROWS]),
+        (INVERSE_RULE, "y, x", [(r, r.inverse_of) for r in RELATION_ROWS]),
     )
     for rel, target in targets
     if target

@@ -1,12 +1,15 @@
 """Domain ontology for social engineering attack knowledge.
 
-The schema is a fixed, code-defined vocabulary: eleven core concepts plus
-three auxiliary ones, the asserted relations between them, property-style
-axioms (inverses and subproperties), the relations that only inference may
-produce, and the alias spellings accepted for stored relations. The rows
-are built once, at import, into two lookup tables: ``CONCEPTS`` resolves a
-concept name or synonym, ``RELATIONS`` a relation name or alias. Every
-module indexes those two; an unknown name raises ``SchemaError``.
+The schema is a fixed, code-defined vocabulary written as two row tables:
+``CONCEPT_ROWS`` holds eleven core concepts plus three auxiliary ones, and
+``RELATION_ROWS`` every stored relation with its domain, range and
+property axioms (inverse and subproperty). Its rows are the asserted
+relations, their subproperties and the five relations the rules derive; a
+dataset may assert a derived relation too. Two alias dicts add the other
+spellings accepted for stored relations. The rows are built once, at
+import, into two lookup tables: ``CONCEPTS`` resolves a concept name or
+synonym, ``RELATIONS`` a relation name or alias. Every module indexes
+those two; an unknown name raises ``SchemaError``.
 """
 
 from enum import Enum
@@ -35,7 +38,7 @@ class RelationDef(NamedTuple):
     """One relation: exactly one domain and one range concept.
 
     ``inverse_of`` and ``subproperty_of`` encode the axioms. A symmetric
-    relation is modeled as its own inverse.
+    relation is modeled as its own inverse. No relation admits a self-loop.
     """
 
     name: str
@@ -44,7 +47,6 @@ class RelationDef(NamedTuple):
     kind: RelationKind = RelationKind.ASSERTED
     inverse_of: str | None = None
     subproperty_of: str | None = None
-    irreflexive: bool = True
 
 
 _OBJECT_LABELS = frozenset(
@@ -76,118 +78,133 @@ MECHANISM_ASPECTS = (
 )
 
 
-def _concepts() -> tuple[ConceptDef, ...]:
-    goal_labels = _OBJECT_LABELS | _SECURITY_LABELS
-    return (
-        ConceptDef(
-            "Attacker",
-            synonyms=("SocialEngineer",),
-            taxonomy_labels=_ACTOR_LABELS,
-            definition="party that plans and carries out the attack",
-        ),
-        ConceptDef(
-            "AttackMotivation",
-            taxonomy_labels=frozenset({"intrinsic", "extrinsic"}),
-            definition="what moves the attacker to act",
-        ),
-        ConceptDef(
-            "AttackGoal",
-            synonyms=("AttackPurpose",),
-            taxonomy_labels=goal_labels,
-            definition="concrete objective the attack works toward",
-        ),
-        ConceptDef(
-            "SocialEngineeringInformation",
-            taxonomy_labels=frozenset(
-                {"personal", "organizational", "cyber", "physical", "social_relations"}
-            ),
-            definition="information gathered to prepare or support the attack",
-        ),
-        ConceptDef(
-            "AttackStrategy",
-            taxonomy_labels=frozenset(
-                {"forward", "reverse", "persistent", "short_term", "progressive"}
-            ),
-            definition="plan that sequences methods toward the goal",
-        ),
-        ConceptDef(
-            "AttackMethod",
-            taxonomy_labels=frozenset({"human_based", "computer_based"}),
-            definition="technique performed against the target",
-        ),
-        ConceptDef(
-            "AttackTarget",
-            synonyms=("Victim",),
-            taxonomy_labels=_ACTOR_LABELS,
-            definition="person or group the method is applied to",
-        ),
-        ConceptDef(
-            "AttackMedium",
-            synonyms=("SocialInteraction",),
-            taxonomy_labels=frozenset(
-                {"direct", "indirect", "realtime", "non_realtime", "active", "passive"}
-            ),
-            definition="channel the interaction travels through",
-        ),
-        ConceptDef(
-            "HumanVulnerability",
-            taxonomy_labels=frozenset(VULNERABILITY_CATEGORIES),
-            definition="human trait or state the method exploits",
-        ),
-        ConceptDef(
-            "EffectMechanism",
-            taxonomy_labels=frozenset(MECHANISM_ASPECTS),
-            definition="psychological principle that makes the exploitation work",
-        ),
-        ConceptDef(
-            "AttackConsequence",
-            taxonomy_labels=goal_labels,
-            definition="observable outcome the target brings out",
-        ),
-        ConceptDef(
-            "SubGoal",
-            taxonomy_labels=goal_labels | frozenset({"precondition"}),
-            auxiliary=True,
-            definition="intermediate objective under an attack goal",
-        ),
-        ConceptDef(
-            "CommonSkill",
-            auxiliary=True,
-            definition="general skill usable across methods",
-        ),
-        ConceptDef(
-            "AuxiliaryTrick",
-            auxiliary=True,
-            definition="small supporting trick embedded in a method",
-        ),
-    )
+_GOAL_LABELS = _OBJECT_LABELS | _SECURITY_LABELS
 
-
-# name, domain, range, inverse_of  (rows of the asserted-relation table)
-_ASSERTED_ROWS: tuple[tuple[str, str, str, str | None], ...] = (
-    ("motivate", "AttackMotivation", "Attacker", "motivated_by"),
-    ("motivated_by", "Attacker", "AttackMotivation", "motivate"),
-    ("gather_and_use", "Attacker", "SocialEngineeringInformation", None),
-    ("craft_and_perform", "Attacker", "AttackMethod", None),
-    ("formulate", "Attacker", "AttackStrategy", None),
-    ("to_achieve", "AttackMethod", "AttackGoal", None),
-    ("guided_by", "AttackMethod", "AttackStrategy", None),
-    ("apply_to", "AttackMethod", "AttackTarget", "suffer"),
-    ("performed_through", "AttackMethod", "AttackMedium", None),
-    ("to_exploit", "AttackMethod", "HumanVulnerability", None),
-    ("based_on", "AttackStrategy", "SocialEngineeringInformation", None),
-    ("suffer", "AttackTarget", "AttackMethod", "apply_to"),
-    ("have_vul", "AttackTarget", "HumanVulnerability", None),
-    ("interacted_through", "AttackTarget", "AttackMedium", None),
-    ("bring_out", "AttackTarget", "AttackConsequence", None),
-    ("take_effected_by", "HumanVulnerability", "EffectMechanism", None),
-    ("explain", "EffectMechanism", "AttackConsequence", None),
-    ("feed_back_to", "AttackConsequence", "AttackGoal", None),
-    ("to_satisfy", "AttackGoal", "AttackMotivation", None),
-    ("subgoal_of", "SubGoal", "AttackGoal", None),
-    ("with_skill", "AttackMethod", "CommonSkill", None),
-    ("with_trick", "AttackMethod", "AuxiliaryTrick", None),
+#: The concepts, one row each: the eleven core ones, then the three auxiliary.
+CONCEPT_ROWS = (
+    ConceptDef(
+        "Attacker",
+        synonyms=("SocialEngineer",),
+        taxonomy_labels=_ACTOR_LABELS,
+        definition="party that plans and carries out the attack",
+    ),
+    ConceptDef(
+        "AttackMotivation",
+        taxonomy_labels=frozenset({"intrinsic", "extrinsic"}),
+        definition="what moves the attacker to act",
+    ),
+    ConceptDef(
+        "AttackGoal",
+        synonyms=("AttackPurpose",),
+        taxonomy_labels=_GOAL_LABELS,
+        definition="concrete objective the attack works toward",
+    ),
+    ConceptDef(
+        "SocialEngineeringInformation",
+        taxonomy_labels=frozenset(
+            {"personal", "organizational", "cyber", "physical", "social_relations"}
+        ),
+        definition="information gathered to prepare or support the attack",
+    ),
+    ConceptDef(
+        "AttackStrategy",
+        taxonomy_labels=frozenset(
+            {"forward", "reverse", "persistent", "short_term", "progressive"}
+        ),
+        definition="plan that sequences methods toward the goal",
+    ),
+    ConceptDef(
+        "AttackMethod",
+        taxonomy_labels=frozenset({"human_based", "computer_based"}),
+        definition="technique performed against the target",
+    ),
+    ConceptDef(
+        "AttackTarget",
+        synonyms=("Victim",),
+        taxonomy_labels=_ACTOR_LABELS,
+        definition="person or group the method is applied to",
+    ),
+    ConceptDef(
+        "AttackMedium",
+        synonyms=("SocialInteraction",),
+        taxonomy_labels=frozenset(
+            {"direct", "indirect", "realtime", "non_realtime", "active", "passive"}
+        ),
+        definition="channel the interaction travels through",
+    ),
+    ConceptDef(
+        "HumanVulnerability",
+        taxonomy_labels=frozenset(VULNERABILITY_CATEGORIES),
+        definition="human trait or state the method exploits",
+    ),
+    ConceptDef(
+        "EffectMechanism",
+        taxonomy_labels=frozenset(MECHANISM_ASPECTS),
+        definition="psychological principle that makes the exploitation work",
+    ),
+    ConceptDef(
+        "AttackConsequence",
+        taxonomy_labels=_GOAL_LABELS,
+        definition="observable outcome the target brings out",
+    ),
+    ConceptDef(
+        "SubGoal",
+        taxonomy_labels=_GOAL_LABELS | frozenset({"precondition"}),
+        auxiliary=True,
+        definition="intermediate objective under an attack goal",
+    ),
+    ConceptDef(
+        "CommonSkill",
+        auxiliary=True,
+        definition="general skill usable across methods",
+    ),
+    ConceptDef(
+        "AuxiliaryTrick",
+        auxiliary=True,
+        definition="small supporting trick embedded in a method",
+    ),
 )
+
+_A, _S, _D = RelationKind.ASSERTED, RelationKind.SUBPROPERTY, RelationKind.DERIVED
+
+#: The stored relations, one row each, in ``RELATIONS`` order: the 22
+#: asserted ones, the 4 subproperties, then the 5 derived ones.
+RELATION_ROWS = tuple(RelationDef(*row) for row in (
+    # name, domain, range, kind, inverse_of, subproperty_of
+    ("motivate", "AttackMotivation", "Attacker", _A, "motivated_by", None),
+    ("motivated_by", "Attacker", "AttackMotivation", _A, "motivate", None),
+    ("gather_and_use", "Attacker", "SocialEngineeringInformation", _A, None, None),
+    ("craft_and_perform", "Attacker", "AttackMethod", _A, None, None),
+    ("formulate", "Attacker", "AttackStrategy", _A, None, None),
+    ("to_achieve", "AttackMethod", "AttackGoal", _A, None, None),
+    ("guided_by", "AttackMethod", "AttackStrategy", _A, None, None),
+    ("apply_to", "AttackMethod", "AttackTarget", _A, "suffer", None),
+    ("performed_through", "AttackMethod", "AttackMedium", _A, None, None),
+    ("to_exploit", "AttackMethod", "HumanVulnerability", _A, None, None),
+    ("based_on", "AttackStrategy", "SocialEngineeringInformation", _A, None, None),
+    ("suffer", "AttackTarget", "AttackMethod", _A, "apply_to", None),
+    ("have_vul", "AttackTarget", "HumanVulnerability", _A, None, None),
+    ("interacted_through", "AttackTarget", "AttackMedium", _A, None, None),
+    ("bring_out", "AttackTarget", "AttackConsequence", _A, None, None),
+    ("take_effected_by", "HumanVulnerability", "EffectMechanism", _A, None, None),
+    ("explain", "EffectMechanism", "AttackConsequence", _A, None, None),
+    ("feed_back_to", "AttackConsequence", "AttackGoal", _A, None, None),
+    ("to_satisfy", "AttackGoal", "AttackMotivation", _A, None, None),
+    ("subgoal_of", "SubGoal", "AttackGoal", _A, None, None),
+    ("with_skill", "AttackMethod", "CommonSkill", _A, None, None),
+    ("with_trick", "AttackMethod", "AuxiliaryTrick", _A, None, None),
+    ("incent", "AttackMotivation", "Attacker", _S, "incented_by", "motivate"),
+    ("drive", "AttackMotivation", "Attacker", _S, "driven_by", "motivate"),
+    ("incented_by", "Attacker", "AttackMotivation", _S, "incent", "motivated_by"),
+    ("driven_by", "Attacker", "AttackMotivation", _S, "drive", "motivated_by"),
+    # Derived by the rules R1 and R4-R7; a dataset may also assert one, and
+    # serialize_dataset writes an inferred one with ``inferred=<rule>``.
+    ("attack", "Attacker", "AttackTarget", _D, None, None),
+    ("same_attack_organization", "Attacker", "Attacker", _D, "same_attack_organization", None),
+    ("same_affiliation", "AttackTarget", "AttackTarget", _D, "same_affiliation", None),
+    ("same_origin_attack", "AttackMethod", "AttackMethod", _D, "same_origin_attack", None),
+    ("in_the_same_organization", "Attacker", "Attacker", _D, "in_the_same_organization", None),
+))
 
 # Relation names accepted on input and read as a stored relation. Each
 # alias is declared here and nowhere else. ``bring_about`` and ``conduct``
@@ -200,54 +217,6 @@ RELATION_ALIASES: dict[str, str] = {
 SWAPPED_ALIASES: dict[str, str] = {
     "exploited_by": "to_exploit",
 }
-
-
-def _relations() -> tuple[RelationDef, ...]:
-    rels = [
-        RelationDef(name, dom, rng, RelationKind.ASSERTED, inverse_of=inv)
-        for name, dom, rng, inv in _ASSERTED_ROWS
-    ]
-    rels += [
-        RelationDef(
-            "incent", "AttackMotivation", "Attacker", RelationKind.SUBPROPERTY,
-            inverse_of="incented_by", subproperty_of="motivate",
-        ),
-        RelationDef(
-            "drive", "AttackMotivation", "Attacker", RelationKind.SUBPROPERTY,
-            inverse_of="driven_by", subproperty_of="motivate",
-        ),
-        RelationDef(
-            "incented_by", "Attacker", "AttackMotivation", RelationKind.SUBPROPERTY,
-            inverse_of="incent", subproperty_of="motivated_by",
-        ),
-        RelationDef(
-            "driven_by", "Attacker", "AttackMotivation", RelationKind.SUBPROPERTY,
-            inverse_of="drive", subproperty_of="motivated_by",
-        ),
-    ]
-    return tuple(rels)
-
-
-def _derived_relations() -> tuple[RelationDef, ...]:
-    return (
-        RelationDef("attack", "Attacker", "AttackTarget", RelationKind.DERIVED),
-        RelationDef(
-            "same_attack_organization", "Attacker", "Attacker", RelationKind.DERIVED,
-            inverse_of="same_attack_organization",
-        ),
-        RelationDef(
-            "same_affiliation", "AttackTarget", "AttackTarget", RelationKind.DERIVED,
-            inverse_of="same_affiliation",
-        ),
-        RelationDef(
-            "same_origin_attack", "AttackMethod", "AttackMethod", RelationKind.DERIVED,
-            inverse_of="same_origin_attack",
-        ),
-        RelationDef(
-            "in_the_same_organization", "Attacker", "Attacker", RelationKind.DERIVED,
-            inverse_of="in_the_same_organization",
-        ),
-    )
 
 
 class LookupTable(dict):
@@ -266,16 +235,13 @@ class LookupTable(dict):
 
 #: Concept name or synonym -> its concept.
 CONCEPTS = LookupTable(
-    "concept", ((n, c) for c in _concepts() for n in (c.name, *c.synonyms))
+    "concept", ((n, c) for c in CONCEPT_ROWS for n in (c.name, *c.synonyms))
 )
 
 #: Every relation name the graph accepts, aliases included, resolved once:
 #: (stored name, endpoints swapped, stored relation). Writes, reads,
 #: queries and rule bodies all resolve names through it.
-RELATIONS = LookupTable(
-    "relation",
-    ((r.name, (r.name, False, r)) for r in (*_relations(), *_derived_relations())),
-)
+RELATIONS = LookupTable("relation", ((r.name, (r.name, False, r)) for r in RELATION_ROWS))
 RELATIONS.update(
     (alias, (stored, swapped, RELATIONS[stored][2]))
     for aliases, swapped in ((RELATION_ALIASES, False), (SWAPPED_ALIASES, True))

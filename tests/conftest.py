@@ -9,13 +9,7 @@ from sekg.errors import DatasetError, GraphError
 from sekg.graph import PROPERTY_KEY_RE, RED_RELATIONS, Edge, KnowledgeGraph, Node
 from sekg.loader import EdgeRecord, NodeRecord, ScenarioRecord
 from sekg.query import Plan, parse_query
-from sekg.schema import (
-    RELATION_ALIASES,
-    SWAPPED_ALIASES,
-    _concepts,
-    _derived_relations,
-    _relations,
-)
+from sekg.schema import CONCEPT_ROWS, RELATION_ALIASES, RELATION_ROWS, SWAPPED_ALIASES
 
 
 @pytest.fixture(scope="session")
@@ -547,12 +541,6 @@ def reference_closure(graph) -> list:
             return added
 
 
-#: The schema's rows, read once. The references below scan them instead of
-#: indexing ``CONCEPTS`` or ``RELATIONS``, the tables they are diffed against.
-CONCEPT_ROWS = _concepts()
-RELATION_ROWS = (*_relations(), *_derived_relations())
-
-
 def stored_relation(name):
     """The stored relation called ``name``, by a linear scan of the schema's
     rows (asserted, then derived), or None; an alias is not a stored name."""
@@ -695,7 +683,7 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
             rel = stored_relation(relation)
             for env in solve(body, body.atoms, {}):
                 s, d = env[a], env[b]
-                if rel.irreflexive and s == d:
+                if s == d:
                     continue
                 if check_edge_conformance(
                     nodes[s].concept, relation, nodes[d].concept

@@ -282,7 +282,7 @@ def expected_write(concepts, src, relation, dst):
         return SchemaError, f"unknown relation: {relation!r}"
     if swapped:
         src, dst = dst, src
-    if rel.irreflexive and src == dst:
+    if src == dst:
         return GraphError, f"{stored} is irreflexive; got self-loop on {src!r}"
     reason = check_edge_conformance(concepts[src], stored, concepts[dst])
     if reason is not None:

@@ -24,6 +24,7 @@ from sekg.inference import (
     run_rules,
 )
 from sekg.query import Plan, parse_query, run_query
+from sekg.schema import RELATION_ROWS
 
 SYMMETRIC_DERIVED = (
     "same_attack_organization",
@@ -480,6 +481,13 @@ def test_builtin_plans_pinned():
     assert compiled == {name: list(plans) for name, plans in BUILTIN_PLANS.items()}
     labels = Counter(name for name, *_ in inference._AXIOMS)
     assert labels == {"R3": 4, "R2": 12}
+    # One R3 per row with a subproperty axiom, then one R2 per row with an
+    # inverse, in the schema table's row order.
+    heads = [(name, relation) for name, (_, relation, _), *_ in inference._AXIOMS]
+    assert heads == [
+        *(("R3", r.subproperty_of) for r in RELATION_ROWS if r.subproperty_of),
+        *(("R2", r.inverse_of) for r in RELATION_ROWS if r.inverse_of),
+    ]
 
 
 # -- canonical dataset ------------------------------------------------------

@@ -39,6 +39,16 @@ def fresh(code: str) -> str:
 LOADED = "print(sorted(m for m in sys.modules if m.startswith('sekg.')))"
 
 
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10, but the suite runs on
+    # a newer interpreter. ``feature_version`` rejects grammar added after
+    # 3.10 (best effort: ``except*`` is caught, a new library call is not).
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_import_sekg_loads_no_submodule():
     assert fresh(f"import sys, sekg; {LOADED}") == "[]"
 

@@ -173,8 +173,6 @@ def test_derived_relation_roster():
         "same_attack_organization",
         "same_origin_attack",
     ]
-    for r in derived.values():
-        assert r.irreflexive
     assert derived["attack"].inverse_of is None
     for name in (
         "same_attack_organization",
