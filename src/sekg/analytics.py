@@ -6,12 +6,16 @@ identical (and identically ordered) results.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from itertools import chain
 from typing import NamedTuple
 
 from .errors import GraphError
 from .graph import RED_RELATIONS, Direction, KnowledgeGraph
+
+#: Builds a record from a tuple of its fields, with no arity check.
+_new = tuple.__new__
 
 
 class End(Enum):
@@ -93,7 +97,7 @@ def ranked_usage(
             rank, previous = position + 1, count
         if rank > k:
             break
-        out.append(RankedCount(node_id, count, rank))
+        out.append(_new(RankedCount, (node_id, count, rank)))
     return out
 
 
@@ -142,18 +146,19 @@ def potential_threats_for_victim(
     are excluded.
     """
     own = set(_scenario_nodes(graph, victim_id))
-    shared: dict[str, list[str]] = {}
+    shared: dict[str, list[str]] = defaultdict(list)
     for method, hv in _chain_pairs(graph, victim_id=victim_id):
         if method not in own:
-            shared.setdefault(method, []).append(hv)
+            shared[method].append(hv)
     attackers = graph.adjacency("craft_and_perform", Direction.IN)
-    origin = graph.node(victim_id).scenario_id or 0
-    node, make = graph.node, ThreatPair._make
+    nodes = graph.node_map()
+    origin = nodes[victim_id].scenario_id or 0
     out = []
     for method, hvs in shared.items():
         evidence = frozenset(hvs)  # one per method, shared by its attackers' rows
         for a in attackers[method]:
-            out.append(make((a, method, victim_id, evidence, (node(a).scenario_id or 0, origin))))
+            origins = (nodes[a].scenario_id or 0, origin)
+            out.append(_new(ThreatPair, (a, method, victim_id, evidence, origins)))
     out.sort()
     return out
 
@@ -168,28 +173,27 @@ def potential_targets_for_attacker(
     method id). Alternate same-scenario methods of the victim are provided
     separately by :func:`alternate_methods_for_target`.
     """
-    reach: dict[str, list[str]] = {}  # the flaws each method reaches a victim by
+    own = set(_scenario_nodes(graph, attacker_id))
+    reach: dict[str, list[str]] = defaultdict(list)  # the flaws each method reaches
     for method, hv in _chain_pairs(graph, attacker_id=attacker_id):
-        reach.setdefault(method, []).append(hv)
-    by_method = {method: frozenset(hvs) for method, hvs in sorted(reach.items())}
+        reach[method].append(hv)
     victims = graph.adjacency("have_vul", Direction.IN)
-    targets: set[str] = set()
-    for hvs in by_method.values():
-        for hv in hvs:
-            targets.update(victims[hv])
-    targets.difference_update(_scenario_nodes(graph, attacker_id))
-    flaws = graph.adjacency("have_vul")
-    origin = graph.node(attacker_id).scenario_id or 0
-    out = []
-    for victim in sorted(targets):  # each victim once, each method once per victim
-        best: frozenset[str] = frozenset()
-        for method, hvs in by_method.items():  # in id order: a tie keeps the first
-            shared = hvs.intersection(flaws[victim])
-            if len(shared) > len(best):
-                chosen, best = method, shared
-        origins = (origin, graph.node(victim).scenario_id or 0)
-        out.append(ThreatPair(attacker_id, chosen, victim, best, origins))
-    return out
+    chosen: dict[str, tuple[str, list[str]]] = {}  # victim -> (method, shared flaws)
+    for method in sorted(reach):  # in id order: a tie keeps the first
+        shared: dict[str, list[str]] = defaultdict(list)
+        for hv in reach[method]:
+            for victim in victims[hv]:
+                shared[victim].append(hv)
+        for victim, hvs in shared.items():
+            if victim not in chosen or len(hvs) > len(chosen[victim][1]):
+                chosen[victim] = (method, hvs)
+    nodes = graph.node_map()
+    origin = nodes[attacker_id].scenario_id or 0
+    return [
+        _new(ThreatPair, (attacker_id, m, v, frozenset(hvs), (origin, nodes[v].scenario_id or 0)))
+        for v, (m, hvs) in sorted(chosen.items())
+        if v not in own
+    ]
 
 
 def alternate_methods_for_target(
@@ -218,7 +222,7 @@ def attack_paths_between(
     auxiliary = {method for hv in flaws for method in exploited_by.get(hv, ())}
     auxiliary.difference_update((m for m, _ in pairs), _scenario_nodes(graph, victim_id))
     steps = (("craft_and_perform", True), ("to_exploit", True), ("have_vul", False))
-    paths = [AttackPath((attacker_id, m, hv, victim_id), steps) for m, hv in pairs]
+    paths = [_new(AttackPath, ((attacker_id, m, hv, victim_id), steps)) for m, hv in pairs]
     return paths, sorted(auxiliary)
 
 
@@ -353,17 +357,23 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
     it: the (first's method, second's method) pairs in same_origin_attack.
     """
 
+    has_edge, edge = graph.has_edge, graph.edge
+
     def pairs(relation: str) -> list[tuple[tuple[str, str], str]]:
         """Each unordered pair once, endpoints in id order, with the
         provenance of its first edge in (src, dst) order: the pair's own
         edge unless only the reverse one is stored."""
-        listed: dict[tuple[str, str], str] = {}
-        for edge in graph.edges(relation):
-            src, _, dst, _ = edge
-            pair = (src, dst) if src <= dst else (dst, src)
-            if pair not in listed:
-                listed[pair] = edge.provenance
-        return sorted(listed.items())
+        into = graph.adjacency(relation, Direction.IN)
+        listed = []
+        for src, dsts in graph.adjacency(relation).items():
+            both_ways = dsts == into.get(src)  # each edge of src is stored reversed too
+            for dst in dsts:
+                if src < dst:
+                    listed.append(((src, dst), edge(src, relation, dst).provenance))
+                elif not (both_ways or has_edge(dst, relation, src)):
+                    listed.append(((dst, src), edge(src, relation, dst).provenance))
+        listed.sort()
+        return listed
 
     report: dict = {
         "same_affiliation": [],
@@ -393,7 +403,6 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
             }
         )
     performs = graph.adjacency("craft_and_perform")
-    same_origin = graph.adjacency("same_origin_attack")
     for (a, b), provenance in pairs("in_the_same_organization"):
         report["in_the_same_organization"].append(
             {
@@ -403,7 +412,7 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
                     [m1, m2]
                     for m1 in performs.get(a, ())
                     for m2 in performs.get(b, ())
-                    if m2 in same_origin.get(m1, ())
+                    if has_edge(m1, "same_origin_attack", m2)
                 ],
             }
         )

@@ -6,9 +6,10 @@ whether they were asserted by a dataset or produced by an inference rule.
 These reads come in id order: ``nodes``, ``node_ids``, ``nodes_with``,
 ``nodes_by_concept``, ``edges`` (one relation's by (src, dst), all of them
 by (src, relation, dst)), ``neighbors`` and each list of an ``adjacency``
-map. Two do not: the keys of an ``adjacency`` map follow the order in
+map. Three do not: the keys of an ``adjacency`` map follow the order in
 which the nodes got their first such edge, and the keys of
-``property_values`` follow node insertion. Sort those where order matters.
+``property_values`` and ``node_map`` follow node insertion. Sort those
+where order matters.
 
 ``KnowledgeGraph.add_edge`` is the only checked way in for an edge: the
 loader, axiom closure, the rules and ``scenario_subgraph`` all write
@@ -55,6 +56,10 @@ _new = tuple.__new__
 class Direction(Enum):
     OUT = "out"
     IN = "in"
+
+
+#: ``Direction.OUT``, read as a global: an Enum class lookup costs more.
+_OUT = Direction.OUT
 
 
 class Node(NamedTuple):
@@ -177,6 +182,10 @@ class KnowledgeGraph:
         except KeyError:
             raise GraphError(f"unknown node: {node_id!r}") from None
 
+    def node_map(self) -> Mapping[str, Node]:
+        """Every node by id, in insertion order: the graph's own map, read only."""
+        return self._nodes
+
     def nodes(self) -> tuple[Node, ...]:
         return tuple(self._nodes[i] for i in sorted(self._nodes))
 
@@ -191,8 +200,11 @@ class KnowledgeGraph:
         """Sorted ids of the nodes whose ``Node.property(key)`` is ``value``.
 
         ``None`` selects the nodes without the property. The groups of a key
-        are built on its first lookup and dropped when a node is added.
+        are built on its first lookup and dropped when a node is added. The key
+        ``"id"`` has no groups: it is answered from the node map.
         """
+        if key == "id":
+            return (value,) if value in self._nodes else ()
         groups = self._by_property.get(key)
         if groups is None:
             values = self.property_values(key)
@@ -289,6 +301,14 @@ class KnowledgeGraph:
     def has_edge(self, src: str, relation: str, dst: str) -> bool:
         return (src, relation, dst) in self._edges
 
+    def edge(self, src: str, relation: str, dst: str) -> Edge:
+        """The stored edge, named like ``has_edge`` names it (no alias); a
+        missing one raises ``GraphError``."""
+        try:
+            return self._edges[(src, relation, dst)]
+        except KeyError:
+            raise GraphError(f"unknown edge: ({src}, {relation}, {dst})") from None
+
     def edges(self, relation: str | None = None) -> tuple[Edge, ...]:
         """All edges by (src, relation, dst), or one relation's edges.
 
@@ -336,7 +356,7 @@ class KnowledgeGraph:
         name, swapped, _ = RELATIONS[relation]
         if type(direction) is not Direction:
             raise TypeError(f"direction must be a Direction, got {direction!r}")
-        index = self._out if (direction is Direction.OUT) != swapped else self._in
+        index = self._out if (direction is _OUT) != swapped else self._in
         return index.get(name, {})
 
     # -- scenario views ------------------------------------------------------

@@ -48,6 +48,9 @@ _TOKEN_RE = re.compile(
 )
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
+#: Builds a record from a tuple of its fields, with no arity check.
+_new = tuple.__new__
+
 
 class Token(NamedTuple):
     kind: str
@@ -58,19 +61,19 @@ class Token(NamedTuple):
 def tokenize(text: str) -> list[Token]:
     """Scan ``text`` into tokens; offsets index into the source string."""
     tokens: list[Token] = []
-    append, make = tokens.append, Token._make
+    append = tokens.append
     # Each match starts where the last one ended; the first at the end is EOF.
     for m in _TOKEN_RE.finditer(text):
         group = m.lastindex
         word, offset = m[group], m.start(group)
         if group == 1:
-            append(make((word, word, offset)))
+            append(_new(Token, (word, word, offset)))
         elif group == 3:
-            append(make((word if word in KEYWORDS else "IDENT", word, offset)))
+            append(_new(Token, (word if word in KEYWORDS else "IDENT", word, offset)))
         elif group == 2:
-            append(make(("STRING", _ESCAPE_RE.sub(r"\1", word[1:-1]), offset)))
+            append(_new(Token, ("STRING", _ESCAPE_RE.sub(r"\1", word[1:-1]), offset)))
         elif group == 4:
-            append(make(("EOF", "", offset)))
+            append(_new(Token, ("EOF", "", offset)))
             break
         elif word == '"':
             message = "unterminated string literal"
@@ -657,7 +660,7 @@ def evaluate_query(
     rows = zip(*columns)
     rows = sorted(set(rows) if query.distinct else rows)
     labels = tuple(item.label for item in query.returns)
-    return [BindingRow(tuple(zip(labels, row))) for row in rows]
+    return [_new(BindingRow, (tuple(zip(labels, row)),)) for row in rows]
 
 
 def run_query(text: str, graph: KnowledgeGraph) -> list[BindingRow]:

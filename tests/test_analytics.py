@@ -773,3 +773,37 @@ def test_same_origin_report_matches_reference(graph, seed):
         ],
     }
     assert same_origin_report(graph) == expected
+
+
+@pytest.mark.parametrize("copies", [1, 4])
+def test_read_ops_return_whole_records(graph, copies):
+    """Every record a read op returns is of its class and as wide as it,
+    on the bundled graph and on four copies of it: the ops build their
+    records with ``tuple.__new__``, which skips the NamedTuple arity check."""
+    from sekg.query import BindingRow, Token, evaluate_query, parse_query, tokenize
+
+    if copies > 1:
+        graph = replicated_graph(graph, copies)
+    attackers = [n.id for n in graph.nodes_by_concept("Attacker")]
+    victims = [n.id for n in graph.nodes_by_concept("AttackTarget")]
+    records = []
+    for v in victims:
+        records += potential_threats_for_victim(graph, v)
+    for a in attackers:
+        records += potential_targets_for_attacker(graph, a)
+        for v in victims:
+            records += attack_paths_between(graph, a, v)[0]
+    for relation in ("craft_and_perform", "to_exploit", "have_vul", "same_origin_attack"):
+        for end in End:
+            records += ranked_usage(graph, relation, end, 3)
+    for text in (
+        "MATCH (a:Attacker)-[:craft_and_perform]->(m) RETURN a, m, m.kind",
+        'MATCH (n {scenario_id="1"}) RETURN n',
+        "MATCH (a)-[:in_the_same_organization]->(b) RETURN DISTINCT b",
+    ):
+        records += tokenize(text)
+        records += evaluate_query(parse_query(text), graph)
+    kinds = {type(r) for r in records}
+    assert kinds == {ThreatPair, RankedCount, analytics.AttackPath, BindingRow, Token}
+    for record in records:
+        assert len(record) == len(type(record)._fields), record

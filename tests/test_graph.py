@@ -323,6 +323,45 @@ def test_edge_provenance():
     assert derived.provenance == "inferred:R1"
 
 
+def test_edge_reads_one_stored_edge(graph):
+    g = small_graph()
+    stored = g.edge("attacker1", "craft_and_perform", "pretexting1")
+    assert stored == find_edge(g, "attacker1", "craft_and_perform", "pretexting1")
+    assert stored.provenance == "asserted"
+    g.add_edge("attacker1", "attack", "victim1", rule="R1")
+    inferred = g.edge("attacker1", "attack", "victim1")
+    assert inferred.provenance == "inferred:R1"
+    assert inferred is find_edge(g, "attacker1", "attack", "victim1")
+    for src, relation, dst in [
+        ("victim1", "attack", "attacker1"),  # the reverse of a stored edge
+        ("attacker1", "conduct", "pretexting1"),  # an alias: the stored name only
+        ("ghost", "attack", "victim1"),
+    ]:
+        with pytest.raises(GraphError) as err:
+            g.edge(src, relation, dst)
+        assert str(err.value) == f"unknown edge: ({src}, {relation}, {dst})"
+    for edge in graph.edges():
+        assert graph.edge(*edge.key()) is edge
+
+
+def test_node_map_holds_every_node(graph):
+    nodes = graph.node_map()
+    assert sorted(nodes) == list(graph.node_ids())
+    assert all(nodes[node_id] is graph.node(node_id) for node_id in graph.node_ids())
+
+
+def test_nodes_with_id_reads_the_node_map():
+    g = small_graph()
+    assert g.nodes_with("id", "victim1") == ("victim1",)
+    assert g.nodes_with("id", "victim2") == ()
+    assert g.nodes_with("id", None) == ()  # every node has an id
+    g.add_node(Node("victim2", "AttackTarget", 1))  # after the first lookup
+    assert g.nodes_with("id", "victim2") == ("victim2",)
+    for node_id in g.node_ids():
+        assert g.nodes_with("id", node_id) == (node_id,)
+        assert has_node(g, node_id)
+
+
 def test_edges_sorted_and_filtered():
     g = small_graph()
     keys = [e.key() for e in g.edges()]

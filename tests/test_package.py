@@ -207,6 +207,26 @@ def test_every_public_name_has_a_non_test_user():
     assert unused == []
 
 
+#: The ``KnowledgeGraph`` fields no module but ``graph.py`` may read.
+GRAPH_INTERNALS = re.compile(r"\._(?:nodes|edges|out|in|property_values|by_property)\b")
+
+
+def test_only_the_graph_module_reads_graph_internals():
+    # Other modules go through the graph's public reads (``node_map``,
+    # ``adjacency``, ``property_values``, ``edge`` ...), so a faster read
+    # path is one the whole package can use and the tests can check.
+    assert GRAPH_INTERNALS.search("graph._in.get(x)")
+    assert not GRAPH_INTERNALS.search("self._index, graph._nodes_seen")
+    readers = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "graph.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if GRAPH_INTERNALS.search(line)
+    ]
+    assert readers == []
+
+
 def test_calls_the_traced_benchmark_reads_stay_reachable(monkeypatch, graph):
     # ``benchmarks/run.py --trace 1`` wraps each public function where it is
     # looked up, and its per-layer rows fail with "no spans for ..." when a

@@ -513,6 +513,29 @@ def test_property_lookups_follow_node_writes():
     assert rows(g.scenario_subgraph(2)) == [("v2",)]
 
 
+def test_id_lookups_follow_node_writes():
+    """An id lookup reads the node map: a node added after the first lookup
+    is found, and an absent id or a missing value finds nothing."""
+    g = KnowledgeGraph()
+    g.register_scenario(1, "t1")
+    g.add_node(Node("v1", "AttackTarget", 1))
+    queries = [parse_query(f'MATCH (v {{id="{i}"}}) RETURN v') for i in ("v1", "v2", "v3")]
+
+    def rows():
+        got = [[r.values for r in evaluate_query(q, g)] for q in queries]
+        assert got == [reference_eval(q, g) for q in queries]
+        return got
+
+    assert rows() == [[("v1",)], [], []]
+    g.add_node(Node("v2", "AttackTarget", 1))
+    assert rows() == [[("v1",)], [("v2",)], []]
+    g.add_node(Node("m1", "AttackMethod", 1, properties={"kind": "v2"}))
+    g.add_node(Node("m2", "AttackMethod", 1))  # no kind: its lookup value is None
+    plan = parse_query("MATCH (m:AttackMethod), (x) WHERE x.id = m.kind RETURN m, x").body.plan()
+    assert [step[0] for step in plan.steps] == ["lookup", "lookup"]
+    assert match(g, plan) == reference_match(g, plan) == [("m1", "v2")]
+
+
 def test_property_tests_follow_node_writes():
     """A WHERE test reads the graph's property values, which are dropped
     when a node is added, like the property index."""
