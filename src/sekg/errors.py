@@ -27,7 +27,8 @@ class DatasetError(SekgError):
 
 
 class RuleError(SekgError):
-    """Ill-formed inference rule (e.g. head variable not bound in the body)."""
+    """Ill-formed inference rule: a RETURN other than two distinct variables,
+    or a body that gives a head variable a concept the head relation refuses."""
 
 
 class QueryParseError(SekgError):

@@ -16,7 +16,7 @@ loader, axiom closure, the rules and ``scenario_subgraph`` all write
 through it. It raises ``SchemaError`` for an unknown relation and
 ``GraphError`` for a frozen graph, an unknown endpoint, a self-loop or a
 domain or range mismatch. The loader reports a refusal as a
-``DatasetError``; inference drops a refused rule head silently.
+``DatasetError``; inference types each rule head so that none is refused.
 
 Writes and reads resolve a relation name by indexing ``RELATIONS``, and a
 node's concept by indexing ``CONCEPTS`` (both in ``sekg.schema``): an alias

@@ -18,10 +18,9 @@ terminates on any finite graph.
 
 Every inferred edge records the name of the rule that produced it. R3 runs
 before R2, so an edge derivable both ways is labelled ``R3``, whatever the
-node ids. Heads are written through ``KnowledgeGraph.add_edge``, which
-checks them against the schema; a head it refuses (wrong endpoint concepts
-or a self-loop) is dropped rather than raised:
-the body of a rule constrains structure, the schema constrains the head.
+node ids. Each head is typed from the schema when its rule is compiled, so
+``add_edge`` accepts every head a body yields; a body that contradicts its
+head raises ``RuleError`` before anything is written.
 """
 
 from functools import cache
@@ -29,15 +28,11 @@ from typing import NamedTuple
 
 from .errors import GraphError, RuleError
 from .graph import Edge, KnowledgeGraph
-from .query import Plan, match, parse_query
+from .query import Condition, Operand, Plan, has_property, match, parse_query
 from .schema import RELATION_ROWS, RELATIONS
 
 INVERSE_RULE = "R2"
 SUBPROPERTY_RULE = "R3"
-
-#: Rounds after which one fixpoint run gives up: the axiom closure and the
-#: rule rounds of ``run_rules`` are each bounded by it.
-MAX_ROUNDS = 1000
 
 
 class Rule(NamedTuple):
@@ -114,28 +109,45 @@ def builtin_ruleset() -> tuple[Rule, ...]:
 
 @cache
 def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
-    """The rule, parsed and planned: (name, head, body plan, per-atom plans).
+    """The rule, typed and planned: (name, head, body plan, per-atom plans).
 
-    Every ``=`` test of the body is made strict, so an absent property
-    equals nothing. A head endpoint is the slot of its variable in the
-    body's rows. Per relation atom, the body without that atom is planned
-    with the atom's endpoints as inputs, and kept as (relation, plan, is a
-    self-loop). Cached: each rule is parsed and planned once per process.
+    The head ``(x, relation, y)`` gets concept tests, the relation's domain
+    on x and range on y, where no atom or concept test of the body gives
+    them, and ``x <> y`` where domain and range are one concept and no atom
+    or ``<>`` test joins x and y: ``add_edge`` accepts every head. A body
+    giving x or y another concept, or ``RETURN a, a``, raises ``RuleError``.
+    Every ``=`` test is made strict: an absent property equals nothing. A
+    head endpoint is the slot of its variable in the body's rows. Per
+    relation atom other than a self-loop, which no edge matches, the body
+    without it is planned with its endpoints as inputs: (relation, plan).
+    Cached: each rule is parsed and planned once per process.
     """
     query = parse_query(rule.body)
     if query.distinct or len(query.returns) != 2 or any(i.key for i in query.returns):
         raise RuleError(f"rule {rule.name}: RETURN must be two variables")
-    tests = tuple(t._replace(strict=t.op == "=") for t in query.body.tests)
-    body = query.body._replace(tests=tests)
-    relation, swapped, _ = RELATIONS[rule.relation]
-    slot = {v: i for i, v in enumerate(body.variables)}
-    a, b = (slot[item.variable] for item in query.returns)
-    head = (b, relation, a) if swapped else (a, relation, b)
+    relation, swapped, rel = RELATIONS[rule.relation]
+    a, b = (item.variable for item in query.returns)
+    x, y = (b, a) if swapped else (a, b)
+    if x == y:
+        raise RuleError(f"rule {rule.name}: RETURN {x}, {x} yields only self-loops")
+    body, tests = query.body, list(query.body.tests)
+    given = body.typed() | {t.typed() for t in tests} - {None}
+    for var, concept in ((x, rel.domain), (y, rel.range)):
+        if other := {c for v, c in given if v == var} - {concept}:
+            raise RuleError(f"rule {rule.name}: {var} is {min(other)}, {relation} needs {concept}")
+        if (var, concept) not in given:
+            tests.append(has_property(var, "concept", concept))
+    joined = [{src, dst} for src, _, dst in body.atoms]
+    joined += [t.variables() for t in tests if t.op == "<>" and not (t.left.key or t.right.key)]
+    if rel.domain == rel.range and {x, y} not in joined:
+        tests.append(Condition(Operand(x, None, None), "<>", Operand(y, None, None)))
+    body = body._replace(tests=tuple(t._replace(strict=t.op == "=") for t in tests))
     per_atom = []
-    for i, (src, relation, dst) in enumerate(body.atoms):
-        rest = body._replace(atoms=body.atoms[:i] + body.atoms[i + 1 :])
-        inputs = tuple(dict.fromkeys((src, dst)))
-        per_atom.append((relation, rest.plan(inputs=inputs), src == dst))
+    for i, (src, atom_relation, dst) in enumerate(body.atoms):
+        if src != dst:
+            rest = body._replace(atoms=body.atoms[:i] + body.atoms[i + 1 :])
+            per_atom.append((atom_relation, rest.plan(inputs=(src, dst))))
+    head = (body.variables.index(x), relation, body.variables.index(y))
     return rule.name, head, body.plan(), per_atom
 
 
@@ -164,14 +176,14 @@ def _fixpoint(
     added in this call since its previous join began. Per relation atom,
     the plan of the body without that atom runs with those pairs of the
     atom's relation as input rows; the other atoms are joined against the
-    current graph. A self-loop atom ``(?x, r, ?x)`` takes only the pairs
-    with ``src == dst``. A rule thus sees its own emissions and everything
-    added since it last ran, and never gets the same edge as an input row
-    twice. Bodies without relation atoms run only once.
+    current graph. A rule thus sees its own emissions and everything added
+    since it last ran, and never gets the same edge as an input row twice.
+    Bodies without relation atoms run only once.
 
-    Emissions go into ``result``; ``result.iterations`` becomes this call's
-    round count, the last round adding nothing. More than ``MAX_ROUNDS``
-    rounds raise ``GraphError``.
+    Each new head goes to ``add_edge``, which accepts it (``_compile``
+    typed it), and into ``result``. ``result.iterations`` becomes this
+    call's round count, the last round adding nothing, so at most one more
+    than the edges added.
     """
     rules = fresh + joined
     added: dict[str, list[tuple[str, ...]]] = {}
@@ -181,8 +193,6 @@ def _fixpoint(
     rounds = 0
     while True:
         rounds += 1
-        if rounds > MAX_ROUNDS:
-            raise GraphError(f"no fixpoint after {MAX_ROUNDS} rounds")
         before = len(edges)
         for i, (name, (a, head_relation, b), plan, per_atom) in enumerate(rules):
             offsets, seen[i] = seen[i], {r: len(p) for r, p in added.items()}
@@ -190,23 +200,17 @@ def _fixpoint(
                 rows = match(graph, plan)
             else:
                 rows = []
-                for relation, rest, loop in per_atom:
+                for relation, rest in per_atom:
                     pairs = added.get(relation, [])[offsets.get(relation, 0) :]
-                    if loop:
-                        pairs = [(src,) for src, dst in pairs if src == dst]
                     if pairs:
                         rows += match(graph, rest, pairs)
             emitted = added.setdefault(head_relation, [])
             start = len(emitted)
             for row in rows:
                 src, dst = row[a], row[b]
-                if has_edge(src, head_relation, dst):
-                    continue
-                try:
+                if not has_edge(src, head_relation, dst):
                     edges.append(add_edge(src, head_relation, dst, name))
-                except GraphError:
-                    continue  # a head the schema refuses is dropped
-                emitted.append((src, dst))
+                    emitted.append((src, dst))
             if len(emitted) > start:
                 fired[name] = fired.get(name, 0) + len(emitted) - start
         if len(edges) == before:

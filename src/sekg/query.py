@@ -109,6 +109,14 @@ class Condition(NamedTuple):
             o.variable for o in (self.left, self.right) if o.variable is not None
         )
 
+    def typed(self) -> tuple[str, str] | None:
+        """(variable, concept) if this is the concept test ``(v:Concept)``
+        makes, else None."""
+        left, right = self.left, self.right
+        if self.op == "=" and left.key == "concept" and right.variable is None:
+            return left.variable, right.literal
+        return None
+
 
 class ReturnItem(NamedTuple):
     variable: str
@@ -242,7 +250,7 @@ class _Parser:
                 raise QueryParseError(
                     f"unknown concept: {tok.text!r}", tok.offset, frozenset()
                 ) from None
-            self.tests.append(_equals(name, "concept", concept))
+            self.tests.append(has_property(name, "concept", concept))
             allowed = {"{", ")"}
         if self.peek().kind == "{":
             self.advance()
@@ -260,7 +268,7 @@ class _Parser:
         key = self.expect("IDENT")
         self.expect("=")
         value = self.expect("STRING")
-        return _equals(name, key.text, value.text)
+        return has_property(name, key.text, value.text)
 
     def parse_edge(self) -> tuple[str, bool]:
         """Read one edge; returns its stored relation and whether its atom
@@ -309,7 +317,7 @@ class _Parser:
         return ReturnItem(tok.text, key)
 
 
-def _equals(name: str, key: str, value: str) -> Condition:
+def has_property(name: str, key: str, value: str) -> Condition:
     """The test that node ``name`` has ``value`` for ``key``."""
     return Condition(Operand(name, key, None), "=", Operand(None, None, value))
 
@@ -370,6 +378,15 @@ class Conjunction(NamedTuple):
     tests: tuple[Condition, ...]
     variables: tuple[str, ...]
 
+    def typed(self) -> set[tuple[str, str]]:
+        """(variable, concept) pairs the atoms imply: an atom's source has
+        its relation's domain and its target the range."""
+        typed = set()
+        for src, rel, dst in self.atoms:
+            relation = RELATIONS[rel][2]
+            typed.update(((src, relation.domain), (dst, relation.range)))
+        return typed
+
     def plan(self, inputs: tuple[str, ...] = ()) -> Plan:
         """Fix the step order once. ``inputs`` are variables bound before the
         join starts, from the rows supplied at run time.
@@ -389,11 +406,8 @@ class Conjunction(NamedTuple):
         if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
             raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
         atoms = list(self.atoms)
-        typed: set[tuple[str, str]] = set()
-        for src, rel, dst in atoms:
-            relation = RELATIONS[rel][2]
-            typed.update(((src, relation.domain), (dst, relation.range)))
-        tests = [(t, t.variables()) for t in self.tests if _typed_by(t) not in typed]
+        typed = self.typed()
+        tests = [(t, t.variables()) for t in self.tests if t.typed() not in typed]
         bound = set(inputs)
         steps: list[tuple] = []
         while True:
@@ -454,15 +468,6 @@ def _operand(
     """``operand`` as a plan reads it: (slot or None, key, literal)."""
     index = None if operand.variable is None else slot[operand.variable]
     return (index, operand.key, operand.literal)
-
-
-def _typed_by(test: Condition) -> tuple[str, str] | None:
-    """(variable, concept) if ``test`` is the concept test ``(v:Concept)``
-    makes, else None."""
-    left, right = test.left, test.right
-    if test.op == "=" and left.key == "concept" and right.variable is None:
-        return left.variable, right.literal
-    return None
 
 
 def _as_lookup(test: Condition, bound: set[str]) -> tuple[Operand, Operand] | None:

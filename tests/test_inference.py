@@ -1,7 +1,9 @@
 import pytest
+import random
 from collections import Counter
 
 from conftest import (
+    AFFILIATIONS,
     check_edge_conformance,
     crosslinked_graph,
     find_edge,
@@ -170,15 +172,40 @@ def test_r6_needs_all_three_signals():
     assert g.edges("in_the_same_organization") == ()
 
 
-def test_nonconformant_head_dropped():
+def test_head_contradicted_by_body_raises():
+    # A body that gives a head variable another concept than the head
+    # relation's, or a RETURN naming one variable twice, could only yield
+    # heads add_edge refuses: each is a RuleError before anything is written.
     g = chain_fixture()
     g.add_edge("m", "to_exploit", g.add_node(Node("greed", "HumanVulnerability")).id)
-    # head endpoints are (AttackMethod, HumanVulnerability): attack expects
-    # (Attacker, AttackTarget), so every firing is silently dropped
-    bad_head = Rule("X1", "attack", "MATCH (m)-[:to_exploit]->(h) RETURN m, h")
-    result = run_rules(g, [bad_head])
-    assert g.edges("attack") == ()
-    assert all(e.rule == "R2" for e in result.added)
+    before = g.edges()
+    for relation, body, message in (
+        # an atom types m and h, as (AttackMethod, HumanVulnerability)
+        (
+            "attack",
+            "MATCH (m)-[:to_exploit]->(h) RETURN m, h",
+            "m is AttackMethod, attack needs Attacker",
+        ),
+        # a label types v; the swapped alias's head is to_exploit(m, v)
+        (
+            "exploited_by",
+            "MATCH (v:Victim), (m) RETURN v, m",
+            "v is AttackTarget, to_exploit needs HumanVulnerability",
+        ),
+        (
+            "attack",
+            'MATCH (a:Attacker), (v {concept="AttackMethod"}) RETURN a, v',
+            "v is AttackMethod, attack needs AttackTarget",
+        ),
+        (
+            "attack",
+            "MATCH (a)-[:craft_and_perform]->(am) RETURN a, a",
+            "RETURN a, a yields only self-loops",
+        ),
+    ):
+        with pytest.raises(RuleError, match=f"^rule X1: {message}$"):
+            run_rules(g, [Rule("X1", relation, body)])
+    assert g.edges() == before
 
 
 def test_irreflexive_head_dropped():
@@ -291,9 +318,10 @@ def test_swapped_alias_head():
 
 OUT, IN = Direction.OUT, Direction.IN
 
-#: The compiled head, body plan and per-atom plans of each builtin rule.
-#: The planner breaks ties in written order, so reordering a body's atoms
-#: fails this pin.
+#: The compiled head, body plan and per-atom (relation, plan) entries of
+#: each builtin rule. The planner breaks ties in written order, so
+#: reordering a body's atoms fails this pin. R5 alone gets head concept
+#: tests: its body types neither variable.
 BUILTIN_PLANS = {
     "R1": (
         (0, "attack", 2),
@@ -305,10 +333,10 @@ BUILTIN_PLANS = {
         [
             ("craft_and_perform", Plan((
                 ("adjacent", 2, "apply_to", OUT, 1),
-            ), 3, (0, 1)), False),
+            ), 3, (0, 1))),
             ("apply_to", Plan((
                 ("adjacent", 0, "craft_and_perform", IN, 1),
-            ), 3, (1, 2)), False),
+            ), 3, (1, 2))),
         ],
     ),
     "R4": (
@@ -327,33 +355,34 @@ BUILTIN_PLANS = {
                 ("adjacent", 3, "attack", IN, 2),
                 ("has_edge", 0, "motivate", 3),
                 ("test", (1, None, None), (3, None, None), True, False),
-            ), 4, (0, 1)), False),
+            ), 4, (0, 1))),
             ("attack", Plan((
                 ("adjacent", 0, "motivate", IN, 1),
                 ("adjacent", 3, "attack", IN, 2),
                 ("has_edge", 0, "motivate", 3),
                 ("test", (1, None, None), (3, None, None), True, False),
-            ), 4, (1, 2)), False),
+            ), 4, (1, 2))),
             ("attack", Plan((
                 ("adjacent", 1, "attack", IN, 2),
                 ("test", (1, None, None), (3, None, None), True, False),
                 ("adjacent", 0, "motivate", IN, 1),
                 ("has_edge", 0, "motivate", 3),
-            ), 4, (3, 2)), False),
+            ), 4, (3, 2))),
             ("motivate", Plan((
                 ("adjacent", 1, "motivate", OUT, 0),
                 ("test", (1, None, None), (3, None, None), True, False),
                 ("adjacent", 2, "attack", OUT, 1),
                 ("has_edge", 3, "attack", 2),
-            ), 4, (0, 3)), False),
+            ), 4, (0, 3))),
         ],
     ),
     "R5": (
         (0, "same_affiliation", 1),
         Plan((
-            ("nodes", 0),
+            ("lookup", 0, "concept", (None, None, "AttackTarget"), True),
             ("lookup", 1, "affiliation", (0, "affiliation", None), True),
             ("test", (0, None, None), (1, None, None), True, False),
+            ("test", (1, "concept", None), (None, None, "AttackTarget"), False, True),
         ), 2, ()),
         [
         ],
@@ -382,7 +411,7 @@ BUILTIN_PLANS = {
                 ("adjacent", 5, "attack", OUT, 0),
                 ("adjacent", 6, "attack", OUT, 2),
                 ("has_edge", 5, "same_affiliation", 6),
-            ), 7, (0, 1)), False),
+            ), 7, (0, 1))),
             ("craft_and_perform", Plan((
                 ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
                 ("test", (1, None, None), (3, None, None), True, False),
@@ -392,7 +421,7 @@ BUILTIN_PLANS = {
                 ("adjacent", 5, "attack", OUT, 0),
                 ("adjacent", 6, "attack", OUT, 2),
                 ("has_edge", 5, "same_affiliation", 6),
-            ), 7, (2, 3)), False),
+            ), 7, (2, 3))),
             ("motivated_by", Plan((
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
                 ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
@@ -402,7 +431,7 @@ BUILTIN_PLANS = {
                 ("adjacent", 5, "attack", OUT, 0),
                 ("adjacent", 6, "attack", OUT, 2),
                 ("has_edge", 5, "same_affiliation", 6),
-            ), 7, (0, 4)), False),
+            ), 7, (0, 4))),
             ("motivated_by", Plan((
                 ("adjacent", 3, "craft_and_perform", OUT, 2),
                 ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
@@ -412,7 +441,7 @@ BUILTIN_PLANS = {
                 ("adjacent", 5, "attack", OUT, 0),
                 ("adjacent", 6, "attack", OUT, 2),
                 ("has_edge", 5, "same_affiliation", 6),
-            ), 7, (2, 4)), False),
+            ), 7, (2, 4))),
             ("attack", Plan((
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
                 ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
@@ -422,7 +451,7 @@ BUILTIN_PLANS = {
                 ("has_edge", 2, "motivated_by", 4),
                 ("adjacent", 6, "attack", OUT, 2),
                 ("has_edge", 5, "same_affiliation", 6),
-            ), 7, (0, 5)), False),
+            ), 7, (0, 5))),
             ("attack", Plan((
                 ("adjacent", 3, "craft_and_perform", OUT, 2),
                 ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
@@ -432,7 +461,7 @@ BUILTIN_PLANS = {
                 ("has_edge", 2, "motivated_by", 4),
                 ("adjacent", 5, "attack", OUT, 0),
                 ("has_edge", 5, "same_affiliation", 6),
-            ), 7, (2, 6)), False),
+            ), 7, (2, 6))),
             ("same_affiliation", Plan((
                 ("adjacent", 0, "attack", IN, 5),
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
@@ -442,7 +471,7 @@ BUILTIN_PLANS = {
                 ("has_edge", 2, "attack", 6),
                 ("adjacent", 4, "motivated_by", OUT, 0),
                 ("has_edge", 2, "motivated_by", 4),
-            ), 7, (5, 6)), False),
+            ), 7, (5, 6))),
         ],
     ),
     "R7": (
@@ -459,17 +488,17 @@ BUILTIN_PLANS = {
                 ("adjacent", 2, "craft_and_perform", IN, 0),
                 ("adjacent", 3, "craft_and_perform", IN, 1),
                 ("test", (2, None, None), (3, None, None), True, False),
-            ), 4, (0, 1)), False),
+            ), 4, (0, 1))),
             ("craft_and_perform", Plan((
                 ("adjacent", 1, "same_origin_attack", OUT, 0),
                 ("adjacent", 3, "craft_and_perform", IN, 1),
                 ("test", (2, None, None), (3, None, None), True, False),
-            ), 4, (2, 0)), False),
+            ), 4, (2, 0))),
             ("craft_and_perform", Plan((
                 ("adjacent", 0, "same_origin_attack", IN, 1),
                 ("adjacent", 2, "craft_and_perform", IN, 0),
                 ("test", (2, None, None), (3, None, None), True, False),
-            ), 4, (3, 1)), False),
+            ), 4, (3, 1))),
         ],
     ),
 }
@@ -488,6 +517,42 @@ def test_builtin_plans_pinned():
         *(("R3", r.subproperty_of) for r in RELATION_ROWS if r.subproperty_of),
         *(("R2", r.inverse_of) for r in RELATION_ROWS if r.inverse_of),
     ]
+
+
+def concept_steps(plan: Plan) -> list[tuple]:
+    """The steps of ``plan`` that look up or test a node's concept."""
+    return [
+        step
+        for step in plan.steps
+        if step[0] == "lookup" and step[2] == "concept"
+        or step[0] == "test" and "concept" in (step[1][1], step[2][1])
+    ]
+
+
+def test_head_tests_only_where_the_body_leaves_a_type_open():
+    # Per-atom rows are edges the schema typed, and an axiom's atom types
+    # both head variables, so no delta plan and no axiom plan checks a
+    # concept; R5's body types neither variable and alone gets the tests.
+    compiled = [*map(inference._compile, builtin_ruleset()), *inference._AXIOMS]
+    for name, _, plan, per_atom in compiled:
+        assert (concept_steps(plan) != []) == (name == "R5"), name
+        assert all(concept_steps(rest) == [] for _, rest in per_atom), name
+    # Labels that agree with the head type it as well: no test is added,
+    # so the plan runs R5's steps, the label tests first.
+    r5 = inference._compile(builtin_ruleset()[2])
+    labelled = Rule(
+        "X",
+        "same_affiliation",
+        "MATCH (v1:Victim), (v2:AttackTarget)"
+        " WHERE v1.affiliation = v2.affiliation AND v1 <> v2 RETURN v1, v2",
+    )
+    assert Counter(inference._compile(labelled)[2].steps) == Counter(r5[2].steps)
+    # Without the body's <>, the head's same concept on both ends adds it.
+    loopy = Rule(
+        "X", "same_affiliation", "MATCH (x), (y) WHERE x.affiliation = y.affiliation RETURN x, y"
+    )
+    apart = ("test", (0, None, None), (1, None, None), True, False)
+    assert apart in inference._compile(loopy)[2].steps
 
 
 # -- canonical dataset ------------------------------------------------------
@@ -559,6 +624,7 @@ def test_random_graphs_properties():
 def test_matches_naive_fixpoint_reference(load_result):
     rules = builtin_ruleset()
     graphs = [load_result.graph] + [random_conformant_graph(s) for s in range(100)]
+    graphs += [stray_affiliations(s) for s in range(100)]
     for i, source in enumerate(graphs):
         expected = reference_fixpoint(source, rules)
         g = thaw(source)
@@ -628,13 +694,14 @@ def test_later_rule_feeds_earlier_rule(load_result):
             assert result.fired["R7"] == 2
 
 
-def test_rule_feeds_itself():
-    # attack spreads along same_attack_organization one hop per round, so
-    # the rule must join its own emissions of the round before
+def spreading_chain(n: int) -> tuple[KnowledgeGraph, Rule]:
+    """``n`` attackers in a same_attack_organization chain, the first with
+    a method applied to ``v``, and a rule that spreads attack on ``v`` one
+    hop along the chain per round."""
     g = KnowledgeGraph()
     g.register_scenario(1, "t")
     g.add_node(Node("v", "AttackTarget", 1))
-    for i in range(6):
+    for i in range(n):
         g.add_node(Node(f"x{i}", "Attacker", 1))
         if i:
             g.add_edge(f"x{i - 1}", "same_attack_organization", f"x{i}")
@@ -645,6 +712,13 @@ def test_rule_feeds_itself():
         "attack",
         "MATCH (a)-[:attack]->(v), (a)-[:same_attack_organization]->(b) RETURN b, v",
     )
+    return g, spread
+
+
+def test_rule_feeds_itself():
+    # attack spreads along same_attack_organization one hop per round, so
+    # the rule must join its own emissions of the round before
+    g, spread = spreading_chain(6)
     rules = (spread,) + builtin_ruleset()
     expected = reference_fixpoint(g, rules)
     result = run_rules(g, rules)
@@ -746,19 +820,69 @@ def test_semi_naive_graph_read_counts(load_result, monkeypatch):
     assert chain.edge_count == 24 * 23
 
 
-def test_round_limit_raises(monkeypatch):
-    # MAX_ROUNDS bounds each fixpoint run separately: the closure of the
-    # chain takes 2 rounds, so the limits below trip in the rule rounds.
-    chain, transitive = transitive_chain()
-    monkeypatch.setattr(inference, "MAX_ROUNDS", 2)
-    added = axiom_closure(chain).added
-    assert len(added) == 23 and {e.rule for e in added} == {"R2"}
-    chain, transitive = transitive_chain()
-    monkeypatch.setattr(inference, "MAX_ROUNDS", 6)
-    assert run_rules(chain, [transitive]).iterations == 6
-    for limit in (1, 5):
-        chain, transitive = transitive_chain()
-        monkeypatch.setattr(inference, "MAX_ROUNDS", limit)
-        with pytest.raises(GraphError, match=f"^no fixpoint after {limit} rounds$"):
-            run_rules(chain, [transitive])
+def test_long_chain_reaches_its_fixpoint():
+    # One hop per round over 1100 attackers: R1 in round 1, 1099 hops, then
+    # an empty round. Every round but the last adds an edge, so the run ends
+    # on any finite graph without a cap on its rounds.
+    g, spread = spreading_chain(1100)
+    result = run_rules(g, (spread,) + builtin_ruleset())
+    assert result.fired["S"] == 1099
+    assert result.iterations == 1101
+    assert {e.src for e in g.edges("attack")} == {f"x{i}" for i in range(1100)}
+
+
+def stray_affiliations(seed: int) -> KnowledgeGraph:
+    """``random_conformant_graph(seed)`` with an affiliation on about half of
+    its attackers and methods too. R5's body, untyped, then pairs nodes
+    that same_affiliation does not admit."""
+    rng = random.Random(seed)
+    source = random_conformant_graph(seed)
+    g = KnowledgeGraph()
+    for sid, attack_type in source.scenarios.items():
+        g.register_scenario(sid, attack_type)
+    for node in source.nodes():
+        if node.concept in ("Attacker", "AttackMethod") and rng.random() < 0.5:
+            stray = {**node.properties, "affiliation": rng.choice(AFFILIATIONS)}
+            node = node._replace(properties=stray)
+        g.add_node(node)
+    for e in source.edges():
+        g.add_edge(e.src, e.relation, e.dst)
+    return g
+
+
+def refusals(monkeypatch, graph: KnowledgeGraph) -> int:
+    """``GraphError``s that ``KnowledgeGraph.add_edge`` raises while
+    ``run_inference(graph)`` runs."""
+    raised = []
+    add_edge = KnowledgeGraph.add_edge
+
+    def spy(self, *args, **kw):
+        try:
+            return add_edge(self, *args, **kw)
+        except GraphError as error:
+            raised.append(error)
+            raise
+
+    monkeypatch.setattr(KnowledgeGraph, "add_edge", spy)
+    run_inference(graph)
+    monkeypatch.undo()
+    return len(raised)
+
+
+def test_no_rule_head_is_refused(load_result, asserted_graph, monkeypatch):
+    # An attacker with a target's affiliation: R5's untyped body pairs it
+    # with both targets, 4 rows that add_edge would refuse.
+    stray = KnowledgeGraph()
+    stray.register_scenario(1, "t")
+    for node_id, concept in (("a", "Attacker"), ("v1", "AttackTarget"), ("v2", "AttackTarget")):
+        stray.add_node(Node(node_id, concept, 1, properties={"affiliation": "Acme"}))
+    graphs = [stray, thaw(load_result.graph), replicated_graph(asserted_graph, 4)]
+    graphs += [random_conformant_graph(seed) for seed in range(100)]
+    graphs += [stray_affiliations(seed) for seed in range(100)]
+    for i, g in enumerate(graphs):
+        assert refusals(monkeypatch, g) == 0, f"graph {i}"
+    assert stray.edges("same_affiliation") == (
+        find_edge(stray, "v1", "same_affiliation", "v2"),
+        find_edge(stray, "v2", "same_affiliation", "v1"),
+    )
 

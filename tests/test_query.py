@@ -696,7 +696,7 @@ def diffed_plans() -> list[tuple[str, Plan, str | None]]:
     plans = []
     for name, _, plan, per_atom in [*rules, *inference._AXIOMS]:
         plans.append((name, plan, None))
-        plans += [(f"{name} {rel}", rest, rel) for rel, rest, _ in per_atom]
+        plans += [(f"{name} {rel}", rest, rel) for rel, rest in per_atom]
     for rule in inference.builtin_ruleset():  # every check a step, as rules run it
         body = parse_query(rule.body).body
         body = body._replace(tests=tuple(t._replace(strict=t.op == "=") for t in body.tests))
