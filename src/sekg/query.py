@@ -13,15 +13,19 @@ Grammar::
 
 ``parse_query`` returns the join body (a :class:`Conjunction`) with the
 RETURN projection: each edge is a relation atom, and node concepts,
-``{key="value"}`` constraints and WHERE conditions are its tests. The
-planner drops a concept test that an atom's relation implies through its
-domain or range, since ``add_edge`` stores no edge that breaks them.
+``{key="value"}`` constraints and WHERE conditions are its tests. A concept
+name or synonym resolves alike as a label, a ``{concept="..."}`` value and a
+WHERE literal tested against ``x.concept``. The planner drops a concept
+test that an atom's relation implies through its domain or range, since
+``add_edge`` stores no edge that breaks them.
 
 Keywords are case-sensitive uppercase. Matching uses homomorphism semantics:
 distinct variables may bind the same node unless a ``<>`` condition forbids
 it. Property comparisons use plain value equality; a property absent on a
 node compares equal only to another absent property. Projected rows are
-sorted by their values and, under DISTINCT, deduplicated.
+sorted by their values and, under DISTINCT, deduplicated. A parse error's
+``expected`` lists only the token kinds the parser would take at its offset;
+an unterminated string's lists ``"``, the quote that would close it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import NamedTuple
 
 from .errors import QueryParseError, SchemaError
 from .graph import Direction, KnowledgeGraph
-from .schema import CONCEPTS, RELATIONS
+from .schema import CONCEPTS, RELATIONS, LookupTable
 
 KEYWORDS = ("MATCH", "WHERE", "AND", "RETURN", "DISTINCT")
 
@@ -156,165 +160,122 @@ class BindingRow(NamedTuple):
 
 class _Parser:
     """Builds the join body while it reads: each node adds its variable and
-    tests, each edge its atom, each WHERE condition its test."""
+    tests, each edge its atom, each WHERE condition its test.
+
+    One cursor, ``pos``, walks the tokens. ``accept`` takes a token of one
+    kind or notes the kind as tried at ``pos``; ``expect`` takes a token of
+    its kinds or raises, listing them and the kinds tried at ``pos``.
+    """
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.tried: list[tuple[int, str]] = []  # (position, kind) per failed accept
         self.atoms: list[tuple[str, str, str]] = []
         self.tests: list[Condition] = []
         self.variables: dict[str, None] = {}
         self.uses: list[tuple[str, int]] = []  # WHERE and RETURN variables
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def accept(self, kind: str) -> Token | None:
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        if tok.kind == kind:
+            self.pos += 1
+            return tok
+        self.tried.append((self.pos, kind))
+        return None
 
     def expect(self, *kinds: str) -> Token:
-        tok = self.peek()
-        if tok.kind not in kinds:
-            raise QueryParseError(
-                f"unexpected {_found(tok)}", tok.offset, frozenset(kinds)
-            )
-        return self.advance()
-
-    def _require(self, kind: str, *also: str) -> None:
-        """Check the next token is ``kind``; report the wider legal set."""
-        tok = self.peek()
-        if tok.kind != kind:
-            raise QueryParseError(
-                f"unexpected {_found(tok)}", tok.offset, frozenset((kind, *also))
-            )
+        tok = self.tokens[self.pos]
+        if tok.kind in kinds:
+            self.pos += 1
+            return tok
+        tried = {kind for pos, kind in self.tried if pos == self.pos}
+        found = "end of input" if tok.kind == "EOF" else repr(tok.text)
+        raise QueryParseError(f"unexpected {found}", tok.offset, frozenset(tried.union(kinds)))
 
     def parse(self) -> PatternQuery:
         self.expect("MATCH")
         self.parse_path()
-        while self.peek().kind == ",":
-            self.advance()
+        while self.accept(","):
             self.parse_path()
-        if self.peek().kind == "WHERE":
-            self.advance()
-            self.tests.append(self.parse_condition())
-            while self.peek().kind == "AND":
-                self.advance()
-                self.tests.append(self.parse_condition())
-            self._require("RETURN", "AND")
-        else:
-            self._require("RETURN", ",", "WHERE", "-[", "<-[")
-        self.advance()
-        distinct = False
-        if self.peek().kind == "DISTINCT":
-            self.advance()
-            distinct = True
-        items = [self.parse_item()]
-        while self.peek().kind == ",":
-            self.advance()
-            items.append(self.parse_item())
-        self.expect("EOF", ",")
+        if self.accept("WHERE"):
+            self.parse_condition()
+            while self.accept("AND"):
+                self.parse_condition()
+        self.expect("RETURN")
+        distinct = self.tokens[self.pos].kind == "DISTINCT"  # not listed as expected
+        self.pos += distinct
+        items = [ReturnItem(*self.parse_name())]
+        while self.accept(","):
+            items.append(ReturnItem(*self.parse_name()))
+        self.expect("EOF")
         # Checked only now, so that a syntax error anywhere wins.
         for name, offset in self.uses:
             if name not in self.variables:
-                message = f"unbound variable: {name!r}"
-                raise QueryParseError(message, offset, frozenset())
+                raise QueryParseError(f"unbound variable: {name!r}", offset)
         body = Conjunction(tuple(self.atoms), tuple(self.tests), tuple(self.variables))
         return PatternQuery(body, tuple(items), distinct)
 
     def parse_path(self) -> None:
+        """Read nodes joined by edges; each edge adds its stored atom."""
         name = self.parse_node()
-        while self.peek().kind in ("-[", "<-["):
-            relation, reverse = self.parse_edge()
+        while head := self.accept("-[") or self.accept("<-["):
+            self.expect(":")
+            relation, swapped, _ = _resolve(RELATIONS, self.expect("IDENT"))
+            reverse = head.kind == "<-["
+            self.expect("]-" if reverse else "]->")
             other = self.parse_node()
-            atom = (other, relation, name) if reverse else (name, relation, other)
+            atom = (other, relation, name) if reverse ^ swapped else (name, relation, other)
             self.atoms.append(atom)
             name = other
 
     def parse_node(self) -> str:
         """Read one node; returns its variable, made up if it has none."""
         self.expect("(")
-        allowed = {"IDENT", ":", "{", ")"}
-        name = f" anon{len(self.variables)}"
-        if self.peek().kind == "IDENT":
-            name = self.advance().text
-            allowed = {":", "{", ")"}
+        tok = self.accept("IDENT")
+        name = tok.text if tok else f" anon{len(self.variables)}"
         self.variables[name] = None
-        if self.peek().kind == ":":
-            self.advance()
-            tok = self.expect("IDENT")
-            try:
-                concept = CONCEPTS[tok.text].name
-            except SchemaError:
-                raise QueryParseError(
-                    f"unknown concept: {tok.text!r}", tok.offset, frozenset()
-                ) from None
+        if self.accept(":"):
+            concept = _resolve(CONCEPTS, self.expect("IDENT")).name
             self.tests.append(has_property(name, "concept", concept))
-            allowed = {"{", ")"}
-        if self.peek().kind == "{":
-            self.advance()
-            self.tests.append(self.parse_constraint(name))
-            while self.peek().kind == ",":
-                self.advance()
-                self.tests.append(self.parse_constraint(name))
-            self.expect("}", ",")
-            allowed = {")"}
-        self._require(")", *(allowed - {")"}))
-        self.advance()
+        if self.accept("{"):
+            while True:
+                key = self.expect("IDENT").text
+                self.expect("=")
+                tok = self.expect("STRING")
+                value = _resolve(CONCEPTS, tok).name if key == "concept" else tok.text
+                self.tests.append(has_property(name, key, value))
+                if not self.accept(","):
+                    break
+            self.expect("}")
+        self.expect(")")
         return name
 
-    def parse_constraint(self, name: str) -> Condition:
-        key = self.expect("IDENT")
-        self.expect("=")
-        value = self.expect("STRING")
-        return has_property(name, key.text, value.text)
-
-    def parse_edge(self) -> tuple[str, bool]:
-        """Read one edge; returns its stored relation and whether its atom
-        runs against the arrow."""
-        head = self.expect("-[", "<-[")
-        self.expect(":")
-        tok = self.expect("IDENT")
-        try:
-            relation, swapped, _ = RELATIONS[tok.text]
-        except SchemaError:
-            raise QueryParseError(
-                f"unknown relation: {tok.text!r}", tok.offset, frozenset()
-            ) from None
-        if head.kind == "-[":
-            self.expect("]->")
-            reverse = False
-        else:
-            self.expect("]-")
-            reverse = True
-        return relation, reverse ^ swapped
-
-    def parse_condition(self) -> Condition:
+    def parse_condition(self) -> None:
+        """Read one condition; a literal tested against a ``concept`` key
+        resolves as a label does."""
+        start = self.pos
         left = self.parse_operand()
-        op = self.expect("=", "<>")
+        op = self.expect("=", "<>").kind
         right = self.parse_operand()
-        return Condition(left, op.kind, right)
+        if left.key == "concept" and right.variable is None:
+            right = right._replace(literal=_resolve(CONCEPTS, self.tokens[self.pos - 1]).name)
+        elif right.key == "concept" and left.variable is None:
+            left = left._replace(literal=_resolve(CONCEPTS, self.tokens[start]).name)
+        self.tests.append(Condition(left, op, right))
 
     def parse_operand(self) -> Operand:
-        tok = self.expect("IDENT", "STRING")
-        if tok.kind == "STRING":
+        if tok := self.accept("STRING"):
             return Operand(None, None, tok.text)
-        self.uses.append((tok.text, tok.offset))
-        key = None
-        if self.peek().kind == ".":
-            self.advance()
-            key = self.expect("IDENT").text
-        return Operand(tok.text, key, None)
+        return Operand(*self.parse_name(), None)
 
-    def parse_item(self) -> ReturnItem:
+    def parse_name(self) -> tuple[str, str | None]:
+        """Read ``IDENT ("." IDENT)?``, a variable's use and its key."""
         tok = self.expect("IDENT")
         self.uses.append((tok.text, tok.offset))
-        key = None
-        if self.peek().kind == ".":
-            self.advance()
-            key = self.expect("IDENT").text
-        return ReturnItem(tok.text, key)
+        dot = self.tokens[self.pos].kind == "."  # not listed as expected
+        self.pos += dot
+        return tok.text, self.expect("IDENT").text if dot else None
 
 
 def has_property(name: str, key: str, value: str) -> Condition:
@@ -322,8 +283,12 @@ def has_property(name: str, key: str, value: str) -> Condition:
     return Condition(Operand(name, key, None), "=", Operand(None, None, value))
 
 
-def _found(tok: Token) -> str:
-    return "end of input" if tok.kind == "EOF" else repr(tok.text)
+def _resolve(table: LookupTable, tok: Token):
+    """``table``'s entry for the name in ``tok``; else a parse error at it."""
+    try:
+        return table[tok.text]
+    except SchemaError as error:
+        raise QueryParseError(str(error), tok.offset) from None
 
 
 def parse_query(text: str) -> PatternQuery:

@@ -547,6 +547,15 @@ def test_head_tests_only_where_the_body_leaves_a_type_open():
         " WHERE v1.affiliation = v2.affiliation AND v1 <> v2 RETURN v1, v2",
     )
     assert Counter(inference._compile(labelled)[2].steps) == Counter(r5[2].steps)
+    # A synonym in a constraint or a WHERE literal types its variable as a
+    # label does, so it agrees with the head instead of contradicting it.
+    synonyms = Rule(
+        "X",
+        "same_affiliation",
+        'MATCH (v1 {concept="Victim"}), (v2) WHERE v2.concept = "Victim"'
+        " AND v1.affiliation = v2.affiliation AND v1 <> v2 RETURN v1, v2",
+    )
+    assert inference._compile(synonyms)[2] == inference._compile(labelled)[2]
     # Without the body's <>, the head's same concept on both ends adds it.
     loopy = Rule(
         "X", "same_affiliation", "MATCH (x), (y) WHERE x.affiliation = y.affiliation RETURN x, y"

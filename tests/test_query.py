@@ -214,9 +214,9 @@ def _concepts_checked(plan: Plan) -> list[str]:
         ("MATCH (v:Victim)<-[:apply_to]-(m:Attacker) RETURN v, m", ["Attacker"], True),
         # a swapped alias types its ends as its stored relation does
         ("MATCH (h:HumanVulnerability)-[:exploited_by]->(m:AttackMethod) RETURN m, h", [], False),
-        # a WHERE concept test is the same test; a synonym literal is not
+        # a WHERE concept test is the same test, a synonym literal resolved
         ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "AttackTarget" RETURN v', [], False),
-        ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "Victim" RETURN v', ["Victim"], True),
+        ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "Victim" RETURN v', [], False),
     ],
 )
 def test_planner_drops_only_implied_concept_tests(text, kept, empty):
@@ -263,6 +263,52 @@ def test_parse_errors(text, offset, expected):
 def test_error_message_lists_expected():
     with pytest.raises(QueryParseError, match=r"\(expected: \), :, \{\)"):
         parse_query("MATCH (a RETURN a")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "MATCH (v:Victim) RETURN v",
+        'MATCH (v {concept="Victim"}) RETURN v',
+        'MATCH (v) WHERE v.concept = "Victim" RETURN v',
+        'MATCH (v) WHERE "Victim" = v.concept RETURN v',
+    ],
+)
+def test_concept_synonym_resolves_in_label_constraint_and_where(text):
+    """A synonym names its concept wherever a concept literal is read."""
+    canonical = parse_query("MATCH (v:AttackTarget) RETURN v")
+    query = parse_query(text)
+    assert query.body.plan() == canonical.body.plan()
+    for g in (fixture_graph(), random_conformant_graph(3)):
+        assert evaluate_query(query, g) == evaluate_query(canonical, g)
+    assert [r.values for r in evaluate_query(query, fixture_graph())] == [("v1",), ("v2",)]
+
+
+def test_concept_synonym_resolves_in_an_inequality():
+    g = fixture_graph()
+    rows = run_query('MATCH (v) WHERE v.concept <> "Victim" RETURN v', g)
+    assert rows == run_query('MATCH (v) WHERE v.concept <> "AttackTarget" RETURN v', g)
+    assert ("v1",) not in [r.values for r in rows]
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ('MATCH (v {concept="Bogus"}) RETURN v', 18),
+        ('MATCH (v) WHERE v.concept = "Bogus" RETURN v', 28),
+        ('MATCH (v) WHERE "Bogus" <> v.concept RETURN v', 16),
+    ],
+)
+def test_unknown_concept_literal_raises(text, offset):
+    with pytest.raises(QueryParseError, match="unknown concept: 'Bogus'") as err:
+        parse_query(text)
+    assert (err.value.offset, err.value.expected) == (offset, frozenset())
+
+
+def test_concept_literal_against_no_concept_key_stays_as_written():
+    # Only a test against a concept key reads its literal as a concept.
+    query = parse_query('MATCH (v {kind="Bogus"}) WHERE v.id = "Victim" RETURN v')
+    assert [t.right.literal for t in query.body.tests] == ["Bogus", "Victim"]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -941,7 +987,10 @@ def mutated_query(draw) -> str:
         op = rng.choice(("ident",) * 5 + ("insert", "cut", "word", "drop", "swap"))
         piece = rng.choice(FRAGMENTS) if rng.random() < 0.7 else draw(st.text(max_size=8))
         if op == "ident":
-            found = rng.choice(list(IDENT_RE.finditer(text)))
+            names = list(IDENT_RE.finditer(text))
+            if not names:  # an earlier cut can leave no name to swap
+                continue
+            found = rng.choice(names)
             text = text[: found.start()] + rng.choice(IDENTS) + text[found.end():]
         elif op == "insert":
             col = rng.randint(0, len(text))
@@ -969,3 +1018,37 @@ def test_mutated_query_raises_only_package_errors(text):
         evaluate_query(parse_query(text), FUZZ_GRAPH)
     except SekgError:
         pass
+
+
+#: A text of each token kind that is not its own text.
+SAMPLE_TOKENS = {"IDENT": "x", "STRING": '"s"'}
+
+
+def _parse_error(text: str) -> QueryParseError | None:
+    try:
+        parse_query(text)
+    except QueryParseError as err:
+        return err
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(mutated_query())
+def test_every_expected_kind_is_accepted(text):
+    """A token of any kind an error lists as expected, spliced in at the
+    error's offset, is taken: the parse then succeeds, fails at a later
+    token, or fails on that token's name (an unknown concept or relation,
+    an unbound variable), with nothing expected. ``EOF`` is spliced in by
+    cutting the text there. The tokenizer's ``"`` is left out: it asks for
+    a closing quote after the opening one at the offset, not a token."""
+    err = _parse_error(text)
+    if err is None:
+        return
+    at = err.offset
+    for kind in err.expected - {'"'}:
+        if kind == "EOF":
+            spliced, start = text[:at], at
+        else:
+            spliced, start = f"{text[:at]} {SAMPLE_TOKENS.get(kind, kind)} {text[at:]}", at + 1
+        again = _parse_error(spliced)
+        assert again is None or again.offset != start or not again.expected, (kind, spliced)
