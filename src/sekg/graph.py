@@ -25,14 +25,13 @@ and an unknown name raises ``SchemaError``.
 """
 
 import bisect
-import re
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import GraphError
-from .schema import CONCEPTS, RELATIONS
+from .schema import CONCEPTS, RELATION_ROWS, RELATIONS
 
 #: Relations rendered red in exports and traversed by the attack-path oracle.
 RED_RELATIONS = frozenset(
@@ -41,9 +40,13 @@ RED_RELATIONS = frozenset(
 
 ASSERTED = None
 
-#: A property key a dataset can hold: the ``key`` of a ``key=value`` field.
-#: The loader reads fields by it, and ``add_node`` refuses any other key.
-PROPERTY_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+def is_property_key(key: str) -> bool:
+    """Whether a dataset can hold ``key`` as the ``key`` of a ``key=value``
+    field: an ASCII letter or ``_``, then ASCII letters, digits or ``_``.
+    The loader reads fields by it, and ``add_node`` refuses any other key."""
+    return key.isascii() and key.isidentifier()
+
 
 #: Keys of a NODE record that load into the node's own fields, not into
 #: its properties.
@@ -106,8 +109,9 @@ class KnowledgeGraph:
     def __init__(self):
         self._nodes: dict[str, Node] = {}
         self._edges: dict[tuple[str, str, str], Edge] = {}
-        self._out: dict[str, dict[str, list[str]]] = {}
-        self._in: dict[str, dict[str, list[str]]] = {}
+        # One map per stored relation, made here so that add_edge indexes it.
+        self._out: dict[str, dict[str, list[str]]] = {r.name: {} for r in RELATION_ROWS}
+        self._in: dict[str, dict[str, list[str]]] = {r.name: {} for r in RELATION_ROWS}
         self._scenarios: dict[int, str] = {}
         self._by_property: dict[str, dict[str | None, tuple[str, ...]]] = {}
         self._property_values: dict[str, dict[str, str | None]] = {}
@@ -139,7 +143,7 @@ class KnowledgeGraph:
     def add_node(self, node: Node) -> Node:
         """Insert a node. Re-adding an identical node is a no-op.
 
-        A property key must be one a dataset can hold (``PROPERTY_KEY_RE``)
+        A property key must be one a dataset can hold (``is_property_key``)
         and not name a node field or a NODE record's ``scenario``,
         ``labels`` or ``comment``; any other key raises ``GraphError``.
         """
@@ -147,21 +151,20 @@ class KnowledgeGraph:
         concept = CONCEPTS[node.concept]
         if concept.name != node.concept:
             node = node._replace(concept=concept.name)
-        for label in node.taxonomy_labels:
-            if label not in concept.taxonomy_labels:
-                raise GraphError(
-                    f"node {node.id!r}: label {label!r} not allowed on {concept.name}"
-                )
-        for key in ("id", "concept", "scenario_id"):
-            if key in node.properties:
-                raise GraphError(
-                    f"node {node.id!r}: property {key!r} is a node field, not a property"
-                )
-        for key in node.properties:
-            if key in _RECORD_KEYS or not PROPERTY_KEY_RE.fullmatch(key):
-                raise GraphError(
-                    f"node {node.id!r}: property key {key!r} cannot be written to a dataset"
-                )
+        if not concept.taxonomy_labels.issuperset(node.taxonomy_labels):
+            label = next(x for x in node.taxonomy_labels if x not in concept.taxonomy_labels)
+            raise GraphError(f"node {node.id!r}: label {label!r} not allowed on {concept.name}")
+        if node.properties:
+            for key in ("id", "concept", "scenario_id"):
+                if key in node.properties:
+                    raise GraphError(
+                        f"node {node.id!r}: property {key!r} is a node field, not a property"
+                    )
+            for key in node.properties:
+                if key in _RECORD_KEYS or not is_property_key(key):
+                    raise GraphError(
+                        f"node {node.id!r}: property key {key!r} cannot be written to a dataset"
+                    )
         if node.scenario_id is not None and node.scenario_id not in self._scenarios:
             raise GraphError(
                 f"node {node.id!r}: scenario {node.scenario_id} not declared"
@@ -199,32 +202,45 @@ class KnowledgeGraph:
     def nodes_with(self, key: str, value: str | None) -> tuple[str, ...]:
         """Sorted ids of the nodes whose ``Node.property(key)`` is ``value``.
 
-        ``None`` selects the nodes without the property. The groups of a key
-        are built on its first lookup and dropped when a node is added. The key
+        ``None`` selects the nodes without the property. A key's first lookup
+        groups the ids of the nodes that hold it by value, from
+        ``property_values``; the group of ``None`` is built on the first
+        lookup of ``None``. Both are dropped when a node is added. The key
         ``"id"`` has no groups: it is answered from the node map.
         """
         if key == "id":
             return (value,) if value in self._nodes else ()
         groups = self._by_property.get(key)
         if groups is None:
-            values = self.property_values(key)
             lists: dict[str | None, list[str]] = {}
-            for node_id in sorted(values):
-                lists.setdefault(values[node_id], []).append(node_id)
-            groups = self._by_property[key] = {v: tuple(ids) for v, ids in lists.items()}
+            for node_id, held in self.property_values(key).items():
+                if held is not None:
+                    lists.setdefault(held, []).append(node_id)
+            groups = self._by_property[key] = {v: tuple(sorted(ids)) for v, ids in lists.items()}
+        if value is None and None not in groups:
+            values = self.property_values(key)
+            groups[None] = tuple(sorted(i for i, held in values.items() if held is None))
         return groups.get(value, ())
 
     def property_values(self, key: str) -> Mapping[str, str | None]:
         """``Node.property(key)`` of every node, keyed by node id.
 
-        Built on a key's first use and dropped when a node is added, like
-        the groups of ``nodes_with``. The mapping is the graph's own: read
-        it, never change it.
+        Built on a key's first use, in one pass over the node map that reads
+        ``concept`` from the node and any key but ``id`` and ``scenario_id``
+        from its properties, and dropped when a node is added, like the
+        groups of ``nodes_with``. The mapping is the graph's own: read it,
+        never change it.
         """
         values = self._property_values.get(key)
         if values is None:
-            nodes = self._nodes
-            values = self._property_values[key] = {i: nodes[i].property(key) for i in nodes}
+            nodes = self._nodes.items()
+            if key == "concept":
+                values = {i: node.concept for i, node in nodes}
+            elif key in ("id", "scenario_id"):
+                values = {i: node.property(key) for i, node in nodes}
+            else:
+                values = {i: node.properties.get(key) for i, node in nodes}
+            self._property_values[key] = values
         return values
 
     @property
@@ -276,9 +292,7 @@ class KnowledgeGraph:
         if edge is not None:
             return edge
         edge = self._edges[key] = _new(Edge, (src, relation, dst, rule))
-        lists = self._out.get(relation)
-        if lists is None:
-            lists = self._out[relation] = {}
+        lists = self._out[relation]
         ids = lists.get(src)
         if ids is None:
             lists[src] = [dst]
@@ -286,9 +300,7 @@ class KnowledgeGraph:
             ids.append(dst)
         else:
             bisect.insort(ids, dst)
-        lists = self._in.get(relation)
-        if lists is None:
-            lists = self._in[relation] = {}
+        lists = self._in[relation]
         ids = lists.get(dst)
         if ids is None:
             lists[dst] = [src]
@@ -318,7 +330,7 @@ class KnowledgeGraph:
         if relation is None:
             return tuple(sorted(self._edges.values(), key=Edge.key))
         name = RELATIONS[relation][0]
-        adjacency = self._out.get(name, {})
+        adjacency = self._out[name]
         return tuple(
             self._edges[(src, name, dst)]
             for src in sorted(adjacency)
@@ -357,7 +369,7 @@ class KnowledgeGraph:
         if type(direction) is not Direction:
             raise TypeError(f"direction must be a Direction, got {direction!r}")
         index = self._out if (direction is _OUT) != swapped else self._in
-        return index.get(name, {})
+        return index[name]
 
     # -- scenario views ------------------------------------------------------
 
@@ -412,7 +424,7 @@ def scenario_members(graph: KnowledgeGraph) -> dict[int, set[str]]:
             hops[dst_sid].add(src)
     # take_effected_by's domain is HumanVulnerability, so only
     # vulnerabilities among the hops have an entry here.
-    effects = graph._out.get("take_effected_by", {})
+    effects = graph._out["take_effected_by"]
     for sid, hop in hops.items():
         members[sid] |= hop
         for node_id in hop:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .catalog import ID_VOCABULARY, KIND_VOCABULARY, lookup
 from .errors import DatasetError, GraphError, SchemaError
-from .graph import PROPERTY_KEY_RE, KnowledgeGraph, Node, scenario_members
+from .graph import KnowledgeGraph, Node, is_property_key, scenario_members
 from .schema import CONCEPTS
 
 _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+")
@@ -154,7 +154,7 @@ def _parse_kv(fields: list[str], lineno: int) -> dict[str, str]:
     out: dict[str, str] = {}
     for f in fields:
         key, sep, value = f.partition("=")
-        if not sep or not PROPERTY_KEY_RE.fullmatch(key):
+        if not sep or not is_property_key(key):
             raise DatasetError(f"expected key=value, got {f!r}", lineno)
         if key in out:
             raise DatasetError(f"duplicate key {key!r}", lineno)
@@ -203,22 +203,29 @@ def parse_document(text: str) -> tuple[Record, ...]:
         elif tag == "NODE":
             if len(fields) < 3:
                 raise DatasetError("NODE needs an id and a concept", lineno)
-            node_id, concept = fields[1], fields[2]
-            kv = _parse_kv(fields[3:], lineno)
-            scenario: int | None = None
-            if "scenario" in kv:
+            kv = _parse_kv(fields[3:], lineno) if len(fields) > 3 else {}
+            scenario = kv.pop("scenario", None)
+            if scenario is not None:
                 try:
-                    scenario = int(kv.pop("scenario"))
+                    scenario = int(scenario)
                 except ValueError:
                     raise DatasetError("scenario= must be an integer", lineno) from None
-            labels = tuple(filter(None, map(str.strip, kv.pop("labels", "").split(","))))
+            labels = kv.pop("labels", None)
+            labels = tuple(filter(None, map(str.strip, labels.split(",")))) if labels else ()
             comment = kv.pop("comment", "")
-            append(
-                _new(NodeRecord, (lineno, node_id, concept, scenario, labels, kv, comment))
-            )
+            record = (lineno, fields[1], fields[2], scenario, labels, kv, comment)
+            append(_new(NodeRecord, record))
         else:
             raise DatasetError(f"unknown record tag {tag!r}", lineno)
     return tuple(records)
+
+
+def _unresolved(what: str, line: int, strict: bool, warnings: list[str]) -> None:
+    """Report a vocabulary reference the catalog lacks: a ``DatasetError``
+    in strict mode, else a warning naming its line."""
+    if strict:
+        raise DatasetError(what, line)
+    warnings.append(f"line {line}: {what}")
 
 
 def _enrich_node(
@@ -238,25 +245,20 @@ def _enrich_node(
     if vocab is None and kind is None:
         return tuple(sorted(set(rec.labels))), props
     labels = set(rec.labels)
-
-    def unresolved(what: str) -> None:
-        msg = f"line {rec.line}: {what}"
-        if strict:
-            raise DatasetError(what, rec.line)
-        warnings.append(msg)
-
     entry = None
     if vocab is not None:
         entry = lookup(vocab, rec.node_id)
         if entry is None and kind is not None:
             entry = lookup(vocab, kind)
         if entry is None:
-            unresolved(f"{concept} node {rec.node_id!r} is not a catalog term")
+            what = f"{concept} node {rec.node_id!r} is not a catalog term"
+            _unresolved(what, rec.line, strict, warnings)
     kind_vocab = KIND_VOCABULARY.get(concept)
     if kind_vocab is not None and kind is not None:
         kind_entry = lookup(kind_vocab, kind)
         if kind_entry is None:
-            unresolved(f"kind {kind!r} on {rec.node_id!r} is not a catalog term")
+            what = f"kind {kind!r} on {rec.node_id!r} is not a catalog term"
+            _unresolved(what, rec.line, strict, warnings)
         elif concept == "AttackMethod":
             labels.update(kind_entry.labels)
     if entry is not None:

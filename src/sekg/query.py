@@ -25,7 +25,10 @@ it. Property comparisons use plain value equality; a property absent on a
 node compares equal only to another absent property. Projected rows are
 sorted by their values and, under DISTINCT, deduplicated. A parse error's
 ``expected`` lists only the token kinds the parser would take at its offset;
-an unterminated string's lists ``"``, the quote that would close it.
+an unterminated string's lists ``"``, the quote that would close it. Names
+are checked as they are read, so an unknown concept or relation wins over a
+syntax error after it; an unbound variable is checked at the end, so any
+syntax error wins over it.
 """
 
 from __future__ import annotations

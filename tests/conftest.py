@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 from collections.abc import Callable, Iterable, Sequence
 
 import pytest
 
 from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError, GraphError
-from sekg.graph import PROPERTY_KEY_RE, RED_RELATIONS, Edge, KnowledgeGraph, Node
+from sekg.graph import RED_RELATIONS, Edge, KnowledgeGraph, Node
 from sekg.loader import EdgeRecord, NodeRecord, ScenarioRecord
 from sekg.query import Plan, parse_query
 from sekg.schema import CONCEPT_ROWS, RELATION_ALIASES, RELATION_ROWS, SWAPPED_ALIASES
@@ -136,11 +137,16 @@ def reference_split(line: str, lineno: int) -> list[str]:
     return fields
 
 
+#: The key of a ``key=value`` field, spelled out here so that the reference
+#: does not follow the loader's own rule.
+REFERENCE_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def _reference_kv(fields: list[str], lineno: int) -> dict[str, str]:
     out: dict[str, str] = {}
     for f in fields:
         key, sep, value = f.partition("=")
-        if not sep or not PROPERTY_KEY_RE.fullmatch(key):
+        if not sep or not REFERENCE_KEY_RE.fullmatch(key):
             raise DatasetError(f"expected key=value, got {f!r}", lineno)
         if key in out:
             raise DatasetError(f"duplicate key {key!r}", lineno)

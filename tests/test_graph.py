@@ -14,6 +14,7 @@ from conftest import (
     replicated_graph,
     stored_name,
     stored_relation,
+    thaw,
 )
 from sekg.errors import DatasetError, GraphError, SchemaError
 from sekg.graph import Direction, Edge, KnowledgeGraph, Node
@@ -360,6 +361,46 @@ def test_nodes_with_id_reads_the_node_map():
     for node_id in g.node_ids():
         assert g.nodes_with("id", node_id) == (node_id,)
         assert has_node(g, node_id)
+
+
+def assert_property_indexes(g, keys):
+    """``property_values`` and ``nodes_with`` of each key equal their
+    definitions by ``Node.property``, for every value some node holds and
+    for ``None``."""
+    nodes = g.nodes()
+    for key in keys:
+        values = {n.id: n.property(key) for n in nodes}
+        assert g.property_values(key) == values
+        assert list(g.property_values(key)) == list(g.node_map())  # insertion order
+        for value in {*values.values(), None}:
+            ids = tuple(sorted(i for i, held in values.items() if held == value))
+            assert g.nodes_with(key, value) == ids, (key, value)
+
+
+@pytest.mark.parametrize("seed", ["replicated", None, *range(100)])
+def test_property_indexes_match_reference(graph, seed):
+    """On the bundled graph (seed None), four copies of it and random graphs:
+    every key some node holds, the node fields and a key no node holds. Each
+    node added after the lookups shows up in the next ones: one without
+    properties under ``None``, one holding an empty value under ``""``."""
+    if seed == "replicated":
+        g = replicated_graph(graph, 4)
+    elif seed is not None:
+        g = random_conformant_graph(seed)
+    else:
+        g = thaw(graph)
+    held = {key for n in g.nodes() for key in n.properties}
+    keys = sorted(held | {"id", "concept", "scenario_id", "blank"})
+    assert "blank" not in held
+    assert_property_indexes(g, keys)
+    for new in (
+        Node("zz_bare", "HumanVulnerability"),
+        Node("zz_blank", "HumanVulnerability", properties={"blank": ""}),
+    ):
+        g.add_node(new)
+        for key in keys:
+            assert new.id in g.nodes_with(key, new.property(key)), key
+    assert_property_indexes(g, keys)
 
 
 def test_edges_sorted_and_filtered():

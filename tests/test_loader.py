@@ -368,6 +368,13 @@ RECORD_STRAYS = st.one_of(
     st.text(alphabet='a \t\\"', max_size=4).map(lambda s: f'"{s}'),
     st.sampled_from(("x", "=v", "9x=1", "note=", "scenario=x", "labels=a,,b", '"\\q"')),
 )
+#: A NODE field's key: a record key, a property key, or a word of letters
+#: and digits, some of them non-ASCII, that is a key only when all ASCII and
+#: not led by a digit.
+RECORD_KEYS = st.one_of(
+    st.sampled_from(("labels", "comment", "kind", "note")),
+    st.text(alphabet="ak_9\u00e9\u00df\u0663\uff58", min_size=1, max_size=3),
+)
 RECORD_SHAPES = ("EDGE",) * 4 + ("EDGE3", "EDGE5", "NODE", "NODE", "SCENARIO", "blank", "bad")
 
 
@@ -389,7 +396,7 @@ def record_text(draw) -> str:
                 fields.append("inferred=" + draw(value))
         elif shape == "NODE":
             fields = ["NODE", draw(value), draw(st.sampled_from(("Attacker", '"Victim"')))]
-            keys = draw(st.lists(st.sampled_from(("labels", "comment", "kind", "note")), max_size=3))
+            keys = draw(st.lists(RECORD_KEYS, max_size=3))
             fields += [f"{key}={draw(value)}" for key in keys]
             if draw(st.booleans()):
                 fields.append(f"scenario={draw(st.integers(-2, 2))}")
@@ -471,7 +478,7 @@ def test_serialize_roundtrips_quoted_text(g):
 @given(
     st.dictionaries(
         st.one_of(
-            st.text(alphabet=list("ak_9 =-\u00e9\n"), max_size=4),
+            st.text(alphabet=list("ak_9 =-\u00e9\u00df\u0663\uff58\n"), max_size=4),
             st.sampled_from(("scenario", "labels", "comment", "kind", "inferred")),
         ),
         QUOTED_TEXT,

@@ -250,6 +250,8 @@ def test_planner_drops_only_implied_concept_tests(text, kept, empty):
         ("MATCH (a) RETURN a,", 19, {"IDENT"}),
         ("MATCH (a) RETURN a b", 19, {",", "EOF"}),
         ("MATCH (a)<-[:apply_to]->(b) RETURN a", 21, {"]-"}),
+        ("MATCH (a:Bogus ETURN a", 9, set()),  # an unknown name wins over a later syntax error
+        ("MATCH (a) WHERE b = a ETURN a", 22, {"AND", "RETURN"}),  # a syntax error wins over b
     ],
 )
 def test_parse_errors(text, offset, expected):
