@@ -4,9 +4,8 @@ A rule is a name, a head relation and a body written as MATCH text, whose
 ``RETURN`` names the head's two endpoints: R1 is ``MATCH
 (a)-[:craft_and_perform]->(am)-[:apply_to]->(v) RETURN a, v`` with head
 ``attack``. The body parses into the conjunctive join that MATCH queries
-use, with one difference: an ``=`` test in a rule never matches an absent
-property, where MATCH lets two absent properties compare equal. Each rule
-is parsed and planned once per process.
+use, and means what the same MATCH means. Each rule is parsed and planned
+once per process.
 
 The schema's axioms are single-atom rules generated at import: ``R3``
 lifts an edge to its superproperty and ``R2`` adds its inverse (a symmetric
@@ -116,8 +115,7 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     them, and ``x <> y`` where domain and range are one concept and no atom
     or ``<>`` test joins x and y: ``add_edge`` accepts every head. A body
     giving x or y another concept, or ``RETURN a, a``, raises ``RuleError``.
-    Every ``=`` test is made strict: an absent property equals nothing. A
-    head endpoint is the slot of its variable in the body's rows. Per
+    A head endpoint is the slot of its variable in the body's rows. Per
     relation atom other than a self-loop, which no edge matches, the body
     without it is planned with its endpoints as inputs: (relation, plan).
     Cached: each rule is parsed and planned once per process.
@@ -141,7 +139,7 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     joined += [t.variables() for t in tests if t.op == "<>" and not (t.left.key or t.right.key)]
     if rel.domain == rel.range and {x, y} not in joined:
         tests.append(Condition(Operand(x, None, None), "<>", Operand(y, None, None)))
-    body = body._replace(tests=tuple(t._replace(strict=t.op == "=") for t in tests))
+    body = body._replace(tests=tuple(tests))
     per_atom = []
     for i, (src, atom_relation, dst) in enumerate(body.atoms):
         if src != dst:

@@ -12,7 +12,8 @@ quote and a backslash inside quoted values. Reserved node keys: ``scenario``
 (membership, integer), ``labels`` (comma-separated taxonomy labels) and
 ``comment``; every other key lands in the node's property map, except
 ``id``, ``concept`` and ``scenario_id``, which name node fields. Every NODE
-must precede the first EDGE that references it.
+must precede the first EDGE that references it, and an EDGE of a relation
+the rules derive must name its rule with ``inferred=``.
 
 Known vocabulary nodes are enriched on load: category labels and synonyms
 come from the catalog, and a ``kind`` property ties specialized nodes (for
@@ -27,6 +28,7 @@ from typing import NamedTuple
 from .catalog import ID_VOCABULARY, KIND_VOCABULARY, lookup
 from .errors import DatasetError, GraphError, SchemaError
 from .graph import KnowledgeGraph, Node, is_property_key, scenario_members
+from .inference import builtin_ruleset
 from .schema import CONCEPTS
 
 _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+")
@@ -45,6 +47,12 @@ _FIELD_RE = re.compile(rf'(?:[^\s"]+|"{_ESCAPED}")+')
 _new = tuple.__new__
 #: The characters ``str.splitlines`` ends a line at; a record is one line.
 _LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+#: Relation a builtin rule derives -> why an edge of it needs that rule.
+_NEEDS_RULE = {
+    r.relation: f"{r.relation} is derived by {r.name}, so its EDGE needs inferred=<rule>"
+    for r in builtin_ruleset()
+}
 
 #: Concepts whose instances belong to exactly one scenario.
 SCENARIO_CONCEPTS = frozenset(
@@ -284,6 +292,8 @@ def load_dataset(text: str, strict_vocab: bool = False) -> LoadResult:
                 add_edge(src, relation, dst, rule)
             except (GraphError, SchemaError) as exc:
                 raise DatasetError(str(exc), line) from None
+            if relation in _NEEDS_RULE and rule is None:  # after add_edge: its refusals win
+                raise DatasetError(_NEEDS_RULE[relation], line)
         elif type(rec) is ScenarioRecord:
             if rec.scenario_id in seen_scenarios:
                 raise DatasetError(
@@ -334,8 +344,8 @@ def serialize_dataset(graph: KnowledgeGraph, include_inferred: bool = False) -> 
     (src, relation, dst); output is deterministic and reparses to an equal
     graph. Inferred edges are skipped unless ``include_inferred`` is set, in
     which case they carry an ``inferred=<rule>`` marker. An id or value
-    holding a character that ``str.splitlines`` breaks at raises
-    DatasetError.
+    holding a character that ``str.splitlines`` breaks at, or an edge of a
+    derived relation without a rule, raises DatasetError.
     """
     lines: list[str] = []
     for sid, attack_type in sorted(graph.scenarios.items()):
@@ -357,6 +367,8 @@ def serialize_dataset(graph: KnowledgeGraph, include_inferred: bool = False) -> 
     for edge in graph.edges():
         if edge.is_inferred and not include_inferred:
             continue
+        if edge.relation in _NEEDS_RULE and not edge.is_inferred:
+            raise DatasetError(f"edge {edge.src!r} -> {edge.dst!r}: {_NEEDS_RULE[edge.relation]}")
         src, dst = _format_value(edge.src, "edge", "src"), _format_value(edge.dst, "edge", "dst")
         line = f"EDGE {src} {edge.relation} {dst}"
         if edge.is_inferred:

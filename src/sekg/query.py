@@ -21,14 +21,13 @@ test that an atom's relation implies through its domain or range, since
 
 Keywords are case-sensitive uppercase. Matching uses homomorphism semantics:
 distinct variables may bind the same node unless a ``<>`` condition forbids
-it. Property comparisons use plain value equality; a property absent on a
-node compares equal only to another absent property. Projected rows are
-sorted by their values and, under DISTINCT, deduplicated. A parse error's
-``expected`` lists only the token kinds the parser would take at its offset;
-an unterminated string's lists ``"``, the quote that would close it. Names
-are checked as they are read, so an unknown concept or relation wins over a
-syntax error after it; an unbound variable is checked at the end, so any
-syntax error wins over it.
+it. ``=`` never matches an absent property, not even another absent one;
+``<>`` is value inequality. Projected rows are sorted by their values and,
+under DISTINCT, deduplicated. A parse error's ``expected`` lists only the
+token kinds the parser would take at its offset; an unterminated string's
+lists ``"``, the quote that would close it. Names are checked as they are
+read, so an unknown concept or relation wins over a syntax error after it;
+an unbound variable is checked at the end, so any syntax error wins over it.
 """
 
 from __future__ import annotations
@@ -99,17 +98,11 @@ class Operand(NamedTuple):
 
 
 class Condition(NamedTuple):
-    """``left op right``; also a test in a join plan.
-
-    ``strict`` is off for MATCH conditions, where two absent properties
-    compare equal, and on for every ``=`` of a rule body, where an absent
-    property never matches.
-    """
+    """``left op right``; also a test in a join plan."""
 
     left: Operand
     op: str
     right: Operand
-    strict: bool = False
 
     def variables(self) -> frozenset[str]:
         return frozenset(
@@ -304,14 +297,14 @@ class Plan(NamedTuple):
 
     Each step is a plain tuple whose first field names its kind:
 
-    * ``("test", left, right, negate, strict)`` checks a condition whose
-      operands are ``(slot or None, key or None, literal or None)``;
+    * ``("test", left, right, negate)`` checks ``<>`` or ``=`` over operands
+      ``(slot or None, key or None, literal or None)``;
     * ``("has_edge", src, relation, dst)`` checks an edge between two slots;
     * ``("adjacent", var, relation, direction, other)`` binds ``var`` to the
       ``relation`` neighbors of slot ``other`` in ``direction``;
-    * ``("lookup", var, key, operand, strict)`` binds ``var`` to the nodes
-      whose property ``key`` equals ``operand``; ``key`` is never ``None``,
-      and ``"id"`` finds the node of that id, as ``{id="x"}`` does;
+    * ``("lookup", var, key, operand)`` binds ``var`` to the nodes whose
+      property ``key`` equals ``operand``; ``key`` is never ``None``, and
+      ``"id"`` finds the node of that id, as ``{id="x"}`` does;
     * ``("nodes", var)`` binds ``var`` to every node, and
       ``("nodes", var, relation)`` to the sources of ``relation``'s edges,
       both in id order.
@@ -386,7 +379,7 @@ class Conjunction(NamedTuple):
             for test, names in [t for t in tests if t[1] <= bound]:
                 tests.remove((test, names))
                 left, right = _operand(slot, test.left), _operand(slot, test.right)
-                steps.append(("test", left, right, test.op == "<>", test.strict))
+                steps.append(("test", left, right, test.op == "<>"))
             free = next((v for v in self.variables if v not in bound), None)
             if free is None:
                 pinned = tuple(slot[v] for v in inputs)
@@ -423,7 +416,7 @@ class Conjunction(NamedTuple):
                 tests.remove((test, names))
                 value = _operand(slot, other)
                 key = mine.key or "id"
-                steps.append(("lookup", slot[mine.variable], key, value, test.strict))
+                steps.append(("lookup", slot[mine.variable], key, value))
                 bound.add(mine.variable)
             else:
                 steps.append(("nodes", slot[free]))
@@ -497,7 +490,7 @@ def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
     slots; each binding step is a ``for``, consecutive checks are one
     ``if``, and the row append sits innermost. A lookup against a bound
     operand first assigns the operand's value to its own slot, then loops
-    over the nodes that have it.
+    over the nodes that have it, if it is not absent.
     """
     names: list[str] = []
     reads: dict[str, str] = {}
@@ -521,12 +514,10 @@ def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
         for step in shape:
             kind, var = step[0], step[1]
             if kind == "test":
-                _, left, right, negate, strict = step
+                _, left, right, negate = step
                 left, right = value(left), value(right)
-                if negate:
-                    yield "if", None, f"{left} != {right}"
-                else:
-                    yield "if", None, f"{left} == {right}" + " is not None" * strict
+                check = f"{left} != {right}" if negate else f"{left} == {right} is not None"
+                yield "if", None, check
             elif kind == "has_edge":
                 yield "if", None, f"{read('graph.has_edge')}(s{var}, {arg()}, s{step[3]})"
             elif kind == "adjacent":
@@ -536,14 +527,13 @@ def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
                 ids = f"sorted(graph.adjacency({arg()}))" if len(step) == 3 else "graph.node_ids()"
                 yield "for", var, read(ids)
             else:  # a lookup
-                _, _, _, operand, strict = step
+                _, _, _, operand = step
                 key = arg()
                 if operand[0] is None:
                     yield "for", var, read(f"graph.nodes_with({key}, {arg()})")
                     continue
                 yield "line", var, f"s{var} = {value(operand)}"
-                if strict:
-                    yield "if", None, f"s{var} is not None"
+                yield "if", None, f"s{var} is not None"
                 yield "for", var, f"{read('graph.nodes_with')}({key}, s{var})"
 
     row = "".join(f"s{i}, " for i in range(width))

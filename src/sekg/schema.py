@@ -5,8 +5,8 @@ The schema is a fixed, code-defined vocabulary written as two row tables:
 ``RELATION_ROWS`` every stored relation with its domain, range and
 property axioms (inverse and subproperty). Its rows are the asserted
 relations, their subproperties and the five relations the rules derive; a
-dataset may assert a derived relation too. Two alias dicts add the other
-spellings accepted for stored relations. The rows are built once, at
+dataset edge of a derived one must name its rule. Two alias dicts add the
+other spellings accepted for stored relations. The rows are built once, at
 import, into two lookup tables: ``CONCEPTS`` resolves a concept name or
 synonym, ``RELATIONS`` a relation name or alias. Every module indexes
 those two; an unknown name raises ``SchemaError``.
@@ -197,8 +197,8 @@ RELATION_ROWS = tuple(RelationDef(*row) for row in (
     ("drive", "AttackMotivation", "Attacker", _S, "driven_by", "motivate"),
     ("incented_by", "Attacker", "AttackMotivation", _S, "incent", "motivated_by"),
     ("driven_by", "Attacker", "AttackMotivation", _S, "drive", "motivated_by"),
-    # Derived by the rules R1 and R4-R7; a dataset may also assert one, and
-    # serialize_dataset writes an inferred one with ``inferred=<rule>``.
+    # Derived by the rules R1 and R4-R7; the loader takes an edge of one only
+    # with ``inferred=<rule>``, as serialize_dataset writes it.
     ("attack", "Attacker", "AttackTarget", _D, None, None),
     ("same_attack_organization", "Attacker", "Attacker", _D, "same_attack_organization", None),
     ("same_affiliation", "AttackTarget", "AttackTarget", _D, "same_affiliation", None),

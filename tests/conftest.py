@@ -30,6 +30,20 @@ def load_result():
     return load_canonical()
 
 
+#: Two attackers asserted to attack one victim, with no method behind them:
+#: were the attack edges taken, R4 would relate the attackers.
+ASSERTED_ATTACK = """\
+SCENARIO 1 type=t
+NODE greed AttackMotivation
+NODE a Attacker scenario=1
+NODE b Attacker scenario=1
+NODE v Victim scenario=1
+EDGE greed motivate a
+EDGE greed motivate b
+EDGE a attack v
+EDGE b attack v
+"""
+
 AFFILIATIONS = ("Acme", "Initech", "Globex")
 DOMAINS = ("evil.test", "bad.example")
 
@@ -344,8 +358,9 @@ def crosslinked_graph(graph, k: int) -> KnowledgeGraph:
 
 def reference_eval(query, graph) -> list[tuple[str, ...]]:
     """Exhaustive query evaluation: every assignment of ``query.body``'s
-    variables is tried against its atoms (by ``has_edge``) and its tests
-    (two absent properties compare equal).
+    variables is tried against its atoms (by ``has_edge``) and its tests:
+    ``=`` holds when both sides have the same value, never when one is
+    absent, and ``<>`` when the values differ.
 
     Shares no planner or join code. Exponential, so only usable on small
     fixtures; the production evaluator must agree with it exactly.
@@ -359,15 +374,16 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
             return env[op.variable]
         return graph.node(env[op.variable]).property(op.key)
 
+    def holds(env, test):
+        a, b = operand(env, test.left), operand(env, test.right)
+        return a != b if test.op == "<>" else a == b and a is not None
+
     rows = []
     for combo in itertools.product(graph.node_ids(), repeat=len(body.variables)):
         env = dict(zip(body.variables, combo))
         if not all(graph.has_edge(env[s], r, env[d]) for s, r, d in body.atoms):
             continue
-        if not all(
-            (operand(env, t.left) == operand(env, t.right)) == (t.op == "=")
-            for t in body.tests
-        ):
+        if not all(holds(env, t) for t in body.tests):
             continue
         row = []
         for item in query.returns:
@@ -413,13 +429,13 @@ def _reference_step(
     once per binding it makes, or once if its check passes."""
     kind = step[0]
     if kind == "test":
-        _, left, right, negate, strict = step
+        _, left, right, negate = step
         left = _reference_reader(graph, slots, left)
         right = _reference_reader(graph, slots, right)
 
-        def check() -> None:
+        def check() -> None:  # an absent value equals nothing
             a, b = left(), right()
-            if (a != b) if negate else (a == b and (a is not None or not strict)):
+            if (a != b) if negate else (a == b and a is not None):
                 then()
 
         return check
@@ -439,14 +455,14 @@ def _reference_step(
             return get(slots[other], ())
 
     elif kind == "lookup":
-        _, _, key, operand, strict = step
+        _, _, key, operand = step
         read, by_id = _reference_reader(graph, slots, operand), key in (None, "id")
 
-        def values() -> Sequence[str]:
+        def values() -> Sequence[str]:  # an absent value equals nothing
             value = read()
             if by_id:
                 return (value,) if has_node(graph, value) else ()
-            return () if value is None and strict else graph.nodes_with(key, value)
+            return () if value is None else graph.nodes_with(key, value)
 
     else:  # every node, or one relation's sources
         ids = sorted(graph.adjacency(step[2])) if len(step) == 3 else graph.node_ids()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ASSERTED_ATTACK
 from sekg import cli
 from sekg.cli import main
 from sekg.graph import KnowledgeGraph
@@ -49,6 +50,14 @@ def run_cli(capsys, *argv):
         ("export_scenario9.dot", ["export", "--scenario", "9"]),
         ("eval.json", ["eval"]),
         ("targets_attacker10.json", ["targets", "--attacker", "attacker10", "--format", "json"]),
+        (  # R5's test as a query: targets that share an affiliation
+            "query_same_affiliation.tsv",
+            [
+                "query",
+                "MATCH (v:Victim), (w:Victim) WHERE v.affiliation = w.affiliation AND v <> w"
+                " RETURN v, w, v.affiliation",
+            ],
+        ),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):
@@ -111,6 +120,18 @@ def test_dataset_error_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "load", str(bad))
     assert code == 1
     assert "line 1" in err
+
+
+def test_asserted_derived_edge_is_one_error_line(tmp_path, capsys):
+    # Two attack edges with no method behind them: the load stops at the
+    # first, so no rule builds on it and no command runs.
+    bad = tmp_path / "asserted_attack.sekg"
+    bad.write_text(ASSERTED_ATTACK, encoding="utf-8")
+    for argv in (["load"], ["threats", "--victim", "v"], ["eval"]):
+        code, out, err = run_cli(capsys, *argv, str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 8: attack is derived by R1, so its EDGE needs inferred=<rule>\n"
 
 
 def test_strict_vocab_flag(tmp_path, capsys):

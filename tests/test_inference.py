@@ -25,8 +25,8 @@ from sekg.inference import (
     run_inference,
     run_rules,
 )
-from sekg.query import Plan, parse_query, run_query
-from sekg.schema import RELATION_ROWS
+from sekg.query import Plan, evaluate_query, match, parse_query, run_query
+from sekg.schema import RELATION_ROWS, RELATIONS
 
 SYMMETRIC_DERIVED = (
     "same_attack_organization",
@@ -253,16 +253,66 @@ def test_malformed_rule_raises_on_every_call():
 
 
 def test_rule_equality_never_matches_absent_property():
-    # The same text: MATCH pairs two nodes without an affiliation (absent =
-    # absent), a rule body does not (its = tests are strict).
+    # The same text as a MATCH and as a rule body: neither pairs two nodes
+    # without an affiliation, and both pair the two that share one.
     g = KnowledgeGraph()
     g.register_scenario(1, "t")
     g.add_node(Node("v1", "AttackTarget", 1))
     g.add_node(Node("v2", "AttackTarget", 1))
+    g.add_node(Node("v3", "AttackTarget", 1, properties={"affiliation": "Acme"}))
+    g.add_node(Node("v4", "AttackTarget", 1, properties={"affiliation": "Acme"}))
     text = "MATCH (x), (y) WHERE x.affiliation = y.affiliation AND x <> y RETURN x, y"
-    assert [row.values for row in run_query(text, g)] == [("v1", "v2"), ("v2", "v1")]
-    assert run_rules(g, [Rule("X", "same_affiliation", text)]).added == []
-    assert g.edges("same_affiliation") == ()
+    assert [row.values for row in run_query(text, g)] == [("v3", "v4"), ("v4", "v3")]
+    run_rules(g, [Rule("X", "same_affiliation", text)])
+    assert [(e.src, e.dst) for e in g.edges("same_affiliation")] == [("v3", "v4"), ("v4", "v3")]
+
+
+def with_affiliations(graph: KnowledgeGraph, seed: int) -> KnowledgeGraph:
+    """An unfrozen copy of ``graph`` with an affiliation on about half its
+    attackers and methods, which R5's unlabelled body can pair but its
+    head refuses."""
+    rng = random.Random(seed)
+    g = KnowledgeGraph()
+    for sid, attack_type in graph.scenarios.items():
+        g.register_scenario(sid, attack_type)
+    for node in graph.nodes():
+        if node.concept in ("Attacker", "AttackMethod") and rng.random() < 0.5:
+            affiliation = rng.choice(AFFILIATIONS)
+            node = node._replace(properties={**node.properties, "affiliation": affiliation})
+        g.add_node(node)
+    for e in graph.edges():
+        g.add_edge(e.src, e.relation, e.dst, rule=e.rule)
+    return g
+
+
+def assert_rules_mean_their_match(graph: KnowledgeGraph) -> None:
+    """Each builtin rule's body, run as a MATCH, pairs what its compiled
+    plan derives, once the pairs the head's types or a self-loop refuse go."""
+    concept = {node.id: node.concept for node in graph.nodes()}
+    for rule in builtin_ruleset():
+        head = RELATIONS[rule.relation][2]
+        matched = {
+            (x, y)
+            for x, y in (row.values for row in evaluate_query(parse_query(rule.body), graph))
+            if x != y and concept[x] == head.domain and concept[y] == head.range
+        }
+        _, (a, _, b), plan, _ = inference._compile(rule)
+        assert matched == {(row[a], row[b]) for row in match(graph, plan)}, rule.name
+
+
+def test_rule_bodies_mean_their_match_on_the_bundled_graph(graph):
+    assert_rules_mean_their_match(graph)
+    assert_rules_mean_their_match(replicated_graph(graph, 4))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_rule_bodies_mean_their_match_on_random_graphs(seed):
+    g = random_conformant_graph(seed)
+    run_inference(g)
+    assert_rules_mean_their_match(g)
+    g = with_affiliations(g, seed)
+    run_inference(g)
+    assert_rules_mean_their_match(g)
 
 
 def test_rules_parsed_once(monkeypatch):
@@ -347,30 +397,30 @@ BUILTIN_PLANS = {
             ("adjacent", 2, "attack", OUT, 1),
             ("adjacent", 3, "attack", IN, 2),
             ("has_edge", 0, "motivate", 3),
-            ("test", (1, None, None), (3, None, None), True, False),
+            ("test", (1, None, None), (3, None, None), True),
         ), 4, ()),
         [
             ("motivate", Plan((
                 ("adjacent", 2, "attack", OUT, 1),
                 ("adjacent", 3, "attack", IN, 2),
                 ("has_edge", 0, "motivate", 3),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("test", (1, None, None), (3, None, None), True),
             ), 4, (0, 1))),
             ("attack", Plan((
                 ("adjacent", 0, "motivate", IN, 1),
                 ("adjacent", 3, "attack", IN, 2),
                 ("has_edge", 0, "motivate", 3),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("test", (1, None, None), (3, None, None), True),
             ), 4, (1, 2))),
             ("attack", Plan((
                 ("adjacent", 1, "attack", IN, 2),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 0, "motivate", IN, 1),
                 ("has_edge", 0, "motivate", 3),
             ), 4, (3, 2))),
             ("motivate", Plan((
                 ("adjacent", 1, "motivate", OUT, 0),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 2, "attack", OUT, 1),
                 ("has_edge", 3, "attack", 2),
             ), 4, (0, 3))),
@@ -379,10 +429,10 @@ BUILTIN_PLANS = {
     "R5": (
         (0, "same_affiliation", 1),
         Plan((
-            ("lookup", 0, "concept", (None, None, "AttackTarget"), True),
-            ("lookup", 1, "affiliation", (0, "affiliation", None), True),
-            ("test", (0, None, None), (1, None, None), True, False),
-            ("test", (1, "concept", None), (None, None, "AttackTarget"), False, True),
+            ("lookup", 0, "concept", (None, None, "AttackTarget")),
+            ("lookup", 1, "affiliation", (0, "affiliation", None)),
+            ("test", (0, None, None), (1, None, None), True),
+            ("test", (1, "concept", None), (None, None, "AttackTarget"), False),
         ), 2, ()),
         [
         ],
@@ -392,8 +442,8 @@ BUILTIN_PLANS = {
         Plan((
             ("nodes", 0, "craft_and_perform"),
             ("adjacent", 1, "craft_and_perform", OUT, 0),
-            ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
-            ("test", (1, None, None), (3, None, None), True, False),
+            ("lookup", 3, "encoded_domain", (1, "encoded_domain", None)),
+            ("test", (1, None, None), (3, None, None), True),
             ("adjacent", 2, "craft_and_perform", IN, 3),
             ("adjacent", 4, "motivated_by", OUT, 0),
             ("has_edge", 2, "motivated_by", 4),
@@ -403,8 +453,8 @@ BUILTIN_PLANS = {
         ), 7, ()),
         [
             ("craft_and_perform", Plan((
-                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None)),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 2, "craft_and_perform", IN, 3),
                 ("adjacent", 4, "motivated_by", OUT, 0),
                 ("has_edge", 2, "motivated_by", 4),
@@ -413,8 +463,8 @@ BUILTIN_PLANS = {
                 ("has_edge", 5, "same_affiliation", 6),
             ), 7, (0, 1))),
             ("craft_and_perform", Plan((
-                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None)),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 0, "craft_and_perform", IN, 1),
                 ("adjacent", 4, "motivated_by", OUT, 0),
                 ("has_edge", 2, "motivated_by", 4),
@@ -424,8 +474,8 @@ BUILTIN_PLANS = {
             ), 7, (2, 3))),
             ("motivated_by", Plan((
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
-                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None)),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 2, "craft_and_perform", IN, 3),
                 ("has_edge", 2, "motivated_by", 4),
                 ("adjacent", 5, "attack", OUT, 0),
@@ -434,8 +484,8 @@ BUILTIN_PLANS = {
             ), 7, (0, 4))),
             ("motivated_by", Plan((
                 ("adjacent", 3, "craft_and_perform", OUT, 2),
-                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None)),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 0, "craft_and_perform", IN, 1),
                 ("has_edge", 0, "motivated_by", 4),
                 ("adjacent", 5, "attack", OUT, 0),
@@ -444,8 +494,8 @@ BUILTIN_PLANS = {
             ), 7, (2, 4))),
             ("attack", Plan((
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
-                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None)),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 2, "craft_and_perform", IN, 3),
                 ("adjacent", 4, "motivated_by", OUT, 0),
                 ("has_edge", 2, "motivated_by", 4),
@@ -454,8 +504,8 @@ BUILTIN_PLANS = {
             ), 7, (0, 5))),
             ("attack", Plan((
                 ("adjacent", 3, "craft_and_perform", OUT, 2),
-                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None), True),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("lookup", 1, "encoded_domain", (3, "encoded_domain", None)),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 0, "craft_and_perform", IN, 1),
                 ("adjacent", 4, "motivated_by", OUT, 0),
                 ("has_edge", 2, "motivated_by", 4),
@@ -465,8 +515,8 @@ BUILTIN_PLANS = {
             ("same_affiliation", Plan((
                 ("adjacent", 0, "attack", IN, 5),
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
-                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None), True),
-                ("test", (1, None, None), (3, None, None), True, False),
+                ("lookup", 3, "encoded_domain", (1, "encoded_domain", None)),
+                ("test", (1, None, None), (3, None, None), True),
                 ("adjacent", 2, "craft_and_perform", IN, 3),
                 ("has_edge", 2, "attack", 6),
                 ("adjacent", 4, "motivated_by", OUT, 0),
@@ -481,23 +531,23 @@ BUILTIN_PLANS = {
             ("adjacent", 1, "same_origin_attack", OUT, 0),
             ("adjacent", 2, "craft_and_perform", IN, 0),
             ("adjacent", 3, "craft_and_perform", IN, 1),
-            ("test", (2, None, None), (3, None, None), True, False),
+            ("test", (2, None, None), (3, None, None), True),
         ), 4, ()),
         [
             ("same_origin_attack", Plan((
                 ("adjacent", 2, "craft_and_perform", IN, 0),
                 ("adjacent", 3, "craft_and_perform", IN, 1),
-                ("test", (2, None, None), (3, None, None), True, False),
+                ("test", (2, None, None), (3, None, None), True),
             ), 4, (0, 1))),
             ("craft_and_perform", Plan((
                 ("adjacent", 1, "same_origin_attack", OUT, 0),
                 ("adjacent", 3, "craft_and_perform", IN, 1),
-                ("test", (2, None, None), (3, None, None), True, False),
+                ("test", (2, None, None), (3, None, None), True),
             ), 4, (2, 0))),
             ("craft_and_perform", Plan((
                 ("adjacent", 0, "same_origin_attack", IN, 1),
                 ("adjacent", 2, "craft_and_perform", IN, 0),
-                ("test", (2, None, None), (3, None, None), True, False),
+                ("test", (2, None, None), (3, None, None), True),
             ), 4, (3, 1))),
         ],
     ),
@@ -560,7 +610,7 @@ def test_head_tests_only_where_the_body_leaves_a_type_open():
     loopy = Rule(
         "X", "same_affiliation", "MATCH (x), (y) WHERE x.affiliation = y.affiliation RETURN x, y"
     )
-    apart = ("test", (0, None, None), (1, None, None), True, False)
+    apart = ("test", (0, None, None), (1, None, None), True)
     assert apart in inference._compile(loopy)[2].steps
 
 

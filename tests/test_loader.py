@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ASSERTED_ATTACK,
     find_edge,
     random_conformant_graph,
     reference_parse_document,
@@ -321,6 +322,63 @@ def test_canonical_roundtrip_fixpoint(load_result):
     once = serialize_dataset(load_result.graph)
     again = serialize_dataset(load_dataset(once).graph)
     assert once == again
+
+
+# -- derived relations ----------------------------------------------------------
+
+DERIVED_BASE = """\
+SCENARIO 1 type=t
+NODE a Attacker scenario=1
+NODE b Attacker scenario=1
+NODE m AttackMethod scenario=1
+NODE n AttackMethod scenario=1
+NODE v Victim scenario=1
+NODE w Victim scenario=1
+"""
+
+
+def test_dataset_cannot_assert_a_derived_relation():
+    with pytest.raises(DatasetError) as err:
+        load_dataset(ASSERTED_ATTACK)
+    assert err.value.line == 8
+    assert str(err.value) == "line 8: attack is derived by R1, so its EDGE needs inferred=<rule>"
+
+
+@pytest.mark.parametrize(
+    "src, relation, dst, rule",
+    [
+        ("a", "attack", "v", "R1"),
+        ("a", "same_attack_organization", "b", "R4"),
+        ("v", "same_affiliation", "w", "R5"),
+        ("m", "same_origin_attack", "n", "R6"),
+        ("a", "in_the_same_organization", "b", "R7"),
+    ],
+)
+def test_derived_edge_needs_its_rule(src, relation, dst, rule):
+    edge = f"EDGE {src} {relation} {dst}"
+    g = load_dataset(f"{DERIVED_BASE}{edge} inferred={rule}\n").graph
+    assert find_edge(g, src, relation, dst).rule == rule
+    with pytest.raises(DatasetError) as err:
+        load_dataset(f"{DERIVED_BASE}{edge}\n")
+    needs = f"{relation} is derived by {rule}, so its EDGE needs inferred=<rule>"
+    assert str(err.value) == f"line 8: {needs}"
+
+
+def test_serialize_refuses_a_derived_edge_without_rule():
+    g = load_dataset(MINI).graph
+    g.add_edge("attacker1", "attack", "victim1")
+    for include_inferred in (False, True):
+        with pytest.raises(DatasetError, match="attack is derived by R1"):
+            serialize_dataset(g, include_inferred=include_inferred)
+
+
+def test_inferred_replica_roundtrips(graph):
+    g = replicated_graph(graph, 4)
+    text = serialize_dataset(g, include_inferred=True)
+    reloaded = load_dataset(text).graph
+    assert (reloaded.nodes(), reloaded.edges()) == (g.nodes(), g.edges())
+    assert [e.rule for e in reloaded.edges()] == [e.rule for e in g.edges()]
+    assert serialize_dataset(reloaded, include_inferred=True) == text
 
 
 # -- fuzzing --------------------------------------------------------------------

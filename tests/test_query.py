@@ -150,19 +150,19 @@ OUT, IN = Direction.OUT, Direction.IN
             "<-[:have_vul]-(v:AttackTarget) WHERE a.scenario_id <> v.scenario_id RETURN DISTINCT v",
             (
                 # craft_and_perform's domain types a, have_vul's domain v
-                ("lookup", 0, "id", (None, None, "attacker10"), False),
+                ("lookup", 0, "id", (None, None, "attacker10")),
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
                 ("adjacent", 2, "to_exploit", OUT, 1),
                 ("adjacent", 3, "have_vul", IN, 2),
-                ("test", (0, "scenario_id", None), (3, "scenario_id", None), True, False),
+                ("test", (0, "scenario_id", None), (3, "scenario_id", None), True),
             ),
         ),
         (  # read-8x q_quads
             'MATCH (a {id="attacker10"})-[:craft_and_perform]->(m)-[:to_exploit]->(h)'
             '<-[:have_vul]-(v {id="victim13"}) RETURN a, m, h, v',
             (
-                ("lookup", 0, "id", (None, None, "attacker10"), False),
-                ("lookup", 3, "id", (None, None, "victim13"), False),
+                ("lookup", 0, "id", (None, None, "attacker10")),
+                ("lookup", 3, "id", (None, None, "victim13")),
                 ("adjacent", 1, "craft_and_perform", OUT, 0),
                 ("adjacent", 2, "to_exploit", OUT, 1),
                 ("has_edge", 3, "have_vul", 2),
@@ -170,13 +170,13 @@ OUT, IN = Direction.OUT, Direction.IN
         ),
         (  # read-8x q_scenario
             'MATCH (n {scenario_id="10"}) RETURN n',
-            (("lookup", 0, "scenario_id", (None, None, "10"), False),),
+            (("lookup", 0, "scenario_id", (None, None, "10")),),
         ),
         (  # read-8x q_organization
             'MATCH (a {id="attacker10"})-[:in_the_same_organization]->(b)'
             "-[:craft_and_perform]->(m) RETURN DISTINCT b, m",
             (
-                ("lookup", 0, "id", (None, None, "attacker10"), False),
+                ("lookup", 0, "id", (None, None, "attacker10")),
                 ("adjacent", 1, "in_the_same_organization", OUT, 0),
                 ("adjacent", 2, "craft_and_perform", OUT, 1),
             ),
@@ -377,17 +377,22 @@ def test_missing_property_projects_empty():
 
 def test_missing_property_equality():
     g = fixture_graph()
-    # absent = absent holds; absent = "" does not (no value vs empty value)
+    # An absent property equals nothing: not another absent one, not "".
     rows = run_query(
         "MATCH (g:HumanVulnerability), (h:HumanVulnerability) "
         "WHERE g.affiliation = h.affiliation RETURN g, h",
         g,
     )
-    assert len(rows) == 4
+    assert rows == []
     rows = run_query(
         'MATCH (h:HumanVulnerability) WHERE h.affiliation = "" RETURN h', g
     )
     assert rows == []
+    # <> is value inequality, so an absent property differs from any value.
+    rows = run_query(
+        'MATCH (h:HumanVulnerability) WHERE h.affiliation <> "Acme" RETURN h', g
+    )
+    assert [r.values for r in rows] == [("fear",), ("greed",)]
 
 
 def test_distinct_dedups_sorted_rows():
@@ -495,7 +500,8 @@ def test_match_refuses_a_row_of_the_wrong_width():
 
 def test_strict_test_step_never_matches_an_absent_property():
     # Both sides come in as inputs, so the = runs as a test step, not a
-    # lookup; strict (as in a rule body) refuses absent = absent.
+    # lookup; it refuses absent = absent, as a lookup finds no node for an
+    # absent value. Unpinned, the plan looks y up by x's affiliation.
     g = KnowledgeGraph()
     g.register_scenario(1, "t")
     for v in ("v1", "v2"):
@@ -503,13 +509,13 @@ def test_strict_test_step_never_matches_an_absent_property():
     for v in ("v3", "v4"):
         g.add_node(Node(v, "AttackTarget", 1, properties={"affiliation": "Acme"}))
     body = parse_query("MATCH (x), (y) WHERE x.affiliation = y.affiliation RETURN x").body
-    rows = [("v1", "v2"), ("v1", "v3"), ("v3", "v4")]
-    cases = ((False, [("v1", "v2"), ("v3", "v4")]), (True, [("v3", "v4")]))
-    for strict, expected in cases:
-        tests = tuple(t._replace(strict=strict) for t in body.tests)
-        plan = body._replace(tests=tests).plan(inputs=("x", "y"))
-        assert [step[0] for step in plan.steps] == ["test"]
-        assert match(g, plan, rows) == expected
+    rows = [("v1", "v2"), ("v1", "v1"), ("v1", "v3"), ("v3", "v4")]
+    plan = body.plan(inputs=("x", "y"))
+    assert [step[0] for step in plan.steps] == ["test"]
+    assert match(g, plan, rows) == [("v3", "v4")]
+    plan = body.plan()
+    assert [step[0] for step in plan.steps] == ["nodes", "lookup"]
+    assert match(g, plan) == [(x, y) for x in ("v3", "v4") for y in ("v3", "v4")]
 
 
 CHAIN = Conjunction(
@@ -747,7 +753,6 @@ def diffed_plans() -> list[tuple[str, Plan, str | None]]:
         plans += [(f"{name} {rel}", rest, rel) for rel, rest in per_atom]
     for rule in inference.builtin_ruleset():  # every check a step, as rules run it
         body = parse_query(rule.body).body
-        body = body._replace(tests=tuple(t._replace(strict=t.op == "=") for t in body.tests))
         plans.append((f"{rule.name} pinned", body.plan(inputs=body.variables), None))
     for text in BRUTE_QUERIES:
         body = parse_query(text).body
