@@ -40,9 +40,7 @@ _EXPORTS = {
     "KnowledgeGraph": "graph",
     "Node": "graph",
     "InferenceResult": "inference",
-    "Rule": "inference",
     "axiom_closure": "inference",
-    "builtin_ruleset": "inference",
     "run_inference": "inference",
     "run_rules": "inference",
     "Finding": "loader",
@@ -55,6 +53,8 @@ _EXPORTS = {
     "evaluate_query": "query",
     "parse_query": "query",
     "run_query": "query",
+    "Rule": "schema",
+    "builtin_ruleset": "schema",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

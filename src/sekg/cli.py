@@ -4,21 +4,41 @@ Subcommands: load, validate, infer, stats, threats, targets, paths,
 same-origin, query, export, eval. Results go to stdout (or ``--output``),
 diagnostics to stderr. Exit codes: 0 success, 1 validation or analysis
 error, 2 usage error. All output is deterministic.
+
+Each subcommand declares the relations it reads where it is registered,
+and inference derives only those (see ``_load_graph``). The analytics,
+query, inference and json modules are imported by the functions that
+call them, so a process loads only what its subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import analytics
-from .datasets import canonical_text
 from .errors import DatasetError, SekgError
 from .graph import RED_RELATIONS, KnowledgeGraph
-from .inference import run_inference
 from .loader import load_dataset, serialize_dataset, validate_scenario_completeness
-from .query import parse_query, evaluate_query
+from .schema import DERIVABLE, RELATIONS
+
+if TYPE_CHECKING:
+    from .analytics import AttackPath
+
+#: What ``threats``, ``targets`` and ``paths`` read: the chain attacker
+#: -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul- victim.
+_CHAIN = frozenset({"craft_and_perform", "to_exploit", "have_vul"})
+#: What ``same-origin`` reads: the three relations it reports, and the
+#: methods and motivations behind their pairs.
+_SAME_ORIGIN = frozenset(
+    {
+        "same_affiliation",
+        "same_origin_attack",
+        "in_the_same_organization",
+        "craft_and_perform",
+        "motivated_by",
+    }
+)
 
 CONCEPT_FILL = {
     "Attacker": "#e63946",
@@ -89,7 +109,7 @@ def export_dot(graph: KnowledgeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def attack_path_dict(path: analytics.AttackPath) -> dict:
+def attack_path_dict(path: AttackPath) -> dict:
     return {
         "nodes": list(path.nodes),
         "steps": [{"relation": r, "forward": f} for r, f in path.steps],
@@ -99,6 +119,8 @@ def attack_path_dict(path: analytics.AttackPath) -> dict:
 
 def export_report(result: object) -> str:
     """Serialize an analysis result as JSON with sorted keys."""
+    import json
+
     return json.dumps(_jsonable(result), indent=2, sort_keys=True) + "\n"
 
 
@@ -120,6 +142,8 @@ def _jsonable(value: object) -> object:
 
 def _read_dataset(path: str | None) -> str:
     if path is None:
+        from .datasets import canonical_text
+
         return canonical_text()
     with open(path, encoding="utf-8") as handle:
         try:
@@ -129,18 +153,33 @@ def _read_dataset(path: str | None) -> str:
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[KnowledgeGraph, list[str]]:
-    """The dataset's graph and load warnings; inferred and frozen unless
-    ``no_infer`` is set (``load``, ``validate`` and ``infer`` always set it)."""
+    """The dataset's graph and load warnings.
+
+    Unless ``no_infer`` is set (``load``, ``validate`` and ``infer`` always
+    set it), inference derives what the subcommand reads and the graph is
+    frozen. ``args.reads`` is that read set: relation names, a function of
+    ``args`` giving them, or None for every relation. A read set that meets
+    none of ``DERIVABLE`` runs no rule and imports no inference code; any
+    other runs the rules and axioms that can write it (``run_inference``'s
+    ``needs``), so each relation read holds what a full run would give it.
+    """
     result = load_dataset(_read_dataset(args.dataset), strict_vocab=args.strict_vocab)
     if not args.no_infer:
-        run_inference(result.graph)
+        reads = args.reads(args) if callable(args.reads) else args.reads
+        if reads is not None:  # an unknown name derives nothing: its reader raises
+            reads = {RELATIONS[name][0] for name in reads if name in RELATIONS}
+        if reads is None or not DERIVABLE.isdisjoint(reads):
+            from .inference import run_inference
+
+            run_inference(result.graph, reads)
         result.graph.freeze()
     return result.graph, result.warnings
 
 
-def _add_common(parser: argparse.ArgumentParser, run, infer_flag: bool = True) -> None:
-    """Add the options every subcommand shares, and ``run``, its handler."""
-    parser.set_defaults(run=run)
+def _add_common(parser: argparse.ArgumentParser, run, reads=None, infer_flag: bool = True) -> None:
+    """Add the options every subcommand shares, ``run``, its handler, and
+    ``reads``, what it reads of the graph (see ``_load_graph``)."""
+    parser.set_defaults(run=run, reads=reads)
     parser.add_argument(
         "dataset",
         nargs="?",
@@ -196,43 +235,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print per-rule firing counts")
 
     p = sub.add_parser("stats", help="rank endpoint usage of one relation")
-    _add_common(p, _cmd_stats)
+    _add_common(p, _cmd_stats, reads=lambda args: (args.relation,))
     p.add_argument("--relation", required=True)
     p.add_argument("--end", choices=("src", "dst"), default="dst")
     p.add_argument("--top", type=_top, default=3)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("threats", help="potential threats against one victim")
-    _add_common(p, _cmd_threats)
+    _add_common(p, _cmd_threats, reads=_CHAIN)
     p.add_argument("--victim", required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("targets", help="potential targets of one attacker")
-    _add_common(p, _cmd_targets)
+    _add_common(p, _cmd_targets, reads=_CHAIN)
     p.add_argument("--attacker", required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("paths", help="attack paths between an attacker and a victim")
-    _add_common(p, _cmd_paths)
+    _add_common(p, _cmd_paths, reads=_CHAIN)
     p.add_argument("--from", dest="src", required=True, metavar="ATTACKER")
     p.add_argument("--to", dest="dst", required=True, metavar="VICTIM")
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("same-origin", help="report same-origin attack evidence")
-    _add_common(p, _cmd_same_origin)
+    _add_common(p, _cmd_same_origin, reads=_SAME_ORIGIN)
 
     p = sub.add_parser("query", help="run a MATCH query")
     p.add_argument("text", nargs="?", default=None, help="query text; stdin when omitted")
-    _add_common(p, _cmd_query)
+    p.set_defaults(parsed=None)
+    _add_common(p, _cmd_query, reads=_query_reads)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("export", help="export the graph as DOT or dataset text")
-    _add_common(p, _cmd_export)
+    _add_common(p, _cmd_export)  # every relation
     p.add_argument("--format", choices=("dot", "sekg"), default="dot")
     p.add_argument("--scenario", type=int, default=None, help="restrict to one scenario subgraph")
 
     p = sub.add_parser("eval", help="score the analysis patterns against the path oracle")
-    _add_common(p, _cmd_eval)
+    _add_common(p, _cmd_eval, reads=RED_RELATIONS | {"attack"})
     return parser
 
 
@@ -263,6 +303,8 @@ def _cmd_validate(
 
 
 def _cmd_infer(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
+    from .inference import run_inference
+
     outcome = run_inference(graph)
     lines = []
     if args.trace:
@@ -276,6 +318,8 @@ def _cmd_infer(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[s
 
 
 def _cmd_stats(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
+    from . import analytics
+
     end = analytics.End.SRC if args.end == "src" else analytics.End.DST
     ranked = analytics.ranked_usage(graph, args.relation, end, args.top)
     if args.format == "json":
@@ -290,6 +334,8 @@ def _cmd_stats(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[s
 
 
 def _cmd_threats(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
+    from . import analytics
+
     pairs = analytics.potential_threats_for_victim(graph, args.victim)
     if args.format == "json":
         return export_report(pairs)
@@ -303,6 +349,8 @@ def _cmd_threats(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list
 
 
 def _cmd_targets(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
+    from . import analytics
+
     pairs = analytics.potential_targets_for_attacker(graph, args.attacker)
     alternates = [
         analytics.alternate_methods_for_target(graph, args.attacker, p.victim)
@@ -323,6 +371,8 @@ def _cmd_targets(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list
 
 
 def _cmd_paths(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
+    from . import analytics
+
     paths, auxiliary = analytics.attack_paths_between(graph, args.src, args.dst)
     if args.format == "json":
         return export_report(
@@ -344,12 +394,30 @@ def _cmd_paths(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[s
 def _cmd_same_origin(
     args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]
 ) -> str:
+    from . import analytics
+
     return export_report(analytics.same_origin_report(graph))
 
 
+def _parsed_query(args: argparse.Namespace):
+    """``query``'s MATCH, from its text or stdin, parsed on first use: after
+    the load, so that a dataset error wins over a parse error."""
+    if args.parsed is None:
+        from .query import parse_query
+
+        args.parsed = parse_query(args.text if args.text is not None else sys.stdin.read())
+    return args.parsed
+
+
+def _query_reads(args: argparse.Namespace) -> set[str]:
+    """The relations of the MATCH body's atoms."""
+    return {relation for _, relation, _ in _parsed_query(args).body.atoms}
+
+
 def _cmd_query(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
-    text = args.text if args.text is not None else sys.stdin.read()
-    query = parse_query(text)
+    from .query import evaluate_query
+
+    query = _parsed_query(args)
     labels = [item.label for item in query.returns]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if args.format == "json" and repeated:
@@ -374,7 +442,19 @@ def _cmd_export(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[
 
 
 def _cmd_eval(args: argparse.Namespace, graph: KnowledgeGraph, warnings: list[str]) -> str:
+    from . import analytics
+
     return export_report(analytics.evaluation_report(graph))
+
+
+def __getattr__(name: str):
+    # ``benchmarks/test_benchmark.py`` reads ``sekg.cli.run_inference`` to
+    # check its tracer's patching; the CLI itself imports it only to infer.
+    if name == "run_inference":
+        from .inference import run_inference
+
+        return run_inference
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

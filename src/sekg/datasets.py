@@ -5,7 +5,6 @@ from __future__ import annotations
 from importlib import resources
 
 from .graph import KnowledgeGraph
-from .inference import run_inference
 from .loader import LoadResult, load_dataset
 
 CANONICAL_RESOURCE = "data/canonical.sekg"
@@ -25,6 +24,8 @@ def load_canonical() -> LoadResult:
 
 def canonical_graph() -> KnowledgeGraph:
     """Load the bundled dataset, run inference, and freeze the result."""
+    from .inference import run_inference
+
     graph = load_canonical().graph
     run_inference(graph)
     return graph.freeze()

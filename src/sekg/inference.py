@@ -1,11 +1,12 @@
 """Forward-chaining inference: axiom closure plus derivation rules.
 
-A rule is a name, a head relation and a body written as MATCH text, whose
-``RETURN`` names the head's two endpoints: R1 is ``MATCH
+A rule (``schema.Rule``) is a name, a head relation and a body written as
+MATCH text, whose ``RETURN`` names the head's two endpoints: R1 is ``MATCH
 (a)-[:craft_and_perform]->(am)-[:apply_to]->(v) RETURN a, v`` with head
-``attack``. The body parses into the conjunctive join that MATCH queries
-use, and means what the same MATCH means. Each rule is parsed and planned
-once per process.
+``attack``. The builtin rules are data in ``schema``; this module runs
+them. The body parses into the conjunctive join that MATCH queries use,
+and means what the same MATCH means. Each rule is parsed and planned once
+per process.
 
 The schema's axioms are single-atom rules generated at import: ``R3``
 lifts an edge to its superproperty and ``R2`` adds its inverse (a symmetric
@@ -20,27 +21,25 @@ before R2, so an edge derivable both ways is labelled ``R3``, whatever the
 node ids. Each head is typed from the schema when its rule is compiled, so
 ``add_edge`` accepts every head a body yields; a body that contradicts its
 head raises ``RuleError`` before anything is written.
+
+A caller that reads only some relations names them as ``needs``. Then only
+the rules and axioms that can write a needed relation run: those whose
+head is needed, where a kept rule's body relations are needed in turn
+(the relevance half of magic sets; Bancilhon, Maier, Sagiv and Ullman,
+PODS 1986). Kept rules read only relations kept rules write, so each
+needed relation gets the edges of a full run, each in the same round and
+labelled with the same rule.
 """
 
 from functools import cache
-from typing import NamedTuple
 
 from .errors import GraphError, RuleError
 from .graph import Edge, KnowledgeGraph
 from .query import Condition, Operand, Plan, has_property, match, parse_query
-from .schema import RELATION_ROWS, RELATIONS
+from .schema import RELATION_ROWS, RELATIONS, Rule, builtin_ruleset
 
 INVERSE_RULE = "R2"
 SUBPROPERTY_RULE = "R3"
-
-
-class Rule(NamedTuple):
-    """Derive ``(x, relation, y)`` for each row of ``body``, a MATCH text
-    whose ``RETURN`` is ``x, y``."""
-
-    name: str
-    relation: str
-    body: str
 
 
 class InferenceResult:
@@ -53,57 +52,6 @@ class InferenceResult:
 
     def sorted_added(self) -> list[Edge]:
         return sorted(self.added, key=lambda e: (e.relation, e.src, e.dst))
-
-
-def builtin_ruleset() -> tuple[Rule, ...]:
-    """Derivation rules over the schema's relations, as MATCH text.
-
-    R1 derives attack edges from performed methods; R4 relates attackers
-    sharing a motivation and a victim; R5 relates targets with equal
-    affiliations; R6 relates methods that share an encoded source domain,
-    a common motivation behind their attackers, and victims already known
-    to share an affiliation; R7 lifts R6 to the attackers themselves.
-    The planner breaks ties in written order, so reordering the edges of a
-    body can change its plan.
-    R2/R3 are not listed: they are generated from the schema's axioms and
-    run by ``axiom_closure`` and after these rules in every round.
-    """
-    return (
-        Rule(
-            "R1",
-            "attack",
-            "MATCH (a)-[:craft_and_perform]->(am)-[:apply_to]->(v) RETURN a, v",
-        ),
-        Rule(
-            "R4",
-            "same_attack_organization",
-            "MATCH (m)-[:motivate]->(a)-[:attack]->(v)<-[:attack]-(b)<-[:motivate]-(m)"
-            " WHERE a <> b RETURN a, b",
-        ),
-        Rule(
-            "R5",
-            "same_affiliation",
-            "MATCH (v1), (v2) WHERE v1.affiliation = v2.affiliation AND v1 <> v2"
-            " RETURN v1, v2",
-        ),
-        Rule(
-            "R6",
-            "same_origin_attack",
-            "MATCH (a1)-[:craft_and_perform]->(am1), (a2)-[:craft_and_perform]->(am2),"
-            " (a1)-[:motivated_by]->(m), (a2)-[:motivated_by]->(m),"
-            " (a1)-[:attack]->(v1), (a2)-[:attack]->(v2),"
-            " (v1)-[:same_affiliation]->(v2)"
-            " WHERE am1.encoded_domain = am2.encoded_domain AND am1 <> am2"
-            " RETURN am1, am2",
-        ),
-        Rule(
-            "R7",
-            "in_the_same_organization",
-            "MATCH (am1)-[:same_origin_attack]->(am2),"
-            " (a1)-[:craft_and_perform]->(am1), (a2)-[:craft_and_perform]->(am2)"
-            " WHERE a1 <> a2 RETURN a1, a2",
-        ),
-    )
 
 
 @cache
@@ -216,21 +164,55 @@ def _fixpoint(
             return result
 
 
-def axiom_closure(graph: KnowledgeGraph) -> InferenceResult:
+def _needed(rules: tuple, needs) -> set[str] | None:
+    """The stored relations that deriving ``needs`` reads, or None for all.
+
+    ``needs`` resolves through ``RELATIONS``, so an alias names its stored
+    relation and an unknown name raises ``SchemaError``. Each planned rule
+    of ``rules`` or axiom whose head relation is needed adds the relations
+    of its body, until nothing new is added. (An atom left out of a rule's
+    per-atom plans is a self-loop, which no edge matches, so that rule adds
+    nothing whatever it reads.)
+    """
+    if needs is None:
+        return None
+    needed = {RELATIONS[name][0] for name in needs}
+    while True:
+        reads = {
+            relation
+            for _, (_, head, _), _, per_atom in rules + _AXIOMS
+            if head in needed
+            for relation, _ in per_atom
+        }
+        if reads <= needed:
+            return needed
+        needed |= reads
+
+
+def _writing(rules: tuple, needed: set[str] | None) -> tuple:
+    """The planned rules of ``rules`` whose head is in ``needed``, in order;
+    every one for None."""
+    return rules if needed is None else tuple(r for r in rules if r[1][1] in needed)
+
+
+def axiom_closure(graph: KnowledgeGraph, needs=None) -> InferenceResult:
     """Complete inverse and subproperty edges until nothing new appears.
 
     Runs the axiom rules alone to fixpoint, R3 before R2 in every round, so
-    an edge both lifted and inverted is labelled ``R3``. A frozen graph
-    raises ``GraphError``, even when there is nothing to add.
+    an edge both lifted and inverted is labelled ``R3``. With ``needs``, a
+    collection of relation names, only the axioms that can write one of
+    them, transitively, run. A frozen graph raises ``GraphError``, even
+    when there is nothing to add.
     """
     if graph.frozen:
         raise GraphError("graph is frozen")
-    return _fixpoint(graph, InferenceResult(), _AXIOMS)
+    return _fixpoint(graph, InferenceResult(), _writing(_AXIOMS, _needed((), needs)))
 
 
 def run_rules(
     graph: KnowledgeGraph,
     rules: tuple[Rule, ...] | list[Rule],
+    needs=None,
 ) -> InferenceResult:
     """Close the graph under the axioms, then apply rules to fixpoint.
 
@@ -245,11 +227,21 @@ def run_rules(
     a malformed rule raises ``QueryParseError``, ``RuleError`` or
     ``SchemaError`` on every call; a frozen graph raises ``GraphError`` from
     the closure.
+
+    ``needs``, the relation names the caller reads, keeps only the rules
+    and axioms that can write one of them: a kept rule's body relations
+    are needed in turn (``_needed``). They run in their usual order and read
+    only relations kept rules write, so each needed relation ends with the
+    edges, each labelled with its rule, of a run with ``needs=None``, which
+    runs everything. Other relations may lack edges a full run adds.
     """
     planned = tuple(_compile(rule) for rule in rules)
-    return _fixpoint(graph, axiom_closure(graph), planned, _AXIOMS)
+    needed = _needed(planned, needs)
+    closed = axiom_closure(graph, needed)
+    return _fixpoint(graph, closed, _writing(planned, needed), _writing(_AXIOMS, needed))
 
 
-def run_inference(graph: KnowledgeGraph) -> InferenceResult:
-    """Axiom closure and the builtin rule set, to fixpoint."""
-    return run_rules(graph, builtin_ruleset())
+def run_inference(graph: KnowledgeGraph, needs=None) -> InferenceResult:
+    """Axiom closure and the builtin rule set, to fixpoint; with ``needs``,
+    only what can write those relations (see ``run_rules``)."""
+    return run_rules(graph, builtin_ruleset(), needs)

@@ -28,8 +28,7 @@ from typing import NamedTuple
 from .catalog import ID_VOCABULARY, KIND_VOCABULARY, lookup
 from .errors import DatasetError, GraphError, SchemaError
 from .graph import KnowledgeGraph, Node, is_property_key, scenario_members
-from .inference import builtin_ruleset
-from .schema import CONCEPTS
+from .schema import CONCEPTS, builtin_ruleset
 
 _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.@:/+-]+")
 #: The inside of a quoted segment, where ``\"`` and ``\\`` escape a quote

@@ -5,8 +5,10 @@ The schema is a fixed, code-defined vocabulary written as two row tables:
 ``RELATION_ROWS`` every stored relation with its domain, range and
 property axioms (inverse and subproperty). Its rows are the asserted
 relations, their subproperties and the five relations the rules derive; a
-dataset edge of a derived one must name its rule. Two alias dicts add the
-other spellings accepted for stored relations. The rows are built once, at
+dataset edge of a derived one must name its rule. ``builtin_ruleset`` is
+the table of those rules, R1 and R4-R7, as data that ``inference`` runs,
+and ``DERIVABLE`` names every relation a rule or an axiom can write. Two
+alias dicts add the other spellings accepted for stored relations. The rows are built once, at
 import, into two lookup tables: ``CONCEPTS`` resolves a concept name or
 synonym, ``RELATIONS`` a relation name or alias. Every module indexes
 those two; an unknown name raises ``SchemaError``.
@@ -197,14 +199,85 @@ RELATION_ROWS = tuple(RelationDef(*row) for row in (
     ("drive", "AttackMotivation", "Attacker", _S, "driven_by", "motivate"),
     ("incented_by", "Attacker", "AttackMotivation", _S, "incent", "motivated_by"),
     ("driven_by", "Attacker", "AttackMotivation", _S, "drive", "motivated_by"),
-    # Derived by the rules R1 and R4-R7; the loader takes an edge of one only
-    # with ``inferred=<rule>``, as serialize_dataset writes it.
+    # Derived by the rules R1 and R4-R7 (``builtin_ruleset`` below); the
+    # loader takes an edge of one only with ``inferred=<rule>``, as
+    # serialize_dataset writes it.
     ("attack", "Attacker", "AttackTarget", _D, None, None),
     ("same_attack_organization", "Attacker", "Attacker", _D, "same_attack_organization", None),
     ("same_affiliation", "AttackTarget", "AttackTarget", _D, "same_affiliation", None),
     ("same_origin_attack", "AttackMethod", "AttackMethod", _D, "same_origin_attack", None),
     ("in_the_same_organization", "Attacker", "Attacker", _D, "in_the_same_organization", None),
 ))
+
+
+class Rule(NamedTuple):
+    """Derive ``(x, relation, y)`` for each row of ``body``, a MATCH text
+    whose ``RETURN`` is ``x, y``."""
+
+    name: str
+    relation: str
+    body: str
+
+
+def builtin_ruleset() -> tuple[Rule, ...]:
+    """Derivation rules over the schema's relations, as MATCH text.
+
+    R1 derives attack edges from performed methods; R4 relates attackers
+    sharing a motivation and a victim; R5 relates targets with equal
+    affiliations; R6 relates methods that share an encoded source domain,
+    a common motivation behind their attackers, and victims already known
+    to share an affiliation; R7 lifts R6 to the attackers themselves.
+    The planner breaks ties in written order, so reordering the edges of a
+    body can change its plan.
+    R2/R3 are not listed: ``inference`` generates them from the axioms of
+    ``RELATION_ROWS`` and runs them first alone, then after these rules in
+    every round.
+    """
+    return (
+        Rule(
+            "R1",
+            "attack",
+            "MATCH (a)-[:craft_and_perform]->(am)-[:apply_to]->(v) RETURN a, v",
+        ),
+        Rule(
+            "R4",
+            "same_attack_organization",
+            "MATCH (m)-[:motivate]->(a)-[:attack]->(v)<-[:attack]-(b)<-[:motivate]-(m)"
+            " WHERE a <> b RETURN a, b",
+        ),
+        Rule(
+            "R5",
+            "same_affiliation",
+            "MATCH (v1), (v2) WHERE v1.affiliation = v2.affiliation AND v1 <> v2"
+            " RETURN v1, v2",
+        ),
+        Rule(
+            "R6",
+            "same_origin_attack",
+            "MATCH (a1)-[:craft_and_perform]->(am1), (a2)-[:craft_and_perform]->(am2),"
+            " (a1)-[:motivated_by]->(m), (a2)-[:motivated_by]->(m),"
+            " (a1)-[:attack]->(v1), (a2)-[:attack]->(v2),"
+            " (v1)-[:same_affiliation]->(v2)"
+            " WHERE am1.encoded_domain = am2.encoded_domain AND am1 <> am2"
+            " RETURN am1, am2",
+        ),
+        Rule(
+            "R7",
+            "in_the_same_organization",
+            "MATCH (am1)-[:same_origin_attack]->(am2),"
+            " (a1)-[:craft_and_perform]->(am1), (a2)-[:craft_and_perform]->(am2)"
+            " WHERE a1 <> a2 RETURN a1, a2",
+        ),
+    )
+
+
+#: The stored relations some rule or axiom writes: each builtin rule's head,
+#: each row's inverse and each row's superproperty. A command that reads
+#: none of them needs no inference.
+DERIVABLE = frozenset(
+    {rule.relation for rule in builtin_ruleset()}
+    | {name for r in RELATION_ROWS for name in (r.inverse_of, r.subproperty_of) if name}
+)
 
 # Relation names accepted on input and read as a stored relation. Each
 # alias is declared here and nowhere else. ``bring_about`` and ``conduct``

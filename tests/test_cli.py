@@ -8,10 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ASSERTED_ATTACK
+from conftest import ASSERTED_ATTACK, crosslinked_graph
 from sekg import cli
 from sekg.cli import main
 from sekg.graph import KnowledgeGraph
+from sekg.inference import run_inference
+from sekg.loader import load_dataset, serialize_dataset
+from sekg.schema import RELATIONS
+from test_query import BRUTE_QUERIES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,38 +32,39 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("load.txt", ["load"]),
-        ("validate.txt", ["validate"]),
-        ("infer_trace.txt", ["infer", "--trace"]),
-        ("stats_table.txt", ["stats", "--relation", "performed_through", "--end", "dst", "--top", "3"]),
-        ("stats.csv", ["stats", "--relation", "performed_through", "--end", "dst", "--top", "3", "--format", "csv"]),
-        ("stats.json", ["stats", "--relation", "performed_through", "--end", "dst", "--top", "3", "--format", "json"]),
-        ("threats_victim7.txt", ["threats", "--victim", "victim7"]),
-        ("threats_victim7.json", ["threats", "--victim", "victim7", "--format", "json"]),
-        ("targets_attacker10.txt", ["targets", "--attacker", "attacker10"]),
-        ("paths_10_13.txt", ["paths", "--from", "attacker10", "--to", "victim13"]),
-        ("paths_10_13.json", ["paths", "--from", "attacker10", "--to", "victim13", "--format", "json"]),
-        ("same_origin.json", ["same-origin"]),
-        (
-            "query_company_a.tsv",
-            ["query", 'MATCH (v:Victim {affiliation="Company A"}) RETURN v, v.scenario_id'],
-        ),
-        ("export_scenario9.dot", ["export", "--scenario", "9"]),
-        ("eval.json", ["eval"]),
-        ("targets_attacker10.json", ["targets", "--attacker", "attacker10", "--format", "json"]),
-        (  # R5's test as a query: targets that share an affiliation
-            "query_same_affiliation.tsv",
-            [
-                "query",
-                "MATCH (v:Victim), (w:Victim) WHERE v.affiliation = w.affiliation AND v <> w"
-                " RETURN v, w, v.affiliation",
-            ],
-        ),
-    ],
-)
+#: (golden file, argv) of each CLI run pinned byte for byte.
+GOLDEN_CASES = [
+    ("load.txt", ["load"]),
+    ("validate.txt", ["validate"]),
+    ("infer_trace.txt", ["infer", "--trace"]),
+    ("stats_table.txt", ["stats", "--relation", "performed_through", "--end", "dst", "--top", "3"]),
+    ("stats.csv", ["stats", "--relation", "performed_through", "--end", "dst", "--top", "3", "--format", "csv"]),
+    ("stats.json", ["stats", "--relation", "performed_through", "--end", "dst", "--top", "3", "--format", "json"]),
+    ("threats_victim7.txt", ["threats", "--victim", "victim7"]),
+    ("threats_victim7.json", ["threats", "--victim", "victim7", "--format", "json"]),
+    ("targets_attacker10.txt", ["targets", "--attacker", "attacker10"]),
+    ("paths_10_13.txt", ["paths", "--from", "attacker10", "--to", "victim13"]),
+    ("paths_10_13.json", ["paths", "--from", "attacker10", "--to", "victim13", "--format", "json"]),
+    ("same_origin.json", ["same-origin"]),
+    (
+        "query_company_a.tsv",
+        ["query", 'MATCH (v:Victim {affiliation="Company A"}) RETURN v, v.scenario_id'],
+    ),
+    ("export_scenario9.dot", ["export", "--scenario", "9"]),
+    ("eval.json", ["eval"]),
+    ("targets_attacker10.json", ["targets", "--attacker", "attacker10", "--format", "json"]),
+    (  # R5's test as a query: targets that share an affiliation
+        "query_same_affiliation.tsv",
+        [
+            "query",
+            "MATCH (v:Victim), (w:Victim) WHERE v.affiliation = w.affiliation AND v <> w"
+            " RETURN v, w, v.affiliation",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN_CASES)
 def test_golden_outputs(capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
@@ -321,3 +326,90 @@ def test_quoted_node_ids_escaped():
     g.add_node(Node('weird"id', "Attacker"))
     out = export_dot(g)
     assert '"weird\\"id"' in out
+
+
+# -- demand-driven inference ---------------------------------------------------
+#
+# Each command derives only the relations it reads. It must print what it
+# printed when every rule ran to fixpoint before it.
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def full_load_graph(args):
+    """``_load_graph`` without read sets: every rule to fixpoint, then freeze,
+    before every command that infers."""
+    result = load_dataset(cli._read_dataset(args.dataset), strict_vocab=args.strict_vocab)
+    if not args.no_infer:
+        run_inference(result.graph)
+        result.graph.freeze()
+    return result.graph, result.warnings
+
+
+def assert_as_full(capsys, argv):
+    """``argv`` prints the same stdout, stderr and exit code with demand-driven
+    and with full inference."""
+    demand = run_cli(capsys, *argv)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_load_graph", full_load_graph)
+        full = run_cli(capsys, *argv)
+    assert demand == full, argv
+
+
+@pytest.fixture(scope="module")
+def gate_files(tmp_path_factory, asserted_graph):
+    """The 4x benchmark corpus, its cli-4x commands, and 3 cross-linked copies
+    of the bundled corpus (R4 fires on them), as dataset files."""
+    with pytest.MonkeyPatch.context() as m:
+        m.syspath_prepend(str(ROOT / "benchmarks"))
+        import corpus
+        import workloads
+    root = tmp_path_factory.mktemp("gate")
+    four, linked = root / "corpus-4x.sekg", root / "crosslinked-3x.sekg"
+    four.write_text(corpus.corpus_text(4), encoding="utf-8")
+    linked.write_text(serialize_dataset(crosslinked_graph(asserted_graph, 3)), encoding="utf-8")
+    return workloads.cli_commands(str(four), 4), str(linked)
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_CASES])
+def test_golden_argv_print_as_with_full_inference(capsys, argv):
+    assert_as_full(capsys, argv)
+
+
+def test_cli_4x_commands_print_as_with_full_inference(capsys, gate_files):
+    commands, _ = gate_files
+    assert len(commands) == 11
+    for argv in commands.values():
+        assert_as_full(capsys, argv)
+
+
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+def test_stats_of_each_relation_prints_as_with_full_inference(capsys, gate_files, relation):
+    _, linked = gate_files
+    for dataset in ([], [linked]):
+        for end in ("src", "dst"):
+            assert_as_full(capsys, ["stats", *dataset, "--relation", relation, "--end", end])
+
+
+@pytest.mark.parametrize("text", BRUTE_QUERIES)
+def test_queries_print_as_with_full_inference(capsys, gate_files, text):
+    _, linked = gate_files
+    for dataset in ([], [linked]):
+        assert_as_full(capsys, ["query", text, *dataset])
+
+
+MALFORMED = "SCENARIO 1 type=t\nNODE a Attacker scenario=1\nEDGE a no_such_relation a\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "--relation", "bogus"], ["query", "MATCH (a RETURN a"]],
+)
+def test_dataset_error_wins_over_an_argument_error(tmp_path, capsys, argv):
+    # The dataset is read before the read set is worked out, and the MATCH
+    # parsed only after the load, as when the handler parsed it.
+    bad = tmp_path / "bad.sekg"
+    bad.write_text(MALFORMED, encoding="utf-8")
+    argv = [*argv, str(bad)]
+    assert run_cli(capsys, *argv) == (1, "", "error: line 3: unknown relation: 'no_such_relation'\n")
+    assert_as_full(capsys, argv)

@@ -26,7 +26,7 @@ from sekg.inference import (
     run_rules,
 )
 from sekg.query import Plan, evaluate_query, match, parse_query, run_query
-from sekg.schema import RELATION_ROWS, RELATIONS
+from sekg.schema import DERIVABLE, RELATION_ROWS, RELATIONS
 
 SYMMETRIC_DERIVED = (
     "same_attack_organization",
@@ -702,6 +702,46 @@ def test_crosslinked_copies_match_naive_fixpoint_reference(asserted_graph, k):
     assert result.fired["R4"] == 2 * (k - 1)
 
 
+def test_needed_relation_gets_exactly_a_full_runs_edges(asserted_graph):
+    # run_inference(g, {r}) runs only the rules and axioms that can write r;
+    # r must end with the edges of a full run, each labelled with the same
+    # rule, and with the naive fixpoint's edge keys.
+    graphs = [
+        asserted_graph,
+        replicated_graph(asserted_graph, 4),
+        crosslinked_graph(asserted_graph, 3),
+    ]
+    graphs += [random_conformant_graph(seed) for seed in range(100)]
+    for i, source in enumerate(graphs):
+        full = thaw(source)
+        run_inference(full)
+        expected = reference_fixpoint(source, builtin_ruleset())
+        for rel in RELATION_ROWS:
+            g = thaw(source)
+            run_inference(g, {rel.name})
+            assert g.edges(rel.name) == full.edges(rel.name), f"graph {i}: {rel.name}"
+            keys = {key for key in expected if key[1] == rel.name}
+            assert {e.key() for e in g.edges(rel.name)} == keys, f"graph {i}: {rel.name}"
+
+
+def test_needs_names_resolve_through_the_relation_table(asserted_graph):
+    # An alias reads its stored relation; an unknown name fails loudly;
+    # needing nothing derivable adds nothing.
+    g, h = thaw(asserted_graph), thaw(asserted_graph)
+    assert run_inference(g, ["exploited_by", "conduct"]).added == []
+    assert run_inference(h, ["suffer"]).fired == {"R2": 21}
+    with pytest.raises(SchemaError, match="unknown relation: 'no_such'"):
+        run_inference(thaw(asserted_graph), ["no_such"])
+
+
+def test_derivable_is_what_the_rules_and_axioms_write():
+    heads = {head[1] for _, head, _, _ in inference._AXIOMS}
+    heads |= {inference._compile(rule)[1][1] for rule in builtin_ruleset()}
+    assert DERIVABLE == heads
+    assert {"attack", "motivated_by", "suffer"} <= DERIVABLE
+    assert not {"craft_and_perform", "to_exploit", "have_vul"} & DERIVABLE
+
+
 def test_closure_matches_reference_with_provenance(asserted_graph):
     graphs = [asserted_graph, replicated_graph(asserted_graph, 4)]
     graphs += [random_conformant_graph(seed) for seed in range(100)]
@@ -791,16 +831,21 @@ def test_rule_feeds_itself():
 def test_run_inference_closes_once(monkeypatch):
     # The closure is a traced layer of its own: run_inference must reach it
     # through inference.axiom_closure, once.
+    # With needs, it gets the relations the kept rules read.
     calls = []
 
-    def counted(graph):
-        calls.append(graph)
-        return axiom_closure(graph)
+    def counted(graph, needs=None):
+        calls.append((graph, needs))
+        return axiom_closure(graph, needs)
 
     monkeypatch.setattr(inference, "axiom_closure", counted)
     g = chain_fixture()
     run_inference(g)
-    assert calls == [g]
+    assert calls == [(g, None)]
+    calls.clear()
+    g = chain_fixture()
+    run_inference(g, ["attack"])
+    assert calls == [(g, {"attack", "craft_and_perform", "apply_to", "suffer"})]
 
 
 def test_run_rules_closes_unclosed_graph_first():

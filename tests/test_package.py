@@ -101,6 +101,47 @@ def test_import_cli_loads_no_dataclasses():
     assert "'dataclasses'" not in loaded
 
 
+def test_rule_table_loads_no_query_module():
+    # The builtin rules are data in schema: the loader refuses an asserted
+    # derived edge by them without the engine that runs them.
+    for code in ("import sys, sekg.loader", "import sys; from sekg import builtin_ruleset"):
+        loaded = fresh(f"{code}; {LOADED}")
+        assert "'sekg.schema'" in loaded
+        assert "'sekg.query'" not in loaded
+        assert "'sekg.inference'" not in loaded
+
+
+#: A subcommand's argv, and the sekg modules it must not load: each imports
+#: only what it runs, and runs inference only for a derivable relation read.
+COMMAND_IMPORTS = [
+    (["load"], {"query", "inference", "analytics"}),
+    (["validate"], {"query", "inference", "analytics"}),
+    (["threats", "--victim", "victim7"], {"query", "inference"}),
+    (["targets", "--attacker", "attacker10"], {"query", "inference"}),
+    (["paths", "--from", "attacker10", "--to", "victim13"], {"query", "inference"}),
+    (["stats", "--relation", "performed_through"], {"query", "inference"}),
+    (["query", "MATCH (a)-[:craft_and_perform]->(m) RETURN a, m"], {"inference", "analytics"}),
+    (["infer"], {"analytics"}),
+    (["export"], {"analytics"}),
+]
+
+
+@pytest.mark.parametrize("argv, absent", COMMAND_IMPORTS, ids=[a[0] for a, _ in COMMAND_IMPORTS])
+def test_each_command_loads_only_what_it_runs(argv, absent):
+    argv = [*argv, str(SRC / "data" / "canonical.sekg")]
+    code = (
+        "import contextlib, io, sys\n"
+        "from sekg import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({argv!r})\n"
+        f"print(status); {LOADED}"
+    )
+    status, loaded = fresh(code).splitlines()
+    assert status == "0"
+    assert "'sekg.cli'" in loaded
+    assert [m for m in absent if f"'sekg.{m}'" in loaded] == []
+
+
 #: One value of every public record type, exported or not.
 RECORDS = [
     ConceptDef("Attacker", ("Hacker",)),
