@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import defaultdict
 from enum import Enum
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import GraphError
@@ -16,6 +17,7 @@ from .graph import RED_RELATIONS, Direction, KnowledgeGraph
 
 #: Builds a record from a tuple of its fields, with no arity check.
 _new = tuple.__new__
+_first = itemgetter(0)
 
 
 class End(Enum):
@@ -101,17 +103,18 @@ def ranked_usage(
     return out
 
 
-def _chain_pairs(
+def _chain_groups(
     graph: KnowledgeGraph,
     attacker_id: str | None = None,
     victim_id: str | None = None,
-) -> list[tuple[str, str]]:
-    """The (method, vulnerability) pairs of the chains attacker
-    -craft_and_perform-> method -to_exploit-> vulnerability <-have_vul-
-    victim through the pinned ends, in no set order. A pair stands for its
-    method's attackers (or the pinned one) times its vulnerability's victims
-    (or the pinned one). A pinned id that is unknown or of the wrong concept
-    raises GraphError.
+) -> dict[str, list[str]]:
+    """Each method on a chain attacker -craft_and_perform-> method
+    -to_exploit-> vulnerability <-have_vul- victim through the pinned ends,
+    with the vulnerabilities of its chains, built in one walk, in no set
+    order. A (method, vulnerability) pair stands for its method's attackers
+    (or the pinned one) times its vulnerability's victims (or the pinned
+    one). A pinned id that is unknown or of the wrong concept raises
+    GraphError.
     """
     for node_id, concept in ((attacker_id, "Attacker"), (victim_id, "AttackTarget")):
         if node_id is not None:
@@ -120,15 +123,33 @@ def _chain_pairs(
                 raise GraphError(f"expected an {concept}, got {node_id!r} ({actual})")
     methods = graph.adjacency("craft_and_perform", Direction.IN)
     flawed = graph.adjacency("have_vul", Direction.IN)
+    groups: dict[str, list[str]] = {}
     if victim_id is not None:
         flawed = graph.adjacency("have_vul").get(victim_id, ())
         if attacker_id is None:  # from the victim's few flaws, not from every method
             exploited_by = graph.adjacency("to_exploit", Direction.IN)
-            return [(m, h) for h in flawed for m in exploited_by.get(h, ()) if m in methods]
+            for h in flawed:
+                for m in exploited_by.get(h, ()):
+                    if m in methods:
+                        groups.setdefault(m, []).append(h)
+            return groups
     if attacker_id is not None:
         methods = graph.adjacency("craft_and_perform").get(attacker_id, ())
     exploits = graph.adjacency("to_exploit")
-    return [(m, h) for m in methods for h in exploits.get(m, ()) if h in flawed]
+    for m in methods:
+        if hs := [h for h in exploits.get(m, ()) if h in flawed]:
+            groups[m] = hs
+    return groups
+
+
+class _Evidence(dict):
+    """Flaw tuple -> its frozenset, made on first use, so that the rows of
+    one call with the same flaws share one set. The flaws of one chain op
+    come in adjacency order, id order, so equal sets have equal tuples."""
+
+    def __missing__(self, flaws: tuple[str, ...]) -> frozenset[str]:
+        self[flaws] = evidence = frozenset(flaws)
+        return evidence
 
 
 def _scenario_nodes(graph: KnowledgeGraph, node_id: str) -> tuple[str, ...]:
@@ -145,21 +166,21 @@ def potential_threats_for_victim(
     victim that the method exploits. Methods of the victim's own scenario
     are excluded.
     """
+    shared = _chain_groups(graph, victim_id=victim_id)
     own = set(_scenario_nodes(graph, victim_id))
-    shared: dict[str, list[str]] = defaultdict(list)
-    for method, hv in _chain_pairs(graph, victim_id=victim_id):
-        if method not in own:
-            shared[method].append(hv)
     attackers = graph.adjacency("craft_and_perform", Direction.IN)
     nodes = graph.node_map()
     origin = nodes[victim_id].scenario_id or 0
+    evidences = _Evidence()
     out = []
-    for method, hvs in shared.items():
-        evidence = frozenset(hvs)  # one per method, shared by its attackers' rows
+    for method in sorted(shared):
+        if method in own:
+            continue
+        evidence = evidences[tuple(shared[method])]
         for a in attackers[method]:
             origins = (nodes[a].scenario_id or 0, origin)
             out.append(_new(ThreatPair, (a, method, victim_id, evidence, origins)))
-    out.sort()
+    out.sort(key=_first)  # stable: each attacker's rows stay in method order
     return out
 
 
@@ -174,9 +195,7 @@ def potential_targets_for_attacker(
     separately by :func:`alternate_methods_for_target`.
     """
     own = set(_scenario_nodes(graph, attacker_id))
-    reach: dict[str, list[str]] = defaultdict(list)  # the flaws each method reaches
-    for method, hv in _chain_pairs(graph, attacker_id=attacker_id):
-        reach[method].append(hv)
+    reach = _chain_groups(graph, attacker_id=attacker_id)  # the flaws each method reaches
     victims = graph.adjacency("have_vul", Direction.IN)
     chosen: dict[str, tuple[str, list[str]]] = {}  # victim -> (method, shared flaws)
     for method in sorted(reach):  # in id order: a tie keeps the first
@@ -189,20 +208,22 @@ def potential_targets_for_attacker(
                 chosen[victim] = (method, hvs)
     nodes = graph.node_map()
     origin = nodes[attacker_id].scenario_id or 0
-    return [
-        _new(ThreatPair, (attacker_id, m, v, frozenset(hvs), (origin, nodes[v].scenario_id or 0)))
-        for v, (m, hvs) in sorted(chosen.items())
-        if v not in own
-    ]
+    evidences = _Evidence()
+    out = []
+    for v, (m, hvs) in sorted(chosen.items()):
+        if v not in own:
+            origins = (origin, nodes[v].scenario_id or 0)
+            out.append(_new(ThreatPair, (attacker_id, m, v, evidences[tuple(hvs)], origins)))
+    return out
 
 
 def alternate_methods_for_target(
     graph: KnowledgeGraph, attacker_id: str, victim_id: str
 ) -> tuple[str, ...]:
     """Victim-scenario methods exploiting flaws the attacker can also reach."""
-    pairs = _chain_pairs(graph, attacker_id, victim_id)
+    groups = _chain_groups(graph, attacker_id, victim_id)
     exploited_by = graph.adjacency("to_exploit", Direction.IN)
-    exploiters = {m for _, hv in pairs for m in exploited_by[hv]}
+    exploiters = {m for hvs in groups.values() for hv in hvs for m in exploited_by[hv]}
     return tuple(m for m in _scenario_nodes(graph, victim_id) if m in exploiters)
 
 
@@ -216,13 +237,17 @@ def attack_paths_between(
     from other scenarios than the victim's that exploit the victim's
     vulnerabilities but sit on none of the returned paths.
     """
-    pairs = sorted(_chain_pairs(graph, attacker_id, victim_id))
+    groups = _chain_groups(graph, attacker_id, victim_id)
     exploited_by = graph.adjacency("to_exploit", Direction.IN)
     flaws = graph.adjacency("have_vul").get(victim_id, ())
     auxiliary = {method for hv in flaws for method in exploited_by.get(hv, ())}
-    auxiliary.difference_update((m for m, _ in pairs), _scenario_nodes(graph, victim_id))
+    auxiliary.difference_update(groups, _scenario_nodes(graph, victim_id))
     steps = (("craft_and_perform", True), ("to_exploit", True), ("have_vul", False))
-    paths = [_new(AttackPath, ((attacker_id, m, hv, victim_id), steps)) for m, hv in pairs]
+    paths = [
+        _new(AttackPath, ((attacker_id, m, hv, victim_id), steps))
+        for m in sorted(groups)
+        for hv in sorted(groups[m])
+    ]
     return paths, sorted(auxiliary)
 
 
@@ -301,8 +326,8 @@ def evaluation_report(graph: KnowledgeGraph) -> dict:
     method, victim) triples, their (attacker, victim) pairs and the 4-node
     paths, which cross a vulnerability. The outputs come from the chains
     attacker -craft_and_perform-> method -to_exploit-> vulnerability
-    <-have_vul- victim, each (method, vulnerability) pair of
-    :func:`_chain_pairs` times its attackers and victims: cross-scenario
+    <-have_vul- victim, each method of :func:`_chain_groups` with each of
+    its vulnerabilities, times their attackers and victims: cross-scenario
     triples plus the asserted apply_to ones, cross-scenario pairs plus the
     attack edges, and the chains themselves. Returns the oracle's path
     counts, the label counts and one EvalMetrics per pattern.
@@ -315,7 +340,11 @@ def evaluation_report(graph: KnowledgeGraph) -> dict:
     attackers = graph.adjacency("craft_and_perform", Direction.IN)
     victims = graph.adjacency("have_vul", Direction.IN)
     chains = [  # a list: iterating it twice is faster than iterating a set
-        (a, m, h, v) for m, h in _chain_pairs(graph) for a in attackers[m] for v in victims[h]
+        (a, m, h, v)
+        for m, hs in _chain_groups(graph).items()
+        for h in hs
+        for a in attackers[m]
+        for v in victims[h]
     ]
     scenario = graph.property_values("scenario_id")
     threat_out = {(a, m, v) for a, m, _, v in chains if scenario[m] != scenario[v]}

@@ -15,14 +15,12 @@ Grammar::
 RETURN projection: each edge is a relation atom, and node concepts,
 ``{key="value"}`` constraints and WHERE conditions are its tests. A concept
 name or synonym resolves alike as a label, a ``{concept="..."}`` value and a
-WHERE literal tested against ``x.concept``. The planner drops a concept
-test that an atom's relation implies through its domain or range, since
-``add_edge`` stores no edge that breaks them.
+WHERE literal tested against ``x.concept``.
 
 Keywords are case-sensitive uppercase. Matching uses homomorphism semantics:
 distinct variables may bind the same node unless a ``<>`` condition forbids
-it. ``=`` never matches an absent property, not even another absent one;
-``<>`` is value inequality. Projected rows are sorted by their values and,
+it. A comparison with an absent property never holds, ``=`` or ``<>``,
+not even against another absent one. Rows are sorted by their values and,
 under DISTINCT, deduplicated. A parse error's ``expected`` lists only the
 token kinds the parser would take at its offset; an unterminated string's
 lists ``"``, the quote that would close it. Names are checked as they are
@@ -34,7 +32,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -43,6 +42,7 @@ from .graph import Direction, KnowledgeGraph
 from .schema import CONCEPTS, RELATIONS, LookupTable
 
 KEYWORDS = ("MATCH", "WHERE", "AND", "RETURN", "DISTINCT")
+OUT, IN = Direction.OUT, Direction.IN
 
 #: One token after optional whitespace: a symbol, a double-quoted string
 #: with ``\\`` escapes, a word, the end of input, or any other character.
@@ -52,6 +52,8 @@ _TOKEN_RE = re.compile(
     r"""|([A-Za-z_][A-Za-z0-9_]*)|(\Z)|(.))""",
     re.DOTALL,
 )
+#: ``_TOKEN_RE`` with its whitespace as a first group, for one ``findall``.
+_SCAN_RE = re.compile(r"(\s*)" + _TOKEN_RE.pattern.removeprefix(r"\s*"), re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 #: Builds a record from a tuple of its fields, with no arity check.
@@ -66,27 +68,35 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     """Scan ``text`` into tokens; offsets index into the source string."""
-    tokens: list[Token] = []
-    append = tokens.append
-    # Each match starts where the last one ended; the first at the end is EOF.
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        word, offset = m[group], m.start(group)
-        if group == 1:
-            append(_new(Token, (word, word, offset)))
-        elif group == 3:
-            append(_new(Token, (word if word in KEYWORDS else "IDENT", word, offset)))
-        elif group == 2:
-            append(_new(Token, ("STRING", _ESCAPE_RE.sub(r"\1", word[1:-1]), offset)))
-        elif group == 4:
-            append(_new(Token, ("EOF", "", offset)))
-            break
-        elif word == '"':
-            message = "unterminated string literal"
-            raise QueryParseError(message, offset, frozenset({'"'}))
+    return list(map(partial(_new, Token), zip(*_scan(text))))
+
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kinds, texts and offsets of ``text``'s tokens through EOF, in one
+    ``findall``; an offset counts the whitespace and tokens before it."""
+    kinds, texts, offsets, end = [], [], [], 0
+    for space, symbol, string, word, _, other in _SCAN_RE.findall(text):
+        offset = end + len(space)
+        end = offset + len(symbol or string or word)
+        if word:
+            kinds.append(word if word in KEYWORDS else "IDENT")
+        elif symbol:
+            kinds.append(symbol)
+            word = symbol
+        elif string:
+            kinds.append("STRING")
+            word = _ESCAPE_RE.sub(r"\1", string[1:-1])
+        elif other == '"':
+            raise QueryParseError("unterminated string literal", offset, frozenset({'"'}))
+        elif other:
+            raise QueryParseError(f"unexpected character {other!r}", offset, frozenset())
         else:
-            raise QueryParseError(f"unexpected character {word!r}", offset, frozenset())
-    return tokens
+            kinds.append("EOF")
+        texts.append(word)
+        offsets.append(offset)
+        if end == offset:  # EOF, the only token of no length
+            break
+    return kinds, texts, offsets
 
 
 class Operand(NamedTuple):
@@ -105,9 +115,7 @@ class Condition(NamedTuple):
     right: Operand
 
     def variables(self) -> frozenset[str]:
-        return frozenset(
-            o.variable for o in (self.left, self.right) if o.variable is not None
-        )
+        return frozenset({self.left.variable, self.right.variable} - {None})
 
     def typed(self) -> tuple[str, str] | None:
         """(variable, concept) if this is the concept test ``(v:Concept)``
@@ -158,13 +166,14 @@ class _Parser:
     """Builds the join body while it reads: each node adds its variable and
     tests, each edge its atom, each WHERE condition its test.
 
-    One cursor, ``pos``, walks the tokens. ``accept`` takes a token of one
-    kind or notes the kind as tried at ``pos``; ``expect`` takes a token of
-    its kinds or raises, listing them and the kinds tried at ``pos``.
+    One cursor, ``pos``, walks the tokens, read as lists of kinds, texts
+    and offsets. ``accept`` takes a token of one kind or notes the kind as
+    tried at ``pos``; ``expect`` takes a token of its kinds, returning its
+    text, or raises, listing them and the kinds tried at ``pos``.
     """
 
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.kinds, self.texts, self.offsets = _scan(text)
         self.pos = 0
         self.tried: list[tuple[int, str]] = []  # (position, kind) per failed accept
         self.atoms: list[tuple[str, str, str]] = []
@@ -172,22 +181,28 @@ class _Parser:
         self.variables: dict[str, None] = {}
         self.uses: list[tuple[str, int]] = []  # WHERE and RETURN variables
 
-    def accept(self, kind: str) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind == kind:
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-            return tok
+            return True
         self.tried.append((self.pos, kind))
-        return None
+        return False
 
-    def expect(self, *kinds: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind in kinds:
+    def expect(self, *kinds: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] in kinds:
             self.pos += 1
-            return tok
-        tried = {kind for pos, kind in self.tried if pos == self.pos}
-        found = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        raise QueryParseError(f"unexpected {found}", tok.offset, frozenset(tried.union(kinds)))
+            return self.texts[pos]
+        tried = frozenset({kind for at, kind in self.tried if at == pos}.union(kinds))
+        found = "end of input" if self.kinds[pos] == "EOF" else repr(self.texts[pos])
+        raise QueryParseError(f"unexpected {found}", self.offsets[pos], tried)
+
+    def resolve(self, table: LookupTable, pos: int):
+        """``table``'s entry for the name at ``pos``; else a parse error at it."""
+        try:
+            return table[self.texts[pos]]
+        except SchemaError as error:
+            raise QueryParseError(str(error), self.offsets[pos]) from None
 
     def parse(self) -> PatternQuery:
         self.expect("MATCH")
@@ -199,11 +214,11 @@ class _Parser:
             while self.accept("AND"):
                 self.parse_condition()
         self.expect("RETURN")
-        distinct = self.tokens[self.pos].kind == "DISTINCT"  # not listed as expected
+        distinct = self.kinds[self.pos] == "DISTINCT"  # not listed as expected
         self.pos += distinct
-        items = [ReturnItem(*self.parse_name())]
+        items = [_new(ReturnItem, self.parse_name())]
         while self.accept(","):
-            items.append(ReturnItem(*self.parse_name()))
+            items.append(_new(ReturnItem, self.parse_name()))
         self.expect("EOF")
         # Checked only now, so that a syntax error anywhere wins.
         for name, offset in self.uses:
@@ -215,10 +230,11 @@ class _Parser:
     def parse_path(self) -> None:
         """Read nodes joined by edges; each edge adds its stored atom."""
         name = self.parse_node()
-        while head := self.accept("-[") or self.accept("<-["):
+        while self.accept("-[") or self.accept("<-["):
+            reverse = self.kinds[self.pos - 1] == "<-["
             self.expect(":")
-            relation, swapped, _ = _resolve(RELATIONS, self.expect("IDENT"))
-            reverse = head.kind == "<-["
+            self.expect("IDENT")
+            relation, swapped, _ = self.resolve(RELATIONS, self.pos - 1)
             self.expect("]-" if reverse else "]->")
             other = self.parse_node()
             atom = (other, relation, name) if reverse ^ swapped else (name, relation, other)
@@ -228,18 +244,19 @@ class _Parser:
     def parse_node(self) -> str:
         """Read one node; returns its variable, made up if it has none."""
         self.expect("(")
-        tok = self.accept("IDENT")
-        name = tok.text if tok else f" anon{len(self.variables)}"
+        name = self.texts[self.pos - 1] if self.accept("IDENT") else f" anon{len(self.variables)}"
         self.variables[name] = None
         if self.accept(":"):
-            concept = _resolve(CONCEPTS, self.expect("IDENT")).name
+            self.expect("IDENT")
+            concept = self.resolve(CONCEPTS, self.pos - 1).name
             self.tests.append(has_property(name, "concept", concept))
         if self.accept("{"):
             while True:
-                key = self.expect("IDENT").text
+                key = self.expect("IDENT")
                 self.expect("=")
-                tok = self.expect("STRING")
-                value = _resolve(CONCEPTS, tok).name if key == "concept" else tok.text
+                value = self.expect("STRING")
+                if key == "concept":
+                    value = self.resolve(CONCEPTS, self.pos - 1).name
                 self.tests.append(has_property(name, key, value))
                 if not self.accept(","):
                     break
@@ -252,39 +269,32 @@ class _Parser:
         resolves as a label does."""
         start = self.pos
         left = self.parse_operand()
-        op = self.expect("=", "<>").kind
+        op = self.expect("=", "<>")
         right = self.parse_operand()
         if left.key == "concept" and right.variable is None:
-            right = right._replace(literal=_resolve(CONCEPTS, self.tokens[self.pos - 1]).name)
+            right = right._replace(literal=self.resolve(CONCEPTS, self.pos - 1).name)
         elif right.key == "concept" and left.variable is None:
-            left = left._replace(literal=_resolve(CONCEPTS, self.tokens[start]).name)
-        self.tests.append(Condition(left, op, right))
+            left = left._replace(literal=self.resolve(CONCEPTS, start).name)
+        self.tests.append(_new(Condition, (left, op, right)))
 
     def parse_operand(self) -> Operand:
-        if tok := self.accept("STRING"):
-            return Operand(None, None, tok.text)
-        return Operand(*self.parse_name(), None)
+        if self.accept("STRING"):
+            return _new(Operand, (None, None, self.texts[self.pos - 1]))
+        return _new(Operand, (*self.parse_name(), None))
 
     def parse_name(self) -> tuple[str, str | None]:
         """Read ``IDENT ("." IDENT)?``, a variable's use and its key."""
-        tok = self.expect("IDENT")
-        self.uses.append((tok.text, tok.offset))
-        dot = self.tokens[self.pos].kind == "."  # not listed as expected
+        name = self.expect("IDENT")
+        self.uses.append((name, self.offsets[self.pos - 1]))
+        dot = self.kinds[self.pos] == "."  # not listed as expected
         self.pos += dot
-        return tok.text, self.expect("IDENT").text if dot else None
+        return name, self.expect("IDENT") if dot else None
 
 
 def has_property(name: str, key: str, value: str) -> Condition:
     """The test that node ``name`` has ``value`` for ``key``."""
-    return Condition(Operand(name, key, None), "=", Operand(None, None, value))
-
-
-def _resolve(table: LookupTable, tok: Token):
-    """``table``'s entry for the name in ``tok``; else a parse error at it."""
-    try:
-        return table[tok.text]
-    except SchemaError as error:
-        raise QueryParseError(str(error), tok.offset) from None
+    left, right = _new(Operand, (name, key, None)), _new(Operand, (None, None, value))
+    return _new(Condition, (left, "=", right))
 
 
 def parse_query(text: str) -> PatternQuery:
@@ -310,18 +320,8 @@ class Plan(NamedTuple):
       both in id order.
 
     ``inputs`` are the slots bound before the first step, in order, from
-    each input row given to :func:`match`.
-
-    :func:`match` runs a plan as one generated function, a loop nest: each
-    input row unpacks into local variables, one per slot; each binding step
-    is a ``for`` over the values it binds, each check an ``if``, and the
-    row append sits innermost. The source names only slot and argument
-    numbers. The relations, directions, keys and literals are the
-    function's arguments, so plans that differ only in those share one
-    compiled function, cached by the plan's shape. It reads the adjacency
-    maps, property values and node lists it needs from the graph once per
-    call, before the first row. Checks thus run as soon as their slots are
-    bound, and rows come out in the order the steps bind them.
+    each input row given to :func:`match`, which runs the steps as one loop
+    nest (see :func:`_source`): rows come out in the order they bind them.
     """
 
     steps: tuple[tuple, ...]
@@ -352,95 +352,101 @@ class Conjunction(NamedTuple):
         """Fix the step order once. ``inputs`` are variables bound before the
         join starts, from the rows supplied at run time.
 
-        A concept test on a variable that an atom's relation already types
-        is dropped: the variable is the atom's source and the concept its
-        relation's domain, or its target and the range. ``add_edge``
-        enforces both, so such a test could never fail. Other checks run as
-        soon as their variables are bound; otherwise the next step is the
-        first of, in this order: an id lookup (``v = ...`` or ``v.id = ...``,
-        a lookup on key ``"id"``), a property lookup against a
-        bound variable, a bound endpoint's neighbors, a property lookup
-        against a literal, a scan of a relation's sources, a node scan. A
-        source scan leaves its atom in the body, to be planned as the bound
-        endpoint's neighbors, or as an edge check for a self-loop."""
-        slot = {v: i for i, v in enumerate(self.variables)}
+        A concept test that an atom's relation implies (its domain at the
+        source, its range at the target) is dropped: ``add_edge`` enforces
+        both. Other checks run as soon as their variables are bound, edge
+        checks first, each in written order. Otherwise the next step is the
+        first written option of the lowest rank: an id lookup (``v = ...`` or
+        ``v.id = ...``), a property lookup against a bound variable, a bound
+        endpoint's neighbors, a property lookup against a literal, a scan of
+        a relation's sources, a node scan. A source scan leaves its atom, to
+        be planned once its source is bound. Each variable lists the atoms
+        and tests over it, so binding it visits, and re-ranks, only those.
+        """
+        variables, width = self.variables, len(self.variables)
+        slot = {v: i for i, v in enumerate(variables)}
         if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
             raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
-        atoms = list(self.atoms)
-        typed = self.typed()
-        tests = [(t, t.variables()) for t in self.tests if t.typed() not in typed]
-        bound = set(inputs)
-        steps: list[tuple] = []
+        typed, atoms = self.typed(), len(self.atoms)  # items[:atoms] are the atoms
+        items = [*self.atoms, *(t for t in self.tests if t.typed() not in typed)]
+        watch: dict[str, list[int]] = {v: [] for v in variables}  # the unplaced items over v
+        unbound: list[int] = []  # per item, how many of its variables
+        ready: list[int] = []  # items with every variable bound, to check next
+        options: dict[int, tuple] = {}  # item -> (rank, item, lookup or None)
+        for i, (left, _, right) in enumerate(items):
+            names = {left, right} if i < atoms else {left.variable, right.variable} - {None}
+            for var in names:
+                watch[var].append(i)
+            unbound.append(len(names))
+            if i < atoms:
+                options[i] = (4, i, None)
+            elif not names:
+                ready.append(i)
+            elif len(names) == 1:
+                _rank_lookup(options, i, items[i], ())
+        steps, bound, free, binding = [], set(), 0, inputs  # variables[:free] are bound
         while True:
-            for atom in [a for a in atoms if a[0] in bound and a[2] in bound]:
-                atoms.remove(atom)
-                src, rel, dst = atom
-                steps.append(("has_edge", slot[src], rel, slot[dst]))
-            for test, names in [t for t in tests if t[1] <= bound]:
-                tests.remove((test, names))
-                left, right = _operand(slot, test.left), _operand(slot, test.right)
-                steps.append(("test", left, right, test.op == "<>"))
-            free = next((v for v in self.variables if v not in bound), None)
-            if free is None:
-                pinned = tuple(slot[v] for v in inputs)
-                return Plan(tuple(steps), len(slot), pinned)
-            # The first option of the lowest rank wins; a node scan ranks 5.
-            rank, lookup, atom = 5, None, None
-            for test, names in tests:
-                if oriented := _as_lookup(test, bound):
-                    mine, other = oriented
-                    if mine.key in (None, "id"):
-                        option = 0
+            for var in binding:
+                bound.add(var)
+                for i in watch[var]:
+                    unbound[i] -= 1
+                    if not unbound[i]:
+                        ready.append(i)
+                        options.pop(i, None)
+                    elif i < atoms:
+                        options[i] = (2, i, None)
                     else:
-                        option = 1 if other.variable is not None else 3
-                    if option < rank:
-                        rank, lookup = option, (test, names, mine, other)
-            for candidate in atoms:
-                option = 2 if candidate[0] in bound or candidate[2] in bound else 4
-                if option < rank:
-                    rank, atom = option, candidate
-            if atom is not None:
-                src, rel, dst = atom
-                if src in bound:
-                    steps.append(("adjacent", slot[dst], rel, Direction.OUT, slot[src]))
-                elif dst in bound:
-                    steps.append(("adjacent", slot[src], rel, Direction.IN, slot[dst]))
-                else:  # the atom stays, to be planned once src is bound
-                    steps.append(("nodes", slot[src], rel))
-                    bound.add(src)
-                    continue
-                atoms.remove(atom)
-                bound.update((src, dst))
-            elif lookup is not None:
-                test, names, mine, other = lookup
-                tests.remove((test, names))
-                value = _operand(slot, other)
-                key = mine.key or "id"
-                steps.append(("lookup", slot[mine.variable], key, value))
-                bound.add(mine.variable)
+                        _rank_lookup(options, i, items[i], bound)
+            ready.sort()
+            for i in ready:
+                if i < atoms:
+                    src, rel, dst = items[i]
+                    steps.append(("has_edge", slot[src], rel, slot[dst]))
+                else:
+                    left, op, right = items[i]
+                    steps.append(("test", _operand(slot, left), _operand(slot, right), op == "<>"))
+            ready.clear()
+            while free < width and variables[free] in bound:
+                free += 1
+            if free == width:
+                return Plan(tuple(steps), width, tuple(map(slot.__getitem__, inputs)))
+            rank, i, lookup = min(options.values()) if options else (5, None, None)
+            if rank == 5:
+                var = variables[free]
+                steps.append(("nodes", free))
+            elif rank == 4:  # the atom stays, to be planned once src is bound
+                var, rel, _ = items[i]
+                steps.append(("nodes", slot[var], rel))
             else:
-                steps.append(("nodes", slot[free]))
-                bound.add(free)
+                del options[i]
+                if lookup is not None:
+                    mine, other = lookup
+                    var = mine.variable
+                    steps.append(("lookup", slot[var], mine.key or "id", _operand(slot, other)))
+                else:
+                    src, rel, dst = items[i]
+                    var, way, end = (dst, OUT, src) if src in bound else (src, IN, dst)
+                    steps.append(("adjacent", slot[var], rel, way, slot[end]))
+                watch[var].remove(i)
+            binding = (var,)
 
 
-def _operand(
-    slot: dict[str, int], operand: Operand
-) -> tuple[int | None, str | None, str | None]:
+def _operand(slot: dict[str, int], operand: Operand) -> tuple[int | None, str | None, str | None]:
     """``operand`` as a plan reads it: (slot or None, key, literal)."""
     index = None if operand.variable is None else slot[operand.variable]
     return (index, operand.key, operand.literal)
 
 
-def _as_lookup(test: Condition, bound: set[str]) -> tuple[Operand, Operand] | None:
-    """``test`` as (unbound-var(.key), bound side), if it is an equality
-    that can bind that variable."""
+def _rank_lookup(options: dict[int, tuple], i: int, test: Condition, bound: set[str]) -> None:
+    """Rank test ``i`` as an option if it is an equality binding its one unbound variable."""
     if test.op != "=":
-        return None
+        return
     for mine, other in ((test.left, test.right), (test.right, test.left)):
         if mine.variable is not None and mine.variable not in bound:
             if other.variable is None or other.variable in bound:
-                return mine, other
-    return None
+                rank = 0 if mine.key in (None, "id") else 3 if other.variable is None else 1
+                options[i] = (rank, i, (mine, other))
+                return
 
 
 #: ``for`` loops one generated function nests at most. CPython refuses a
@@ -458,15 +464,11 @@ def _split(steps: tuple[tuple, ...], args: list) -> tuple[tuple, ...]:
         fields = [step[0]]
         for field in step[1:]:
             cls = type(field)
-            if cls is tuple:  # an operand: (slot or None, key, literal)
+            if cls is tuple:  # an operand: (slot or None, key, literal), one string at most
                 index, key, literal = field
-                if key is not None:
-                    append(key)
-                    key = ...
-                if literal is not None:
-                    append(literal)
-                    literal = ...
-                field = index, key, literal
+                if key is not None or literal is not None:
+                    append(literal if key is None else key)
+                    field = (index, None, ...) if key is None else (index, ..., None)
             elif cls is str or cls is Direction:
                 append(field)
                 field = ...
@@ -513,11 +515,11 @@ def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
     def statements():  # ("if" | "for" | "line", slot or None, text) per step
         for step in shape:
             kind, var = step[0], step[1]
-            if kind == "test":
+            if kind == "test":  # a keyed operand may be absent, None: then neither holds
                 _, left, right, negate = step
-                left, right = value(left), value(right)
-                check = f"{left} != {right}" if negate else f"{left} == {right} is not None"
-                yield "if", None, check
+                head = "None is not " if negate and left[1] is not None else ""
+                check = f"{head}{value(left)} {'!=' if negate else '=='} {value(right)}"
+                yield "if", None, check if negate and right[1] is None else f"{check} is not None"
             elif kind == "has_edge":
                 yield "if", None, f"{read('graph.has_edge')}(s{var}, {arg()}, s{step[3]})"
             elif kind == "adjacent":
@@ -568,12 +570,10 @@ def _source(inputs: tuple[int, ...], width: int, shape: tuple) -> str:
 
 @lru_cache(maxsize=128)
 def _loop_nest(inputs: tuple[int, ...], width: int, shape: tuple):
-    """The compiled ``join`` of :func:`_source`, once per plan shape.
-
-    A shape holds no string from a query, rule or dataset, nor a
+    """The compiled ``join`` of :func:`_source`, once per plan shape, on
+    first use. A shape holds no string from a query, rule or dataset, nor a
     direction, so no such text is ever compiled, and plans that differ only
-    in those share one function. Compiled on first use, so a process
-    compiles only the shapes it runs.
+    in those share one function.
     """
     namespace: dict = {}
     exec(compile(_source(inputs, width, shape), "<join>", "exec"), namespace)
@@ -589,9 +589,7 @@ def match(
     The plan runs once per input row, which binds ``plan.inputs`` in order;
     the default is one empty row, for a plan without inputs. No rows give no
     results, and a row whose width is not ``len(plan.inputs)`` raises
-    ``ValueError``. The plan's relations, directions, keys and literals are
-    the arguments of its compiled join (see :func:`_split`), which makes
-    its graph reads once per call, before the first row.
+    ``ValueError``.
     """
     args: list = []
     join = _loop_nest(plan.inputs, plan.width, _split(plan.steps, args))
@@ -601,15 +599,15 @@ def match(
         raise ValueError(f"the plan takes {len(plan.inputs)} inputs: {error}") from None
 
 
-def evaluate_query(
-    query: PatternQuery, graph: KnowledgeGraph
-) -> list[BindingRow]:
+def evaluate_query(query: PatternQuery, graph: KnowledgeGraph) -> list[BindingRow]:
     """Evaluate ``query`` against ``graph`` and return sorted projection rows.
 
     Runs ``query.body`` as one conjunctive join (see :meth:`Conjunction.plan`).
     The step order never changes the result set, only the search order.
     Each RETURN item is one column over the join's rows: a variable's ids,
     or a key's values from ``graph.property_values``, ``""`` when absent.
+    One item's values, else tuples of them, are sorted and under DISTINCT
+    deduped; each ``BindingRow`` is then built once from the sorted columns.
     """
     body = query.body
     found = match(graph, body.plan())
@@ -620,10 +618,12 @@ def evaluate_query(
             values = graph.property_values(item.key)
             column = [values[i] or "" for i in column]
         columns.append(column)
-    rows = zip(*columns)
+    one = len(columns) == 1
+    rows = columns[0] if one else zip(*columns)
     rows = sorted(set(rows) if query.distinct else rows)
-    labels = tuple(item.label for item in query.returns)
-    return [_new(BindingRow, (tuple(zip(labels, row)),)) for row in rows]
+    columns = [rows] if one else zip(*rows)
+    pairs = map(zip, map(repeat, [item.label for item in query.returns]), columns)
+    return list(map(partial(_new, BindingRow), zip(zip(*pairs))))
 
 
 def run_query(text: str, graph: KnowledgeGraph) -> list[BindingRow]:

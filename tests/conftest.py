@@ -7,9 +7,9 @@ import pytest
 
 from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError, GraphError
-from sekg.graph import RED_RELATIONS, Edge, KnowledgeGraph, Node
+from sekg.graph import RED_RELATIONS, Direction, Edge, KnowledgeGraph, Node
 from sekg.loader import EdgeRecord, NodeRecord, ScenarioRecord
-from sekg.query import Plan, parse_query
+from sekg.query import Conjunction, Plan, parse_query
 from sekg.schema import CONCEPT_ROWS, RELATION_ALIASES, RELATION_ROWS, SWAPPED_ALIASES
 
 
@@ -359,8 +359,8 @@ def crosslinked_graph(graph, k: int) -> KnowledgeGraph:
 def reference_eval(query, graph) -> list[tuple[str, ...]]:
     """Exhaustive query evaluation: every assignment of ``query.body``'s
     variables is tried against its atoms (by ``has_edge``) and its tests:
-    ``=`` holds when both sides have the same value, never when one is
-    absent, and ``<>`` when the values differ.
+    ``=`` holds when both sides have the same value and ``<>`` when the
+    values differ, neither when a side is absent.
 
     Shares no planner or join code. Exponential, so only usable on small
     fixtures; the production evaluator must agree with it exactly.
@@ -376,15 +376,27 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
 
     def holds(env, test):
         a, b = operand(env, test.left), operand(env, test.right)
-        return a != b if test.op == "<>" else a == b and a is not None
+        if a is None or b is None:
+            return False
+        return a != b if test.op == "<>" else a == b
 
-    rows = []
+    envs = []
     for combo in itertools.product(graph.node_ids(), repeat=len(body.variables)):
         env = dict(zip(body.variables, combo))
         if not all(graph.has_edge(env[s], r, env[d]) for s, r, d in body.atoms):
             continue
         if not all(holds(env, t) for t in body.tests):
             continue
+        envs.append(env)
+    return reference_project(query, graph, envs)
+
+
+def reference_project(query, graph, envs: Iterable[dict]) -> list[tuple[str, ...]]:
+    """``query``'s RETURN rows over the bindings ``envs`` (variable -> node
+    id), one value per item, read with ``graph.node(...).property`` and
+    ``""`` when absent; sorted, and under DISTINCT deduplicated."""
+    rows = []
+    for env in envs:
         row = []
         for item in query.returns:
             if item.key is None:
@@ -397,6 +409,90 @@ def reference_eval(query, graph) -> list[tuple[str, ...]]:
     if query.distinct:
         rows = [r for i, r in enumerate(rows) if i == 0 or r != rows[i - 1]]
     return rows
+
+
+def reference_plan(body: Conjunction, inputs: tuple[str, ...] = ()) -> Plan:
+    """``body``'s plan as ``Conjunction.plan`` made it before it kept its
+    atoms and tests indexed by variable: after every step it rescans both
+    lists, first for the checks that have become ready, then for the
+    option of the lowest rank. ``Conjunction.plan`` must return the same
+    plan, step for step."""
+    slot = {v: i for i, v in enumerate(body.variables)}
+    if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
+        raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
+    atoms = list(body.atoms)
+    typed = body.typed()
+    tests = [(t, t.variables()) for t in body.tests if t.typed() not in typed]
+    bound = set(inputs)
+    steps: list[tuple] = []
+    while True:
+        for atom in [a for a in atoms if a[0] in bound and a[2] in bound]:
+            atoms.remove(atom)
+            src, rel, dst = atom
+            steps.append(("has_edge", slot[src], rel, slot[dst]))
+        for test, names in [t for t in tests if t[1] <= bound]:
+            tests.remove((test, names))
+            left, right = _reference_operand(slot, test.left), _reference_operand(slot, test.right)
+            steps.append(("test", left, right, test.op == "<>"))
+        free = next((v for v in body.variables if v not in bound), None)
+        if free is None:
+            pinned = tuple(slot[v] for v in inputs)
+            return Plan(tuple(steps), len(slot), pinned)
+        # The first option of the lowest rank wins; a node scan ranks 5.
+        rank, lookup, atom = 5, None, None
+        for test, names in tests:
+            if oriented := _reference_as_lookup(test, bound):
+                mine, other = oriented
+                if mine.key in (None, "id"):
+                    option = 0
+                else:
+                    option = 1 if other.variable is not None else 3
+                if option < rank:
+                    rank, lookup = option, (test, names, mine, other)
+        for candidate in atoms:
+            option = 2 if candidate[0] in bound or candidate[2] in bound else 4
+            if option < rank:
+                rank, atom = option, candidate
+        if atom is not None:
+            src, rel, dst = atom
+            if src in bound:
+                steps.append(("adjacent", slot[dst], rel, Direction.OUT, slot[src]))
+            elif dst in bound:
+                steps.append(("adjacent", slot[src], rel, Direction.IN, slot[dst]))
+            else:  # the atom stays, to be planned once src is bound
+                steps.append(("nodes", slot[src], rel))
+                bound.add(src)
+                continue
+            atoms.remove(atom)
+            bound.update((src, dst))
+        elif lookup is not None:
+            test, names, mine, other = lookup
+            tests.remove((test, names))
+            value = _reference_operand(slot, other)
+            key = mine.key or "id"
+            steps.append(("lookup", slot[mine.variable], key, value))
+            bound.add(mine.variable)
+        else:
+            steps.append(("nodes", slot[free]))
+            bound.add(free)
+
+
+def _reference_operand(slot: dict[str, int], operand) -> tuple:
+    """``operand`` as a plan reads it: (slot or None, key, literal)."""
+    index = None if operand.variable is None else slot[operand.variable]
+    return (index, operand.key, operand.literal)
+
+
+def _reference_as_lookup(test, bound: set[str]) -> tuple | None:
+    """``test`` as (unbound-var(.key), bound side), if it is an equality
+    that can bind that variable."""
+    if test.op != "=":
+        return None
+    for mine, other in ((test.left, test.right), (test.right, test.left)):
+        if mine.variable is not None and mine.variable not in bound:
+            if other.variable is None or other.variable in bound:
+                return mine, other
+    return None
 
 
 def has_node(graph: KnowledgeGraph, node_id: str | None) -> bool:
@@ -433,9 +529,9 @@ def _reference_step(
         left = _reference_reader(graph, slots, left)
         right = _reference_reader(graph, slots, right)
 
-        def check() -> None:  # an absent value equals nothing
+        def check() -> None:  # an absent value neither equals nor differs
             a, b = left(), right()
-            if (a != b) if negate else (a == b and a is not None):
+            if a is not None and b is not None and ((a != b) if negate else (a == b)):
                 then()
 
         return check
@@ -640,7 +736,9 @@ def reference_fixpoint(graph, rules) -> set[tuple[str, str, str]]:
 
     def holds(env, test):
         a, b = value(env, test.left), value(env, test.right)
-        return a != b if test.op == "<>" else a == b and a is not None
+        if a is None or b is None:
+            return False
+        return a != b if test.op == "<>" else a == b
 
     def candidates(env, var, tests):
         """Nodes for the unbound ``var``: a property bucket when an ``=``

@@ -265,14 +265,19 @@ def test_attack_paths_canonical(graph):
 
 def expand_pairs(graph, attacker_id=None, victim_id=None):
     """Sorted (attacker, method, vulnerability, victim) chains of
-    ``analytics._chain_pairs``: each (method, vulnerability) pair times its
-    method's attackers (or the pinned one) and its vulnerability's victims
-    (or the pinned one)."""
+    ``analytics._chain_groups``: each method with each of its
+    vulnerabilities, a (method, vulnerability) pair, times the method's
+    attackers (or the pinned one) and the vulnerability's victims (or the
+    pinned one). A method without vulnerabilities would be a group that
+    stands for no chain."""
     attackers = graph.adjacency("craft_and_perform", Direction.IN)
     victims = graph.adjacency("have_vul", Direction.IN)
+    groups = analytics._chain_groups(graph, attacker_id, victim_id)
+    assert all(groups.values())
     return sorted(
         (a, m, h, v)
-        for m, h in analytics._chain_pairs(graph, attacker_id, victim_id)
+        for m, hs in groups.items()
+        for h in hs
         for a in (attackers[m] if attacker_id is None else (attacker_id,))
         for v in (victims[h] if victim_id is None else (victim_id,))
     )
@@ -468,12 +473,12 @@ def test_oracle_matches_reference(graph, seed):
 
 def test_oracle_calls_no_pattern_code(graph, monkeypatch):
     """The oracle is ground truth for the chain patterns, so it must not
-    reach them through ``_chain_pairs``."""
+    reach them through ``_chain_groups``."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called pattern code")
 
-    monkeypatch.setattr(analytics, "_chain_pairs", refuse)
+    monkeypatch.setattr(analytics, "_chain_groups", refuse)
     assert len(enumerate_oracle_paths(graph)) == 330
 
 

@@ -5,7 +5,15 @@ import re
 from tokenize import STRING, generate_tokens
 
 import pytest
-from conftest import random_conformant_graph, reference_eval, reference_match, thaw
+from conftest import (
+    random_conformant_graph,
+    reference_eval,
+    reference_match,
+    reference_plan,
+    reference_project,
+    replicated_graph,
+    thaw,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +24,7 @@ from sekg.inference import run_inference
 from sekg.query import (
     _TOKEN_RE,
     KEYWORDS,
+    BindingRow,
     Condition,
     Conjunction,
     Operand,
@@ -388,11 +397,23 @@ def test_missing_property_equality():
         'MATCH (h:HumanVulnerability) WHERE h.affiliation = "" RETURN h', g
     )
     assert rows == []
-    # <> is value inequality, so an absent property differs from any value.
+    # Nor does it differ from anything: <> never holds against an absent
+    # property, on either side, as in Cypher.
     rows = run_query(
         'MATCH (h:HumanVulnerability) WHERE h.affiliation <> "Acme" RETURN h', g
     )
-    assert [r.values for r in rows] == [("fear",), ("greed",)]
+    assert rows == []
+    rows = run_query(
+        "MATCH (g:HumanVulnerability), (h:HumanVulnerability) "
+        "WHERE g.affiliation <> h.affiliation RETURN g, h",
+        g,
+    )
+    assert rows == []
+    rows = run_query('MATCH (m:AttackMethod) WHERE "x" <> m.affiliation RETURN m', g)
+    assert rows == []
+    # Between two present values, <> is value inequality.
+    rows = run_query('MATCH (m:AttackMethod) WHERE m.kind <> "phishing" RETURN m', g)
+    assert [r.values for r in rows] == [("m2",)]
 
 
 def test_distinct_dedups_sorted_rows():
@@ -600,9 +621,10 @@ def test_property_tests_follow_node_writes():
     assert [step[0] for step in query.body.plan().steps] == ["nodes", "test"]
     assert [r.values for r in evaluate_query(query, g)] == [("Acme",)]
     g.add_node(Node("v2", "AttackTarget", 1, properties={"affiliation": "Other"}))
-    g.add_node(Node("v3", "AttackTarget", 1))
+    g.add_node(Node("v3", "AttackTarget", 1))  # absent: <> does not hold
+    g.add_node(Node("v4", "AttackTarget", 1, properties={"affiliation": "Beta"}))
     got = [r.values for r in evaluate_query(query, g)]
-    assert got == reference_eval(query, g) == [("",), ("Acme",)]
+    assert got == reference_eval(query, g) == [("Acme",), ("Beta",)]
 
 
 def test_property_columns_follow_node_writes():
@@ -736,6 +758,34 @@ def test_evaluator_matches_brute_force_on_random_graphs():
             query = parse_query(text)
             got = [r.values for r in evaluate_query(query, g)]
             assert got == reference_eval(query, g), f"seed {seed}: {text}"
+
+
+#: BRUTE_QUERIES plus one-item ``v.key`` columns whose values are often
+#: absent, with and without DISTINCT.
+LABEL_QUERIES = [
+    *BRUTE_QUERIES,
+    "MATCH (v) RETURN v.affiliation",
+    "MATCH (v) RETURN DISTINCT v.affiliation",
+    "MATCH (m)-[:to_exploit]->(h) RETURN DISTINCT m.encoded_domain, h",
+]
+
+
+@pytest.mark.parametrize("seed", ["replicated", *range(100)])
+def test_rows_pair_each_value_with_its_label(graph, seed):
+    """Each row is a ``BindingRow`` whose items pair the RETURN labels, in
+    order, with the values of a reference row: the closure engine's rows
+    of the reference planner's plan, projected one binding at a time. Runs
+    on random graphs and on four copies of the bundled graph."""
+    g = replicated_graph(graph, 4) if seed == "replicated" else random_conformant_graph(seed)
+    for text in LABEL_QUERIES:
+        query = parse_query(text)
+        body = query.body
+        found = reference_match(g, reference_plan(body))
+        expected = reference_project(query, g, (dict(zip(body.variables, r)) for r in found))
+        labels = [item.label for item in query.returns]
+        rows = evaluate_query(query, g)
+        assert all(type(row) is BindingRow for row in rows), text
+        assert [row.items for row in rows] == [tuple(zip(labels, r)) for r in expected], text
 
 
 # -- compiled joins against the closure engine --------------------------------
@@ -1059,3 +1109,61 @@ def test_every_expected_kind_is_accepted(text):
             spliced, start = f"{text[:at]} {SAMPLE_TOKENS.get(kind, kind)} {text[at:]}", at + 1
         again = _parse_error(spliced)
         assert again is None or again.offset != start or not again.expected, (kind, spliced)
+
+
+# -- the planner against the reference planner ---------------------------------
+
+
+#: The MATCH texts of the read benchmark, one per shape.
+READ_QUERIES = [
+    'MATCH (a:Attacker {id="attacker10"})-[:craft_and_perform]->(m)-[:to_exploit]->(h)'
+    "<-[:have_vul]-(v:AttackTarget) WHERE a.scenario_id <> v.scenario_id RETURN DISTINCT v",
+    'MATCH (a {id="attacker10"})-[:craft_and_perform]->(m)-[:to_exploit]->(h)'
+    '<-[:have_vul]-(v {id="victim13"}) RETURN a, m, h, v',
+    'MATCH (n {scenario_id="10"}) RETURN n',
+    'MATCH (a {id="attacker10"})-[:in_the_same_organization]->(b)'
+    "-[:craft_and_perform]->(m) RETURN DISTINCT b, m",
+]
+
+
+def assert_plans_match_the_reference(body: Conjunction) -> None:
+    """``body``'s plans equal ``reference_plan``'s: unpinned, pinned on
+    each variable, on all of them, and on all of them in reverse."""
+    names = body.variables
+    for inputs in ((), *((v,) for v in names), names, names[::-1]):
+        assert body.plan(inputs) == reference_plan(body, inputs), inputs
+
+
+@pytest.mark.parametrize("text", BRUTE_QUERIES + READ_QUERIES)
+def test_planner_matches_the_reference_planner(text):
+    assert_plans_match_the_reference(parse_query(text).body)
+
+
+def test_rule_plans_match_the_reference_planner(monkeypatch):
+    """Every plan a builtin rule is compiled to, its whole body's and each
+    per-atom one, equals the reference planner's for the same body and
+    inputs."""
+    calls = []
+    plan = Conjunction.plan
+
+    def recording(body, inputs=()):
+        calls.append((body, inputs))
+        return plan(body, inputs)
+
+    monkeypatch.setattr(Conjunction, "plan", recording)
+    compiled = [inference._compile.__wrapped__(rule) for rule in inference.builtin_ruleset()]
+    monkeypatch.undo()
+    assert len(calls) == sum(1 + len(per_atom) for *_, per_atom in compiled)
+    for body, inputs in calls:
+        assert body.plan(inputs) == reference_plan(body, inputs), (body, inputs)
+        assert_plans_match_the_reference(body)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(mutated_query())
+def test_mutated_plans_match_the_reference_planner(text):
+    try:
+        body = parse_query(text).body
+    except SekgError:
+        return
+    assert_plans_match_the_reference(body)
