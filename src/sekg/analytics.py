@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import GraphError
-from .graph import RED_RELATIONS, Direction, KnowledgeGraph
+from .graph import RED_RELATIONS, Direction, Edge, KnowledgeGraph
 
 #: Builds a record from a tuple of its fields, with no arity check.
 _new = tuple.__new__
@@ -386,7 +386,8 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
     it: the (first's method, second's method) pairs in same_origin_attack.
     """
 
-    has_edge, edge = graph.has_edge, graph.edge
+    has_edge, rule_of = graph.has_edge, graph.rule_map().get
+    labels: dict[str | None, str] = {}  # the provenance of each rule, made once
 
     def pairs(relation: str) -> list[tuple[tuple[str, str], str]]:
         """Each unordered pair once, endpoints in id order, with the
@@ -398,9 +399,16 @@ def same_origin_report(graph: KnowledgeGraph) -> dict:
             both_ways = dsts == into.get(src)  # each edge of src is stored reversed too
             for dst in dsts:
                 if src < dst:
-                    listed.append(((src, dst), edge(src, relation, dst).provenance))
-                elif not (both_ways or has_edge(dst, relation, src)):
-                    listed.append(((dst, src), edge(src, relation, dst).provenance))
+                    pair = (src, dst)
+                elif both_ways or has_edge(dst, relation, src):
+                    continue
+                else:
+                    pair = (dst, src)
+                rule = rule_of((src, relation, dst))
+                label = labels.get(rule)
+                if label is None:
+                    label = labels[rule] = Edge(src, relation, dst, rule).provenance
+                listed.append((pair, label))
         listed.sort()
         return listed
 

@@ -3,6 +3,11 @@
 Nodes carry a concept, optional scenario membership, taxonomy labels and
 string properties. Edges are unique per (src, relation, dst) and record
 whether they were asserted by a dataset or produced by an inference rule.
+The store holds each edge once: its dst in the sorted out-list of its src
+and its src in the sorted in-list of its dst, one pair of maps per
+relation, plus the rule of each inferred edge by (src, relation, dst).
+``edge``, ``edges`` and a duplicate ``add_edge`` build each ``Edge`` from
+them when read, so a read returns an equal value, not a stored object.
 These reads come in id order: ``nodes``, ``node_ids``, ``nodes_with``,
 ``nodes_by_concept``, ``edges`` (one relation's by (src, dst), all of them
 by (src, relation, dst)), ``neighbors`` and each list of an ``adjacency``
@@ -24,7 +29,7 @@ reads like its stored relation, a swapped alias with its direction flipped,
 and an unknown name raises ``SchemaError``.
 """
 
-import bisect
+from bisect import bisect_left, insort
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from types import MappingProxyType
@@ -54,6 +59,9 @@ _RECORD_KEYS = frozenset({"scenario", "labels", "comment"})
 
 #: Builds an edge from a tuple of its fields, with no checks.
 _new = tuple.__new__
+
+#: The out-lists of a name that is not a stored relation: none.
+_NO_LISTS: Mapping[str, list[str]] = MappingProxyType({})
 
 
 class Direction(Enum):
@@ -108,10 +116,12 @@ class KnowledgeGraph:
 
     def __init__(self):
         self._nodes: dict[str, Node] = {}
-        self._edges: dict[tuple[str, str, str], Edge] = {}
         # One map per stored relation, made here so that add_edge indexes it.
+        # The out-lists are the edge set; the in-lists mirror them.
         self._out: dict[str, dict[str, list[str]]] = {r.name: {} for r in RELATION_ROWS}
         self._in: dict[str, dict[str, list[str]]] = {r.name: {} for r in RELATION_ROWS}
+        self._rules: dict[tuple[str, str, str], str] = {}  # inferred edges only
+        self._edge_count = 0
         self._scenarios: dict[int, str] = {}
         self._by_property: dict[str, dict[str | None, tuple[str, ...]]] = {}
         self._property_values: dict[str, dict[str, str | None]] = {}
@@ -259,10 +269,12 @@ class KnowledgeGraph:
         relation, then ``GraphError`` on an unknown endpoint, a self-loop,
         or a domain or range mismatch, in that order. Node concepts are canonical (``add_node`` resolves synonyms),
         so they compare directly with the relation's domain and range.
-        Duplicate insertion is a no-op returning the existing edge (first
-        insertion wins, including its provenance). A new edge's id joins
-        each of its adjacency lists in order: appended when it sorts after
-        the list's last id, inserted otherwise.
+        Duplicate insertion is a no-op that returns the stored edge (first
+        insertion wins, including its provenance); a duplicate is found by
+        bisecting the source's out-list. A new edge's id joins each of its
+        adjacency lists in order: appended when it sorts after the list's
+        last id, inserted otherwise. The ``Edge`` returned is built for the
+        call, equal to what ``edge`` reads back.
         """
         if self._frozen:
             raise GraphError("graph is frozen")
@@ -287,19 +299,17 @@ class KnowledgeGraph:
                 f"edge ({src}, {relation}, {dst}): range mismatch: "
                 f"{relation} expects {rel.range}, got {dst_node.concept}"
             )
-        key = (src, relation, dst)
-        edge = self._edges.get(key)
-        if edge is not None:
-            return edge
-        edge = self._edges[key] = _new(Edge, (src, relation, dst, rule))
         lists = self._out[relation]
         ids = lists.get(src)
         if ids is None:
             lists[src] = [dst]
         elif ids[-1] < dst:
             ids.append(dst)
-        else:
-            bisect.insort(ids, dst)
+        else:  # dst sorts at or before the last id, so ids[at] exists
+            at = bisect_left(ids, dst)
+            if ids[at] == dst:
+                return _new(Edge, (src, relation, dst, self._rules.get((src, relation, dst))))
+            ids.insert(at, dst)
         lists = self._in[relation]
         ids = lists.get(dst)
         if ids is None:
@@ -307,39 +317,60 @@ class KnowledgeGraph:
         elif ids[-1] < src:
             ids.append(src)
         else:
-            bisect.insort(ids, src)
-        return edge
+            insort(ids, src)
+        self._edge_count += 1
+        if rule is not None:
+            self._rules[(src, relation, dst)] = rule
+        return _new(Edge, (src, relation, dst, rule))
 
     def has_edge(self, src: str, relation: str, dst: str) -> bool:
-        return (src, relation, dst) in self._edges
+        """Whether the edge is stored, named by its stored relation (no
+        alias); a bisection of ``src``'s out-list."""
+        ids = self._out.get(relation, _NO_LISTS).get(src)
+        if ids is None:
+            return False
+        at = bisect_left(ids, dst)
+        return at < len(ids) and ids[at] == dst
 
     def edge(self, src: str, relation: str, dst: str) -> Edge:
-        """The stored edge, named like ``has_edge`` names it (no alias); a
-        missing one raises ``GraphError``."""
-        try:
-            return self._edges[(src, relation, dst)]
-        except KeyError:
-            raise GraphError(f"unknown edge: ({src}, {relation}, {dst})") from None
+        """The stored edge, named like ``has_edge`` names it (no alias), as
+        an ``Edge`` value built for the call; a missing one raises
+        ``GraphError``."""
+        if not self.has_edge(src, relation, dst):
+            raise GraphError(f"unknown edge: ({src}, {relation}, {dst})")
+        return _new(Edge, (src, relation, dst, self._rules.get((src, relation, dst))))
 
     def edges(self, relation: str | None = None) -> tuple[Edge, ...]:
         """All edges by (src, relation, dst), or one relation's edges.
 
         An alias gives its stored relation's edges, as stored; an unknown
-        name raises ``SchemaError``.
+        name raises ``SchemaError``. Each ``Edge`` is built for the call.
         """
+        rules = self._rules.get
         if relation is None:
-            return tuple(sorted(self._edges.values(), key=Edge.key))
+            keys = sorted(
+                (src, name, dst)
+                for name, lists in self._out.items()
+                for src, ids in lists.items()
+                for dst in ids
+            )
+            return tuple(_new(Edge, (*key, rules(key))) for key in keys)
         name = RELATIONS[relation][0]
         adjacency = self._out[name]
         return tuple(
-            self._edges[(src, name, dst)]
+            _new(Edge, (src, name, dst, rules((src, name, dst))))
             for src in sorted(adjacency)
             for dst in adjacency[src]
         )
 
+    def rule_map(self) -> Mapping[tuple[str, str, str], str]:
+        """The rule of every inferred edge by (src, relation, dst); an
+        asserted edge has no entry. The graph's own map, read only."""
+        return self._rules
+
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._edge_count
 
     # -- traversal ---------------------------------------------------------
 
@@ -382,9 +413,13 @@ class KnowledgeGraph:
         sub._scenarios = {scenario_id: self._scenarios[scenario_id]}
         for node_id in sorted(keep):
             sub._nodes[node_id] = self._nodes[node_id]
-        for src, relation, dst, rule in self._edges.values():
-            if src in keep and dst in keep:
-                sub.add_edge(src, relation, dst, rule)
+        rules = self._rules.get
+        for relation, lists in self._out.items():
+            for src, ids in lists.items():
+                if src in keep:
+                    for dst in ids:
+                        if dst in keep:
+                            sub.add_edge(src, relation, dst, rules((src, relation, dst)))
         return sub.freeze()
 
     # -- lifecycle -----------------------------------------------------------
@@ -416,12 +451,15 @@ def scenario_members(graph: KnowledgeGraph) -> dict[int, set[str]]:
         if node.scenario_id is not None:
             members[node.scenario_id].add(node.id)
     hops: dict[int, set[str]] = {sid: set() for sid in members}
-    for src, _, dst in graph._edges:
-        src_sid, dst_sid = nodes[src].scenario_id, nodes[dst].scenario_id
-        if src_sid is not None and dst_sid is None:
-            hops[src_sid].add(dst)
-        elif dst_sid is not None and src_sid is None:
-            hops[dst_sid].add(src)
+    for lists in graph._out.values():
+        for src, ids in lists.items():
+            src_sid = nodes[src].scenario_id
+            for dst in ids:
+                dst_sid = nodes[dst].scenario_id
+                if src_sid is not None and dst_sid is None:
+                    hops[src_sid].add(dst)
+                elif dst_sid is not None and src_sid is None:
+                    hops[dst_sid].add(src)
     # take_effected_by's domain is HumanVulnerability, so only
     # vulnerabilities among the hops have an entry here.
     effects = graph._out["take_effected_by"]

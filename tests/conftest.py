@@ -634,6 +634,36 @@ def find_edge(graph, src, relation, dst) -> Edge:
     raise AssertionError(f"no edge ({src}, {relation}, {dst})")
 
 
+def record_edge_writes(monkeypatch) -> list[tuple]:
+    """Patch ``KnowledgeGraph.add_edge`` so that each call that returns
+    appends ``(graph, (src, relation, dst, rule), returned edge)`` to the
+    list given back. A refused call raises as before and is not recorded."""
+    writes: list[tuple] = []
+    add_edge = KnowledgeGraph.add_edge
+
+    def recording(self, src, relation, dst, rule=None):
+        edge = add_edge(self, src, relation, dst, rule)
+        writes.append((self, (src, relation, dst, rule), edge))
+        return edge
+
+    monkeypatch.setattr(KnowledgeGraph, "add_edge", recording)
+    return writes
+
+
+def reference_store(calls: Iterable[tuple]) -> dict[tuple[str, str, str], str | None]:
+    """The edges that the accepted ``add_edge`` calls ``calls`` leave, each a
+    (src, relation, dst, rule), replayed in order into a plain dict: key
+    (src, stored relation, dst), value the rule. The alias dicts resolve a
+    relation name, a swapped alias exchanges src and dst, and a duplicate
+    keeps its first call's rule. The dict's order is first insertion."""
+    store: dict[tuple[str, str, str], str | None] = {}
+    for src, relation, dst, rule in calls:
+        name, swapped = stored_name(relation)
+        key = (dst, name, src) if swapped else (src, name, dst)
+        store.setdefault(key, rule)
+    return store
+
+
 def reference_closure(graph) -> list:
     """Axiom closure by naive passes over the whole graph; the edges it adds.
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 import re
 
@@ -11,11 +12,14 @@ from conftest import (
     find_edge,
     has_node,
     random_conformant_graph,
+    record_edge_writes,
+    reference_store,
     replicated_graph,
     stored_name,
     stored_relation,
     thaw,
 )
+from sekg.datasets import canonical_graph
 from sekg.errors import DatasetError, GraphError, SchemaError
 from sekg.graph import Direction, Edge, KnowledgeGraph, Node
 from sekg.inference import run_inference
@@ -135,7 +139,7 @@ def test_duplicate_edge_returns_existing():
     g = small_graph()
     first = find_edge(g, "attacker1", "craft_and_perform", "pretexting1")
     again = g.add_edge("attacker1", "craft_and_perform", "pretexting1")
-    assert again is first
+    assert again == first  # an equal value: the store keeps no Edge objects
     assert g.edge_count == 4
     # first insertion wins, provenance included
     kept = g.add_edge("attacker1", "craft_and_perform", "pretexting1", rule="R9")
@@ -332,7 +336,7 @@ def test_edge_reads_one_stored_edge(graph):
     g.add_edge("attacker1", "attack", "victim1", rule="R1")
     inferred = g.edge("attacker1", "attack", "victim1")
     assert inferred.provenance == "inferred:R1"
-    assert inferred is find_edge(g, "attacker1", "attack", "victim1")
+    assert inferred == find_edge(g, "attacker1", "attack", "victim1")
     for src, relation, dst in [
         ("victim1", "attack", "attacker1"),  # the reverse of a stored edge
         ("attacker1", "conduct", "pretexting1"),  # an alias: the stored name only
@@ -342,7 +346,7 @@ def test_edge_reads_one_stored_edge(graph):
             g.edge(src, relation, dst)
         assert str(err.value) == f"unknown edge: ({src}, {relation}, {dst})"
     for edge in graph.edges():
-        assert graph.edge(*edge.key()) is edge
+        assert graph.edge(*edge.key()) == edge
 
 
 def test_node_map_holds_every_node(graph):
@@ -527,10 +531,11 @@ def test_reads_match_edges(graph, seed):
     assert_reads_match_edges(graph if seed is None else inferred_random_graph(seed))
 
 
-def test_stored_lists_do_not_depend_on_edge_line_order(asserted_graph):
+def test_stored_lists_do_not_depend_on_edge_line_order(asserted_graph, monkeypatch):
     """The inferred 4x graph, reloaded from its text as written (every list
     grows by appends) and with its EDGE lines shuffled (most grow by ordered
     inserts), reads the same edges and the same sorted lists."""
+    writes = record_edge_writes(monkeypatch)
     g = replicated_graph(asserted_graph, 4)
     run_inference(g)
     lines = serialize_dataset(g, include_inferred=True).splitlines()
@@ -547,6 +552,121 @@ def test_stored_lists_do_not_depend_on_edge_line_order(asserted_graph):
             assert shuffled.adjacency(relation, direction) == lists, (relation, direction)
             assert g.adjacency(relation, direction) == lists, (relation, direction)
     assert_reads_match_edges(shuffled)
+    for read in (g, as_written, shuffled):
+        assert_store_matches_reference(read, writes)
+
+
+def assert_store_matches_reference(g: KnowledgeGraph, writes: list[tuple]) -> None:
+    """Every edge read of ``g`` equals what ``reference_store`` makes of the
+    ``add_edge`` calls on ``g`` among ``writes`` (see ``record_edge_writes``):
+    ``edges()``, ``edges(r)``, ``edge``, ``has_edge`` (also on absent keys
+    next to stored ones), ``edge_count``, ``rule_map``, both adjacency maps
+    with their key order, and each call's returned edge, a duplicate's
+    carrying the first call's rule."""
+    calls = [(call, edge) for graph, call, edge in writes if graph is g]
+    store = reference_store(call for call, _ in calls)
+    for (src, relation, dst, _), returned in calls:
+        name, swapped = stored_name(relation)
+        key = (dst, name, src) if swapped else (src, name, dst)
+        assert type(returned) is Edge and returned == (*key, store[key]), returned
+    every = tuple(Edge(*key, rule) for key, rule in sorted(store.items()))
+    assert g.edges() == every
+    assert g.edge_count == len(store)
+    assert g.rule_map() == {key: rule for key, rule in store.items() if rule is not None}
+    for relation in STORED:
+        assert g.edges(relation) == tuple(e for e in every if e.relation == relation)
+        out: dict[str, list[str]] = {}
+        inc: dict[str, list[str]] = {}
+        for src, name, dst in store:  # first insertion order
+            if name == relation:
+                out.setdefault(src, []).append(dst)
+                inc.setdefault(dst, []).append(src)
+        for direction, lists in ((Direction.OUT, out), (Direction.IN, inc)):
+            adjacency = g.adjacency(relation, direction)
+            assert list(adjacency) == list(lists), (relation, direction)
+            assert {i: list(ids) for i, ids in adjacency.items()} == {
+                i: sorted(ids) for i, ids in lists.items()
+            }, (relation, direction)
+    for key, rule in store.items():
+        src, relation, dst = key
+        assert g.has_edge(*key) and g.edge(*key) == (*key, rule), key
+        for probe in [
+            (dst, relation, src),
+            (src, relation, dst[:-1]),  # sorts just before dst
+            (src, relation, dst + "~"),
+            (src, relation, ""),
+            (src, relation, "\U0010ffff"),
+            (src + "~", relation, dst),
+        ]:
+            assert g.has_edge(*probe) == (probe in store), probe
+            if probe not in store:
+                with pytest.raises(GraphError, match="unknown edge"):
+                    g.edge(*probe)
+    for alias, stored, swapped in ALIASES:
+        for src, _, dst in (key for key in store if key[1] == stored):
+            assert not g.has_edge(src, alias, dst) and not g.has_edge(dst, alias, src)
+
+
+def test_the_store_holds_no_edge_objects():
+    # An Edge is a tuple subclass, which the garbage collector never
+    # untracks: the store keeps plain strings, lists, dicts and key tuples.
+    g = canonical_graph()
+    seen: set[int] = set()
+    stack: list = [vars(g)]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert type(obj) is not Edge, obj
+        stack.extend(gc.get_referents(obj))
+    assert len(seen) > g.edge_count
+
+
+@pytest.mark.parametrize("seed", [None, *range(100)])
+def test_store_matches_reference(seed, monkeypatch):
+    """On the bundled graph (seed None) and on inferred random graphs, each
+    built here so that every write to it is recorded. The 4x replica is
+    checked in ``test_stored_lists_do_not_depend_on_edge_line_order``."""
+    writes = record_edge_writes(monkeypatch)
+    if seed is None:
+        g = canonical_graph()
+    else:
+        g = random_conformant_graph(seed)
+        run_inference(g)
+    assert_store_matches_reference(g, writes)
+
+
+#: Each stored relation's spellings: (name, endpoints swapped).
+SPELLINGS = {
+    name: [(name, False), *((alias, swapped) for alias, stored, swapped in ALIASES if stored == name)]
+    for name in STORED
+}
+
+
+@pytest.mark.parametrize("seed", [None, *range(100)])
+def test_store_matches_reference_through_aliases_and_duplicates(graph, seed, monkeypatch):
+    """The edges of the bundled graph (seed None) or of an inferred random
+    graph, written in a shuffled order through random spellings (aliases
+    and the swapped alias included) with random rules, and a third of them
+    written again later, each with a rule drawn again."""
+    source = graph if seed is None else inferred_random_graph(seed)
+    rng = random.Random(seed)
+    edges = list(source.edges())
+    rng.shuffle(edges)
+    edges += rng.sample(edges, len(edges) // 3)
+    writes = record_edge_writes(monkeypatch)
+    g = KnowledgeGraph()
+    for sid, attack_type in source.scenarios.items():
+        g.register_scenario(sid, attack_type)
+    for node in source.nodes():
+        g.add_node(node)
+    for e in edges:
+        name, swapped = rng.choice(SPELLINGS[e.relation])
+        src, dst = (e.dst, e.src) if swapped else (e.src, e.dst)
+        g.add_edge(src, name, dst, rng.choice((None, "R1", "T")))
+    assert g.edge_count == source.edge_count
+    assert_store_matches_reference(g, writes)
 
 
 def test_neighbors_result_is_a_snapshot():

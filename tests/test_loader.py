@@ -304,7 +304,10 @@ def test_scenario_roles_match_reference(load_result, graph):
         assert members == reference_scenario_members(g), f"graph {i}"
         assert list(members) == list(g.scenario_ids()), f"graph {i}"
         for sid in g.scenario_ids():
-            assert set(g.scenario_subgraph(sid).node_ids()) == members[sid], f"graph {i}"
+            sub, keep = g.scenario_subgraph(sid), members[sid]
+            assert set(sub.node_ids()) == keep, f"graph {i}"
+            induced = tuple(e for e in g.edges() if e.src in keep and e.dst in keep)
+            assert sub.edges() == induced, f"graph {i}"
 
 
 def test_findings_follow_scenario_ids_not_declaration_order(load_result):

@@ -249,7 +249,9 @@ def test_every_public_name_has_a_non_test_user():
 
 
 #: The ``KnowledgeGraph`` fields no module but ``graph.py`` may read.
-GRAPH_INTERNALS = re.compile(r"\._(?:nodes|edges|out|in|property_values|by_property)\b")
+GRAPH_INTERNALS = re.compile(
+    r"\._(?:nodes|edges|out|in|rules|edge_count|property_values|by_property)\b"
+)
 
 
 def test_only_the_graph_module_reads_graph_internals():
@@ -257,6 +259,8 @@ def test_only_the_graph_module_reads_graph_internals():
     # ``adjacency``, ``property_values``, ``edge`` ...), so a faster read
     # path is one the whole package can use and the tests can check.
     assert GRAPH_INTERNALS.search("graph._in.get(x)")
+    assert GRAPH_INTERNALS.search("graph._rules.get(key)")
+    assert GRAPH_INTERNALS.search("graph._edge_count += 1")
     assert not GRAPH_INTERNALS.search("self._index, graph._nodes_seen")
     readers = [
         f"{path.name}:{n}"
