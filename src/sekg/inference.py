@@ -6,9 +6,9 @@ MATCH text, whose ``RETURN`` names the head's two endpoints: R1 is ``MATCH
 ``attack``. The builtin rules are data in ``schema``; this module runs
 them. The body parses into the conjunctive join that MATCH queries use,
 and means what the same MATCH means. Each rule is parsed and planned once
-per process.
+per process, on first use; importing this module plans none.
 
-The schema's axioms are single-atom rules generated at import: ``R3``
+The schema's axioms are single-atom rules too, ``schema.AXIOMS``: ``R3``
 lifts an edge to its superproperty and ``R2`` adds its inverse (a symmetric
 relation is its own inverse, so asserting one direction yields the other).
 One engine runs every rule semi-naive until fixpoint with set semantics:
@@ -23,23 +23,20 @@ node ids. Each head is typed from the schema when its rule is compiled, so
 head raises ``RuleError`` before anything is written.
 
 A caller that reads only some relations names them as ``needs``. Then only
-the rules and axioms that can write a needed relation run: those whose
-head is needed, where a kept rule's body relations are needed in turn
-(the relevance half of magic sets; Bancilhon, Maier, Sagiv and Ullman,
-PODS 1986). Kept rules read only relations kept rules write, so each
-needed relation gets the edges of a full run, each in the same round and
-labelled with the same rule.
+the rules and axioms that can write a needed relation are planned and run:
+those whose head is needed, where a kept rule's body relations are needed
+in turn, a walk of the predicate dependency graph (Apt, Blair and Walker,
+"Towards a theory of declarative knowledge", 1988). Kept rules read only
+relations kept rules write, so each needed relation gets the edges of a
+full run, each in the same round and labelled with the same rule.
 """
 
 from functools import cache
 
 from .errors import GraphError, RuleError
 from .graph import Edge, KnowledgeGraph
-from .query import Condition, Operand, Plan, has_property, match, parse_query
-from .schema import RELATION_ROWS, RELATIONS, Rule, builtin_ruleset
-
-INVERSE_RULE = "R2"
-SUBPROPERTY_RULE = "R3"
+from .query import Condition, Operand, PatternQuery, Plan, has_property, match, parse_query
+from .schema import AXIOMS, RELATIONS, Rule, builtin_ruleset
 
 
 class InferenceResult:
@@ -55,6 +52,12 @@ class InferenceResult:
 
 
 @cache
+def _parsed(rule: Rule) -> PatternQuery:
+    """``rule``'s body, parsed once per process (a failed parse raises again)."""
+    return parse_query(rule.body)
+
+
+@cache
 def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     """The rule, typed and planned: (name, head, body plan, per-atom plans).
 
@@ -66,9 +69,9 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     A head endpoint is the slot of its variable in the body's rows. Per
     relation atom other than a self-loop, which no edge matches, the body
     without it is planned with its endpoints as inputs: (relation, plan).
-    Cached: each rule is parsed and planned once per process.
+    Cached: each rule is planned once per process.
     """
-    query = parse_query(rule.body)
+    query = _parsed(rule)
     if query.distinct or len(query.returns) != 2 or any(i.key for i in query.returns):
         raise RuleError(f"rule {rule.name}: RETURN must be two variables")
     relation, swapped, rel = RELATIONS[rule.relation]
@@ -95,20 +98,6 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
             per_atom.append((atom_relation, rest.plan(inputs=(src, dst))))
     head = (body.variables.index(x), relation, body.variables.index(y))
     return rule.name, head, body.plan(), per_atom
-
-
-#: The schema's axioms as single-atom rules, planned once: an R3 rule
-#: ``(x r y) -> (x sub y)`` per row of ``RELATION_ROWS`` with a subproperty
-#: axiom, then an R2 rule ``(x r y) -> (y inv x)`` per row with an inverse.
-_AXIOMS = tuple(
-    _compile(Rule(label, target, f"MATCH (x)-[:{rel.name}]->(y) RETURN {ends}"))
-    for label, ends, targets in (
-        (SUBPROPERTY_RULE, "x, y", [(r, r.subproperty_of) for r in RELATION_ROWS]),
-        (INVERSE_RULE, "y, x", [(r, r.inverse_of) for r in RELATION_ROWS]),
-    )
-    for rel, target in targets
-    if target
-)
 
 
 def _fixpoint(
@@ -164,35 +153,37 @@ def _fixpoint(
             return result
 
 
-def _needed(rules: tuple, needs) -> set[str] | None:
-    """The stored relations that deriving ``needs`` reads, or None for all.
+def _kept(rules, needs) -> tuple[set[str] | None, tuple[Rule, ...], tuple[Rule, ...]]:
+    """The stored relations that deriving ``needs`` reads, then the rules of
+    ``rules`` and of ``AXIOMS`` that can write one, in order; None and all.
 
-    ``needs`` resolves through ``RELATIONS``, so an alias names its stored
-    relation and an unknown name raises ``SchemaError``. Each planned rule
-    of ``rules`` or axiom whose head relation is needed adds the relations
-    of its body, until nothing new is added. (An atom left out of a rule's
-    per-atom plans is a self-loop, which no edge matches, so that rule adds
-    nothing whatever it reads.)
+    ``needs``, a collection of relation names (a bare string raises
+    ``TypeError``), resolves through ``RELATIONS``: an alias names its
+    stored relation, an unknown name raises ``SchemaError``. A rule whose
+    head is needed is kept, and its body's relations are needed in turn,
+    until nothing new is needed. A self-loop atom matches no edge, so it
+    adds nothing to read.
     """
     if needs is None:
-        return None
+        return None, tuple(rules), AXIOMS
+    if isinstance(needs, str):
+        raise TypeError(f"needs is a collection of relation names, not the string {needs!r}")
     needed = {RELATIONS[name][0] for name in needs}
     while True:
+        kept = [
+            tuple(rule for rule in table if RELATIONS[rule.relation][0] in needed)
+            for table in (rules, AXIOMS)
+        ]
         reads = {
             relation
-            for _, (_, head, _), _, per_atom in rules + _AXIOMS
-            if head in needed
-            for relation, _ in per_atom
+            for table in kept
+            for rule in table
+            for src, relation, dst in _parsed(rule).body.atoms
+            if src != dst
         }
         if reads <= needed:
-            return needed
+            return needed, *kept
         needed |= reads
-
-
-def _writing(rules: tuple, needed: set[str] | None) -> tuple:
-    """The planned rules of ``rules`` whose head is in ``needed``, in order;
-    every one for None."""
-    return rules if needed is None else tuple(r for r in rules if r[1][1] in needed)
 
 
 def axiom_closure(graph: KnowledgeGraph, needs=None) -> InferenceResult:
@@ -206,7 +197,8 @@ def axiom_closure(graph: KnowledgeGraph, needs=None) -> InferenceResult:
     """
     if graph.frozen:
         raise GraphError("graph is frozen")
-    return _fixpoint(graph, InferenceResult(), _writing(_AXIOMS, _needed((), needs)))
+    _, _, axioms = _kept((), needs)
+    return _fixpoint(graph, InferenceResult(), tuple(map(_compile, axioms)))
 
 
 def run_rules(
@@ -230,15 +222,17 @@ def run_rules(
 
     ``needs``, the relation names the caller reads, keeps only the rules
     and axioms that can write one of them: a kept rule's body relations
-    are needed in turn (``_needed``). They run in their usual order and read
-    only relations kept rules write, so each needed relation ends with the
-    edges, each labelled with its rule, of a run with ``needs=None``, which
-    runs everything. Other relations may lack edges a full run adds.
+    are needed in turn (``_kept``); only kept axioms are planned. They run
+    in their usual order and read only relations kept rules write, so each
+    needed relation ends with the edges, each labelled with its rule, of a
+    run with ``needs=None``, which runs everything. Other relations may
+    lack edges a full run adds.
     """
-    planned = tuple(_compile(rule) for rule in rules)
-    needed = _needed(planned, needs)
+    for rule in rules:
+        _compile(rule)
+    needed, rules, axioms = _kept(rules, needs)
     closed = axiom_closure(graph, needed)
-    return _fixpoint(graph, closed, _writing(planned, needed), _writing(_AXIOMS, needed))
+    return _fixpoint(graph, closed, tuple(map(_compile, rules)), tuple(map(_compile, axioms)))
 
 
 def run_inference(graph: KnowledgeGraph, needs=None) -> InferenceResult:

@@ -5,13 +5,13 @@ The schema is a fixed, code-defined vocabulary written as two row tables:
 ``RELATION_ROWS`` every stored relation with its domain, range and
 property axioms (inverse and subproperty). Its rows are the asserted
 relations, their subproperties and the five relations the rules derive; a
-dataset edge of a derived one must name its rule. ``builtin_ruleset`` is
-the table of those rules, R1 and R4-R7, as data that ``inference`` runs,
-and ``DERIVABLE`` names every relation a rule or an axiom can write. Two
-alias dicts add the other spellings accepted for stored relations. The rows are built once, at
-import, into two lookup tables: ``CONCEPTS`` resolves a concept name or
-synonym, ``RELATIONS`` a relation name or alias. Every module indexes
-those two; an unknown name raises ``SchemaError``.
+dataset edge of a derived one must name its rule. Rules are data that
+``inference`` runs: ``builtin_ruleset`` holds R1 and R4-R7, ``AXIOMS`` an
+R3 or R2 rule per axiom, and ``DERIVABLE`` their heads. Two alias dicts
+add the other spellings accepted for stored relations. The rows are built
+once, at import, into two lookup tables: ``CONCEPTS`` resolves a concept
+name or synonym, ``RELATIONS`` a relation name or alias. Every module
+indexes those two; an unknown name raises ``SchemaError``.
 """
 
 from enum import Enum
@@ -229,9 +229,8 @@ def builtin_ruleset() -> tuple[Rule, ...]:
     to share an affiliation; R7 lifts R6 to the attackers themselves.
     The planner breaks ties in written order, so reordering the edges of a
     body can change its plan.
-    R2/R3 are not listed: ``inference`` generates them from the axioms of
-    ``RELATION_ROWS`` and runs them first alone, then after these rules in
-    every round.
+    R2/R3 are not listed: they are ``AXIOMS`` below, which ``inference``
+    runs first alone, then after these rules in every round.
     """
     return (
         Rule(
@@ -271,13 +270,18 @@ def builtin_ruleset() -> tuple[Rule, ...]:
     )
 
 
-#: The stored relations some rule or axiom writes: each builtin rule's head,
-#: each row's inverse and each row's superproperty. A command that reads
-#: none of them needs no inference.
-DERIVABLE = frozenset(
-    {rule.relation for rule in builtin_ruleset()}
-    | {name for r in RELATION_ROWS for name in (r.inverse_of, r.subproperty_of) if name}
+#: The axioms of ``RELATION_ROWS`` as single-atom rules: an R3 rule
+#: ``(x r y) -> (x sub y)`` per row with a subproperty axiom, then an R2
+#: rule ``(x r y) -> (y inv x)`` per row with an inverse, in row order.
+AXIOMS = tuple(
+    Rule(label, getattr(row, axiom), f"MATCH (x)-[:{row.name}]->(y) RETURN {ends}")
+    for label, ends, axiom in (("R3", "x, y", "subproperty_of"), ("R2", "y, x", "inverse_of"))
+    for row in RELATION_ROWS
+    if getattr(row, axiom)
 )
+
+#: The relations a rule or axiom writes; a command reading none needs no inference.
+DERIVABLE = frozenset(rule.relation for rule in (*builtin_ruleset(), *AXIOMS))
 
 # Relation names accepted on input and read as a stored relation. Each
 # alias is declared here and nowhere else. ``bring_about`` and ``conduct``

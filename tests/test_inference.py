@@ -26,7 +26,7 @@ from sekg.inference import (
     run_rules,
 )
 from sekg.query import Plan, evaluate_query, match, parse_query, run_query
-from sekg.schema import DERIVABLE, RELATION_ROWS, RELATIONS
+from sekg.schema import AXIOMS, DERIVABLE, RELATION_ROWS, RELATIONS
 
 SYMMETRIC_DERIVED = (
     "same_attack_organization",
@@ -558,11 +558,12 @@ def test_builtin_plans_pinned():
     compile_rule = inference._compile
     compiled = {name: rest for name, *rest in map(compile_rule, builtin_ruleset())}
     assert compiled == {name: list(plans) for name, plans in BUILTIN_PLANS.items()}
-    labels = Counter(name for name, *_ in inference._AXIOMS)
+    axioms = list(map(compile_rule, AXIOMS))
+    labels = Counter(name for name, *_ in axioms)
     assert labels == {"R3": 4, "R2": 12}
     # One R3 per row with a subproperty axiom, then one R2 per row with an
     # inverse, in the schema table's row order.
-    heads = [(name, relation) for name, (_, relation, _), *_ in inference._AXIOMS]
+    heads = [(name, relation) for name, (_, relation, _), *_ in axioms]
     assert heads == [
         *(("R3", r.subproperty_of) for r in RELATION_ROWS if r.subproperty_of),
         *(("R2", r.inverse_of) for r in RELATION_ROWS if r.inverse_of),
@@ -583,7 +584,7 @@ def test_head_tests_only_where_the_body_leaves_a_type_open():
     # Per-atom rows are edges the schema typed, and an axiom's atom types
     # both head variables, so no delta plan and no axiom plan checks a
     # concept; R5's body types neither variable and alone gets the tests.
-    compiled = [*map(inference._compile, builtin_ruleset()), *inference._AXIOMS]
+    compiled = list(map(inference._compile, (*builtin_ruleset(), *AXIOMS)))
     for name, _, plan, per_atom in compiled:
         assert (concept_steps(plan) != []) == (name == "R5"), name
         assert all(concept_steps(rest) == [] for _, rest in per_atom), name
@@ -734,9 +735,19 @@ def test_needs_names_resolve_through_the_relation_table(asserted_graph):
         run_inference(thaw(asserted_graph), ["no_such"])
 
 
+def test_needs_as_a_bare_string_raises(asserted_graph):
+    # A str is a collection of characters; read as one, "attack" would need
+    # the relation 'a'. Each entry point refuses it before writing anything.
+    g = thaw(asserted_graph)
+    before = g.edge_count
+    for call in (axiom_closure, run_inference, lambda g, needs: run_rules(g, (), needs)):
+        with pytest.raises(TypeError, match="needs is a collection of relation names"):
+            call(g, "attack")
+    assert g.edge_count == before
+
+
 def test_derivable_is_what_the_rules_and_axioms_write():
-    heads = {head[1] for _, head, _, _ in inference._AXIOMS}
-    heads |= {inference._compile(rule)[1][1] for rule in builtin_ruleset()}
+    heads = {inference._compile(rule)[1][1] for rule in (*builtin_ruleset(), *AXIOMS)}
     assert DERIVABLE == heads
     assert {"attack", "motivated_by", "suffer"} <= DERIVABLE
     assert not {"craft_and_perform", "to_exploit", "have_vul"} & DERIVABLE

@@ -17,7 +17,7 @@ from sekg.graph import Edge, KnowledgeGraph, Node
 from sekg.inference import InferenceResult, Rule
 from sekg.loader import Finding, LoadResult
 from sekg.query import BindingRow, Condition, Conjunction, Operand, ReturnItem, parse_query
-from sekg.schema import ConceptDef, RelationDef
+from sekg.schema import AXIOMS, ConceptDef, RelationDef, builtin_ruleset
 
 SRC = Path(sekg.__file__).resolve().parent
 ROOT = SRC.parents[1]
@@ -140,6 +140,50 @@ def test_each_command_loads_only_what_it_runs(argv, absent):
     assert status == "0"
     assert "'sekg.cli'" in loaded
     assert [m for m in absent if f"'sekg.{m}'" in loaded] == []
+
+
+BUILTIN = [
+    ("R1", "attack"),
+    ("R4", "same_attack_organization"),
+    ("R5", "same_affiliation"),
+    ("R6", "same_origin_attack"),
+    ("R7", "in_the_same_organization"),
+]
+EVERY_RULE = [(rule.name, rule.relation) for rule in (*builtin_ruleset(), *AXIOMS)]
+
+#: A subcommand's argv, and the (name, head) of each rule it plans, in rule
+#: table order: every builtin rule, and only the axioms its reads need.
+COMMAND_PLANS = [
+    (["eval"], [*BUILTIN, ("R2", "suffer"), ("R2", "apply_to")]),
+    (["same-origin"], [r for r in EVERY_RULE if r != ("R2", "same_attack_organization")]),
+    (["infer"], EVERY_RULE),
+]
+
+
+@pytest.mark.parametrize("argv, planned", COMMAND_PLANS, ids=[a[0] for a, _ in COMMAND_PLANS])
+def test_each_command_plans_only_the_rules_it_runs(argv, planned):
+    # Importing the engine plans nothing. After the command, each rule of
+    # the table is compiled once more: a cache hit means the command
+    # planned it, and the cache holds nothing else.
+    code = (
+        "import contextlib, io\n"
+        "from sekg import cli, inference\n"
+        "info = inference._compile.cache_info\n"
+        "print(info().currsize)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main({argv!r})\n"
+        "size, planned = info().currsize, []\n"
+        "for rule in (*inference.builtin_ruleset(), *inference.AXIOMS):\n"
+        "    misses = info().misses\n"
+        "    inference._compile(rule)\n"
+        "    if info().misses == misses:\n"
+        "        planned.append((rule.name, rule.relation))\n"
+        "print(size, len(planned)); print(planned)"
+    )
+    at_import, sizes, got = fresh(code).splitlines()
+    assert at_import == "0"
+    assert sizes == f"{len(planned)} {len(planned)}"
+    assert got == repr(planned)
 
 
 #: One value of every public record type, exported or not.

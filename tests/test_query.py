@@ -36,6 +36,7 @@ from sekg.query import (
     run_query,
     tokenize,
 )
+from sekg.schema import AXIOMS
 
 
 def fixture_graph() -> KnowledgeGraph:
@@ -796,9 +797,9 @@ def diffed_plans() -> list[tuple[str, Plan, str | None]]:
     rule plan, each of its per-atom plans, every axiom plan, each rule body
     with all its variables as inputs, and every ``BRUTE_QUERIES`` plan,
     unpinned and pinned on its first variable."""
-    rules = [inference._compile(rule) for rule in inference.builtin_ruleset()]
     plans = []
-    for name, _, plan, per_atom in [*rules, *inference._AXIOMS]:
+    compiled = map(inference._compile, (*inference.builtin_ruleset(), *AXIOMS))
+    for name, _, plan, per_atom in compiled:
         plans.append((name, plan, None))
         plans += [(f"{name} {rel}", rest, rel) for rel, rest in per_atom]
     for rule in inference.builtin_ruleset():  # every check a step, as rules run it
