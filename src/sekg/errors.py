@@ -34,9 +34,9 @@ class RuleError(SekgError):
 class QueryParseError(SekgError):
     """Query text rejected by the tokenizer, parser, or schema check.
 
-    ``offset`` is the byte offset of the failure in the query string and
-    ``expected`` names the token kinds or identifiers that would have been
-    accepted at that point.
+    ``offset`` indexes the failure in the query string, counted in
+    characters, not bytes, and ``expected`` names the token kinds or
+    identifiers that would have been accepted at that point.
     """
 
     def __init__(self, message: str, offset: int, expected: frozenset[str] = frozenset()):

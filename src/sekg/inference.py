@@ -62,14 +62,14 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     """The rule, typed and planned: (name, head, body plan, per-atom plans).
 
     The head ``(x, relation, y)`` gets concept tests, the relation's domain
-    on x and range on y, where no atom or concept test of the body gives
-    them, and ``x <> y`` where domain and range are one concept and no atom
-    or ``<>`` test joins x and y: ``add_edge`` accepts every head. A body
-    giving x or y another concept, or ``RETURN a, a``, raises ``RuleError``.
-    A head endpoint is the slot of its variable in the body's rows. Per
-    relation atom other than a self-loop, which no edge matches, the body
-    without it is planned with its endpoints as inputs: (relation, plan).
-    Cached: each rule is planned once per process.
+    on x and range on y, where the parse gives them no concept
+    (``PatternQuery.concepts``), and ``x <> y`` where domain and range are
+    one concept and no atom or ``<>`` test joins x and y: ``add_edge``
+    accepts every head. A body giving x or y another concept, or ``RETURN
+    a, a``, raises ``RuleError``. A head endpoint is the slot of its
+    variable in the body's rows. Per relation atom, the body without it is
+    planned with its endpoints as inputs: (relation, plan). Cached: each
+    rule is planned once per process.
     """
     query = _parsed(rule)
     if query.distinct or len(query.returns) != 2 or any(i.key for i in query.returns):
@@ -79,12 +79,11 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     x, y = (b, a) if swapped else (a, b)
     if x == y:
         raise RuleError(f"rule {rule.name}: RETURN {x}, {x} yields only self-loops")
-    body, tests = query.body, list(query.body.tests)
-    given = body.typed() | {t.typed() for t in tests} - {None}
+    body, tests, typed = query.body, list(query.body.tests), query.concepts
     for var, concept in ((x, rel.domain), (y, rel.range)):
-        if other := {c for v, c in given if v == var} - {concept}:
-            raise RuleError(f"rule {rule.name}: {var} is {min(other)}, {relation} needs {concept}")
-        if (var, concept) not in given:
+        if typed.get(var, concept) != concept:
+            raise RuleError(f"rule {rule.name}: {var} is {typed[var]}, {relation} needs {concept}")
+        if var not in typed:
             tests.append(has_property(var, "concept", concept))
     joined = [{src, dst} for src, _, dst in body.atoms]
     joined += [t.variables() for t in tests if t.op == "<>" and not (t.left.key or t.right.key)]
@@ -93,9 +92,8 @@ def _compile(rule: Rule) -> tuple[str, tuple[int, str, int], Plan, list]:
     body = body._replace(tests=tuple(tests))
     per_atom = []
     for i, (src, atom_relation, dst) in enumerate(body.atoms):
-        if src != dst:
-            rest = body._replace(atoms=body.atoms[:i] + body.atoms[i + 1 :])
-            per_atom.append((atom_relation, rest.plan(inputs=(src, dst))))
+        rest = body._replace(atoms=body.atoms[:i] + body.atoms[i + 1 :])
+        per_atom.append((atom_relation, rest.plan(inputs=(src, dst))))
     head = (body.variables.index(x), relation, body.variables.index(y))
     return rule.name, head, body.plan(), per_atom
 
@@ -161,8 +159,7 @@ def _kept(rules, needs) -> tuple[set[str] | None, tuple[Rule, ...], tuple[Rule, 
     ``TypeError``), resolves through ``RELATIONS``: an alias names its
     stored relation, an unknown name raises ``SchemaError``. A rule whose
     head is needed is kept, and its body's relations are needed in turn,
-    until nothing new is needed. A self-loop atom matches no edge, so it
-    adds nothing to read.
+    until nothing new is needed.
     """
     if needs is None:
         return None, tuple(rules), AXIOMS
@@ -178,8 +175,7 @@ def _kept(rules, needs) -> tuple[set[str] | None, tuple[Rule, ...], tuple[Rule, 
             relation
             for table in kept
             for rule in table
-            for src, relation, dst in _parsed(rule).body.atoms
-            if src != dst
+            for _, relation, _ in _parsed(rule).body.atoms
         }
         if reads <= needed:
             return needed, *kept

@@ -25,16 +25,19 @@ under DISTINCT, deduplicated. A parse error's ``expected`` lists only the
 token kinds the parser would take at its offset; an unterminated string's
 lists ``"``, the quote that would close it. Names are checked as they are
 read, so an unknown concept or relation wins over a syntax error after it;
-an unbound variable is checked at the end, so any syntax error wins over it.
+an unbound variable is checked at the end, so any syntax error wins over it;
+last, a variable given two concepts (by labels, ``concept`` tests or atoms'
+domains and ranges), or a self-loop atom, can never match, and raises.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache, partial
 from itertools import repeat
 from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import QueryParseError, SchemaError
@@ -117,14 +120,6 @@ class Condition(NamedTuple):
     def variables(self) -> frozenset[str]:
         return frozenset({self.left.variable, self.right.variable} - {None})
 
-    def typed(self) -> tuple[str, str] | None:
-        """(variable, concept) if this is the concept test ``(v:Concept)``
-        makes, else None."""
-        left, right = self.left, self.right
-        if self.op == "=" and left.key == "concept" and right.variable is None:
-            return left.variable, right.literal
-        return None
-
 
 class ReturnItem(NamedTuple):
     variable: str
@@ -142,11 +137,13 @@ class PatternQuery(NamedTuple):
     first appearance; an anonymous node gets a name no query can spell.
     Every edge is an atom over stored relation names. Node concepts,
     ``{key="value"}`` constraints and then the WHERE conditions are its tests.
+    ``concepts`` maps each variable that has one to its concept, read-only.
     """
 
     body: Conjunction
     returns: tuple[ReturnItem, ...]
     distinct: bool
+    concepts: Mapping[str, str]
 
 
 class BindingRow(NamedTuple):
@@ -180,6 +177,7 @@ class _Parser:
         self.tests: list[Condition] = []
         self.variables: dict[str, None] = {}
         self.uses: list[tuple[str, int]] = []  # WHERE and RETURN variables
+        self.typed: list[tuple] = []  # (variable, concept, offset, other end of an atom or None)
 
     def accept(self, kind: str) -> bool:
         if self.kinds[self.pos] == kind:
@@ -224,8 +222,14 @@ class _Parser:
         for name, offset in self.uses:
             if name not in self.variables:
                 raise QueryParseError(f"unbound variable: {name!r}", offset)
+        concepts: dict[str, str] = {}
+        for name, concept, offset, other in self.typed:
+            if name == other:
+                raise QueryParseError(f"self-loop on {name}: no relation admits one", offset)
+            if concepts.setdefault(name, concept) != concept:
+                raise QueryParseError(f"{name} is {concepts[name]}, not {concept}", offset)
         body = Conjunction(tuple(self.atoms), tuple(self.tests), tuple(self.variables))
-        return PatternQuery(body, tuple(items), distinct)
+        return PatternQuery(body, tuple(items), distinct, MappingProxyType(concepts))
 
     def parse_path(self) -> None:
         """Read nodes joined by edges; each edge adds its stored atom."""
@@ -234,11 +238,13 @@ class _Parser:
             reverse = self.kinds[self.pos - 1] == "<-["
             self.expect(":")
             self.expect("IDENT")
-            relation, swapped, _ = self.resolve(RELATIONS, self.pos - 1)
+            relation, swapped, rel = self.resolve(RELATIONS, self.pos - 1)
+            offset = self.offsets[self.pos - 1]
             self.expect("]-" if reverse else "]->")
             other = self.parse_node()
-            atom = (other, relation, name) if reverse ^ swapped else (name, relation, other)
-            self.atoms.append(atom)
+            src, dst = (other, name) if reverse ^ swapped else (name, other)
+            self.atoms.append((src, relation, dst))
+            self.typed += ((src, rel.domain, offset, dst), (dst, rel.range, offset, src))
             name = other
 
     def parse_node(self) -> str:
@@ -250,6 +256,7 @@ class _Parser:
             self.expect("IDENT")
             concept = self.resolve(CONCEPTS, self.pos - 1).name
             self.tests.append(has_property(name, "concept", concept))
+            self.typed.append((name, concept, self.offsets[self.pos - 1], None))
         if self.accept("{"):
             while True:
                 key = self.expect("IDENT")
@@ -257,6 +264,7 @@ class _Parser:
                 value = self.expect("STRING")
                 if key == "concept":
                     value = self.resolve(CONCEPTS, self.pos - 1).name
+                    self.typed.append((name, value, self.offsets[self.pos - 1], None))
                 self.tests.append(has_property(name, key, value))
                 if not self.accept(","):
                     break
@@ -266,15 +274,19 @@ class _Parser:
 
     def parse_condition(self) -> None:
         """Read one condition; a literal tested against a ``concept`` key
-        resolves as a label does."""
+        resolves as a label does, and under ``=`` types the variable."""
         start = self.pos
         left = self.parse_operand()
         op = self.expect("=", "<>")
         right = self.parse_operand()
         if left.key == "concept" and right.variable is None:
             right = right._replace(literal=self.resolve(CONCEPTS, self.pos - 1).name)
+            if op == "=":
+                self.typed.append((left.variable, right.literal, self.offsets[self.pos - 1], None))
         elif right.key == "concept" and left.variable is None:
             left = left._replace(literal=self.resolve(CONCEPTS, start).name)
+            if op == "=":
+                self.typed.append((right.variable, left.literal, self.offsets[start], None))
         self.tests.append(_new(Condition, (left, op, right)))
 
     def parse_operand(self) -> Operand:
@@ -339,22 +351,13 @@ class Conjunction(NamedTuple):
     tests: tuple[Condition, ...]
     variables: tuple[str, ...]
 
-    def typed(self) -> set[tuple[str, str]]:
-        """(variable, concept) pairs the atoms imply: an atom's source has
-        its relation's domain and its target the range."""
-        typed = set()
-        for src, rel, dst in self.atoms:
-            relation = RELATIONS[rel][2]
-            typed.update(((src, relation.domain), (dst, relation.range)))
-        return typed
-
     def plan(self, inputs: tuple[str, ...] = ()) -> Plan:
         """Fix the step order once. ``inputs`` are variables bound before the
         join starts, from the rows supplied at run time.
 
-        A concept test that an atom's relation implies (its domain at the
-        source, its range at the target) is dropped: ``add_edge`` enforces
-        both. Other checks run as soon as their variables are bound, edge
+        A concept test on an atom's end is dropped: the parser has checked it
+        against the relation's domain or range, which ``add_edge`` enforces.
+        Other checks run as soon as their variables are bound, edge
         checks first, each in written order. Otherwise the next step is the
         first written option of the lowest rank: an id lookup (``v = ...`` or
         ``v.id = ...``), a property lookup against a bound variable, a bound
@@ -367,8 +370,9 @@ class Conjunction(NamedTuple):
         slot = {v: i for i, v in enumerate(variables)}
         if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
             raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
-        typed, atoms = self.typed(), len(self.atoms)  # items[:atoms] are the atoms
-        items = [*self.atoms, *(t for t in self.tests if t.typed() not in typed)]
+        ends = {(v, "concept") for atom in self.atoms for v in atom[::2]}
+        atoms = len(self.atoms)  # items[:atoms] are the atoms
+        items = [*self.atoms, *(t for t in self.tests if not _implied(t, ends))]
         watch: dict[str, list[int]] = {v: [] for v in variables}  # the unplaced items over v
         unbound: list[int] = []  # per item, how many of its variables
         ready: list[int] = []  # items with every variable bound, to check next
@@ -429,6 +433,11 @@ class Conjunction(NamedTuple):
                     steps.append(("adjacent", slot[var], rel, way, slot[end]))
                 watch[var].remove(i)
             binding = (var,)
+
+
+def _implied(test: Condition, ends: set[tuple[str, str]]) -> bool:
+    """Whether ``test`` is ``v.concept = "..."`` with ``(v, "concept")`` in ``ends``."""
+    return test.op == "=" and test.right.variable is None and test.left[:2] in ends
 
 
 def _operand(slot: dict[str, int], operand: Operand) -> tuple[int | None, str | None, str | None]:

@@ -9,7 +9,7 @@ from sekg.datasets import canonical_graph, load_canonical
 from sekg.errors import DatasetError, GraphError
 from sekg.graph import RED_RELATIONS, Direction, Edge, KnowledgeGraph, Node
 from sekg.loader import EdgeRecord, NodeRecord, ScenarioRecord
-from sekg.query import Conjunction, Plan, parse_query
+from sekg.query import Conjunction, Plan, has_property, parse_query
 from sekg.schema import CONCEPT_ROWS, RELATION_ALIASES, RELATION_ROWS, SWAPPED_ALIASES
 
 
@@ -411,18 +411,88 @@ def reference_project(query, graph, envs: Iterable[dict]) -> list[tuple[str, ...
     return rows
 
 
+def random_match_texts(seed: int, count: int) -> list[tuple[str, Conjunction]]:
+    """``count`` seeded MATCH texts of 2-4 atoms over ``RELATION_ROWS``,
+    each with the join body it means, built here without the parser.
+
+    Each atom is a path of its own, written forward or backward. Its first
+    end is a variable already used (after the first atom, unless one time
+    in five), its other end a fresh variable or, one time in five, another
+    used one; one atom in twelve is a self-loop. A node is labelled one
+    time in four, with a concept's name or synonym from ``CONCEPT_ROWS``.
+    So that texts land on both sides of the parser's check, choices favour
+    the concept a variable got from its first atom: nine relations in ten
+    and half the labels are picked to agree with it. The body holds the
+    atoms and the label tests in reading order and the variables in order
+    of first appearance; RETURN names the first variable.
+    """
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        names: list[str] = []
+        first_concept: dict[str, str] = {}
+        atoms: list[tuple[str, str, str]] = []
+        tests, paths = [], []
+
+        def pick(reuse: float, other: str = "") -> str:
+            used = [name for name in names if name != other]
+            if used and rng.random() < reuse:
+                return rng.choice(used)
+            names.append(f"x{len(names)}")
+            return names[-1]
+
+        def node(name: str) -> str:
+            if rng.random() >= 0.25:
+                return f"({name})"
+            concept = rng.choice(CONCEPT_ROWS)
+            if rng.random() < 0.5:
+                concept = next(c for c in CONCEPT_ROWS if c.name == first_concept[name])
+            tests.append(has_property(name, "concept", concept.name))
+            return f"({name}:{rng.choice((concept.name, *concept.synonyms))})"
+
+        for _ in range(rng.randint(2, 4)):
+            first, forward = pick(0.8), rng.random() < 0.5
+            end = "domain" if forward else "range"  # the first end's
+            fits = [r for r in RELATION_ROWS if getattr(r, end) == first_concept.get(first)]
+            row = rng.choice(fits if fits and rng.random() < 0.9 else RELATION_ROWS)
+            second = first if rng.random() < 1 / 12 else pick(0.2, first)
+            src, dst = (first, second) if forward else (second, first)
+            first_concept.setdefault(src, row.domain)
+            first_concept.setdefault(dst, row.range)
+            left, right = node(first), node(second)
+            arrow = f"-[:{row.name}]->" if forward else f"<-[:{row.name}]-"
+            paths.append(f"{left}{arrow}{right}")
+            atoms.append((src, row.name, dst))
+        text = f"MATCH {', '.join(paths)} RETURN {names[0]}"
+        texts.append((text, Conjunction(tuple(atoms), tuple(tests), tuple(names))))
+    return texts
+
+
 def reference_plan(body: Conjunction, inputs: tuple[str, ...] = ()) -> Plan:
     """``body``'s plan as ``Conjunction.plan`` made it before it kept its
     atoms and tests indexed by variable: after every step it rescans both
     lists, first for the checks that have become ready, then for the
     option of the lowest rank. ``Conjunction.plan`` must return the same
-    plan, step for step."""
+    plan, step for step.
+
+    A concept test goes when the schema types its variable alike: the
+    domain of a relation it is the source of, or the range of one it is the
+    target of. The parser refuses a body where they differ, so the planner
+    drops every concept test on an atom's end without reading the schema."""
     slot = {v: i for i, v in enumerate(body.variables)}
     if len(set(inputs)) != len(inputs) or not set(inputs) <= slot.keys():
         raise ValueError(f"inputs must be distinct variables of the body: {inputs}")
     atoms = list(body.atoms)
-    typed = body.typed()
-    tests = [(t, t.variables()) for t in body.tests if t.typed() not in typed]
+    typed = set()
+    for src, rel, dst in body.atoms:
+        relation = stored_relation(rel)
+        typed.update(((src, relation.domain), (dst, relation.range)))
+    tests = []
+    for t in body.tests:
+        left, right = t.left, t.right
+        concept = t.op == "=" and left.key == "concept" and right.variable is None
+        if not (concept and (left.variable, right.literal) in typed):
+            tests.append((t, t.variables()))
     bound = set(inputs)
     steps: list[tuple] = []
     while True:

@@ -182,6 +182,16 @@ def test_query_parse_error_exit_one(capsys):
     assert "at offset 9" in err
 
 
+def test_query_that_can_never_match_exits_one(capsys):
+    # craft_and_perform's sources are Attackers, never AttackTargets
+    text = "MATCH (v:AttackTarget)-[:craft_and_perform]->(m) RETURN v, m"
+    assert run_cli(capsys, "query", text) == (
+        1,
+        "",
+        "error: at offset 25: v is AttackTarget, not Attacker\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -782,26 +782,30 @@ def test_provenance_independent_of_node_ids(load_result):
 def test_later_rule_feeds_earlier_rule(load_result):
     # Reversed, R7 reads R6's head and R6 reads R1's and R5's, so each rule
     # must pick up what later rules emitted in the round before.
-    # L has a self-loop body atom, whose per-atom plan takes one input. No
-    # relation admits a self-loop, so L never fires, but it must compile.
+    rules = tuple(reversed(builtin_ruleset()))
+    graphs = [load_result.graph] + [random_conformant_graph(s) for s in range(100)]
+    for i, source in enumerate(graphs):
+        expected = reference_fixpoint(source, rules)
+        g = thaw(source)
+        result = run_rules(g, rules)
+        assert {e.key() for e in g.edges()} == expected, f"graph {i}"
+        if i == 0:
+            # R1 and R5 in round 1, R6 in round 2, R7 in round 3
+            assert result.iterations == 4
+            assert result.fired["R7"] == 2
+    # L has a self-loop body atom. No relation admits one, so its body is a
+    # parse error, raised before anything is written.
     loop = Rule(
         "L",
         "in_the_same_organization",
         "MATCH (a)-[:same_attack_organization]->(a)-[:same_attack_organization]->(b)"
         " RETURN a, b",
     )
-    rules = tuple(reversed(builtin_ruleset())) + (loop,)
-    graphs = [load_result.graph] + [random_conformant_graph(s) for s in range(100)]
-    for i, source in enumerate(graphs):
-        expected = reference_fixpoint(source, rules)
-        g = thaw(source)
-        result = run_rules(g, rules)
-        assert "L" not in result.fired, f"graph {i}"
-        assert {e.key() for e in g.edges()} == expected, f"graph {i}"
-        if i == 0:
-            # R1 and R5 in round 1, R6 in round 2, R7 in round 3
-            assert result.iterations == 4
-            assert result.fired["R7"] == 2
+    g = thaw(load_result.graph)
+    before = g.edges()
+    with pytest.raises(QueryParseError, match="^at offset 12: self-loop on a"):
+        run_rules(g, rules + (loop,))
+    assert g.edges() == before
 
 
 def spreading_chain(n: int) -> tuple[KnowledgeGraph, Rule]:

@@ -7,6 +7,7 @@ from tokenize import STRING, generate_tokens
 import pytest
 from conftest import (
     random_conformant_graph,
+    random_match_texts,
     reference_eval,
     reference_match,
     reference_plan,
@@ -212,34 +213,41 @@ def _concepts_checked(plan: Plan) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "text, kept, empty",
+    "text, kept, offset",
     [
         # have_vul's domain and range type both ends: both tests go
-        ("MATCH (v:AttackTarget)-[:have_vul]->(h:HumanVulnerability) RETURN v, h", [], False),
+        ("MATCH (v:AttackTarget)-[:have_vul]->(h:HumanVulnerability) RETURN v, h", [], None),
         # no atom types v, so its test stays
-        ("MATCH (v:AttackTarget) RETURN v", ["AttackTarget"], False),
-        # the relation contradicts the concept: the test stays and fails
-        ("MATCH (x:Attacker)-[:have_vul]->(h) RETURN x, h", ["Attacker"], True),
-        ("MATCH (m)-[:apply_to]->(m2:AttackMethod) RETURN m", ["AttackMethod"], True),
-        ("MATCH (v:Victim)<-[:apply_to]-(m:Attacker) RETURN v, m", ["Attacker"], True),
+        ("MATCH (v:AttackTarget) RETURN v", ["AttackTarget"], None),
+        # the relation contradicts the concept: the parse fails at the
+        # relation, which types both its ends once both are read
+        ("MATCH (x:Attacker)-[:have_vul]->(h) RETURN x, h", None, 21),
+        ("MATCH (m)-[:apply_to]->(m2:AttackMethod) RETURN m", None, 12),
+        ("MATCH (v:Victim)<-[:apply_to]-(m:Attacker) RETURN v, m", None, 20),
         # a swapped alias types its ends as its stored relation does
-        ("MATCH (h:HumanVulnerability)-[:exploited_by]->(m:AttackMethod) RETURN m, h", [], False),
+        ("MATCH (h:HumanVulnerability)-[:exploited_by]->(m:AttackMethod) RETURN m, h", [], None),
         # a WHERE concept test is the same test, a synonym literal resolved
-        ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "AttackTarget" RETURN v', [], False),
-        ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "Victim" RETURN v', [], False),
+        ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "AttackTarget" RETURN v', [], None),
+        ('MATCH (v)-[:have_vul]->(h) WHERE v.concept = "Victim" RETURN v', [], None),
     ],
 )
-def test_planner_drops_only_implied_concept_tests(text, kept, empty):
+def test_planner_drops_only_implied_concept_tests(text, kept, offset):
     """A concept test goes from the plan only when an atom's relation
     implies it (its domain at the source, its range at the target); the
-    rows stay those of the brute-force evaluator, which runs every test."""
+    rows stay those of the brute-force evaluator, which runs every test.
+    A concept the relation contradicts is a parse error."""
+    if offset is not None:
+        with pytest.raises(QueryParseError) as err:
+            parse_query(text)
+        assert (err.value.offset, err.value.expected) == (offset, frozenset())
+        return
     query = parse_query(text)
     for inputs in ((), query.body.variables[:1]):
         assert _concepts_checked(query.body.plan(inputs)) == kept
     for g in (fixture_graph(), random_conformant_graph(3)):
         got = [r.values for r in evaluate_query(query, g)]
         assert got == reference_eval(query, g)
-        assert (got == []) == empty
+        assert got != []
 
 
 @pytest.mark.parametrize(
@@ -323,6 +331,95 @@ def test_concept_literal_against_no_concept_key_stays_as_written():
     assert [t.right.literal for t in query.body.tests] == ["Bogus", "Victim"]
 
 
+def test_offsets_count_characters_not_bytes():
+    # Each "é" is one character of the string and two bytes of its UTF-8.
+    text = 'MATCH (a {name="éé"}) RETURN b'
+    with pytest.raises(QueryParseError, match="^at offset 29: unbound variable: 'b'$"):
+        parse_query(text)
+    assert text[29] == "b" and len(text[:29].encode()) == 31
+
+
+#: Texts that can never match, with the offset and message of their parse
+#: error: a variable given a second concept, by a label, a ``concept``
+#: test or an atom's relation, or a self-loop atom. An atom types its ends
+#: once both are read, at its relation's offset.
+REJECTED_QUERIES = [
+    ("MATCH (x)-[:to_exploit]->(x) RETURN x", 12, "self-loop on x: no relation admits one"),
+    (
+        "MATCH (a)-[:same_attack_organization]->(a) RETURN a",
+        12,
+        "self-loop on a: no relation admits one",
+    ),
+    (
+        "MATCH (v:AttackTarget)-[:craft_and_perform]->(m) RETURN v, m",
+        25,
+        "v is AttackTarget, not Attacker",
+    ),
+    (
+        "MATCH (a)-[:apply_to]->(b)-[:craft_and_perform]->(c) RETURN a",
+        29,
+        "b is AttackTarget, not Attacker",
+    ),
+    (
+        'MATCH (m {concept="Attacker"})-[:apply_to]->(v) RETURN m',
+        33,
+        "m is Attacker, not AttackMethod",
+    ),
+    (
+        'MATCH (m)-[:apply_to]->(v) WHERE v.concept = "Attacker" RETURN v',
+        45,
+        "v is AttackTarget, not Attacker",
+    ),
+    (
+        'MATCH (m)-[:apply_to]->(v) WHERE "SocialEngineer" = v.concept RETURN v',
+        33,
+        "v is AttackTarget, not Attacker",
+    ),
+    ("MATCH (a:Attacker), (a:Victim) RETURN a", 23, "a is Attacker, not AttackTarget"),
+    (
+        'MATCH (a) WHERE a.concept = "Attacker" AND a.concept = "Victim" RETURN a',
+        55,
+        "a is Attacker, not AttackTarget",
+    ),
+    ("MATCH (h)-[:exploited_by]->(m:Attacker) RETURN m", 12, "m is Attacker, not AttackMethod"),
+    # the first conflict wins
+    (
+        "MATCH (x:Attacker)-[:have_vul]->(h), (v:Victim)-[:craft_and_perform]->(m) RETURN x",
+        21,
+        "x is Attacker, not AttackTarget",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, offset, message", REJECTED_QUERIES)
+def test_pattern_that_can_never_match_raises(text, offset, message):
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert str(err.value) == f"at offset {offset}: {message}"
+    assert err.value.expected == frozenset()
+
+
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        ("MATCH (x)-[:to_exploit]->(x) RETRN x", 29, "unexpected 'RETRN'"),
+        ("MATCH (x:Attacker)-[:have_vul]->(h) RETURN y", 43, "unbound variable: 'y'"),
+    ],
+)
+def test_syntax_and_unbound_errors_win_over_a_conflict(text, offset, message):
+    with pytest.raises(QueryParseError, match=f"^at offset {offset}: {re.escape(message)}"):
+        parse_query(text)
+
+
+def test_concepts_map_each_typed_variable():
+    # <> types nothing; an atom types both ends, a label its variable
+    text = 'MATCH (m)-[:apply_to]->(v), (a:SocialEngineer), (x) WHERE v.concept <> "Attacker"'
+    query = parse_query(f"{text} RETURN v")
+    assert query.concepts == {"m": "AttackMethod", "v": "AttackTarget", "a": "Attacker"}
+    with pytest.raises(TypeError):
+        query.concepts["x"] = "Attacker"
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
@@ -361,8 +458,11 @@ def test_homomorphism_and_inequality():
 
 
 def test_self_loop_pattern_matches_nothing():
+    # No relation admits a self-loop, so the pattern is a parse error.
     g = fixture_graph()
-    assert run_query("MATCH (x)-[:to_exploit]->(x) RETURN x", g) == []
+    with pytest.raises(QueryParseError, match="at offset 12: self-loop on x") as err:
+        run_query("MATCH (x)-[:to_exploit]->(x) RETURN x", g)
+    assert err.value.expected == frozenset()
 
 
 def test_where_property_and_literal():
@@ -678,7 +778,6 @@ BRUTE_QUERIES = [*RETURN_QUERIES,
     "MATCH (x), (y) WHERE x.scenario_id = y.scenario_id AND x <> y RETURN x, y",
     "MATCH (a:Attacker)-[:attack]->(v) RETURN a, v.affiliation",
     "MATCH (m)-[:to_exploit]->(h), (v)-[:have_vul]->(h) RETURN DISTINCT m, v",
-    "MATCH (x)-[:to_exploit]->(x) RETURN x",
     "MATCH ()-[:apply_to]->(v) RETURN DISTINCT v",
     'MATCH (v) WHERE v.affiliation = "Acme" RETURN v',
     'MATCH (v), (w) WHERE v.affiliation = w.affiliation RETURN v, w',
@@ -1110,6 +1209,44 @@ def test_every_expected_kind_is_accepted(text):
             spliced, start = f"{text[:at]} {SAMPLE_TOKENS.get(kind, kind)} {text[at:]}", at + 1
         again = _parse_error(spliced)
         assert again is None or again.offset != start or not again.expected, (kind, spliced)
+
+
+# -- soundness of the parser's typing -----------------------------------------
+
+#: Seeded 2-4-atom MATCH texts, each with the body it means, built without
+#: the parser.
+GENERATED = random_match_texts(20241022, 200)
+#: The generated texts the parser rejects, with their bodies.
+GENERATED_REJECTED = [(text, body) for text, body in GENERATED if _parse_error(text)]
+
+
+def test_generated_patterns_parse_to_their_bodies():
+    """A generated text the parser accepts parses to the body built with
+    it; one it rejects fails with nothing expected. At least a tenth of
+    the texts land on each side."""
+    for text, body in GENERATED:
+        err = _parse_error(text)
+        if err is None:
+            assert parse_query(text).body == body, text
+        else:
+            assert err.expected == frozenset(), text
+    tenth = len(GENERATED) // 10
+    assert tenth <= len(GENERATED_REJECTED) <= len(GENERATED) - tenth
+
+
+@pytest.mark.parametrize("seed", ["replicated", *range(100)])
+def test_rejected_patterns_match_nothing(graph, seed):
+    """Each body the parser rejects has no rows: planned by the reference
+    planner, which keeps every concept test its atoms do not imply, and run
+    by the closure engine, on an inferred random graph or on four copies
+    of the bundled graph."""
+    if seed == "replicated":
+        g = replicated_graph(graph, 4)
+    else:
+        g = random_conformant_graph(seed)
+        run_inference(g)
+    for text, body in GENERATED_REJECTED:
+        assert reference_match(g, reference_plan(body)) == [], text
 
 
 # -- the planner against the reference planner ---------------------------------
